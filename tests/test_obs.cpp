@@ -173,7 +173,9 @@ TEST(MetricsRegistry, HandlesAreStableAndFindOrCreate) {
   a.increment(3);
   // Same name — same instrument, even after other instruments are created.
   for (int i = 0; i < 100; ++i) {
-    registry.histogram("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    registry.histogram(name);
   }
   EXPECT_EQ(&a, &registry.counter("reqs"));
   EXPECT_EQ(3u, registry.counter("reqs").value());
