@@ -64,6 +64,43 @@ void BM_PerturberSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PerturberSample);
 
+// Γ on the blocks explanations actually see: 64 seeded 4-10-instruction
+// generated blocks, alternating Clang and OpenBLAS profiles, sampled round
+// robin. Arg 0 preserves nothing; arg 1 preserves one instruction and (when
+// the block has one) one dependency, as an anchor candidate does.
+void BM_PerturberSampleGenerated(benchmark::State& state) {
+  const bool with_preserve = state.range(0) != 0;
+  std::vector<perturb::Perturber> perturbers;
+  std::vector<graph::FeatureSet> preserve;
+  util::Rng gen_rng(11);
+  for (std::size_t i = 0; i < 64; ++i) {
+    bhive::GeneratorOptions opts;
+    opts.source =
+        i % 2 == 0 ? bhive::BlockSource::Clang : bhive::BlockSource::OpenBLAS;
+    perturbers.emplace_back(bhive::BlockGenerator(opts).generate(gen_rng));
+    const auto& p = perturbers.back();
+    graph::FeatureSet fs;
+    if (with_preserve) {
+      const std::size_t v = i % p.block().size();
+      fs.insert(graph::Feature(
+          graph::InstFeature{v, p.block().instructions[v].opcode}));
+      const auto& edges = p.dep_graph().edges();
+      if (!edges.empty()) {
+        const auto& e = edges[i % edges.size()];
+        fs.insert(graph::Feature(graph::DepFeature{e.from, e.to, e.kind}));
+      }
+    }
+    preserve.push_back(std::move(fs));
+  }
+  util::Rng rng(1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(perturbers[i].sample(preserve[i], rng));
+    i = (i + 1) % perturbers.size();
+  }
+}
+BENCHMARK(BM_PerturberSampleGenerated)->Arg(0)->Arg(1);
+
 void BM_CrudeModelPredict(benchmark::State& state) {
   const cost::CrudeModel model(cost::MicroArch::Haswell);
   const auto block = bhive::listing3_case_study2();

@@ -17,8 +17,9 @@
 #                                     # src/ (./build-tidy; needs clang-tidy)
 #   scripts/check.sh --lint           # just the comet-lint rules (no build)
 #   scripts/check.sh --fuzz           # bounded fuzz smoke over every
-#                                     # untrusted-input surface (./build-fuzz;
-#                                     # COMET_FUZZ_SECS=N per-harness budget)
+#                                     # untrusted-input surface and over Γ
+#                                     # (./build-fuzz; COMET_FUZZ_SECS=N
+#                                     # per-harness budget)
 #   scripts/check.sh --coverage       # line-coverage build + report with a
 #                                     # ratcheted floor (./build-cov)
 #   scripts/check.sh --chaos          # bounded seeded chaos pass: widened
@@ -159,10 +160,11 @@ case "$MODE" in
     ;;
 
   fuzz)
-    # Bounded fuzz smoke over every untrusted-input surface: each harness
-    # runs its committed corpus plus COMET_FUZZ_SECS (default 30) seconds of
-    # mutation under ASan+UBSan with contracts armed. Any crash, leak, OOM,
-    # or contract escape fails the gate. Under clang this is real libFuzzer;
+    # Bounded fuzz smoke over every untrusted-input surface, plus Γ's
+    # sampling contract (fuzz_perturber): each harness runs its committed
+    # corpus plus COMET_FUZZ_SECS (default 30) seconds of mutation under
+    # ASan+UBSan with contracts armed. Any crash, leak, OOM, or contract
+    # escape fails the gate. Under clang this is real libFuzzer;
     # under GCC the bundled replay+mutation driver speaks the same CLI.
     [[ "$CLEAN" == "1" ]] && rm -rf "$FUZZ_DIR"
     cmake -B "$FUZZ_DIR" -S . -DCOMET_FUZZ=ON "${CMAKE_ARGS[@]}"
@@ -170,7 +172,7 @@ case "$MODE" in
     FUZZ_SECS=${COMET_FUZZ_SECS:-30}
     for target in fuzz_x86_parser fuzz_riscv_parser fuzz_ithemal_checkpoint \
                   fuzz_granite_checkpoint fuzz_bhive_dataset \
-                  fuzz_wire_protocol; do
+                  fuzz_wire_protocol fuzz_perturber; do
       bin="$FUZZ_DIR/$target"
       corpus="fuzz/corpus/$target"
       if [[ ! -x "$bin" ]]; then

@@ -1,9 +1,11 @@
 #include "perturb/perturber.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
-#include <set>
+
+#include "util/contract.h"
 
 namespace comet::perturb {
 
@@ -22,51 +24,74 @@ using x86::Reg;
 using x86::RegClass;
 using x86::RegFamily;
 
-/// A reference to one register occurrence inside an instruction: either a
-/// plain register operand, or the base/index of a memory operand.
-struct RegOccurrence {
-  std::size_t operand_index;
-  enum class Slot : std::uint8_t { Direct, MemBase, MemIndex } slot;
-};
+/// A set of register families, one bit per family.
+using FamilyMask = std::uint64_t;
+static_assert(static_cast<std::size_t>(RegFamily::kCount) <= 64,
+              "FamilyMask needs one bit per register family");
 
-std::vector<RegOccurrence> occurrences_of(const Instruction& inst,
-                                          RegFamily family) {
-  std::vector<RegOccurrence> out;
-  for (std::size_t i = 0; i < inst.operands.size(); ++i) {
-    const auto& op = inst.operands[i];
-    if (op.is_reg() && op.as_reg().family == family) {
-      out.push_back({i, RegOccurrence::Slot::Direct});
-    } else if (op.is_mem()) {
-      const auto& m = op.as_mem();
-      if (m.base && m.base->family == family) {
-        out.push_back({i, RegOccurrence::Slot::MemBase});
-      }
-      if (m.index && m.index->family == family) {
-        out.push_back({i, RegOccurrence::Slot::MemIndex});
-      }
-    }
-  }
-  return out;
+constexpr FamilyMask bit(RegFamily f) {
+  return FamilyMask{1} << static_cast<unsigned>(f);
 }
 
-void rename_occurrence(Instruction& inst, const RegOccurrence& occ,
-                       RegFamily to) {
-  auto& op = inst.operands[occ.operand_index];
-  switch (occ.slot) {
-    case RegOccurrence::Slot::Direct: {
+/// Families named by explicit operands: register operands plus the base
+/// and index registers of memory operands.
+FamilyMask operand_families(const Instruction& inst) {
+  FamilyMask m = 0;
+  for (const auto& op : inst.operands) {
+    if (op.is_reg()) {
+      m |= bit(op.as_reg().family);
+    } else if (op.is_mem()) {
+      const auto& mem = op.as_mem();
+      if (mem.base) m |= bit(mem.base->family);
+      if (mem.index) m |= bit(mem.index->family);
+    }
+  }
+  return m;
+}
+
+/// Families a signature accesses implicitly (div/mul rax/rdx, push/pop rsp).
+FamilyMask implicit_families(const x86::Signature& sig) {
+  FamilyMask m = 0;
+  for (const auto& imp : sig.implicit) m |= bit(imp.family);
+  return m;
+}
+
+/// Every family `inst` touches — explicit operands, address registers and
+/// implicit effects: the families of x86::semantics(inst).regs, without
+/// building the semantics. `inst` must be valid.
+FamilyMask touched_families(const Instruction& inst) {
+  const x86::Signature* sig = x86::find_signature(inst.opcode, inst.operands);
+  COMET_CHECK_MSG(sig != nullptr, "invalid instruction: " << inst.to_string());
+  return operand_families(inst) | implicit_families(*sig);
+}
+
+/// Rename every explicit occurrence of family `from` in `inst` to `to`.
+void rename_family(Instruction& inst, RegFamily from, RegFamily to) {
+  for (auto& op : inst.operands) {
+    if (op.is_reg()) {
       auto& r = op.as_reg();
+      if (r.family != from) continue;
       r.family = to;
       // high8 registers only exist in the first four families.
       if (r.high8 && !x86::reg_exists(to, 8, true)) r.high8 = false;
-      break;
+    } else if (op.is_mem()) {
+      auto& mem = op.as_mem();
+      if (mem.base && mem.base->family == from) mem.base->family = to;
+      if (mem.index && mem.index->family == from) mem.index->family = to;
     }
-    case RegOccurrence::Slot::MemBase:
-      op.as_mem().base->family = to;
-      break;
-    case RegOccurrence::Slot::MemIndex:
-      op.as_mem().index->family = to;
-      break;
   }
+}
+
+/// rng.pick over the members of `set` listed in `order`'s order: the same
+/// draw, and the same result, as picking from that filtered list.
+RegFamily pick_family(util::Rng& rng, FamilyMask set,
+                      const std::vector<RegFamily>& order) {
+  std::size_t k = rng.index(static_cast<std::size_t>(std::popcount(set)));
+  for (RegFamily f : order) {
+    if ((set & bit(f)) != 0 && k-- == 0) return f;
+  }
+  COMET_CHECK_MSG(false, "family set is not a subset of its pick order");
+  return order.front();
 }
 
 /// Per-sample bookkeeping of what must not be touched.
@@ -74,20 +99,71 @@ struct Pins {
   std::vector<bool> opcode_pinned;      // per instruction
   std::vector<bool> delete_forbidden;   // per instruction
   /// Families whose occurrences are pinned, per instruction.
-  std::vector<std::set<RegFamily>> pinned_families;
+  std::vector<FamilyMask> pinned_families;
   /// Memory operand identity pinned (explicit mem operand must stay put).
   std::vector<bool> mem_pinned;
   /// Families carrying any preserved edge anywhere (excluded as rename
   /// targets so dependency rerouting cannot destroy a preserved edge).
-  std::set<RegFamily> globally_reserved;
+  FamilyMask globally_reserved = 0;
   bool preserve_count = false;
 
   explicit Pins(std::size_t n)
       : opcode_pinned(n, false),
         delete_forbidden(n, false),
-        pinned_families(n),
+        pinned_families(n, 0),
         mem_pinned(n, false) {}
+
+  /// Pin both endpoints of preserved edge `e` and whatever carries it.
+  void pin_edge(const DepEdge& e) {
+    opcode_pinned[e.from] = true;
+    opcode_pinned[e.to] = true;
+    delete_forbidden[e.from] = true;
+    delete_forbidden[e.to] = true;
+    if (e.resource == DepResource::Register) {
+      pinned_families[e.from] |= bit(e.family);
+      pinned_families[e.to] |= bit(e.family);
+      globally_reserved |= bit(e.family);
+    } else if (e.resource == DepResource::Memory) {
+      mem_pinned[e.from] = true;
+      mem_pinned[e.to] = true;
+    }
+  }
 };
+
+/// Decode `preserve` into `pins`: Inst and NumInsts features directly, and
+/// each Dep feature into the graph edges it names, which are returned for
+/// the caller to pin with Pins::pin_edge.
+std::vector<DepEdge> decode_features(const FeatureSet& preserve,
+                                     const graph::DepGraph& graph,
+                                     Pins& pins) {
+  const std::size_t n = pins.opcode_pinned.size();
+  std::vector<DepEdge> edges;
+  for (const Feature& f : preserve.items()) {
+    switch (f.type()) {
+      case graph::FeatureType::Inst: {
+        const auto& fi = f.as_inst();
+        if (fi.index < n) {
+          pins.opcode_pinned[fi.index] = true;
+          pins.delete_forbidden[fi.index] = true;
+        }
+        break;
+      }
+      case graph::FeatureType::NumInsts:
+        pins.preserve_count = true;
+        break;
+      case graph::FeatureType::Dep: {
+        const auto& fd = f.as_dep();
+        for (const DepEdge& e : graph.edges()) {
+          if (e.from == fd.from && e.to == fd.to && e.kind == fd.kind) {
+            edges.push_back(e);
+          }
+        }
+        break;
+      }
+    }
+  }
+  return edges;
+}
 
 }  // namespace
 
@@ -106,9 +182,11 @@ Perturber::Perturber(x86::BasicBlock block,
       config_(config),
       graph_(graph::DepGraph::build(block_, graph_options_)) {
   replacements_.reserve(block_.size());
+  families_.reserve(block_.size());
   for (const auto& inst : block_.instructions) {
     replacements_.push_back(
         x86::replacement_opcodes(inst.opcode, inst.operands));
+    families_.push_back(touched_families(inst));
   }
 }
 
@@ -118,31 +196,8 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   Pins pins(n);
 
   // 1. Decode the preserved feature set into pins.
-  std::vector<DepEdge> preserved_edges;
-  for (const Feature& f : preserve.items()) {
-    switch (f.type()) {
-      case graph::FeatureType::Inst: {
-        const auto& fi = f.as_inst();
-        if (fi.index < n) {
-          pins.opcode_pinned[fi.index] = true;
-          pins.delete_forbidden[fi.index] = true;
-        }
-        break;
-      }
-      case graph::FeatureType::NumInsts:
-        pins.preserve_count = true;
-        break;
-      case graph::FeatureType::Dep: {
-        const auto& fd = f.as_dep();
-        for (const DepEdge& e : graph_.edges()) {
-          if (e.from == fd.from && e.to == fd.to && e.kind == fd.kind) {
-            preserved_edges.push_back(e);
-          }
-        }
-        break;
-      }
-    }
-  }
+  std::vector<DepEdge> preserved_edges =
+      decode_features(preserve, graph_, pins);
 
   // 2. Explicit voluntary retention of other dependencies (Appendix E.3):
   //    each non-preserved edge is pinned outright with a small probability,
@@ -165,20 +220,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   }
 
   // 3. Apply pins implied by preserved edges.
-  for (const DepEdge& e : preserved_edges) {
-    pins.opcode_pinned[e.from] = true;
-    pins.opcode_pinned[e.to] = true;
-    pins.delete_forbidden[e.from] = true;
-    pins.delete_forbidden[e.to] = true;
-    if (e.resource == DepResource::Register) {
-      pins.pinned_families[e.from].insert(e.family);
-      pins.pinned_families[e.to].insert(e.family);
-      pins.globally_reserved.insert(e.family);
-    } else if (e.resource == DepResource::Memory) {
-      pins.mem_pinned[e.from] = true;
-      pins.mem_pinned[e.to] = true;
-    }
-  }
+  for (const DepEdge& e : preserved_edges) pins.pin_edge(e);
 
   // Families whose access pattern must not change at a given position: an
   // instruction sitting between the endpoints of a preserved register
@@ -186,17 +228,19 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   // replacement opcode changed how the carrying family is accessed there —
   // implicitly (a 1-operand div clobbering rax) or explicitly (cmp -> cmov
   // turning a read of the destination into a write).
-  std::vector<std::set<RegFamily>> sensitive(n);
+  std::vector<FamilyMask> sensitive(n, 0);
   for (const DepEdge& e : preserved_edges) {
     if (e.resource != DepResource::Register) continue;
     for (std::size_t v = e.from + 1; v < e.to; ++v) {
-      sensitive[v].insert(e.family);
+      sensitive[v] |= bit(e.family);
     }
   }
 
-  // Working copy.
+  // Working copy. used_by[v] is the family mask of insts[v] as it stands
+  // (0 once deleted); every edit to an instruction must refresh its entry.
   std::vector<Instruction> insts = block_.instructions;
   std::vector<bool> deleted(n, false);
+  std::vector<FamilyMask> used_by = families_;
 
   // 4. Vertex perturbation: opcode replacement or deletion.
   for (std::size_t v = 0; v < n; ++v) {
@@ -206,24 +250,20 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     const bool try_delete = can_delete && rng.bernoulli(config_.p_delete);
     if (try_delete) {
       deleted[v] = true;
+      used_by[v] = 0;
       continue;
     }
     const auto& cands = replacements_[v];
     if (cands.empty()) continue;  // e.g. lea: forced retention (Appendix D)
     const auto reroute_conflict = [&](x86::Opcode cand) {
-      if (sensitive[v].empty()) return false;
+      if (sensitive[v] == 0) return false;
       // Operands referencing a sensitive family: any access-pattern change
       // could reroute the preserved edge, so force retention.
-      for (RegFamily f : sensitive[v]) {
-        if (!occurrences_of(insts[v], f).empty()) return true;
-      }
+      if ((operand_families(insts[v]) & sensitive[v]) != 0) return true;
       const x86::Signature* sig =
           x86::find_signature(cand, insts[v].operands);
       if (sig == nullptr) return true;  // defensive: reject
-      for (const auto& imp : sig->implicit) {
-        if (sensitive[v].count(imp.family)) return true;
-      }
-      return false;
+      return (implicit_families(*sig) & sensitive[v]) != 0;
     };
     x86::Opcode chosen = rng.pick(cands);
     for (int attempt = 0; attempt < 4 && reroute_conflict(chosen);
@@ -237,7 +277,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
       for (auto& op : insts[v].operands) {
         if (!op.is_reg()) continue;
         auto& r = op.as_reg();
-        if (pins.pinned_families[v].count(r.family)) continue;
+        if ((pins.pinned_families[v] & bit(r.family)) != 0) continue;
         const auto& pool = reg_class(r) == RegClass::Vec
                                ? x86::vec_families()
                                : x86::substitutable_gpr_families();
@@ -247,6 +287,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
         if (!x86::is_valid(insts[v])) insts[v] = backup;
       }
     }
+    used_by[v] = touched_families(insts[v]);
   }
 
   // 5. Edge perturbation: break non-retained hazards via operand renaming.
@@ -276,46 +317,34 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
 
     // Pick a rename target family: same class, not the carrying family,
     // not reserved by any preserved edge. Prefer families the block does not
-    // touch at all, so that breaking one dependency does not accidentally
-    // create a new one (which would distort the cost of unrelated feature
-    // sets and bias precision estimates).
-    const RegClass cls = x86::reg_class(e.family);
-    std::vector<RegFamily> pool, fresh;
-    const auto& base_pool = cls == RegClass::Vec
+    // touch at all (explicitly or implicitly), so that breaking one
+    // dependency does not accidentally create a new one (which would distort
+    // the cost of unrelated feature sets and bias precision estimates).
+    const auto& base_pool = x86::reg_class(e.family) == RegClass::Vec
                                 ? x86::vec_families()
                                 : x86::substitutable_gpr_families();
-    for (RegFamily f : base_pool) {
-      if (f == e.family || pins.globally_reserved.count(f)) continue;
-      pool.push_back(f);
-      bool used = false;
-      for (std::size_t v = 0; v < n && !used; ++v) {
-        if (deleted[v]) continue;
-        used = !occurrences_of(insts[v], f).empty();
-        if (!used) {
-          // Implicit accesses (div/mul rax/rdx, push/pop rsp) also make a
-          // family unsafe as a rename target.
-          for (const auto& a : x86::semantics(insts[v]).regs) {
-            used |= a.reg.family == f;
-          }
-        }
-      }
-      if (!used) fresh.push_back(f);
+    FamilyMask pool = 0;
+    for (RegFamily f : base_pool) pool |= bit(f);
+    pool &= ~(bit(e.family) | pins.globally_reserved);
+    if (config_.prefer_fresh_rename) {
+      FamilyMask block_used = 0;
+      for (FamilyMask m : used_by) block_used |= m;
+      if ((pool & ~block_used) != 0) pool &= ~block_used;
     }
-    if (config_.prefer_fresh_rename && !fresh.empty()) pool = std::move(fresh);
-    if (pool.empty()) continue;
+    if (pool == 0) continue;
 
     // Prefer renaming the consumer's occurrences; fall back to the producer.
     const auto try_rename = [&](std::size_t idx) {
-      if (pins.pinned_families[idx].count(e.family)) return false;
-      const auto occs = occurrences_of(insts[idx], e.family);
-      if (occs.empty()) return false;  // implicit operand: cannot rename
+      if ((pins.pinned_families[idx] & bit(e.family)) != 0) return false;
+      // An implicit operand cannot be renamed.
+      if ((operand_families(insts[idx]) & bit(e.family)) == 0) return false;
       const Instruction backup = insts[idx];
-      const RegFamily target = rng.pick(pool);
-      for (const auto& occ : occs) rename_occurrence(insts[idx], occ, target);
+      rename_family(insts[idx], e.family, pick_family(rng, pool, base_pool));
       if (!x86::is_valid(insts[idx])) {
         insts[idx] = backup;  // e.g. shift count must stay cl
         return false;
       }
+      used_by[idx] = touched_families(insts[idx]);
       return true;
     };
     if (!try_rename(e.to)) try_rename(e.from);
@@ -365,37 +394,8 @@ bool Perturber::contains(const PerturbedBlock& pb,
 double Perturber::log10_space_size(const FeatureSet& preserve) const {
   const std::size_t n = block_.size();
   Pins pins(n);
-  std::vector<DepEdge> preserved_edges;
-  for (const Feature& f : preserve.items()) {
-    switch (f.type()) {
-      case graph::FeatureType::Inst: {
-        const auto& fi = f.as_inst();
-        if (fi.index < n) {
-          pins.opcode_pinned[fi.index] = true;
-          pins.delete_forbidden[fi.index] = true;
-        }
-        break;
-      }
-      case graph::FeatureType::NumInsts:
-        pins.preserve_count = true;
-        break;
-      case graph::FeatureType::Dep: {
-        const auto& fd = f.as_dep();
-        for (const DepEdge& e : graph_.edges()) {
-          if (e.from == fd.from && e.to == fd.to && e.kind == fd.kind) {
-            pins.opcode_pinned[e.from] = true;
-            pins.opcode_pinned[e.to] = true;
-            pins.delete_forbidden[e.from] = true;
-            pins.delete_forbidden[e.to] = true;
-            if (e.resource == DepResource::Register) {
-              pins.pinned_families[e.from].insert(e.family);
-              pins.pinned_families[e.to].insert(e.family);
-            }
-          }
-        }
-        break;
-      }
-    }
+  for (const DepEdge& e : decode_features(preserve, graph_, pins)) {
+    pins.pin_edge(e);
   }
 
   double log10_total = 0.0;
@@ -416,7 +416,7 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
     const auto& inst = block_.instructions[v];
     for (const auto& op : inst.operands) {
       const auto count_family = [&](RegFamily fam, RegClass cls) {
-        if (pins.pinned_families[v].count(fam)) return;
+        if ((pins.pinned_families[v] & bit(fam)) != 0) return;
         const std::size_t pool = cls == RegClass::Vec
                                      ? x86::vec_families().size()
                                      : x86::substitutable_gpr_families().size();

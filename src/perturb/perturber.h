@@ -103,6 +103,11 @@ class Perturber {
   graph::DepGraph graph_;
   /// Per-instruction opcode replacement candidates.
   std::vector<std::vector<x86::Opcode>> replacements_;
+  /// Per-instruction mask (bit = RegFamily) of the register families each
+  /// original instruction touches: explicit operands, address registers
+  /// and implicit effects. Seeds each sample's `used_by` bookkeeping, which
+  /// makes Γ's fresh-rename-target test a mask test.
+  std::vector<std::uint64_t> families_;
 };
 
 }  // namespace comet::perturb
