@@ -1,19 +1,14 @@
 // Serving-throughput bench: requests/sec of the concurrent explanation
 // server vs. the sequential path, at 1/2/4/8 workers.
 //
-// The regime that motivates the serve/ subsystem (ROADMAP: async broker,
-// sharded serving) is a model backend whose per-query latency is not this
+// The regime that motivates the serve/ subsystem (sharded and remote
+// serving) is a model backend whose per-query latency is not this
 // process's CPU — a remote inference service, a simulator farm, a
 // measurement rig. serve::RemoteStandInModel reproduces that regime
 // portably (including on single-core CI runners) by charging a fixed
 // round-trip per predict_batch call on top of the real crude/oracle
 // models; predictions are untouched, so every served explanation is
 // verified bit-identical to its sequentially computed twin.
-//
-// Also measured, same reasoning: the engine's fused-arm-pull mode
-// (engine-level batch widening — fewer round-trips per level) and the
-// async-pipelined mode (sampling overlaps evaluation) on the sequential
-// path.
 //
 // Acceptance gate printed explicitly: >= 2x throughput at 4 workers vs.
 // sequential, with bit-identical results.
@@ -252,51 +247,6 @@ int main(int argc, char** argv) {
     std::printf("gate skipped (4 workers not swept); bit-identical: %s\n",
                 all_identical ? "yes" : "NO");
   }
-
-  // ---- engine-level levers on the sequential path ----
-  // Widened batches (fuse_arm_pulls) cut the number of round-trips each
-  // level pays; async pipelining (async_inflight) overlaps sampling with
-  // the backend round-trip. Both are bit-identical to the plain path.
-  print_header("Engine-level levers vs. the same remote backend",
-               "sequential path, crude model, same requests");
-  std::size_t plain_trips = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].key == "crude-hsw") {
-      plain_trips += reference[i].query_stats.batch_calls;
-    }
-  }
-  Table levers({"mode", "wall ms", "round-trips", "identical"});
-  const auto run_mode = [&](const std::string& label, bool fuse,
-                            std::size_t inflight) {
-    std::size_t trips = 0;
-    bool ok = true;
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].key != "crude-hsw") continue;
-      cc::CometOptions opt = requests[i].options;
-      opt.fuse_arm_pulls = fuse;
-      opt.async_inflight = inflight;
-      const auto e =
-          cc::CometExplainer(*remote_crude, opt).explain(requests[i].block);
-      trips += e.query_stats.batch_calls;
-      ok = ok && identical(e, reference[i]);
-    }
-    levers.add_row({label, Table::fmt(ms_since(start), 1),
-                    std::to_string(trips), ok ? "yes" : "NO"});
-  };
-  {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].key != "crude-hsw") continue;
-      cc::CometExplainer(*remote_crude, requests[i].options)
-          .explain(requests[i].block);
-    }
-    levers.add_row({"plain", Table::fmt(ms_since(start), 1),
-                    std::to_string(plain_trips), "-"});
-  }
-  run_mode("fused arm pulls", /*fuse=*/true, /*inflight=*/0);
-  run_mode("async inflight=3", /*fuse=*/false, /*inflight=*/3);
-  std::printf("%s\n", levers.to_string().c_str());
 
   // ---- overload: priority lanes and load shedding under 2x load ----
   // Offered load is 2x what the admission queue + workers hold at once,

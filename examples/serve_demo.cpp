@@ -36,7 +36,6 @@ cc::CometOptions demo_options(std::uint64_t seed) {
   opt.batch_size = 8;
   opt.max_pulls_per_level = 48;
   opt.final_precision_samples = 64;
-  opt.fuse_arm_pulls = true;  // widened batches: fewer backend round-trips
   opt.seed = seed;
   return opt;
 }

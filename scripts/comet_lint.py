@@ -52,6 +52,10 @@ check:
                     controls). Zero-argument wait() calls are helper
                     invocations - their blocking loop is linted where it is
                     defined.
+  upward-include    No #include of serve/ or net/ headers in src/ outside
+                    src/serve/ and src/net/. Dependencies point downward:
+                    the engine, the models and the utilities never reach up
+                    into the serving or transport layers that build on them.
 
 Suppression: a finding is silenced by a comment on the same line or the
 line directly above it:
@@ -312,6 +316,26 @@ def _check_unbounded_wait(relpath, raw_lines, scrubbed):
     return hits
 
 
+_INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+_UPWARD_INCLUDE_RE = re.compile(r"^\s*#\s*include\s*[<\"](?:serve|net)/")
+
+
+def _check_upward_include(relpath, raw_lines, scrubbed):
+    del relpath
+    # The scrubber blanks the include path (a string literal), so the
+    # directive is found on the scrubbed line and the path read raw.
+    return [
+        (
+            idx,
+            "upward include of a serve/ or net/ header - dependencies "
+            "point downward; move the shared piece below (e.g. util/)",
+        )
+        for idx, line in enumerate(scrubbed)
+        if _INCLUDE_RE.search(line)
+        and _UPWARD_INCLUDE_RE.search(raw_lines[idx])
+    ]
+
+
 def _check_include_guard(relpath, raw_lines, scrubbed):
     del relpath
     for idx, line in enumerate(scrubbed):
@@ -445,6 +469,14 @@ RULES = [
             "(util/contract.h): a broken invariant must throw "
             "ContractViolation, not kill the process",
         ),
+    ),
+    Rule(
+        "upward-include",
+        "no #include of serve/ or net/ headers in src/ outside src/serve/ "
+        "and src/net/ - dependencies point downward",
+        lambda p: p.startswith("src/")
+        and not p.startswith(("src/serve/", "src/net/")),
+        _check_upward_include,
     ),
 ]
 

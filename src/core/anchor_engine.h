@@ -18,7 +18,9 @@
 // cost::QueryBroker as part of a batch (arm pulls are whole perturbation
 // batches, never per-sample predict() calls), so vectorized predict_batch
 // overrides and the broker's memoization pay off across the thousands of
-// queries one explanation consumes.
+// queries one explanation consumes. Pulls that need no score in between
+// (a level's initial fan-out, a KL-LUCB round's two separating arms) are
+// fused into shared broker batches of at most kMaxFusedBlocks blocks.
 //
 // A traits type must provide:
 //   Block, Feature, FeatureSet      — ISA feature vocabulary (positional)
@@ -35,25 +37,26 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "cost/query_broker.h"
 #include "obs/clock.h"
 #include "obs/phase_timers.h"
-// Deliberate upward dependency: the engine's async_inflight mode pipelines
-// its arm pulls through serve::AsyncBroker (a thin futures layer over the
-// QueryBroker above; it does not include anything from core/, so the
-// include graph stays acyclic even though serve/'s scheduler builds on
-// this engine).
-#include "serve/async_broker.h"
 #include "util/kl_bounds.h"
 #include "util/rng.h"
 
 namespace comet::core {
+
+/// Widest broker batch a group of fused arm pulls may build. Arms join the
+/// pending batch in order; before an arm is sampled, the batch is flushed
+/// if its batch_size more blocks could take it past this cap (each flush
+/// carries at least one arm, so a single pull with batch_size > cap is
+/// still one batch). The cap bounds the working set: fusing a whole
+/// level-1 fan-out unbounded raised peak RSS by up to 2x on the benchmark.
+inline constexpr std::size_t kMaxFusedBlocks = 64;
 
 /// The ISA-independent knobs of the anchor search, shared by every
 /// instantiation (x86 CometOptions, RISC-V RvExplainOptions).
@@ -87,23 +90,6 @@ struct AnchorSearchOptions {
   /// output either way for deterministic models; disabled only by tests
   /// and ablations auditing the raw query volume.
   bool memoize_queries = true;
-
-  /// Engine-level batch widening: fuse the per-level initial arm pulls,
-  /// and each KL-LUCB round's two separating-arm pulls (weakest member +
-  /// strongest challenger), into single broker batches. Sampling order is
-  /// unchanged, so the explanation and its requested/evaluated/cache-hit
-  /// accounting are bit-identical to the unfused path — only batch_calls
-  /// drops, which is the round-trip count a remote or sharded backend
-  /// pays per level.
-  bool fuse_arm_pulls = false;
-
-  /// When > 0, route engine queries through a serve::AsyncBroker and
-  /// pipeline the per-level initial arm pulls with up to this many batches
-  /// in flight: the engine samples arm k+1's perturbation batch while arm
-  /// k's batch evaluates on the broker worker. Evaluation stays FIFO on
-  /// one worker, so results and query accounting are bit-identical to the
-  /// synchronous path. 0 = synchronous (default).
-  std::size_t async_inflight = 0;
 
   /// Opt-in per-level phase timing (obs::PhaseTimings on the explanation):
   /// point at a clock — obs::steady_clock() in production, a ManualClock in
@@ -189,7 +175,7 @@ double AnchorEngine<Traits>::estimate_precision(const Block& block,
     hits += std::abs(p - base) < options_.epsilon;
   }
   // Precision is estimated over the non-empty perturbations only — the same
-  // denominator the search's arm scoring uses (score() counts a pull per
+  // denominator the search's arm scoring uses (it counts a pull per
   // evaluated sample). Dividing by the requested sample count instead would
   // bias Prec(F) down on blocks whose perturber emits empties.
   return batch.empty()
@@ -223,24 +209,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   const Perturber perturber = Traits::make_perturber(block, options_);
   Broker broker(model_, options_.memoize_queries);
 
-  // In async mode all traffic flows through one AsyncBroker wrapping the
-  // same broker (single FIFO evaluation worker: one cache, one ledger,
-  // deterministic accounting); the initial per-level arm pulls additionally
-  // pipeline sampling against evaluation.
-  using Async = serve::AsyncBroker<Block, Model>;
-  std::unique_ptr<Async> async;
-  if (options_.async_inflight > 0) {
-    async = std::make_unique<Async>(broker, /*workers=*/1);
-  }
-  const auto eval = [&](std::span<const Block> blocks,
-                        std::span<double> out) {
-    if (async) {
-      async->predict_batch(blocks, out);
-    } else {
-      broker.predict_batch(blocks, out);
-    }
-  };
-
   // Opt-in phase timing. Stamps are taken strictly *between* phases and
   // accumulate into the explanation's obs::PhaseTimings; no reading ever
   // feeds a search decision, so the result is bit-identical to an untimed
@@ -259,7 +227,8 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   };
 
   double base = 0.0;
-  eval(std::span<const Block>(&block, 1), std::span<double>(&base, 1));
+  broker.predict_batch(std::span<const Block>(&block, 1),
+                       std::span<double>(&base, 1));
   // Requested queries, counted with the historical semantics: every sample
   // drawn from Γ costs one query whether or not it reached the model (empty
   // perturbations are skipped, memo hits are served from cache). The true
@@ -287,52 +256,44 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
            static_cast<double>(coverage_pool.size());
   };
 
-  // Draw one batch for an arm and update its statistics: sample the whole
-  // batch first, then score it with a single broker query. In fused mode
-  // (engine-level batch widening) a whole group of arms samples first and
-  // is scored by ONE broker query — same sampling order, same results,
-  // fewer round-trips.
+  // Pull a group of arms: each arm draws batch_size samples, in group
+  // order, into one pending broker batch (flushed at kMaxFusedBlocks), and
+  // every arm is scored on its own slice of the predictions. No arm's
+  // samples depend on another arm's score, so the RNG stream, the broker's
+  // block sequence and its memo hits are those of one call per arm; only
+  // batch_calls differs.
   std::vector<Block> batch;
   std::vector<double> preds;
-  std::vector<std::size_t> cuts;
-  const auto sample_into = [&](Arm& arm, std::vector<Block>& dst) {
-    for (std::size_t i = 0; i < options_.batch_size; ++i) {
-      auto alpha = perturber.sample(arm.features, rng);
-      ++queries;
-      if (alpha.block.empty()) continue;
-      dst.push_back(std::move(alpha.block));
+  std::vector<std::size_t> cuts{0};  // cuts[g]..cuts[g+1]: pending arm g
+  const auto flush = [&](std::span<Arm* const> pending) {
+    preds.resize(batch.size());
+    broker.predict_batch(std::span<const Block>(batch),
+                         std::span<double>(preds));
+    for (std::size_t g = 0; g < pending.size(); ++g) {
+      for (std::size_t i = cuts[g]; i < cuts[g + 1]; ++i) {
+        pending[g]->hits += std::abs(preds[i] - base) < options_.epsilon;
+        ++pending[g]->pulls;
+      }
     }
-  };
-  const auto score = [&](Arm& arm, std::span<const double> arm_preds) {
-    for (const double p : arm_preds) {
-      arm.hits += std::abs(p - base) < options_.epsilon;
-      ++arm.pulls;
-    }
+    batch.clear();
+    cuts.assign(1, 0);
   };
   const auto pull_group = [&](std::span<Arm* const> group) {
-    if (options_.fuse_arm_pulls) {
-      batch.clear();
-      cuts.clear();
-      cuts.push_back(0);
-      for (Arm* arm : group) {
-        sample_into(*arm, batch);
-        cuts.push_back(batch.size());
+    std::size_t first = 0;  // first arm of the pending batch
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      if (g > first && batch.size() + options_.batch_size > kMaxFusedBlocks) {
+        flush(group.subspan(first, g - first));
+        first = g;
       }
-      preds.resize(batch.size());
-      eval(std::span<const Block>(batch), std::span<double>(preds));
-      for (std::size_t g = 0; g < group.size(); ++g) {
-        score(*group[g], std::span<const double>(preds).subspan(
-                             cuts[g], cuts[g + 1] - cuts[g]));
+      for (std::size_t i = 0; i < options_.batch_size; ++i) {
+        auto alpha = perturber.sample(group[g]->features, rng);
+        ++queries;
+        if (alpha.block.empty()) continue;
+        batch.push_back(std::move(alpha.block));
       }
-    } else {
-      for (Arm* arm : group) {
-        batch.clear();
-        sample_into(*arm, batch);
-        preds.resize(batch.size());
-        eval(std::span<const Block>(batch), std::span<double>(preds));
-        score(*arm, preds);
-      }
+      cuts.push_back(batch.size());
     }
+    flush(group.subspan(first));
   };
   const auto pull = [&](Arm& arm) {
     Arm* one = &arm;
@@ -379,31 +340,11 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
     }
 
     // --- KL-LUCB: identify the top-B arms by precision. ---
-    // Every candidate gets one initial pull. This fan-out is decision-free
-    // (no arm's batch depends on another's result), so it admits both
-    // widening (fuse all batches into one) and pipelining (sample arm k+1
-    // while arm k evaluates).
+    // Every candidate gets one initial pull, fused (no arm's batch depends
+    // on another's result).
     std::vector<Arm*> all_arms(arms.size());
     for (std::size_t i = 0; i < arms.size(); ++i) all_arms[i] = &arms[i];
-    if (async && !options_.fuse_arm_pulls) {
-      std::deque<std::pair<Arm*, std::future<std::vector<double>>>> inflight;
-      const auto collect_one = [&] {
-        auto [arm, fut] = std::move(inflight.front());
-        inflight.pop_front();
-        const std::vector<double> arm_preds = fut.get();
-        score(*arm, arm_preds);
-      };
-      for (Arm* arm : all_arms) {
-        std::vector<Block> arm_batch;
-        arm_batch.reserve(options_.batch_size);
-        sample_into(*arm, arm_batch);
-        inflight.emplace_back(arm, async->submit(std::move(arm_batch)));
-        while (inflight.size() > options_.async_inflight) collect_one();
-      }
-      while (!inflight.empty()) collect_one();
-    } else {
-      pull_group(std::span<Arm* const>(all_arms));
-    }
+    pull_group(std::span<Arm* const>(all_arms));
     std::size_t pulls_done = arms.size();
     const std::size_t B = std::min(options_.beam_width, arms.size());
     std::vector<std::size_t> order(arms.size());
@@ -449,7 +390,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
           challenger_ub - weakest_lb < options_.lucb_epsilon) {
         break;
       }
-      // The round's separating arms; one fused batch in widened mode.
+      // The round's separating arms, pulled as one fused batch.
       Arm* separating[2] = {&arms[weakest], &arms[challenger]};
       pull_group(std::span<Arm* const>(separating, 2));
       pulls_done += 2;

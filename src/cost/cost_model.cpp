@@ -3,14 +3,8 @@
 #include <algorithm>
 #include <thread>
 
-// Deliberate upward dependency (mirrors core/anchor_engine.h's use of
-// serve/async_broker.h): the batch-parallel path reuses the serving layer's
-// ThreadPool instead of duplicating a second pool implementation here.
-// serve/thread_pool.h includes nothing from cost/, so the include graph
-// stays acyclic.
-#include "serve/thread_pool.h"
 #include "util/contract.h"
-#include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace comet::cost {
 
@@ -21,22 +15,11 @@ namespace {
 // a thread); sized to the hardware so several models can interleave chunks
 // without oversubscribing. Function-local static => thread-safe init and
 // graceful drain at exit.
-serve::ThreadPool& shared_batch_pool() {
-  static serve::ThreadPool pool(
+util::ThreadPool& shared_batch_pool() {
+  static util::ThreadPool pool(
       std::max(2u, std::thread::hardware_concurrency()));
   return pool;
 }
-
-// Join state shared between the calling thread and the posted chunks.
-// Annotated so the chunk-completion protocol — including the
-// notify-while-locked rule that keeps the cv alive (see post lambda) — is
-// checked under COMET_THREAD_SAFETY rather than trusted.
-struct ChunkJoin {
-  util::Mutex mutex;
-  util::CondVar cv;
-  std::size_t done COMET_GUARDED_BY(mutex) = 0;
-  std::exception_ptr error COMET_GUARDED_BY(mutex);
-};
 
 }  // namespace
 
@@ -60,42 +43,16 @@ void CostModel::for_batch_chunks(
     fn(0, total);
     return;
   }
-  serve::ThreadPool& pool = shared_batch_pool();
+  util::ThreadPool& pool = shared_batch_pool();
   const std::size_t chunk = (total + tasks - 1) / tasks;
-  ChunkJoin join;
-  std::size_t posted = 0;  // touched by the calling thread only
+  // A throwing chunk keeps the sequential path's error contract: the latch
+  // captures the first exception and rethrows it here, on the caller.
+  util::TaskLatch join((total + chunk - 1) / chunk);
   for (std::size_t begin = 0; begin < total; begin += chunk) {
     const std::size_t end = std::min(total, begin + chunk);
-    ++posted;
-    pool.post([&join, &fn, begin, end] {
-      // A throwing chunk must not change the error contract vs the
-      // sequential path (where the exception reaches the caller) — an
-      // escape into the pool's worker loop would std::terminate. Capture
-      // the first exception and rethrow it on the calling thread.
-      std::exception_ptr chunk_error;
-      try {
-        fn(begin, end);
-      } catch (...) {
-        chunk_error = std::current_exception();
-      }
-      // Notify while holding the lock: the join is a stack local of the
-      // caller, and the waiter may destroy it the moment it observes
-      // done == posted — an unlocked notify could touch a dead cv.
-      util::MutexLock lock(join.mutex);
-      if (chunk_error != nullptr && join.error == nullptr) {
-        join.error = chunk_error;
-      }
-      ++join.done;
-      join.cv.notify_one();
-    });
+    pool.post([&join, &fn, begin, end] { join.run([&] { fn(begin, end); }); });
   }
-  std::exception_ptr error;
-  {
-    util::MutexLock lock(join.mutex);
-    while (join.done != posted) join.cv.wait(lock);
-    error = join.error;
-  }
-  if (error != nullptr) std::rethrow_exception(error);
+  join.wait();
 }
 
 }  // namespace comet::cost

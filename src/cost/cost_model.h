@@ -50,7 +50,7 @@ class CostModel {
   /// Intra-batch parallelism knob: when n >= 2, predict_batch
   /// implementations split each batch into up to n contiguous chunks and
   /// evaluate them concurrently on the process-wide shared
-  /// serve::ThreadPool. The default (1) keeps every batch fully sequential
+  /// util::ThreadPool. The default (1) keeps every batch fully sequential
   /// on the calling thread — no pool is created, and results, goldens, and
   /// query accounting are untouched. Per-block predictions are independent
   /// and deterministic, so a threaded batch is element-wise identical to a
@@ -65,7 +65,7 @@ class CostModel {
   /// Helper for predict_batch implementations: invoke fn(begin, end) over
   /// contiguous chunks covering [0, total). With batch_threads() <= 1 (or a
   /// batch too small to split) this is one inline fn(0, total) call;
-  /// otherwise the chunks run on the shared serve::ThreadPool and the call
+  /// otherwise the chunks run on the shared util::ThreadPool and the call
   /// blocks until all of them finish. fn must write only its own out-span
   /// range and touch the model through const methods only.
   void for_batch_chunks(

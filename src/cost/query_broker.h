@@ -23,9 +23,9 @@
 // Thread-safety contract:
 //   * A QueryBroker instance is NOT thread-safe: the memo table, the stats
 //     ledger, and the scratch buffers are unsynchronized. Confine each
-//     broker to one thread at a time (serve::AsyncBroker serializes access
-//     through its worker; serve::ShardedBrokerPool gives every shard its
-//     own broker touched only by that shard's thread).
+//     broker to one thread at a time (each explanation owns a private
+//     broker; serve::ShardedBrokerPool gives every shard its own broker
+//     touched only by that shard's thread).
 //   * The broker only ever calls const methods on the model, so a single
 //     model instance may back many brokers on many threads provided its
 //     predict()/predict_batch() are const-thread-safe (true for every

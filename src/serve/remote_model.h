@@ -1,10 +1,9 @@
 // RemoteStandInModel: a cost model with a simulated backend round-trip.
 //
 // The serving layer's throughput levers — request-level concurrency in the
-// ExplanationServer, sampling/evaluation overlap in the AsyncBroker,
-// round-trip elision in the engine's fused-arm-pull mode — pay off when a
-// model query has latency that is not this process's CPU: a remote
-// inference service, a cycle-accurate simulator farm, a hardware
+// ExplanationServer, round-trip elision by the engine's fused arm pulls —
+// pay off when a model query has latency that is not this process's CPU: a
+// remote inference service, a cycle-accurate simulator farm, a hardware
 // measurement rig. This wrapper makes that regime reproducible on any
 // machine (including single-core CI) by charging a fixed wall-clock
 // round-trip per predict/predict_batch call before delegating to the

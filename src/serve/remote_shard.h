@@ -24,8 +24,10 @@
 //     request is resent, up to max_attempts total tries.
 //   * failover              — when attempts are exhausted (or the deadline
 //     fired) and a fallback model is configured, the request is served
-//     locally by the fallback; with no fallback the typed error
-//     propagates.
+//     by the fallback; with no fallback the typed error propagates. This
+//     is the repo's one failover path. Tiers nest: the fallback may be
+//     another RemoteShardClient with a fallback of its own (remote →
+//     remote → local), each client counting its own failovers.
 //   * cancellation          — cancel() fails the in-flight request and all
 //     future ones with net::CancelledError (never failed over: cancel is
 //     a caller decision, not a fault).
@@ -66,8 +68,9 @@ struct RemoteShardOptions {
   /// Total send attempts per request: 1 + (max_attempts - 1) reconnects.
   /// Timeouts never retry; only dead-connection errors do.
   std::size_t max_attempts = 2;
-  /// Local model serving the request when the remote side is unreachable
-  /// (timeout or attempts exhausted). nullptr = propagate the typed error.
+  /// Model serving the request when the remote side is unreachable
+  /// (timeout or attempts exhausted): a local model, or another client
+  /// for a further tier. nullptr = propagate the typed error.
   std::shared_ptr<const cost::CostModel> fallback;
   /// Traffic class stamped on every kPredictRequest (0 = interactive,
   /// 1 = batch — serve::Lane values). Advisory: lets the remote side see

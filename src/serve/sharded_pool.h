@@ -30,9 +30,14 @@
 // bit-identical across re-shards because every shard's model is
 // identical-by-construction (same factory); the routing set only decides
 // *where* a block is priced, never what the answer is. With every shard
-// marked dead the pool degrades to routing over the full set (the layer
-// above — FallbackChain — decides what to do about shards that then
-// fail), so predict_batch never deadlocks on an empty routing set.
+// marked dead the pool degrades to routing over the full set (each
+// shard's model decides what to do when it then fails — a
+// RemoteShardClient fails over to its configured fallback), so
+// predict_batch never deadlocks on an empty routing set.
+//
+// Errors: a shard whose model throws does not take the process down. Each
+// call waits for all of its sub-batches, then rethrows the first error on
+// the calling thread (util::TaskLatch); the pool keeps serving.
 //
 // Observability: the pool owns an obs::MetricsRegistry with, per shard, a
 // sub-batch-size histogram (shard_batch_size{shard="N"} — how the hash
@@ -52,9 +57,9 @@
 
 #include "cost/query_broker.h"
 #include "obs/metrics.h"
-#include "serve/thread_pool.h"
 #include "util/rng.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace comet::serve {
 
@@ -83,7 +88,7 @@ class ShardedBrokerPool {
     alive_.assign(shards, true);
   }
 
-  // Destruction is a graceful drain: each shard's ThreadPool finishes its
+  // Destruction is a graceful drain: each shard's pool finishes its
   // queued sub-batches before joining (and is destroyed before the broker
   // and model its tasks reference).
   ShardedBrokerPool(const ShardedBrokerPool&) = delete;
@@ -92,7 +97,8 @@ class ShardedBrokerPool {
   /// Predict every block of `blocks` into the parallel `out` span,
   /// fanning sub-batches out across the shards and waiting for all of
   /// them. Element-wise identical to any single instance the factory
-  /// builds (deterministic models).
+  /// builds (deterministic models). If a shard's model throws, the first
+  /// error is rethrown here once every sub-batch has finished.
   void predict_batch(std::span<const Block> blocks,
                      std::span<double> out) const {
     if (blocks.empty()) return;
@@ -103,8 +109,7 @@ class ShardedBrokerPool {
     }
     std::size_t sub_batches = 0;
     for (const auto& idx : indices_of) sub_batches += !idx.empty();
-    Join join;
-    join.add(sub_batches);
+    util::TaskLatch join(sub_batches);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (indices_of[s].empty()) continue;
       std::vector<Block> sub;
@@ -112,17 +117,20 @@ class ShardedBrokerPool {
       for (const std::size_t i : indices_of[s]) sub.push_back(blocks[i]);
       shards_[s]->post([shard = shards_[s].get(), sub = std::move(sub),
                         idx = std::move(indices_of[s]), out,
-                        &join]() mutable {
-        std::vector<double> sub_out(sub.size());
-        shard->broker.predict_batch(std::span<const Block>(sub),
-                                    std::span<double>(sub_out));
-        // Shard-thread-side observability: the sub-batch width this shard
-        // actually received, and its running memo hit rate (reads the
-        // broker ledger on the only thread allowed to touch it).
-        shard->batch_size_hist->record(sub.size());
-        shard->hit_rate_gauge->set(shard->broker.stats().hit_rate());
-        for (std::size_t j = 0; j < idx.size(); ++j) out[idx[j]] = sub_out[j];
-        join.done_one();
+                        &join] {
+        join.run([&] {
+          std::vector<double> sub_out(sub.size());
+          shard->broker.predict_batch(std::span<const Block>(sub),
+                                      std::span<double>(sub_out));
+          // Shard-thread-side observability: the sub-batch width this
+          // shard actually received, and its running memo hit rate (reads
+          // the broker ledger on the only thread allowed to touch it).
+          shard->batch_size_hist->record(sub.size());
+          shard->hit_rate_gauge->set(shard->broker.stats().hit_rate());
+          for (std::size_t j = 0; j < idx.size(); ++j) {
+            out[idx[j]] = sub_out[j];
+          }
+        });
       });
     }
     join.wait();
@@ -161,15 +169,15 @@ class ShardedBrokerPool {
       alive_[s] = live;
       routing = routing_locked();
     }
-    Join join;
-    join.add(routing.size());
+    util::TaskLatch join(routing.size());
     for (const std::size_t shard_index : routing) {
       shards_[shard_index]->post(
           [shard = shards_[shard_index].get(), shard_index, routing, &join] {
-            shard->broker.retain_memo_if([&](const std::string& key) {
-              return owner_in(key, routing) == shard_index;
+            join.run([&] {
+              shard->broker.retain_memo_if([&](const std::string& key) {
+                return owner_in(key, routing) == shard_index;
+              });
             });
-            join.done_one();
           });
     }
     join.wait();
@@ -186,12 +194,10 @@ class ShardedBrokerPool {
   /// (re-shard tests watch moved ranges disappear).
   std::vector<std::size_t> memo_sizes() const {
     std::vector<std::size_t> out(shards_.size());
-    Join join;
-    join.add(shards_.size());
+    util::TaskLatch join(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s]->post([shard = shards_[s].get(), &out, s, &join] {
-        out[s] = shard->broker.memo_size();
-        join.done_one();
+        join.run([&] { out[s] = shard->broker.memo_size(); });
       });
     }
     join.wait();
@@ -202,12 +208,10 @@ class ShardedBrokerPool {
   /// snapshot serializes with in-flight work instead of racing it).
   std::vector<cost::QueryStats> shard_stats() const {
     std::vector<cost::QueryStats> out(shards_.size());
-    Join join;
-    join.add(shards_.size());
+    util::TaskLatch join(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s]->post([shard = shards_[s].get(), &out, s, &join] {
-        out[s] = shard->broker.stats();
-        join.done_one();
+        join.run([&] { out[s] = shard->broker.stats(); });
       });
     }
     join.wait();
@@ -234,31 +238,6 @@ class ShardedBrokerPool {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  /// Countdown latch (mutex/cv formulation; <latch> kept out of the
-  /// dependency surface). `pending` is set before any shard task can run
-  /// and counted down under the mutex from the shard threads.
-  struct Join {
-    util::Mutex mutex;
-    util::CondVar cv;
-    std::size_t pending COMET_GUARDED_BY(mutex) = 0;
-
-    void add(std::size_t n) COMET_EXCLUDES(mutex) {
-      util::MutexLock lock(mutex);
-      pending += n;
-    }
-    void done_one() COMET_EXCLUDES(mutex) {
-      util::MutexLock lock(mutex);
-      if (--pending == 0) cv.notify_all();
-    }
-    void wait() COMET_EXCLUDES(mutex) {
-      util::MutexLock lock(mutex);
-      // Countdown over local shard threads: every posted task runs, so
-      // the latch always opens.
-      // comet-lint: allow(unbounded-wait)
-      while (pending != 0) cv.wait(lock);
-    }
-  };
-
   struct Shard {
     std::shared_ptr<const Model> model;  // declared before broker: broker
     cost::QueryBroker<Block, Model> broker;  // holds a pointer into it
@@ -269,7 +248,7 @@ class ShardedBrokerPool {
     obs::Gauge* hit_rate_gauge = nullptr;
     // One single-thread FIFO pool per shard: serializes all broker/model
     // access onto the shard's thread, and drains before broker/model die.
-    ThreadPool pool{1};
+    util::ThreadPool pool{1};
 
     Shard(std::shared_ptr<const Model> m, bool memoize)
         : model(std::move(m)), broker(model.get(), memoize) {}

@@ -1,8 +1,8 @@
-#include "serve/thread_pool.h"
+#include "util/thread_pool.h"
 
 #include <utility>
 
-namespace comet::serve {
+namespace comet::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -23,7 +23,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::post(std::function<void()> task) {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     tasks_.push_back(std::move(task));
   }
   cv_.notify_one();
@@ -33,10 +33,9 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      util::MutexLock lock(mutex_);
+      MutexLock lock(mutex_);
       // Worker parking loop; woken by post() or the destructor's stop
       // signal, both of which arrive.
-      // comet-lint: allow(unbounded-wait)
       while (!stopping_ && tasks_.empty()) cv_.wait(lock);
       if (tasks_.empty()) return;  // stopping and fully drained
       task = std::move(tasks_.front());
@@ -46,4 +45,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-}  // namespace comet::serve
+}  // namespace comet::util

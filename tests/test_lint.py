@@ -109,6 +109,15 @@ class RuleFiresAndSuppresses(unittest.TestCase):
                    "#pragma once\nauto t = system_clock::now();",
                    "raw-clock", line=2)
 
+    def test_upward_include(self):
+        self.check("src/core/anchor_engine.h",
+                   '#pragma once\n#include "serve/async_broker.h"',
+                   "upward-include", line=2)
+        self.check("src/cost/cost_model.cpp",
+                   '#include "serve/thread_pool.h"', "upward-include")
+        self.check("src/perturb/p.cpp", "#include <net/wire.h>",
+                   "upward-include")
+
 
 class RuleScoping(unittest.TestCase):
     """Rules only apply where the invariant lives."""
@@ -147,6 +156,24 @@ class RuleScoping(unittest.TestCase):
             [], rules_hit("src/util/sync.h",
                           "#pragma once\n"
                           "void wait(MutexLock& lock) { cv_.wait(lock.lock_); }"))
+
+    def test_upward_include_only_outside_serve_and_net(self):
+        self.assertEqual(
+            [], rules_hit("src/serve/remote_shard.h",
+                          '#pragma once\n#include "net/transport.h"'))
+        self.assertEqual(
+            [], rules_hit("src/net/wire.cpp", '#include "serve/x.h"'))
+        self.assertEqual(
+            [], rules_hit("tests/test_serve.cpp",
+                          '#include "serve/sharded_pool.h"'))
+
+    def test_upward_include_spares_mentions_and_lookalikes(self):
+        self.assertEqual(
+            [], rules_hit("src/core/a.cpp",
+                          '// was: #include "serve/async_broker.h"\n'
+                          'const char* p = "#include \\"net/x.h\\"";\n'
+                          '#include "cost/serve_stats.h"\n'
+                          '#include "util/net/addr.h"'))
 
     def test_obs_clock_seam_is_exempt_from_raw_clock(self):
         # The seam itself wraps the real clock; steady_clock is fine
@@ -317,7 +344,8 @@ class CommandLine(unittest.TestCase):
         self.assertEqual(0, result.returncode)
         for rule in ("libm-in-nn", "raw-sync", "unchecked-io", "raw-random",
                      "stdout-in-library", "include-guard", "using-namespace",
-                     "raw-clock", "raw-assert", "unbounded-wait"):
+                     "raw-clock", "raw-assert", "unbounded-wait",
+                     "upward-include"):
             self.assertIn(rule, result.stdout)
 
 

@@ -29,6 +29,8 @@
 // reproducible: the fault schedule, not thread timing, decides what fails.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,7 +53,6 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/clock.h"
-#include "serve/fallback_chain.h"
 #include "serve/health.h"
 #include "serve/isa_servers.h"
 #include "serve/remote_shard.h"
@@ -933,79 +935,175 @@ TEST(ShardFaultRecovery, DeathReShardsRecoveryReadmitsDeterministically) {
   EXPECT_GE(clients[1]->counters().health_failures, 3u);
 }
 
-// ---------------- graceful degradation: the fallback chain ----------------
+// ---------------- the health monitor's circuit, without a network ----------
 
-TEST(FallbackChain, DegradesThroughTiersWithPerTierAccounting) {
+TEST(ShardHealthMonitor, DeadBackoffGrowsToItsCapAndHalfOpenRelapseReopens) {
+  co::ManualClock clock;
+  cs::HealthOptions hopt;
+  hopt.failure_threshold = 1;
+  hopt.readmit_probes = 2;
+  hopt.backoff_base_ns = 100;
+  hopt.backoff_factor = 2.0;
+  hopt.backoff_max_ns = 300;
+  hopt.jitter_frac = 0.0;  // exact due times
+  hopt.clock = &clock;
+  bool up = false;
+  cs::ShardHealthMonitor monitor(
+      1, [&](std::size_t) { return up; }, hopt);
+  std::size_t deaths_seen = 0;
+  std::size_t readmissions_seen = 0;
+  monitor.set_on_dead([&](std::size_t) { ++deaths_seen; });
+  monitor.set_on_readmitted([&](std::size_t) { ++readmissions_seen; });
+
+  // Probes land only when due, so the probe count reads the backoff.
+  const auto probes_at = [&](std::uint64_t t) {
+    clock.set_ns(t);
+    monitor.tick();
+    return monitor.counters().probes;
+  };
+  EXPECT_EQ(probes_at(0), 1u);  // fails: dead, re-probe at 0 + 100
+  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kDead);
+  EXPECT_EQ(probes_at(99), 1u);
+  EXPECT_EQ(probes_at(100), 2u);  // still dead: backoff 200, due 300
+  EXPECT_EQ(probes_at(299), 2u);
+  EXPECT_EQ(probes_at(300), 3u);  // backoff 400 capped at 300, due 600
+  EXPECT_EQ(probes_at(599), 3u);
+  EXPECT_EQ(probes_at(600), 4u);
+
+  // Half-open, then a relapse: dead again, the same outage continuing
+  // (no second death, no on_dead refire).
+  up = true;
+  EXPECT_EQ(probes_at(900), 5u);
+  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kProbation);
+  up = false;
+  EXPECT_EQ(probes_at(901), 6u);
+  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kDead);
+  EXPECT_EQ(monitor.counters().deaths, 1u);
+  EXPECT_EQ(deaths_seen, 1u);
+
+  // Two consecutive half-open successes re-admit it.
+  up = true;
+  monitor.force_probe_all();
+  monitor.force_probe_all();
+  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kHealthy);
+  EXPECT_EQ(readmissions_seen, 1u);
+  EXPECT_EQ(monitor.counters().readmissions, 1u);
+  EXPECT_EQ(monitor.counters().failures, 5u);
+}
+
+TEST(ShardHealthMonitor, BackgroundTickerProbesUntilStopped) {
+  std::atomic<std::size_t> probes{0};
+  cs::ShardHealthMonitor monitor(2, [&](std::size_t) {
+    ++probes;
+    return true;
+  });
+  monitor.start(/*period_ns=*/1'000'000);
+  // Bounded poll: the 1 ms ticker needs a few periods, not seconds.
+  for (int i = 0; i < 10'000 && probes.load() < 6; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  monitor.stop();
+  EXPECT_GE(probes.load(), 6u);
+  const std::size_t after_stop = probes.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(probes.load(), after_stop);
+  EXPECT_EQ(monitor.snapshot(),
+            std::vector<cs::ShardHealth>(2, cs::ShardHealth::kHealthy));
+  monitor.stop();  // idempotent
+}
+
+// ---------------- tiered failover: nested clients ----------------
+
+TEST(RemoteShard, NestedFallbacksDegradeThroughTiersWithPerClientCounters) {
   const auto model = crude();
   const auto blocks = test_blocks(6);
   std::vector<double> expected(blocks.size());
   model->predict_batch(std::span<const cx::BasicBlock>(blocks),
                        std::span<double>(expected));
 
-  // Tier 0 is a remote shard whose host is permanently down; tier 1 is a
-  // "replica" built from the same model, so the degraded answer is
-  // bit-identical to the primary's by construction.
-  RevivableRig dead_rig(model);
-  dead_rig.kill();
-  cs::RemoteShardOptions copt;
-  copt.request_timeout_ns = kMustSucceedNs;
-  auto dead_remote = std::make_shared<const cs::RemoteShardClient>(
-      dead_rig.connector(), copt);
-  const cs::FallbackChain chain(
-      {{"remote", dead_remote}, {"replica", model}});
-  EXPECT_EQ(chain.name(), "fallback(remote->replica)");
+  // Tiers are nested clients: a dead primary whose fallback is a dead
+  // secondary whose fallback is the local crude model.
+  RevivableRig primary_rig(model);
+  RevivableRig secondary_rig(model);
+  primary_rig.kill();
+  secondary_rig.kill();
+  cs::RemoteShardOptions secondary_options;
+  secondary_options.request_timeout_ns = kMustSucceedNs;
+  secondary_options.fallback = model;
+  auto secondary = std::make_shared<cs::RemoteShardClient>(
+      secondary_rig.connector(), secondary_options);
+  cs::RemoteShardOptions primary_options;
+  primary_options.request_timeout_ns = kMustSucceedNs;
+  primary_options.fallback = secondary;
+  cs::RemoteShardClient primary(primary_rig.connector(), primary_options);
 
   std::vector<double> out(blocks.size());
-  chain.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                      std::span<double>(out));
+  primary.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                        std::span<double>(out));
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
               std::bit_cast<std::uint64_t>(expected[i]))
         << "block " << i;
   }
-  auto tiers = chain.tier_counters();
-  ASSERT_EQ(tiers.size(), 2u);
-  EXPECT_EQ(tiers[0].label, "remote");
-  EXPECT_EQ(tiers[0].attempts, 1u);
-  EXPECT_EQ(tiers[0].successes, 0u);
-  EXPECT_EQ(tiers[0].errors, 1u);
-  EXPECT_EQ(tiers[1].label, "replica");
-  EXPECT_EQ(tiers[1].attempts, 1u);
-  EXPECT_EQ(tiers[1].successes, 1u);
-  EXPECT_EQ(tiers[1].errors, 0u);
+  // Each tier counts its own failover.
+  EXPECT_EQ(primary.counters().requests, 1u);
+  EXPECT_EQ(primary.counters().failovers, 1u);
+  EXPECT_EQ(secondary->counters().requests, 1u);
+  EXPECT_EQ(secondary->counters().failovers, 1u);
 
-  // A healthy preferred tier answers and lower tiers are never touched.
-  ServerRig live_rig(model);
-  auto live_remote = std::make_shared<const cs::RemoteShardClient>(
-      live_rig.connector(), copt);
-  const cs::FallbackChain healthy(
-      {{"remote", live_remote}, {"replica", model}});
-  EXPECT_DOUBLE_EQ(healthy.predict(blocks[0]), expected[0]);
-  tiers = healthy.tier_counters();
-  EXPECT_EQ(tiers[0].successes, 1u);
-  EXPECT_EQ(tiers[1].attempts, 0u);
-
-  // If the LAST tier fails there is nothing left to degrade to: the
-  // error propagates.
-  const cs::FallbackChain exhausted({{"remote", dead_remote}});
-  EXPECT_THROW(exhausted.predict(blocks[0]), cn::TransportError);
+  // Cancellation is obeyed at whichever tier sees it, never failed over:
+  // a cancelled secondary stops the chain there...
+  secondary->cancel();
+  EXPECT_THROW(primary.predict(blocks[0]), cn::CancelledError);
+  EXPECT_EQ(primary.counters().failovers, 2u);
+  EXPECT_EQ(secondary->counters().failovers, 1u);
+  // ...and a cancelled primary never consults the lower tiers.
+  const std::uint64_t secondary_requests = secondary->counters().requests;
+  primary.cancel();
+  EXPECT_THROW(primary.predict(blocks[0]), cn::CancelledError);
+  EXPECT_EQ(primary.counters().failovers, 2u);
+  EXPECT_EQ(secondary->counters().requests, secondary_requests);
 }
 
-TEST(FallbackChain, CancellationIsObeyedNeverFailedOver) {
-  const auto model = crude();
-  ServerRig rig(model);
-  cs::RemoteShardOptions copt;
-  copt.request_timeout_ns = kMustSucceedNs;
-  auto remote = std::make_shared<cs::RemoteShardClient>(rig.connector(),
-                                                        copt);
-  const cs::FallbackChain chain({{"remote", remote}, {"replica", model}});
+// ---------------- errors behind a sharded pool ----------------
 
-  // A cancelled client throws CancelledError; the chain rethrows instead
-  // of consulting the replica (the caller asked to stop — obeying is not
-  // a failure).
-  remote->cancel();
-  EXPECT_THROW(chain.predict(test_blocks(1)[0]), cn::CancelledError);
-  const auto tiers = chain.tier_counters();
-  EXPECT_EQ(tiers[0].successes, 0u);
-  EXPECT_EQ(tiers[1].attempts, 0u);
+TEST(RemoteShard, TimeoutBehindShardedPoolReachesCallerAndPoolRecovers) {
+  const auto model = crude();
+  const auto blocks = test_blocks(12);
+  std::vector<double> expected(blocks.size());
+  model->predict_batch(std::span<const cx::BasicBlock>(blocks),
+                       std::span<double>(expected));
+
+  // Each shard's first request is dropped and it has no fallback: the
+  // TimeoutError surfaces on the shard thread and must be rethrown here.
+  std::vector<std::unique_ptr<ServerRig>> rigs;
+  for (std::size_t s = 0; s < 2; ++s) {
+    rigs.push_back(std::make_unique<ServerRig>(
+        model, std::vector<std::pair<cn::FaultSchedule, cn::FaultSchedule>>{
+                   {cn::FaultSchedule({cn::Fault::drop()}),
+                    cn::FaultSchedule()}}));
+  }
+  cs::RemoteShardOptions options;
+  options.request_timeout_ns = kFaultTimeoutNs;
+  const cs::ShardedCostModel sharded(
+      [&](std::size_t s) {
+        return std::make_shared<const cs::RemoteShardClient>(
+            rigs[s]->connector(), options);
+      },
+      /*shards=*/2);
+
+  std::vector<double> out(blocks.size());
+  EXPECT_THROW(sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                                     std::span<double>(out)),
+               cn::TimeoutError);
+  // The timed-out connections were dropped; the re-dials are clean.
+  sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                        std::span<double>(out));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "block " << i;
+  }
+  // Both shards took part: one faulted dial, then one clean re-dial each.
+  for (const auto& rig : rigs) EXPECT_EQ(rig->dials(), 2u);
 }

@@ -1,17 +1,18 @@
 // Tests for the concurrent explanation-serving subsystem (src/serve/):
-// sharded-pool result parity with a single model, AsyncBroker FIFO parity,
-// completion-order scheduler correctness under 8 worker threads,
-// bounded-queue backpressure, golden parity of the widened-batch
-// (fuse_arm_pulls) and async-pipelined engine modes, and the concurrency
+// sharded-pool result parity with a single model and error propagation
+// from a throwing shard, completion-order scheduler correctness under 8
+// worker threads, bounded-queue backpressure, the engine's width-capped
+// fused arm pulls (golden ledger, cap never exceeded), and the concurrency
 // determinism rule: served explanations are bit-identical to sequentially
 // computed ones because every request owns its RNG and broker.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <future>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,6 @@
 #include "riscv/cost.h"
 #include "riscv/explain.h"
 #include "riscv/parser.h"
-#include "serve/async_broker.h"
 #include "serve/isa_servers.h"
 #include "serve/sharded_cost_model.h"
 #include "serve/sharded_pool.h"
@@ -264,87 +264,121 @@ TEST(ShardedCostModel, IsADropInCostModel) {
   EXPECT_EQ(as_base.name(), "sharded-3(" + reference.name() + ")");
 }
 
-// ---------------- AsyncBroker ----------------
-
-TEST(AsyncBroker, SubmitCollectMatchesSyncBrokerIncludingLedger) {
-  const ck::CrudeModel model(ck::MicroArch::Haswell);
-  const auto blocks = test_blocks(30);
-
-  // Three batches with overlap (batch 2 repeats batch 0) to exercise the
-  // cross-batch memo path.
-  std::vector<std::vector<cx::BasicBlock>> batches;
-  batches.emplace_back(blocks.begin(), blocks.begin() + 10);
-  batches.emplace_back(blocks.begin() + 10, blocks.end());
-  batches.emplace_back(blocks.begin(), blocks.begin() + 10);
-
-  ck::QueryBroker<cx::BasicBlock, ck::CostModel> sync_broker(model);
-  std::vector<std::vector<double>> expected;
-  for (const auto& b : batches) {
-    std::vector<double> out(b.size());
-    sync_broker.predict_batch(std::span<const cx::BasicBlock>(b),
-                              std::span<double>(out));
-    expected.push_back(std::move(out));
+// Throws from every query while the shared `failing` flag is set.
+class FlakyModel final : public ck::CostModel {
+ public:
+  explicit FlakyModel(std::shared_ptr<const std::atomic<bool>> failing)
+      : failing_(std::move(failing)) {}
+  double predict(const cx::BasicBlock& block) const override {
+    if (failing_->load()) throw std::runtime_error("flaky model");
+    return inner_.predict(block);
   }
+  std::string name() const override { return "flaky"; }
 
-  cs::AsyncBroker<cx::BasicBlock, ck::CostModel> async(model,
-                                                       /*memoize=*/true);
-  // Submit everything up front (the overlap pattern), then collect.
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& b : batches) futures.push_back(async.submit(b));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expected[i]) << "batch " << i;
-  }
-  // Single FIFO worker: the async ledger is bit-identical to the sync one.
-  EXPECT_EQ(async.stats(), sync_broker.stats());
+ private:
+  std::shared_ptr<const std::atomic<bool>> failing_;
+  ck::CrudeModel inner_{ck::MicroArch::Haswell};
+};
+
+TEST(ShardedCostModel, ThrowingShardRethrowsOnCallerAndPoolKeepsServing) {
+  auto failing = std::make_shared<std::atomic<bool>>(true);
+  const cs::ShardedCostModel sharded(
+      [failing](std::size_t) {
+        return std::make_shared<const FlakyModel>(failing);
+      },
+      /*shards=*/2);
+  const auto blocks = test_blocks(20);
+  std::vector<double> out(blocks.size());
+  // The error crosses from the shard threads to this one instead of
+  // escaping into a worker loop (which would terminate the process).
+  EXPECT_THROW(sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                                     std::span<double>(out)),
+               std::runtime_error);
+
+  failing->store(false);
+  const ck::CrudeModel reference(ck::MicroArch::Haswell);
+  std::vector<double> expected(blocks.size());
+  reference.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                          std::span<double>(expected));
+  sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                        std::span<double>(out));
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(sharded.stats().requested, 2 * blocks.size());
 }
 
-// ---------------- engine modes: widened and pipelined pulls ----------------
+// ---------------- engine: width-capped fused arm pulls ----------------
 
-TEST(EngineWidening, FusedArmPullsAreGoldenParityWithFewerRoundTrips) {
+TEST(EngineWidening, FusedArmPullsMatchRecordedGoldenLedger) {
   const DivOnlyModel model;
+  const auto e =
+      cc::CometExplainer(model, golden_options()).explain(golden_block());
 
-  const cc::CometExplainer plain(model, golden_options());
-  const auto sequential = plain.explain(golden_block());
-
-  cc::CometOptions fused_opt = golden_options();
-  fused_opt.fuse_arm_pulls = true;
-  const cc::CometExplainer fused(model, fused_opt);
-  const auto widened = fused.explain(golden_block());
-
-  // Same recorded golden values as the pre-refactor engine...
+  // The recorded golden values of test_anchor_engine.cpp...
   cg::FeatureSet expected;
   expected.insert(cg::Feature(cg::InstFeature{1, cx::Opcode::DIV}));
-  EXPECT_EQ(widened.features, expected) << widened.features.to_string();
-  EXPECT_TRUE(widened.met_threshold);
-  EXPECT_DOUBLE_EQ(widened.precision, 1.0);
-  EXPECT_NEAR(widened.coverage, 0.6333333333333333, 1e-12);
-  EXPECT_EQ(widened.model_queries, 1933u);
+  EXPECT_EQ(e.features, expected) << e.features.to_string();
+  EXPECT_TRUE(e.met_threshold);
+  EXPECT_DOUBLE_EQ(e.precision, 1.0);
+  EXPECT_NEAR(e.coverage, 0.6333333333333333, 1e-12);
+  EXPECT_EQ(e.model_queries, 1933u);
 
-  // ...and bit-identical to the unfused run, including the sample-level
-  // ledger; only the number of round-trips (batch calls) shrinks.
-  expect_identical(widened, sequential);
-  EXPECT_EQ(widened.query_stats.requested, sequential.query_stats.requested);
-  EXPECT_EQ(widened.query_stats.evaluated, sequential.query_stats.evaluated);
-  EXPECT_EQ(widened.query_stats.cache_hits,
-            sequential.query_stats.cache_hits);
-  EXPECT_LT(widened.query_stats.batch_calls,
-            sequential.query_stats.batch_calls);
+  // ...and the sample-level ledger recorded with one broker call per arm
+  // pull. Fusing changes how many calls carry the samples (162 unfused,
+  // 80 at the width cap), never which samples are drawn, evaluated, or
+  // served from the memo.
+  EXPECT_EQ(e.query_stats.requested, 1933u);
+  EXPECT_EQ(e.query_stats.evaluated, 1473u);
+  EXPECT_EQ(e.query_stats.cache_hits, 460u);
+  EXPECT_EQ(e.query_stats.single_calls, 0u);
+  EXPECT_LE(e.query_stats.batch_calls, 80u);
 }
 
-TEST(EngineAsync, PipelinedArmPullsAreBitIdenticalToSync) {
-  const DivOnlyModel model;
+// Records the widest batch the model is handed.
+class WidthRecordingModel final : public ck::CostModel {
+ public:
+  double predict(const cx::BasicBlock& block) const override {
+    return inner_.predict(block);
+  }
+  void predict_batch(std::span<const cx::BasicBlock> blocks,
+                     std::span<double> out) const override {
+    std::size_t seen = widest_.load();
+    while (seen < blocks.size() &&
+           !widest_.compare_exchange_weak(seen, blocks.size())) {
+    }
+    inner_.predict_batch(blocks, out);
+  }
+  std::string name() const override { return "width-recording"; }
+  std::size_t widest() const { return widest_.load(); }
 
-  const cc::CometExplainer plain(model, golden_options());
-  const auto sequential = plain.explain(golden_block());
+ private:
+  ck::CrudeModel inner_{ck::MicroArch::Haswell};
+  mutable std::atomic<std::size_t> widest_{0};
+};
 
-  cc::CometOptions async_opt = golden_options();
-  async_opt.async_inflight = 3;
-  const cc::CometExplainer pipelined(model, async_opt);
-  const auto async = pipelined.explain(golden_block());
+TEST(EngineWidening, FusedBatchesNeverExceedTheWidthCap) {
+  // A level-1 fan-out of every feature of a paper block, 16 samples per
+  // arm and no memo (so the model sees each fused batch whole): the group
+  // is many times wider than the cap and must be split.
+  const cx::BasicBlock block = cx::parse_block(R"(
+    mov rax, qword ptr [rdi + 8]
+    add rax, rbx
+    imul rcx, rax
+    mov qword ptr [rsi], rcx
+    xor edx, edx
+    div rcx
+  )");
+  cc::CometOptions opt = golden_options();
+  opt.batch_size = 16;
+  opt.memoize_queries = false;
+  ASSERT_GT(cg::extract_features(block, opt.graph_options).size() *
+                opt.batch_size,
+            cc::kMaxFusedBlocks);
 
-  expect_identical(async, sequential);
-  // One FIFO evaluation worker → even the broker ledger is identical.
-  EXPECT_EQ(async.query_stats, sequential.query_stats);
+  const WidthRecordingModel model;
+  const auto e = cc::CometExplainer(model, opt).explain(block);
+  EXPECT_LE(model.widest(), cc::kMaxFusedBlocks);
+  EXPECT_GT(model.widest(), opt.batch_size);  // arms were fused
+  EXPECT_GT(e.query_stats.evaluated, cc::kMaxFusedBlocks);
 }
 
 // ---------------- ExplanationServer: scheduling ----------------
