@@ -128,6 +128,26 @@ void BM_UiCASimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_UiCASimulate);
 
+// uiCA over 64 generated 4-10-instruction Clang/OpenBLAS blocks, cycled:
+// the block mix the explanation sweeps feed the simulator.
+void BM_UiCASimulateGenerated(benchmark::State& state) {
+  const sim::UiCASimModel uica(cost::MicroArch::Haswell);
+  std::vector<x86::BasicBlock> blocks;
+  util::Rng gen_rng(11);
+  for (std::size_t i = 0; i < 64; ++i) {
+    bhive::GeneratorOptions opts;
+    opts.source =
+        i % 2 == 0 ? bhive::BlockSource::Clang : bhive::BlockSource::OpenBLAS;
+    blocks.push_back(bhive::BlockGenerator(opts).generate(gen_rng));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(uica.predict(blocks[i]));
+    i = (i + 1) % blocks.size();
+  }
+}
+BENCHMARK(BM_UiCASimulateGenerated);
+
 void BM_ExplainCrude(benchmark::State& state) {
   const cost::CrudeModel model(cost::MicroArch::Haswell);
   core::CometOptions opt;
