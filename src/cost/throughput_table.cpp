@@ -9,13 +9,8 @@ namespace {
 using x86::OpClass;
 using x86::Opcode;
 
-struct ClassTiming {
-  double rthroughput;
-  double latency;
-};
-
 // Per-class baseline timings. {HSW, SKL}.
-ClassTiming class_timing(OpClass cls, MicroArch u) {
+InstTiming class_timing(OpClass cls, MicroArch u) {
   const bool skl = u == MicroArch::Skylake;
   switch (cls) {
     case OpClass::Mov: return {0.25, 1.0};
@@ -23,20 +18,20 @@ ClassTiming class_timing(OpClass cls, MicroArch u) {
     case OpClass::Lea: return {0.5, 1.0};
     case OpClass::Shift: return {0.5, 1.0};
     case OpClass::IntMul: return {1.0, 3.0};
-    case OpClass::IntDiv: return skl ? ClassTiming{18.0, 24.0}
-                                     : ClassTiming{22.0, 29.0};
+    case OpClass::IntDiv: return skl ? InstTiming{18.0, 24.0}
+                                     : InstTiming{22.0, 29.0};
     case OpClass::Stack: return {1.0, 2.0};
     case OpClass::Nop: return {0.25, 0.0};
     case OpClass::FpMov: return {0.25, 1.0};
-    case OpClass::FpAdd: return skl ? ClassTiming{0.5, 4.0}
-                                    : ClassTiming{1.0, 3.0};
+    case OpClass::FpAdd: return skl ? InstTiming{0.5, 4.0}
+                                    : InstTiming{1.0, 3.0};
     case OpClass::FpMul: return {0.5, skl ? 4.0 : 5.0};
-    case OpClass::FpDiv: return skl ? ClassTiming{3.0, 11.0}
-                                    : ClassTiming{7.0, 13.0};
+    case OpClass::FpDiv: return skl ? InstTiming{3.0, 11.0}
+                                    : InstTiming{7.0, 13.0};
     case OpClass::FpFma: return {0.5, skl ? 4.0 : 5.0};
     case OpClass::VecInt: return {0.5, 1.0};
-    case OpClass::VecIntMul: return skl ? ClassTiming{1.0, 8.0}
-                                        : ClassTiming{2.0, 10.0};
+    case OpClass::VecIntMul: return skl ? InstTiming{1.0, 8.0}
+                                        : InstTiming{2.0, 10.0};
     case OpClass::Shuffle: return {1.0, 1.0};
     case OpClass::Convert: return {1.0, 5.0};
   }
@@ -45,7 +40,7 @@ ClassTiming class_timing(OpClass cls, MicroArch u) {
 
 // Opcode-level refinements on top of the class baselines.
 void apply_overrides(const x86::Instruction& inst, MicroArch u,
-                     ClassTiming& t) {
+                     InstTiming& t) {
   const bool skl = u == MicroArch::Skylake;
   const std::uint16_t w =
       inst.operands.empty() ? 64 : inst.operands[0].size_bits();
@@ -66,17 +61,17 @@ void apply_overrides(const x86::Instruction& inst, MicroArch u,
     case Opcode::VDIVSD:
     case Opcode::SQRTSD:
     case Opcode::VSQRTSD:
-      t = skl ? ClassTiming{4.0, 14.0} : ClassTiming{14.0, 20.0};
+      t = skl ? InstTiming{4.0, 14.0} : InstTiming{14.0, 20.0};
       break;
     case Opcode::DIVPD:
     case Opcode::VDIVPD:
     case Opcode::SQRTPD:
-      t = skl ? ClassTiming{8.0, 14.0} : ClassTiming{16.0, 20.0};
+      t = skl ? InstTiming{8.0, 14.0} : InstTiming{16.0, 20.0};
       break;
     case Opcode::DIVPS:
     case Opcode::VDIVPS:
     case Opcode::SQRTPS:
-      t = skl ? ClassTiming{5.0, 11.0} : ClassTiming{7.0, 13.0};
+      t = skl ? InstTiming{5.0, 11.0} : InstTiming{7.0, 13.0};
       break;
     // 1-operand full-width multiply is slower than imul r,r.
     case Opcode::MUL:
@@ -97,35 +92,34 @@ void apply_overrides(const x86::Instruction& inst, MicroArch u,
   }
 }
 
-bool has_load(const x86::Instruction& inst) {
+InstTiming timing_from_semantics(const x86::Instruction& inst,
+                                 MicroArch uarch) {
   const auto sem = x86::semantics(inst);
-  return (sem.mem && sem.mem->read) || sem.stack_mem_read;
-}
-
-bool has_store(const x86::Instruction& inst) {
-  const auto sem = x86::semantics(inst);
-  return (sem.mem && sem.mem->write) || sem.stack_mem_write;
+  return inst_timing(inst, uarch,
+                     (sem.mem && sem.mem->read) || sem.stack_mem_read,
+                     (sem.mem && sem.mem->write) || sem.stack_mem_write);
 }
 
 }  // namespace
 
-double inst_throughput(const x86::Instruction& inst, MicroArch uarch) {
-  ClassTiming t = class_timing(x86::info(inst.opcode).cls, uarch);
+InstTiming inst_timing(const x86::Instruction& inst, MicroArch uarch,
+                       bool load, bool store) {
+  InstTiming t = class_timing(x86::info(inst.opcode).cls, uarch);
   apply_overrides(inst, uarch, t);
-  double rt = t.rthroughput;
   // Memory port limits: two load ports (0.5 cyc/load), one store-data port.
-  if (has_load(inst)) rt = std::max(rt, 0.5);
-  if (has_store(inst)) rt = std::max(rt, 1.0);
-  return rt;
+  if (load) t.rthroughput = std::max(t.rthroughput, 0.5);
+  if (store) t.rthroughput = std::max(t.rthroughput, 1.0);
+  // A load adds the L1 access latency to the dependency chain.
+  if (load) t.latency += 4.0;
+  return t;
+}
+
+double inst_throughput(const x86::Instruction& inst, MicroArch uarch) {
+  return timing_from_semantics(inst, uarch).rthroughput;
 }
 
 double inst_latency(const x86::Instruction& inst, MicroArch uarch) {
-  ClassTiming t = class_timing(x86::info(inst.opcode).cls, uarch);
-  apply_overrides(inst, uarch, t);
-  double lat = t.latency;
-  // A load adds the L1 access latency to the dependency chain.
-  if (has_load(inst)) lat += 4.0;
-  return lat;
+  return timing_from_semantics(inst, uarch).latency;
 }
 
 }  // namespace comet::cost

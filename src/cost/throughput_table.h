@@ -17,6 +17,18 @@
 
 namespace comet::cost {
 
+/// Reciprocal throughput and latency (cycles) of one instruction.
+struct InstTiming {
+  double rthroughput;
+  double latency;
+};
+
+/// Timing of `inst` on `uarch` when whether it loads and/or stores (through
+/// its memory operand or the stack) is already known, e.g. from a single
+/// x86::semantics() call. inst_throughput/inst_latency equal its fields.
+InstTiming inst_timing(const x86::Instruction& inst, MicroArch uarch,
+                       bool load, bool store);
+
 /// Reciprocal throughput (cycles) of one instruction on `uarch`.
 /// Accounts for the opcode, operand width, and memory operands.
 double inst_throughput(const x86::Instruction& inst, MicroArch uarch);

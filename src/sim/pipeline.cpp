@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
-#include <map>
-#include <string>
+#include <limits>
 #include <vector>
 
 #include "cost/throughput_table.h"
+#include "util/contract.h"
 
 namespace comet::sim {
 
@@ -16,8 +17,20 @@ namespace {
 using cost::MicroArch;
 using x86::OpClass;
 using x86::Opcode;
+using x86::RegFamily;
 
 constexpr int kNumPorts = 8;
+constexpr double kNever = -std::numeric_limits<double>::infinity();
+
+/// A set of register families, one bit per family.
+using FamilyMask = std::uint64_t;
+constexpr std::size_t kNumFamilies =
+    static_cast<std::size_t>(RegFamily::kCount);
+static_assert(kNumFamilies <= 64, "FamilyMask needs one bit per family");
+
+constexpr FamilyMask bit(RegFamily f) {
+  return FamilyMask{1} << static_cast<unsigned>(f);
+}
 
 // Execution-port mask (bit i = port i) for the compute uop of an opcode
 // class, per microarchitecture. Port numbering follows Intel convention:
@@ -78,8 +91,8 @@ struct PortFile {
   double dispatch(double ready, std::uint16_t mask, double occupancy) {
     int best = -1;
     double best_start = 0.0;
-    for (int p = 0; p < kNumPorts; ++p) {
-      if (!(mask & (1u << p))) continue;
+    for (unsigned m = mask; m != 0; m &= m - 1) {
+      const int p = std::countr_zero(m);
       const double start = std::max(ready, free_at[p]);
       if (best < 0 || start < best_start ||
           (start == best_start && free_at[p] < free_at[best])) {
@@ -94,23 +107,21 @@ struct PortFile {
   }
 };
 
-// Memory location key: syntactic identity of the address expression.
-std::string mem_key(const x86::MemOperand& m) {
-  std::string k;
-  if (m.base) k += x86::reg_name(*m.base);
-  k += '|';
-  if (m.index) {
-    k += x86::reg_name(*m.index);
-    k += '*';
-    k += std::to_string(int(m.scale));
-  }
-  k += '|';
-  k += std::to_string(m.disp);
-  return k;
+// Two memory operands name the same location iff their address
+// expressions match syntactically: base, index and displacement, plus the
+// scale when there is an index. The access width is not part of it.
+bool same_location(const x86::MemOperand& a, const x86::MemOperand& b) {
+  return a.base == b.base && a.index == b.index && a.disp == b.disp &&
+         (!a.index || a.scale == b.scale);
 }
 
+/// One instruction, decoded once per simulate_throughput call.
 struct DecodedInst {
-  x86::InstSemantics sem;
+  FamilyMask reads = 0;       ///< register families read
+  FamilyMask writes = 0;      ///< families ready at `finish`
+  bool rsp_at_issue = false;  ///< stack engine: rsp ready at issue + 1
+  int mem_read_slot = -1;     ///< address slot of an explicit load, or -1
+  int mem_write_slot = -1;    ///< address slot of an explicit store, or -1
   std::uint16_t ports;
   double latency;
   double occupancy;
@@ -120,29 +131,52 @@ struct DecodedInst {
   int uops;
 };
 
+/// Decode `inst`, interning its memory operand into `slots` (one
+/// representative operand per distinct location).
 DecodedInst decode(const x86::Instruction& inst, MicroArch u,
-                   const SimOptions& opt) {
+                   const SimOptions& opt,
+                   std::vector<x86::MemOperand>& slots) {
   DecodedInst d;
-  d.sem = x86::semantics(inst);
+  const auto sem = x86::semantics(inst);
   const auto& inf = x86::info(inst.opcode);
+  for (const auto& a : sem.regs) {
+    if (a.read) d.reads |= bit(a.reg.family);
+    if (a.write) d.writes |= bit(a.reg.family);
+  }
+  // The stack engine renames rsp at issue: push/pop do not put the
+  // stack-pointer update on the latency-critical path.
+  if (inf.cls == OpClass::Stack && (d.writes & bit(RegFamily::RSP)) != 0) {
+    d.writes &= ~bit(RegFamily::RSP);
+    d.rsp_at_issue = true;
+  }
+  if (sem.mem) {
+    std::size_t slot = 0;
+    while (slot < slots.size() && !same_location(slots[slot], sem.mem->mem)) {
+      ++slot;
+    }
+    if (slot == slots.size()) slots.push_back(sem.mem->mem);
+    if (sem.mem->read) d.mem_read_slot = static_cast<int>(slot);
+    if (sem.mem->write) d.mem_write_slot = static_cast<int>(slot);
+  }
   d.ports = compute_ports(inf.cls, u);
-  d.load = (d.sem.mem && d.sem.mem->read) || d.sem.stack_mem_read;
-  d.store = (d.sem.mem && d.sem.mem->write) || d.sem.stack_mem_write;
+  d.load = (sem.mem && sem.mem->read) || sem.stack_mem_read;
+  d.store = (sem.mem && sem.mem->write) || sem.stack_mem_write;
+  d.uops = 1 + (d.load ? 1 : 0) + (d.store ? 2 : 0);
 
-  double lat = cost::inst_latency(inst, u) * opt.latency_scale;
+  const auto timing = cost::inst_timing(inst, u, d.load, d.store);
+  double lat = timing.latency * opt.latency_scale;
   if (opt.round_latencies) lat = std::max(1.0, std::round(lat));
   d.latency = lat;
 
   // Non-pipelined units (dividers) occupy their port for the reciprocal
   // throughput; pipelined ops occupy one cycle.
-  const double rt = cost::inst_throughput(inst, u);
+  const double rt = timing.rthroughput;
   const bool divider =
       inf.cls == OpClass::IntDiv || inf.cls == OpClass::FpDiv;
   d.occupancy = divider ? rt + opt.div_occupancy_extra
                         : std::min(1.0, std::max(0.25, rt));
 
   d.zero_idiom = opt.zero_idiom && is_zero_idiom(inst);
-  d.uops = uop_count(inst);
   return d;
 }
 
@@ -184,19 +218,29 @@ int uop_count(const x86::Instruction& inst) {
 double simulate_throughput(const x86::BasicBlock& block,
                            cost::MicroArch uarch, const SimOptions& opt,
                            SimTrace* trace) {
+  COMET_CHECK_MSG(opt.issue_width >= 1, "issue_width=" << opt.issue_width);
+  COMET_CHECK_MSG(std::isfinite(opt.latency_scale) && opt.latency_scale > 0,
+                  "latency_scale=" << opt.latency_scale);
+  COMET_CHECK_MSG(
+      std::isfinite(opt.div_occupancy_extra) && opt.div_occupancy_extra >= 0,
+      "div_occupancy_extra=" << opt.div_occupancy_extra);
   if (block.empty()) return 0.0;
 
   std::vector<DecodedInst> dec;
   dec.reserve(block.size());
+  std::vector<x86::MemOperand> slots;
   int uops_per_iter = 0;
   for (const auto& inst : block.instructions) {
-    dec.push_back(decode(inst, uarch, opt));
+    dec.push_back(decode(inst, uarch, opt, slots));
     uops_per_iter += dec.back().uops;
   }
 
+  // Result-ready time per register family and per memory slot; kNever
+  // (-inf) means no producer yet, and max(t, kNever) == t exactly.
   PortFile ports;
-  std::map<x86::RegFamily, double> reg_ready;
-  std::map<std::string, double> mem_ready;
+  std::array<double, kNumFamilies> reg_ready;
+  reg_ready.fill(kNever);
+  std::vector<double> mem_ready(slots.size(), kNever);
   long uops_issued = 0;
   double iter_mark_mid = 0.0;
   double iter_mark_end = 0.0;
@@ -223,7 +267,6 @@ double simulate_throughput(const x86::BasicBlock& block,
     const bool in_window = it >= mid;
     for (std::size_t i = 0; i < block.size(); ++i) {
       const auto& d = dec[i];
-      const auto& inst = block.instructions[i];
 
       // Front-end: in-order issue of fused-domain uops, W per cycle.
       const double frontend =
@@ -231,22 +274,14 @@ double simulate_throughput(const x86::BasicBlock& block,
       uops_issued += d.uops;
 
       double ready = frontend;
-      if (!d.zero_idiom && opt.model_loop_carried) {
-        for (const auto& a : d.sem.regs) {
-          if (!a.read) continue;
-          const auto it2 = reg_ready.find(a.reg.family);
-          if (it2 != reg_ready.end()) ready = std::max(ready, it2->second);
+      if (!d.zero_idiom) {
+        for (FamilyMask m = d.reads; m != 0; m &= m - 1) {
+          ready = std::max(ready, reg_ready[std::countr_zero(m)]);
         }
-        if (d.sem.mem && d.sem.mem->read) {
-          const auto it2 = mem_ready.find(mem_key(d.sem.mem->mem));
-          if (it2 != mem_ready.end()) ready = std::max(ready, it2->second);
-        }
-      } else if (!d.zero_idiom) {
-        // Intra-iteration dependencies only (MCA-like configurations).
-        for (const auto& a : d.sem.regs) {
-          if (!a.read) continue;
-          const auto it2 = reg_ready.find(a.reg.family);
-          if (it2 != reg_ready.end()) ready = std::max(ready, it2->second);
+        // MCA-like configurations track register dependencies within an
+        // iteration only, and memory dependencies not at all.
+        if (opt.model_loop_carried && d.mem_read_slot >= 0) {
+          ready = std::max(ready, mem_ready[d.mem_read_slot]);
         }
       }
       const double dep_ready = ready;  // before port availability
@@ -290,23 +325,16 @@ double simulate_throughput(const x86::BasicBlock& block,
         }
       }
 
-      // The stack engine renames rsp at issue: push/pop do not put the
-      // stack-pointer update on the latency-critical path.
-      const bool stack_engine = x86::info(inst.opcode).cls == OpClass::Stack;
-      for (const auto& a : d.sem.regs) {
-        if (!a.write) continue;
-        if (stack_engine && a.reg.family == x86::RegFamily::RSP) {
-          reg_ready[a.reg.family] = frontend + 1.0;
-        } else {
-          reg_ready[a.reg.family] = finish;
-        }
+      for (FamilyMask m = d.writes; m != 0; m &= m - 1) {
+        reg_ready[std::countr_zero(m)] = finish;
       }
-      if (d.sem.mem && d.sem.mem->write) {
-        mem_ready[mem_key(d.sem.mem->mem)] = finish;
+      if (d.rsp_at_issue) {
+        reg_ready[static_cast<std::size_t>(RegFamily::RSP)] = frontend + 1.0;
       }
+      if (d.mem_write_slot >= 0) mem_ready[d.mem_write_slot] = finish;
       if (!opt.model_loop_carried && i + 1 == block.size()) {
-        reg_ready.clear();
-        mem_ready.clear();
+        reg_ready.fill(kNever);
+        std::fill(mem_ready.begin(), mem_ready.end(), kNever);
       }
       max_finish = std::max(max_finish, finish);
     }

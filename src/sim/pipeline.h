@@ -70,7 +70,9 @@ struct SimTrace {
 
 /// Steady-state throughput (cycles per iteration) of `block` looped on
 /// `uarch` under `options`. Deterministic. When `trace` is non-null it is
-/// filled with steady-state window instrumentation.
+/// filled with steady-state window instrumentation. Throws
+/// util::ContractViolation unless issue_width >= 1, latency_scale is finite
+/// and > 0, and div_occupancy_extra is finite and >= 0.
 double simulate_throughput(const x86::BasicBlock& block,
                            cost::MicroArch uarch,
                            const SimOptions& options = {},

@@ -2,12 +2,18 @@
 // (hardware oracle, uiCA stand-in, MCA-like static model).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "sim/bottleneck.h"
 #include "sim/models.h"
 #include "sim/pipeline.h"
+#include "util/contract.h"
 #include "x86/parser.h"
 
 namespace cs = comet::sim;
 namespace cc = comet::cost;
+namespace cu = comet::util;
 namespace cx = comet::x86;
 
 namespace {
@@ -109,6 +115,34 @@ TEST(Pipeline, MoreIterationsConvergeToSameSlope) {
   b.iterations = 128;
   EXPECT_NEAR(cs::simulate_throughput(block, HSW, a),
               cs::simulate_throughput(block, HSW, b), 0.2);
+}
+
+TEST(Pipeline, InvalidOptionsAreRejected) {
+  // Without the contract, issue_width = 0 yields NaN through 0/0 front-end
+  // times instead of an error.
+  const auto block = bb("add rcx, rax\nmov rdx, rcx");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<cs::SimOptions> bad(7);
+  bad[0].issue_width = 0;
+  bad[1].issue_width = -4;
+  bad[2].latency_scale = 0.0;
+  bad[3].latency_scale = nan;
+  bad[4].latency_scale = inf;
+  bad[5].div_occupancy_extra = -1.0;
+  bad[6].div_occupancy_extra = nan;
+  for (const auto& opt : bad) {
+    EXPECT_THROW(cs::simulate_throughput(block, HSW, opt),
+                 cu::ContractViolation);
+    EXPECT_THROW(cs::simulate_throughput(cx::BasicBlock{}, HSW, opt),
+                 cu::ContractViolation);
+    EXPECT_THROW(cs::analyze_bottleneck(block, HSW, opt),
+                 cu::ContractViolation);
+  }
+  cs::SimOptions edge;
+  edge.issue_width = 1;
+  edge.div_occupancy_extra = 0.0;
+  EXPECT_GT(cs::simulate_throughput(block, HSW, edge), 0.0);
 }
 
 // ---------- models ----------
