@@ -18,20 +18,13 @@ using graph::DepResource;
 using graph::Feature;
 using graph::FeatureSet;
 using x86::BasicBlock;
+using x86::family_bit;
+using x86::FamilyMask;
 using x86::Instruction;
 using x86::Operand;
 using x86::Reg;
 using x86::RegClass;
 using x86::RegFamily;
-
-/// A set of register families, one bit per family.
-using FamilyMask = std::uint64_t;
-static_assert(static_cast<std::size_t>(RegFamily::kCount) <= 64,
-              "FamilyMask needs one bit per register family");
-
-constexpr FamilyMask bit(RegFamily f) {
-  return FamilyMask{1} << static_cast<unsigned>(f);
-}
 
 /// Families named by explicit operands: register operands plus the base
 /// and index registers of memory operands.
@@ -39,11 +32,11 @@ FamilyMask operand_families(const Instruction& inst) {
   FamilyMask m = 0;
   for (const auto& op : inst.operands) {
     if (op.is_reg()) {
-      m |= bit(op.as_reg().family);
+      m |= family_bit(op.as_reg().family);
     } else if (op.is_mem()) {
       const auto& mem = op.as_mem();
-      if (mem.base) m |= bit(mem.base->family);
-      if (mem.index) m |= bit(mem.index->family);
+      if (mem.base) m |= family_bit(mem.base->family);
+      if (mem.index) m |= family_bit(mem.index->family);
     }
   }
   return m;
@@ -52,7 +45,7 @@ FamilyMask operand_families(const Instruction& inst) {
 /// Families a signature accesses implicitly (div/mul rax/rdx, push/pop rsp).
 FamilyMask implicit_families(const x86::Signature& sig) {
   FamilyMask m = 0;
-  for (const auto& imp : sig.implicit) m |= bit(imp.family);
+  for (const auto& imp : sig.implicit) m |= family_bit(imp.family);
   return m;
 }
 
@@ -88,7 +81,7 @@ RegFamily pick_family(util::Rng& rng, FamilyMask set,
                       const std::vector<RegFamily>& order) {
   std::size_t k = rng.index(static_cast<std::size_t>(std::popcount(set)));
   for (RegFamily f : order) {
-    if ((set & bit(f)) != 0 && k-- == 0) return f;
+    if ((set & family_bit(f)) != 0 && k-- == 0) return f;
   }
   COMET_CHECK_MSG(false, "family set is not a subset of its pick order");
   return order.front();
@@ -120,9 +113,9 @@ struct Pins {
     delete_forbidden[e.from] = true;
     delete_forbidden[e.to] = true;
     if (e.resource == DepResource::Register) {
-      pinned_families[e.from] |= bit(e.family);
-      pinned_families[e.to] |= bit(e.family);
-      globally_reserved |= bit(e.family);
+      pinned_families[e.from] |= family_bit(e.family);
+      pinned_families[e.to] |= family_bit(e.family);
+      globally_reserved |= family_bit(e.family);
     } else if (e.resource == DepResource::Memory) {
       mem_pinned[e.from] = true;
       mem_pinned[e.to] = true;
@@ -232,7 +225,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   for (const DepEdge& e : preserved_edges) {
     if (e.resource != DepResource::Register) continue;
     for (std::size_t v = e.from + 1; v < e.to; ++v) {
-      sensitive[v] |= bit(e.family);
+      sensitive[v] |= family_bit(e.family);
     }
   }
 
@@ -277,7 +270,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
       for (auto& op : insts[v].operands) {
         if (!op.is_reg()) continue;
         auto& r = op.as_reg();
-        if ((pins.pinned_families[v] & bit(r.family)) != 0) continue;
+        if ((pins.pinned_families[v] & family_bit(r.family)) != 0) continue;
         const auto& pool = reg_class(r) == RegClass::Vec
                                ? x86::vec_families()
                                : x86::substitutable_gpr_families();
@@ -324,8 +317,8 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
                                 ? x86::vec_families()
                                 : x86::substitutable_gpr_families();
     FamilyMask pool = 0;
-    for (RegFamily f : base_pool) pool |= bit(f);
-    pool &= ~(bit(e.family) | pins.globally_reserved);
+    for (RegFamily f : base_pool) pool |= family_bit(f);
+    pool &= ~(family_bit(e.family) | pins.globally_reserved);
     if (config_.prefer_fresh_rename) {
       FamilyMask block_used = 0;
       for (FamilyMask m : used_by) block_used |= m;
@@ -335,9 +328,11 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
 
     // Prefer renaming the consumer's occurrences; fall back to the producer.
     const auto try_rename = [&](std::size_t idx) {
-      if ((pins.pinned_families[idx] & bit(e.family)) != 0) return false;
+      if ((pins.pinned_families[idx] & family_bit(e.family)) != 0) return false;
       // An implicit operand cannot be renamed.
-      if ((operand_families(insts[idx]) & bit(e.family)) == 0) return false;
+      if ((operand_families(insts[idx]) & family_bit(e.family)) == 0) {
+        return false;
+      }
       const Instruction backup = insts[idx];
       rename_family(insts[idx], e.family, pick_family(rng, pool, base_pool));
       if (!x86::is_valid(insts[idx])) {
@@ -416,7 +411,7 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
     const auto& inst = block_.instructions[v];
     for (const auto& op : inst.operands) {
       const auto count_family = [&](RegFamily fam, RegClass cls) {
-        if ((pins.pinned_families[v] & bit(fam)) != 0) return;
+        if ((pins.pinned_families[v] & family_bit(fam)) != 0) return;
         const std::size_t pool = cls == RegClass::Vec
                                      ? x86::vec_families().size()
                                      : x86::substitutable_gpr_families().size();

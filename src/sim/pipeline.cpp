@@ -17,20 +17,13 @@ namespace {
 using cost::MicroArch;
 using x86::OpClass;
 using x86::Opcode;
+using x86::family_bit;
+using x86::FamilyMask;
 using x86::RegFamily;
 
 constexpr int kNumPorts = 8;
 constexpr double kNever = -std::numeric_limits<double>::infinity();
 
-/// A set of register families, one bit per family.
-using FamilyMask = std::uint64_t;
-constexpr std::size_t kNumFamilies =
-    static_cast<std::size_t>(RegFamily::kCount);
-static_assert(kNumFamilies <= 64, "FamilyMask needs one bit per family");
-
-constexpr FamilyMask bit(RegFamily f) {
-  return FamilyMask{1} << static_cast<unsigned>(f);
-}
 
 // Execution-port mask (bit i = port i) for the compute uop of an opcode
 // class, per microarchitecture. Port numbering follows Intel convention:
@@ -140,13 +133,14 @@ DecodedInst decode(const x86::Instruction& inst, MicroArch u,
   const auto sem = x86::semantics(inst);
   const auto& inf = x86::info(inst.opcode);
   for (const auto& a : sem.regs) {
-    if (a.read) d.reads |= bit(a.reg.family);
-    if (a.write) d.writes |= bit(a.reg.family);
+    if (a.read) d.reads |= family_bit(a.reg.family);
+    if (a.write) d.writes |= family_bit(a.reg.family);
   }
   // The stack engine renames rsp at issue: push/pop do not put the
   // stack-pointer update on the latency-critical path.
-  if (inf.cls == OpClass::Stack && (d.writes & bit(RegFamily::RSP)) != 0) {
-    d.writes &= ~bit(RegFamily::RSP);
+  constexpr FamilyMask kRsp = family_bit(RegFamily::RSP);
+  if (inf.cls == OpClass::Stack && (d.writes & kRsp) != 0) {
+    d.writes &= ~kRsp;
     d.rsp_at_issue = true;
   }
   if (sem.mem) {
@@ -238,7 +232,7 @@ double simulate_throughput(const x86::BasicBlock& block,
   // Result-ready time per register family and per memory slot; kNever
   // (-inf) means no producer yet, and max(t, kNever) == t exactly.
   PortFile ports;
-  std::array<double, kNumFamilies> reg_ready;
+  std::array<double, static_cast<std::size_t>(RegFamily::kCount)> reg_ready;
   reg_ready.fill(kNever);
   std::vector<double> mem_ready(slots.size(), kNever);
   long uops_issued = 0;

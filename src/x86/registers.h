@@ -35,6 +35,16 @@ enum class RegFamily : std::uint8_t {
   kCount,
 };
 
+/// A set of register families, one bit per family.
+using FamilyMask = std::uint64_t;
+static_assert(static_cast<std::size_t>(RegFamily::kCount) <= 64,
+              "FamilyMask needs one bit per register family");
+
+/// The set holding only `f`.
+constexpr FamilyMask family_bit(RegFamily f) {
+  return FamilyMask{1} << static_cast<unsigned>(f);
+}
+
 /// Broad register class: general-purpose, vector, or the flags pseudo-reg.
 enum class RegClass : std::uint8_t { Gpr, Vec, Flags };
 
