@@ -17,7 +17,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "bhive/generator.h"
