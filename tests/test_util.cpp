@@ -2,8 +2,12 @@
 // statistics, KL confidence bounds, table rendering, string helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/kl_bounds.h"
 #include "util/rng.h"
@@ -263,6 +267,96 @@ TEST_P(KlCoverage, IntervalCoversTrueMean) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, KlCoverage,
                          ::testing::Values(0.05, 0.3, 0.5, 0.7, 0.95));
+
+// Bit-identity of the bounds the anchor engine compares. The engine's arm
+// ordering and stopping rule hinge on exact comparisons between these
+// doubles, so any speed-up of the bound computation must return the same
+// bits as the plain 60-step bisection below (a copy of the original
+// implementation, kept here as the reference).
+namespace {
+
+constexpr double kRefEps = 1e-15;
+
+double ref_kl(double p, double q) {
+  p = std::clamp(p, 0.0, 1.0);
+  q = std::clamp(q, kRefEps, 1.0 - kRefEps);
+  double kl = 0.0;
+  if (p > 0.0) kl += p * std::log(p / q);
+  if (p < 1.0) kl += (1.0 - p) * std::log((1.0 - p) / (1.0 - q));
+  return kl;
+}
+
+double ref_upper(double p_hat, std::size_t n, double level) {
+  if (n == 0) return 1.0;
+  const double budget = level / static_cast<double>(n);
+  double lo = std::clamp(p_hat, 0.0, 1.0);
+  double hi = 1.0;
+  if (ref_kl(p_hat, hi - kRefEps) <= budget) return 1.0;
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (ref_kl(p_hat, mid) > budget) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return lo;
+}
+
+double ref_lower(double p_hat, std::size_t n, double level) {
+  if (n == 0) return 0.0;
+  const double budget = level / static_cast<double>(n);
+  double lo = 0.0;
+  double hi = std::clamp(p_hat, 0.0, 1.0);
+  if (ref_kl(p_hat, lo + kRefEps) <= budget) return 0.0;
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (ref_kl(p_hat, mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
+}
+
+/// Levels the engine uses: the KL-LUCB schedule at early, middle and
+/// late rounds of small and large levels, and the firm-up pass's
+/// log(1 / lucb_confidence_delta).
+std::vector<double> engine_levels() {
+  std::vector<double> levels;
+  for (const std::size_t t : {2, 41, 159}) {
+    for (const std::size_t arms : {4, 57}) {
+      levels.push_back(cu::kl_lucb_level(t, arms, 0.1));
+    }
+  }
+  levels.push_back(std::log(1.0 / 0.1));
+  return levels;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+}  // namespace
+
+TEST(KlBounds, BitIdenticalToPlainBisection) {
+  std::size_t checked = 0;
+  for (const double level : engine_levels()) {
+    for (std::size_t n = 1; n <= 200; ++n) {
+      for (std::size_t hits = 0; hits <= n; ++hits) {
+        const double mean =
+            static_cast<double>(hits) / static_cast<double>(n);
+        ASSERT_EQ(bits(cu::kl_upper_bound(mean, n, level)),
+                  bits(ref_upper(mean, n, level)))
+            << hits << "/" << n << " level " << level;
+        ASSERT_EQ(bits(cu::kl_lower_bound(mean, n, level)),
+                  bits(ref_lower(mean, n, level)))
+            << hits << "/" << n << " level " << level;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, engine_levels().size() * 200 * 203 / 2);
+}
 
 // ---------- Table ----------
 
