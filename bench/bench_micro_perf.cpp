@@ -17,6 +17,7 @@
 #include "riscv/generator.h"
 #include "sim/bottleneck.h"
 #include "sim/models.h"
+#include "util/kl_bounds.h"
 #include "x86/parser.h"
 
 using namespace comet;
@@ -147,6 +148,50 @@ void BM_UiCASimulateGenerated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UiCASimulateGenerated);
+
+// Block text for the blocks the broker keys its memo on: 64 generated
+// Clang/OpenBLAS blocks and four unconstrained Γ samples of each, cycled.
+void BM_BlockToString(benchmark::State& state) {
+  std::vector<x86::BasicBlock> blocks;
+  util::Rng gen_rng(11);
+  util::Rng sample_rng(12);
+  for (std::size_t i = 0; i < 64; ++i) {
+    bhive::GeneratorOptions opts;
+    opts.source =
+        i % 2 == 0 ? bhive::BlockSource::Clang : bhive::BlockSource::OpenBLAS;
+    const perturb::Perturber p(bhive::BlockGenerator(opts).generate(gen_rng));
+    for (int s = 0; s < 4; ++s) {
+      blocks.push_back(p.sample(graph::FeatureSet{}, sample_rng).block);
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blocks[i].to_string());
+    i = (i + 1) % blocks.size();
+  }
+}
+BENCHMARK(BM_BlockToString);
+
+// One KL-LUCB bound pair (upper and lower) at a round's level, cycling
+// through every (hits, pulls) with 1 <= pulls <= 48: the arm statistics a
+// level's KL-LUCB rounds see.
+void BM_KlBounds(benchmark::State& state) {
+  std::vector<std::pair<double, std::size_t>> arms;  // (mean, pulls)
+  for (std::size_t n = 1; n <= 48; ++n) {
+    for (std::size_t hits = 0; hits <= n; ++hits) {
+      arms.emplace_back(static_cast<double>(hits) / static_cast<double>(n), n);
+    }
+  }
+  const double level = util::kl_lucb_level(40, 30, 0.1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [mean, n] = arms[i];
+    benchmark::DoNotOptimize(util::kl_upper_bound(mean, n, level));
+    benchmark::DoNotOptimize(util::kl_lower_bound(mean, n, level));
+    i = (i + 1) % arms.size();
+  }
+}
+BENCHMARK(BM_KlBounds);
 
 void BM_ExplainCrude(benchmark::State& state) {
   const cost::CrudeModel model(cost::MicroArch::Haswell);

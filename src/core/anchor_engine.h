@@ -140,10 +140,7 @@ class AnchorEngine {
     std::size_t pulls = 0;  // samples drawn
     std::size_t hits = 0;   // samples with |M(α) − M(β)| ≤ ε
 
-    double mean() const {
-      return pulls ? static_cast<double>(hits) / static_cast<double>(pulls)
-                   : 0.0;
-    }
+    double mean() const { return util::hit_rate(hits, pulls); }
   };
 
   const Model& model_;
@@ -301,6 +298,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   };
 
   const double threshold = 1.0 - options_.delta;
+  util::KlRoundBounds round_bounds;  // one KL-LUCB round's bounds
   std::vector<Explanation> anchors_found;
   std::vector<Arm> beam;  // current beam (feature sets of size = level)
   Arm best_effort;        // highest-precision candidate seen anywhere
@@ -362,14 +360,16 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return arms[a].mean() > arms[b].mean();
       });
-      const double level_beta = util::kl_lucb_level(
-          pulls_done, arms.size(), options_.lucb_confidence_delta);
+      // The round's level is fixed, so arms sharing (hits, pulls) share
+      // their bounds: each is computed once per round.
+      round_bounds.reset(util::kl_lucb_level(pulls_done, arms.size(),
+                                             options_.lucb_confidence_delta));
       // Weakest member of the tentative top set.
       std::size_t weakest = order[0];
       double weakest_lb = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < B; ++i) {
         const Arm& a = arms[order[i]];
-        const double lb = util::kl_lower_bound(a.mean(), a.pulls, level_beta);
+        const double lb = round_bounds.lower(a.hits, a.pulls);
         if (lb < weakest_lb) {
           weakest_lb = lb;
           weakest = order[i];
@@ -380,7 +380,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
       double challenger_ub = -std::numeric_limits<double>::infinity();
       for (std::size_t i = B; i < order.size(); ++i) {
         const Arm& a = arms[order[i]];
-        const double ub = util::kl_upper_bound(a.mean(), a.pulls, level_beta);
+        const double ub = round_bounds.upper(a.hits, a.pulls);
         if (ub > challenger_ub) {
           challenger_ub = ub;
           challenger = order[i];
@@ -411,25 +411,26 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         best_effort = arm;
       }
       if (arm.mean() < threshold) continue;
-      // Firm up the estimate before accepting the anchor.
+      // Firm up the estimate before accepting the anchor; the bound is
+      // computed once per pull and also decides acceptance below.
+      double verify_lb = util::kl_lower_bound(arm.mean(), arm.pulls,
+                                              verify_beta);
       while (arm.pulls < options_.final_precision_samples &&
-             util::kl_lower_bound(arm.mean(), arm.pulls, verify_beta) <
-                 threshold) {
+             verify_lb < threshold) {
         pull(arm);
+        verify_lb = util::kl_lower_bound(arm.mean(), arm.pulls, verify_beta);
       }
       // Acceptance is a KL-lower-bound gate: the anchor's estimated
       // precision must clear the threshold with high confidence, not
       // merely on its raw mean (kl_lower_bound(mean, ...) <= mean always,
-      // so "lb_ok || mean >= threshold" would make the verification dead
-      // code). Exhausting the firm-up budget without separation rejects
-      // the anchor at this level; a zero final_precision_samples budget
-      // disables verification entirely and falls back to the raw-mean
-      // rule (RvExplainOptions pins 0: the analytical RV model is exact,
-      // so extra pulls add queries without information).
-      const bool lb_ok =
-          util::kl_lower_bound(arm.mean(), arm.pulls, verify_beta) >=
-          threshold;
-      if (lb_ok || options_.final_precision_samples == 0) {
+      // so also accepting on "mean >= threshold" would make the
+      // verification dead code). Exhausting the firm-up budget without
+      // separation rejects the anchor at this level; a zero
+      // final_precision_samples budget disables verification entirely and
+      // falls back to the raw-mean rule (RvExplainOptions pins 0: the
+      // analytical RV model is exact, so extra pulls add queries without
+      // information).
+      if (verify_lb >= threshold || options_.final_precision_samples == 0) {
         Explanation e;
         e.features = arm.features;
         e.precision = arm.mean();

@@ -5,18 +5,23 @@
 namespace comet::x86 {
 
 std::string Instruction::to_string() const {
-  std::string out{mnemonic(opcode)};
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Instruction::append_to(std::string& out) const {
+  out += mnemonic(opcode);
   for (std::size_t i = 0; i < operands.size(); ++i) {
     out += (i == 0 ? " " : ", ");
-    out += operands[i].to_string();
+    operands[i].append_to(out);
   }
-  return out;
 }
 
 std::string BasicBlock::to_string() const {
   std::string out;
   for (const auto& inst : instructions) {
-    out += inst.to_string();
+    inst.append_to(out);
     out += '\n';
   }
   return out;

@@ -20,6 +20,9 @@ struct Instruction {
   /// Intel-syntax rendering ("add rcx, rax").
   std::string to_string() const;
 
+  /// Append to_string() to `out` without building temporaries.
+  void append_to(std::string& out) const;
+
   bool operator==(const Instruction&) const = default;
 };
 
@@ -30,7 +33,11 @@ struct BasicBlock {
   std::size_t size() const { return instructions.size(); }
   bool empty() const { return instructions.empty(); }
 
-  /// Multi-line Intel-syntax rendering, one instruction per line.
+  /// Multi-line Intel-syntax rendering, one instruction per line, each
+  /// ending in '\n'. These bytes are a contract: they are the query
+  /// broker's memo key, the sharded pool's route, the remote shard
+  /// client's wire payload and the anchor engine's RNG seed, so they must
+  /// not change (tests/test_block_text_golden.cpp pins them).
   std::string to_string() const;
 
   bool operator==(const BasicBlock&) const = default;

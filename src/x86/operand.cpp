@@ -1,6 +1,8 @@
 #include "x86/operand.h"
 
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/str.h"
 
@@ -24,42 +26,9 @@ std::vector<Reg> Operand::address_regs() const {
   return out;
 }
 
-std::string Operand::to_string() const {
-  switch (kind()) {
-    case OperandKind::Reg:
-      return reg_name(as_reg());
-    case OperandKind::Imm:
-      return std::to_string(as_imm().value);
-    case OperandKind::Mem: {
-      const auto& m = as_mem();
-      std::string expr;
-      if (m.base) expr += reg_name(*m.base);
-      if (m.index) {
-        if (!expr.empty()) expr += " + ";
-        expr += reg_name(*m.index);
-        if (m.scale != 1) {
-          // Appended in two steps: GCC 12's -Wrestrict false-fires on the
-          // temporary from `"*" + std::to_string(...)` (PR105651).
-          expr += '*';
-          expr += std::to_string(int(m.scale));
-        }
-      }
-      if (m.disp != 0 || expr.empty()) {
-        if (expr.empty()) {
-          expr += std::to_string(m.disp);
-        } else if (m.disp >= 0) {
-          expr += " + " + std::to_string(m.disp);
-        } else {
-          expr += " - " + std::to_string(-m.disp);
-        }
-      }
-      return size_keyword(m.size_bits) + " ptr [" + expr + "]";
-    }
-  }
-  return "";
-}
+namespace {
 
-std::string size_keyword(std::uint16_t size_bits) {
+std::string_view size_keyword_view(std::uint16_t size_bits) {
   switch (size_bits) {
     case 8: return "byte";
     case 16: return "word";
@@ -72,6 +41,69 @@ std::string size_keyword(std::uint16_t size_bits) {
       throw std::invalid_argument("size_keyword: bad size " +
                                   std::to_string(size_bits));
   }
+}
+
+/// Append the decimal digits of `v` (an integer type).
+template <typename Int>
+void append_decimal(std::string& out, Int v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  (void)ec;  // 24 chars hold any 64-bit integer
+  out.append(buf, end);
+}
+
+}  // namespace
+
+std::string Operand::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Operand::append_to(std::string& out) const {
+  switch (kind()) {
+    case OperandKind::Reg:
+      append_reg_name(out, as_reg());
+      return;
+    case OperandKind::Imm:
+      append_decimal(out, as_imm().value);
+      return;
+    case OperandKind::Mem: {
+      const auto& m = as_mem();
+      out += size_keyword_view(m.size_bits);
+      out += " ptr [";
+      bool empty = true;  // nothing inside the brackets yet
+      if (m.base) {
+        append_reg_name(out, *m.base);
+        empty = false;
+      }
+      if (m.index) {
+        if (!empty) out += " + ";
+        append_reg_name(out, *m.index);
+        if (m.scale != 1) {
+          out += '*';
+          append_decimal(out, int(m.scale));
+        }
+        empty = false;
+      }
+      if (empty) {
+        append_decimal(out, m.disp);
+      } else if (m.disp > 0) {
+        out += " + ";
+        append_decimal(out, m.disp);
+      } else if (m.disp < 0) {
+        // The magnitude as unsigned: -INT64_MIN does not fit an int64.
+        out += " - ";
+        append_decimal(out, 0 - static_cast<std::uint64_t>(m.disp));
+      }
+      out += ']';
+      return;
+    }
+  }
+}
+
+std::string size_keyword(std::uint16_t size_bits) {
+  return std::string(size_keyword_view(size_bits));
 }
 
 std::uint16_t parse_size_keyword(std::string_view kw) {

@@ -75,6 +75,10 @@ class Operand {
   /// Intel-syntax rendering ("rax", "qword ptr [rdi + 24]", "80").
   std::string to_string() const;
 
+  /// Append to_string() to `out` without building temporaries. Block text
+  /// is the query broker's memo key, so it is built this way.
+  void append_to(std::string& out) const;
+
   bool operator==(const Operand&) const = default;
 
  private:

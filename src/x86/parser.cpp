@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "util/str.h"
@@ -29,6 +31,22 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
       std::from_chars(s.data(), s.data() + s.size(), value, base);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return neg ? -value : value;
+}
+
+// Whether `s` spells 2^63, the magnitude of INT64_MIN (decimal or 0x hex):
+// the one negated displacement term parse_int cannot hold.
+bool is_int64_min_magnitude(std::string_view s) {
+  s = util::trim(s);
+  int base = 10;
+  if (util::starts_with(s, "0x") || util::starts_with(s, "0X")) {
+    base = 16;
+    s.remove_prefix(2);
+  }
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), value, base);
+  return ec == std::errc{} && ptr == s.data() + s.size() &&
+         value == std::uint64_t{1} << 63;
 }
 
 // Parse "[base + index*scale + disp]" contents (without the brackets).
@@ -88,10 +106,15 @@ MemOperand parse_mem_expr(std::string_view expr) {
       }
       continue;
     }
-    if (const auto value = parse_int(term)) {
+    const auto value = parse_int(term);
+    if (value || (tsign < 0 && is_int64_min_magnitude(term))) {
+      // "- 9223372036854775808" is INT64_MIN, which the printer emits.
       // Checked accumulation: "[rax + 9e18 + 9e18]" must be a ParseError,
       // not signed-overflow UB (found by fuzz_x86_parser under UBSan).
-      const std::int64_t signed_term = tsign < 0 ? -*value : *value;
+      const std::int64_t signed_term =
+          !value      ? std::numeric_limits<std::int64_t>::min()
+          : tsign < 0 ? -*value
+                      : *value;
       std::int64_t next_disp = 0;
       if (__builtin_add_overflow(mem.disp, signed_term, &next_disp)) {
         throw ParseError("displacement overflow: " + term);

@@ -71,24 +71,36 @@ ByteRange write_range(const Reg& r) {
 }
 
 std::string reg_name(const Reg& r) {
-  if (r.family == RegFamily::FLAGS) return "flags";
+  std::string out;
+  append_reg_name(out, r);
+  return out;
+}
+
+void append_reg_name(std::string& out, const Reg& r) {
+  if (r.family == RegFamily::FLAGS) {
+    out += "flags";
+    return;
+  }
   if (is_vec_family(r.family)) {
     const auto idx = vec_index(r.family);
-    const char* prefix = r.width_bits == 256 ? "ymm" : "xmm";
-    return std::string(prefix) + std::to_string(idx);
+    out += r.width_bits == 256 ? "ymm" : "xmm";
+    if (idx >= 10) out += static_cast<char>('0' + idx / 10);
+    out += static_cast<char>('0' + idx % 10);
+    return;
   }
   const auto idx = gpr_index(r.family);
   if (r.high8) {
     if (idx >= kGprHigh8.size()) {
       throw std::invalid_argument("reg_name: no high-8 register in family");
     }
-    return std::string(kGprHigh8[idx]);
+    out += kGprHigh8[idx];
+    return;
   }
   switch (r.width_bits) {
-    case 64: return std::string(kGpr64[idx]);
-    case 32: return std::string(kGpr32[idx]);
-    case 16: return std::string(kGpr16[idx]);
-    case 8: return std::string(kGpr8[idx]);
+    case 64: out += kGpr64[idx]; return;
+    case 32: out += kGpr32[idx]; return;
+    case 16: out += kGpr16[idx]; return;
+    case 8: out += kGpr8[idx]; return;
     default:
       throw std::invalid_argument("reg_name: invalid GPR width");
   }

@@ -82,6 +82,9 @@ ByteRange write_range(const Reg& r);
 /// Canonical Intel-syntax name ("rax", "eax", "ah", "xmm3", ...).
 std::string reg_name(const Reg& r);
 
+/// Append reg_name(r) to `out` without building a temporary string.
+void append_reg_name(std::string& out, const Reg& r);
+
 /// Parse an Intel-syntax register name; nullopt if not a register.
 std::optional<Reg> parse_reg(std::string_view name);
 

@@ -358,6 +358,34 @@ TEST(KlBounds, BitIdenticalToPlainBisection) {
   EXPECT_EQ(checked, engine_levels().size() * 200 * 203 / 2);
 }
 
+// A round's memoised bounds are the direct bounds at the round's level,
+// bit for bit, whichever is asked first and however often; reset() moves
+// to the next level and forgets the previous round.
+TEST(KlBounds, RoundBoundsMatchDirectBounds) {
+  cu::KlRoundBounds round;
+  for (const double level : engine_levels()) {
+    round.reset(level);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t n = 0; n <= 24; ++n) {
+        for (std::size_t hits = 0; hits <= n; ++hits) {
+          const double mean = cu::hit_rate(hits, n);
+          const double ub = cu::kl_upper_bound(mean, n, level);
+          const double lb = cu::kl_lower_bound(mean, n, level);
+          if ((n + hits + pass) % 2 == 0) {
+            ASSERT_EQ(bits(round.upper(hits, n)), bits(ub));
+            ASSERT_EQ(bits(round.lower(hits, n)), bits(lb));
+          } else {
+            ASSERT_EQ(bits(round.lower(hits, n)), bits(lb));
+            ASSERT_EQ(bits(round.upper(hits, n)), bits(ub));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cu::hit_rate(0, 0), 0.0);
+  EXPECT_EQ(cu::hit_rate(3, 4), 0.75);
+}
+
 // ---------- Table ----------
 
 TEST(Table, RendersHeaderAndRows) {

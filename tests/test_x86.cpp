@@ -2,6 +2,9 @@
 // semantics, parser, and printer round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "x86/instruction.h"
 #include "x86/isa.h"
 #include "x86/operand.h"
@@ -511,6 +514,43 @@ TEST(Parser, RoundTripThroughPrinter) {
     const auto printed = inst.to_string();
     const auto reparsed = cx::parse_instruction(printed);
     EXPECT_EQ(inst, reparsed) << line << " vs " << printed;
+  }
+}
+
+// INT64_MIN is a reachable displacement (the accumulation is checked, not
+// the range of one term). The printer writes its magnitude unsigned, and
+// the parser takes that magnitude back when it is negated.
+TEST(Parser, Int64MinDisplacementRoundTrips) {
+  const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const char* line :
+       {"mov rax, qword ptr [rbx - 9223372036854775807 - 1]",
+        "mov rax, qword ptr [rbx - 9223372036854775808]",
+        "mov rax, qword ptr [rbx - 0x8000000000000000]",
+        "mov rax, qword ptr [-9223372036854775808]",
+        "mov rax, qword ptr [rbx + rcx*4 - 9223372036854775808]"}) {
+    const auto inst = cx::parse_instruction(line);
+    ASSERT_TRUE(inst.operands[1].is_mem()) << line;
+    EXPECT_EQ(inst.operands[1].as_mem().disp, kMin) << line;
+    const auto printed = inst.to_string();
+    const auto reparsed = cx::parse_instruction(printed);
+    EXPECT_EQ(reparsed, inst) << line << " vs " << printed;
+    EXPECT_EQ(reparsed.to_string(), printed);
+  }
+  const auto print = [](const char* line) {
+    return cx::parse_instruction(line).to_string();
+  };
+  EXPECT_EQ(print("mov rax, qword ptr [rbx - 9223372036854775807 - 1]"),
+            "mov rax, qword ptr [rbx - 9223372036854775808]");
+  EXPECT_EQ(print("mov rax, qword ptr [-9223372036854775808]"),
+            "mov rax, qword ptr [-9223372036854775808]");
+  // Only the negated magnitude fits; 2^63 itself and anything past the
+  // minimum do not.
+  for (const char* line :
+       {"mov rax, qword ptr [rbx + 9223372036854775808]",
+        "mov rax, qword ptr [9223372036854775808]",
+        "mov rax, qword ptr [rbx - 9223372036854775808 - 1]",
+        "mov rax, qword ptr [rbx - 9223372036854775809]"}) {
+    EXPECT_THROW(cx::parse_instruction(line), cx::ParseError) << line;
   }
 }
 
