@@ -40,8 +40,8 @@ double kl_lower_bound(double p_hat, std::size_t n, double level);
 /// fixed, so a bound is a pure function of an arm's (hits, pulls) and arms
 /// that share those get bit-equal bounds: each bound is computed once per
 /// distinct (hits, pulls) and looked up afterwards. Most of a level's arms
-/// sit at their initial pull, so most lookups hit. reset() starts the next
-/// round and keeps the storage.
+/// sit at their initial pull, so over half the lookups hit. reset() starts
+/// the next round and keeps the storage.
 class KlRoundBounds {
  public:
   /// Forget every bound and take `level` for the new round.

@@ -28,21 +28,6 @@ std::vector<Reg> Operand::address_regs() const {
 
 namespace {
 
-std::string_view size_keyword_view(std::uint16_t size_bits) {
-  switch (size_bits) {
-    case 8: return "byte";
-    case 16: return "word";
-    case 32: return "dword";
-    case 64: return "qword";
-    case 128: return "xmmword";
-    case 256: return "ymmword";
-    case 512: return "zmmword";
-    default:
-      throw std::invalid_argument("size_keyword: bad size " +
-                                  std::to_string(size_bits));
-  }
-}
-
 /// Append the decimal digits of `v` (an integer type).
 template <typename Int>
 void append_decimal(std::string& out, Int v) {
@@ -70,7 +55,7 @@ void Operand::append_to(std::string& out) const {
       return;
     case OperandKind::Mem: {
       const auto& m = as_mem();
-      out += size_keyword_view(m.size_bits);
+      out += size_keyword(m.size_bits);
       out += " ptr [";
       bool empty = true;  // nothing inside the brackets yet
       if (m.base) {
@@ -102,8 +87,19 @@ void Operand::append_to(std::string& out) const {
   }
 }
 
-std::string size_keyword(std::uint16_t size_bits) {
-  return std::string(size_keyword_view(size_bits));
+std::string_view size_keyword(std::uint16_t size_bits) {
+  switch (size_bits) {
+    case 8: return "byte";
+    case 16: return "word";
+    case 32: return "dword";
+    case 64: return "qword";
+    case 128: return "xmmword";
+    case 256: return "ymmword";
+    case 512: return "zmmword";
+    default:
+      throw std::invalid_argument("size_keyword: bad size " +
+                                  std::to_string(size_bits));
+  }
 }
 
 std::uint16_t parse_size_keyword(std::string_view kw) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -86,7 +87,7 @@ class Operand {
 };
 
 /// Human-readable size keyword for a memory width ("qword", "dword", ...).
-std::string size_keyword(std::uint16_t size_bits);
+std::string_view size_keyword(std::uint16_t size_bits);
 
 /// Parse a size keyword; 0 if unknown.
 std::uint16_t parse_size_keyword(std::string_view kw);
