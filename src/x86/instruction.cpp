@@ -19,12 +19,16 @@ void Instruction::append_to(std::string& out) const {
 }
 
 std::string BasicBlock::to_string() const {
-  std::string out;
+  // Rendered into a per-thread buffer and copied out once, so the result's
+  // capacity is exactly its length: block text is kept as the broker's memo
+  // key, and a string grown by appending would hold up to twice its length.
+  thread_local std::string buffer;
+  buffer.clear();
   for (const auto& inst : instructions) {
-    inst.append_to(out);
-    out += '\n';
+    inst.append_to(buffer);
+    buffer += '\n';
   }
-  return out;
+  return buffer;
 }
 
 namespace {
