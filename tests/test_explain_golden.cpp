@@ -6,7 +6,8 @@
 // model_queries count and the broker's requested / evaluated / cache_hits
 // counters into one FNV-1a digest per cost model, over ~50 seeded generated
 // x86 blocks explained against the crude model, the hardware oracle and
-// uiCA, and over a RISC-V corpus explained against the analytical model
+// uiCA, over 16 of them explained against an Ithemal LSTM trained in the
+// test, and over a RISC-V corpus explained against the analytical model
 // (with and without the firm-up pass).
 //
 // The expected digests were recorded before the engine's bound bookkeeping
@@ -19,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "bhive/dataset.h"
 #include "bhive/generator.h"
 #include "core/comet.h"
 #include "cost/crude_model.h"
+#include "cost/ithemal_model.h"
 #include "riscv/explain.h"
 #include "riscv/generator.h"
 #include "sim/models.h"
@@ -38,6 +41,7 @@ namespace {
 
 constexpr std::size_t kBlocksPerSource = 25;
 constexpr std::size_t kRiscvBlocks = 30;
+constexpr std::size_t kIthemalBlocks = 16;
 
 /// Incremental 64-bit FNV-1a.
 struct Fnv1a {
@@ -101,10 +105,11 @@ cc::CometOptions x86_options(double epsilon, std::uint64_t seed) {
   return opt;
 }
 
-std::uint64_t x86_digest(const ck::CostModel& model, double epsilon) {
+std::uint64_t x86_digest(const ck::CostModel& model, double epsilon,
+                         std::size_t num_blocks = golden_blocks().size()) {
   Fnv1a d;
   const auto& blocks = golden_blocks();
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
+  for (std::size_t b = 0; b < num_blocks; ++b) {
     const cc::CometExplainer explainer(model, x86_options(epsilon, 500 + b));
     d.explanation(explainer.explain(blocks[b]));
   }
@@ -139,6 +144,22 @@ TEST(ExplainGolden, HardwareOracle) {
 TEST(ExplainGolden, UiCA) {
   const cs::UiCASimModel model(ck::MicroArch::Haswell);
   EXPECT_EQ(x86_digest(model, 0.5), 0xbaf2a300869440a3ULL);
+}
+
+// The default embed/hidden dimensions (the benchmark's), trained on a
+// small fixed dataset so the test stays fast. Training is deterministic,
+// so the digest pins the batched inference path bit for bit.
+TEST(ExplainGolden, Ithemal) {
+  cb::DatasetOptions data;
+  data.size = 300;
+  data.seed = 2024;
+  const cb::Dataset dataset = cb::generate_dataset(data);
+  ck::IthemalConfig config;
+  config.epochs = 2;
+  ck::IthemalModel model(ck::MicroArch::Haswell, config);
+  model.train(dataset.block_views(),
+              dataset.label_views(ck::MicroArch::Haswell));
+  EXPECT_EQ(x86_digest(model, 0.5, kIthemalBlocks), 0x2e88a2aecb1fe0e9ULL);
 }
 
 TEST(ExplainGolden, RiscvAnalytical) {
