@@ -236,9 +236,9 @@ void BM_IthemalPredictLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_IthemalPredictLoop)->Unit(benchmark::kMicrosecond);
 
-// ... versus the per-block inference path (predict_batch driven one block
-// at a time — the shape of the pre-cross-block batch loop: tokenization
-// plus a one-lane LSTM sweep per block, matrix-vector gate products) ...
+// ... versus predict_batch driven one block at a time: tokenization, one
+// token-LSTM lane per distinct instruction of the block and one block-LSTM
+// lane, each lane a matrix-vector sweep over the transposed gate weights ...
 void BM_IthemalPredictPerBlock(benchmark::State& state) {
   const cost::IthemalModel model(cost::MicroArch::Haswell);
   const auto blocks = micro_corpus(static_cast<std::size_t>(state.range(0)));
@@ -254,10 +254,9 @@ void BM_IthemalPredictPerBlock(benchmark::State& state) {
 BENCHMARK(BM_IthemalPredictPerBlock)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
-// ... versus the cross-block batched path: the token LSTM runs over all
-// instructions of all blocks in one lane-packed pass (matrix-matrix gate
-// products via the blocked GEMM kernel), then the block LSTM over all
-// blocks.
+// ... versus one predict_batch over the whole corpus: the token LSTM runs
+// once per instruction distinct across all blocks, and the transposed
+// weights are built once per batch instead of once per block.
 void BM_IthemalPredictBatch(benchmark::State& state) {
   const cost::IthemalModel model(cost::MicroArch::Haswell);
   const auto blocks = micro_corpus(static_cast<std::size_t>(state.range(0)));
@@ -270,6 +269,26 @@ void BM_IthemalPredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IthemalPredictBatch)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
+
+// The broker's real shape: one batch of 16 unconstrained Γ samples of one
+// generated block, whose instructions repeat across the samples.
+void BM_IthemalPredictGammaBatch(benchmark::State& state) {
+  const cost::IthemalModel model(cost::MicroArch::Haswell);
+  util::Rng gen_rng(11);
+  util::Rng sample_rng(12);
+  const perturb::Perturber perturber(bhive::BlockGenerator().generate(gen_rng));
+  std::vector<x86::BasicBlock> blocks;
+  for (int s = 0; s < 16; ++s) {
+    blocks.push_back(perturber.sample(graph::FeatureSet{}, sample_rng).block);
+  }
+  std::vector<double> out(blocks.size());
+  for (auto _ : state) {
+    model.predict_batch(std::span<const x86::BasicBlock>(blocks),
+                        std::span<double>(out));
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_IthemalPredictGammaBatch)->Unit(benchmark::kMicrosecond);
 
 // The analytical models' batch path chunked over the shared thread pool
 // (CostModel::set_batch_threads) — the serving layer's per-shard batches

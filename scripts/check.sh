@@ -10,7 +10,8 @@
 #   scripts/check.sh --asan           # AddressSanitizer pass over the full
 #                                     # test suite (./build-asan)
 #   scripts/check.sh --ubsan          # UndefinedBehaviorSanitizer pass over
-#                                     # the full test suite (./build-ubsan)
+#                                     # the full test suite, portable nn/
+#                                     # kernels (./build-ubsan)
 #   scripts/check.sh --thread-safety  # Clang -Wthread-safety compile gate +
 #                                     # full suite (./build-ts; needs clang)
 #   scripts/check.sh --tidy           # clang-tidy (.clang-tidy config) over
@@ -118,8 +119,11 @@ case "$MODE" in
 
   ubsan)
     # Undefined-behaviour pass over the whole suite; -fno-sanitize-recover
-    # in CMakeLists.txt means any finding aborts its test.
-    run_suite "$UBSAN_DIR" -DCOMET_UBSAN=ON
+    # in CMakeLists.txt means any finding aborts its test. The nn/ kernels
+    # are built portable (no -march=native) here, so batch parity and the
+    # explanation goldens, recorded with native kernels, are also checked
+    # against baseline-ISA vector code.
+    run_suite "$UBSAN_DIR" -DCOMET_UBSAN=ON -DCOMET_NATIVE_KERNELS=OFF
     echo "check.sh: ubsan pass green"
     ;;
 

@@ -1,6 +1,9 @@
 #include "cost/checkpoint.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -25,10 +28,21 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
                      const char* what,
                      const std::vector<const nn::Mat*>& mats) {
-  std::FILE* fp = std::fopen(path.string().c_str(), "wb");
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
+  }
+  // Write a sibling temp file, then rename it over `path`: a concurrent
+  // loader sees either the old file or the whole new one, never a
+  // truncated one. The name is unique per process and per call, so two
+  // writers never share a temp file.
+  static std::atomic<unsigned> next_tmp{0};
+  std::filesystem::path tmp = path;
+  tmp += ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next_tmp.fetch_add(1));
+  std::FILE* fp = std::fopen(tmp.string().c_str(), "wb");
   if (fp == nullptr) {
     throw std::runtime_error(std::string(what) + ": cannot open " +
-                             path.string());
+                             tmp.string());
   }
   bool ok = std::fwrite(&magic, sizeof(magic), 1, fp) == 1;
   for (const nn::Mat* m : mats) {
@@ -38,12 +52,13 @@ void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
          std::fwrite(m->data(), sizeof(float), m->size(), fp) == m->size();
   }
   ok = std::fclose(fp) == 0 && ok;
-  if (!ok) {
-    // A short write would masquerade as a valid cache until the next load;
-    // remove the partial file and fail loudly instead.
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    throw std::runtime_error(std::string(what) + ": short write to " +
+  std::error_code ec;
+  if (ok) std::filesystem::rename(tmp, path, ec);
+  if (!ok || ec) {
+    // A partial file would masquerade as a valid cache until the next
+    // load; remove it and fail loudly instead.
+    std::filesystem::remove(tmp, ec);
+    throw std::runtime_error(std::string(what) + ": cannot write " +
                              path.string());
   }
 }

@@ -39,9 +39,11 @@ inline std::uint64_t mat_record_bytes(const nn::Mat& m) {
 /// rows) and far below anything that could size a harmful allocation.
 inline constexpr std::uint64_t kMaxCheckpointDim = 1u << 20;
 
-/// Write `magic` + `mats` (in order) to `path`. Throws std::runtime_error
-/// on open failure or short write; a partial file is removed so it cannot
-/// masquerade as a valid cache on the next load.
+/// Write `magic` + `mats` (in order) to `path`, creating its parent
+/// directory if needed. The bytes go to a sibling temp file that is then
+/// renamed over `path`, so a concurrent load_checkpoint never reads a
+/// partial file. Throws std::runtime_error on open failure, short write or
+/// failed rename; the temp file is removed either way.
 void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
                      const char* what, const std::vector<const nn::Mat*>& mats);
 

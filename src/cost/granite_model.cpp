@@ -285,7 +285,6 @@ double GraniteModel::train_or_load(
     const std::vector<double>& targets) {
   if (load(path)) return 0.0;
   const double final_mape = train(blocks, targets);
-  std::filesystem::create_directories(path.parent_path());
   save(path);
   return final_mape;
 }

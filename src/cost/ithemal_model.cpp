@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "cost/checkpoint.h"
 #include "util/contract.h"
@@ -30,6 +31,26 @@ int width_code(std::uint16_t bits) {
   }
 }
 constexpr int kWidthCodes = 7;
+
+/// A view of one instruction's token ids: the key of predict_range's
+/// distinct-instruction map.
+struct TokenSeq {
+  const int* data;
+  std::size_t size;
+  bool operator==(const TokenSeq& o) const {
+    return std::equal(data, data + size, o.data, o.data + o.size);
+  }
+};
+
+struct TokenSeqHash {
+  std::size_t operator()(const TokenSeq& s) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the token ids
+    for (std::size_t i = 0; i < s.size; ++i) {
+      h = (h ^ static_cast<std::uint32_t>(s.data[i])) * 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 }  // namespace
 
 BlockTokenizer::BlockTokenizer() {
@@ -163,46 +184,53 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
   const std::size_t D = config_.embed_dim;
   const std::size_t H = config_.hidden_dim;
 
-  // Stage 1 — tokenize/embed the whole range: one token-LSTM lane per
-  // instruction of every non-empty block. Lane inputs are pointers straight
-  // into the embedding table, so "embedding lookup" costs no copies.
-  struct BlockLanes {
-    std::size_t out_index;   // where the prediction goes
-    std::size_t first_lane;  // first token lane of this block
-    std::size_t num_insts;
-  };
-  std::vector<BlockLanes> live;
-  std::vector<std::vector<const float*>> token_lanes;
+  // Stage 1 — tokenize the range. An instruction's embedding is a pure
+  // function of its token ids, so every distinct token sequence gets one
+  // token-LSTM lane, found through a map keyed by views into `tokens` (no
+  // per-instruction key is allocated). Lane inputs are pointers straight
+  // into the embedding table.
+  std::vector<std::size_t> live;  // out index of each non-empty block
+  std::vector<std::vector<std::vector<int>>> tokens;
   for (std::size_t b = begin; b < end; ++b) {
-    const x86::BasicBlock& block = blocks[b];
-    if (block.empty()) {
+    if (blocks[b].empty()) {
       out[b] = 0.0;
       continue;
     }
-    const auto tokens = tokenizer_.tokenize(block);
-    live.push_back({b, token_lanes.size(), tokens.size()});
-    for (const auto& seq : tokens) {
-      std::vector<const float*> lane;
-      lane.reserve(seq.size());
-      for (const int t : seq) lane.push_back(embedding_.data() + t * D);
-      token_lanes.push_back(std::move(lane));
-    }
+    live.push_back(b);
+    tokens.push_back(tokenizer_.tokenize(blocks[b]));
   }
   if (live.empty()) return;
 
-  // Stage 2 — token LSTM over all instructions of all blocks in one
-  // lane-packed pass; row l of inst_h is instruction-lane l's embedding.
+  std::unordered_map<TokenSeq, std::size_t, TokenSeqHash> lane_of;
+  std::vector<std::vector<const float*>> token_lanes;
+  std::vector<std::size_t> inst_lane;  // every instruction, in block order
+  for (const auto& block_tokens : tokens) {
+    for (const auto& seq : block_tokens) {
+      const auto [it, added] = lane_of.try_emplace(
+          TokenSeq{seq.data(), seq.size()}, token_lanes.size());
+      if (added) {
+        std::vector<const float*>& lane = token_lanes.emplace_back();
+        lane.reserve(seq.size());
+        for (const int t : seq) lane.push_back(embedding_.data() + t * D);
+      }
+      inst_lane.push_back(it->second);
+    }
+  }
+
+  // Stage 2 — token LSTM; row l of inst_h is distinct-instruction lane l's
+  // embedding.
   nn::LstmBatchScratch scratch;
   std::vector<float> inst_h;
   token_lstm_.run_final_batch(token_lanes, inst_h, scratch);
 
-  // Stage 3 — block LSTM over all blocks: each block's lane walks its own
-  // instruction-embedding rows.
+  // Stage 3 — block LSTM: each block's lane walks the embedding rows of its
+  // instructions, shared between repeats.
   std::vector<std::vector<const float*>> block_lanes(live.size());
+  std::size_t next_inst = 0;
   for (std::size_t k = 0; k < live.size(); ++k) {
-    block_lanes[k].reserve(live[k].num_insts);
-    for (std::size_t j = 0; j < live[k].num_insts; ++j) {
-      block_lanes[k].push_back(inst_h.data() + (live[k].first_lane + j) * H);
+    block_lanes[k].reserve(tokens[k].size());
+    for (std::size_t j = 0; j < tokens[k].size(); ++j) {
+      block_lanes[k].push_back(inst_h.data() + inst_lane[next_inst++] * H);
     }
   }
   std::vector<float> blk_h;
@@ -215,7 +243,7 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
     for (std::size_t i = 0; i < H; ++i) {
       y += head_w_.data()[i] * h[i];
     }
-    out[live[k].out_index] = std::exp(std::clamp(y, -3.0, 5.0));
+    out[live[k]] = std::exp(std::clamp(y, -3.0, 5.0));
   }
 }
 
@@ -327,7 +355,6 @@ double IthemalModel::train_or_load(
     const std::vector<double>& targets) {
   if (load(path)) return 0.0;
   const double final_mape = train(blocks, targets);
-  std::filesystem::create_directories(path.parent_path());
   save(path);
   return final_mape;
 }

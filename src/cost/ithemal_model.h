@@ -57,14 +57,13 @@ class IthemalModel final : public CostModel {
   explicit IthemalModel(MicroArch uarch, IthemalConfig config = {});
 
   double predict(const x86::BasicBlock& block) const override;
-  /// Cross-block batched inference: tokenizes and embeds the whole batch,
-  /// runs the token LSTM over all instructions of all blocks in one
-  /// lane-packed pass and the block LSTM over all blocks in a second
-  /// (nn::LstmCell::run_final_batch — each timestep's gate pre-activations
-  /// are matrix-matrix products over every live lane instead of per-block
-  /// matrix-vector products). Bit-for-bit equal to element-wise predict();
-  /// honors set_batch_threads() by evaluating contiguous sub-batches
-  /// concurrently, each through its own lane-packed pass.
+  /// Cross-block batched inference: tokenizes the whole batch, runs the
+  /// token LSTM once per distinct instruction (token sequence) in the batch
+  /// and the block LSTM once per block, whose lanes share the rows of
+  /// repeated instructions (nn::LstmCell::run_final_batch). Bit-for-bit
+  /// equal to element-wise predict(); honors set_batch_threads() by
+  /// evaluating contiguous sub-batches concurrently, each with its own
+  /// distinct-instruction lanes.
   void predict_batch(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out) const override;
   std::string name() const override;
@@ -101,8 +100,8 @@ class IthemalModel final : public CostModel {
   std::vector<nn::Mat*> checkpoint_mats();
   std::vector<const nn::Mat*> checkpoint_mats() const;
 
-  /// One lane-packed batched forward over blocks[begin, end) — the unit of
-  /// work predict_batch hands to each batch-threads chunk.
+  /// One batched forward over blocks[begin, end): the unit of work
+  /// predict_batch hands to each batch-threads chunk.
   void predict_range(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out, std::size_t begin,
                      std::size_t end) const;

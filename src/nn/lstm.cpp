@@ -7,15 +7,15 @@ namespace comet::nn {
 
 namespace {
 
-// Gate nonlinearities. Every LSTM path — the training-time forward(), the
-// scalar run_final(), and the lane-packed run_final_batch() — must go
-// through these exact functions: libm's scalar expf/tanhf calls were ~70%
-// of inference wall-clock and cannot vectorize, so the gates use a
-// branch-free odd rational approximation of tanh (the classic 13/6-degree
-// pair used by Eigen/XLA, ~1 ulp over the clamped range) that the
-// vectorizer handles 4-8 lanes wide. Using one implementation everywhere
-// keeps batched inference bit-identical to scalar inference and to the
-// activations the model was trained with.
+// Gate nonlinearities. Both LSTM paths — the training-time forward() and
+// the batched inference run_final_batch() — must go through these exact
+// functions: libm's scalar expf/tanhf calls were ~70% of inference
+// wall-clock and cannot vectorize, so the gates use a branch-free odd
+// rational approximation of tanh (the classic 13/6-degree pair used by
+// Eigen/XLA, ~1 ulp over the clamped range) that the vectorizer handles 4-8
+// lanes wide. Using one implementation everywhere keeps batched inference
+// bit-identical to scalar inference and to the activations the model was
+// trained with.
 inline float tanh_approx(float x) {
   constexpr float kSat = 7.90531110763549805f;  // |tanh| == 1 in float beyond
   x = std::min(kSat, std::max(-kSat, x));
@@ -37,6 +37,60 @@ inline float tanh_approx(float x) {
 
 inline float sigmoidf(float x) {
   return 0.5f * tanh_approx(0.5f * x) + 0.5f;
+}
+
+// Gate rows per register-held accumulator chunk of gate_preacts.
+constexpr std::size_t kGateChunk = 32;
+
+// pre[r] = (0 + (b[r] + sum_k wxt[k][r] * x[k])) + (0 + sum_k wht[k][r] * h[k])
+// over the G = 4H gate rows, k ascending: the chains forward() builds with
+// affine() into a zeroed buffer plus its recurrent loop. wxt (D x G) and
+// wht (H x G) are the transposed gate weights, so each k step is a
+// contiguous row of G weights scaled by one input; the rows are walked in
+// fixed chunks whose accumulators the compiler keeps in vector registers,
+// then a scalar tail. No products are fused (-ffp-contract=off).
+void gate_preacts(const float* b, const float* wxt, const float* x,
+                  std::size_t D, const float* wht, const float* h,
+                  std::size_t H, std::size_t G, float* pre) {
+  std::size_t r0 = 0;
+  for (; r0 + kGateChunk <= G; r0 += kGateChunk) {
+    float in[kGateChunk];
+    float rec[kGateChunk];
+    for (std::size_t j = 0; j < kGateChunk; ++j) {
+      in[j] = b[r0 + j];
+      rec[j] = 0.f;
+    }
+    for (std::size_t k = 0; k < D; ++k) {
+      const float xk = x[k];
+      const float* w = wxt + k * G + r0;
+      for (std::size_t j = 0; j < kGateChunk; ++j) in[j] += w[j] * xk;
+    }
+    for (std::size_t k = 0; k < H; ++k) {
+      const float hk = h[k];
+      const float* w = wht + k * G + r0;
+      for (std::size_t j = 0; j < kGateChunk; ++j) rec[j] += w[j] * hk;
+    }
+    for (std::size_t j = 0; j < kGateChunk; ++j) {
+      pre[r0 + j] = (0.f + in[j]) + rec[j];
+    }
+  }
+  for (; r0 < G; ++r0) {
+    float in = b[r0];
+    for (std::size_t k = 0; k < D; ++k) in += wxt[k * G + r0] * x[k];
+    float rec = 0.f;
+    for (std::size_t k = 0; k < H; ++k) rec += wht[k * G + r0] * h[k];
+    pre[r0] = (0.f + in) + rec;
+  }
+}
+
+// dst (cols x rows) = transpose of the row-major rows x cols matrix W.
+void transpose_into(const Mat& W, std::vector<float>& dst) {
+  const std::size_t rows = W.rows();
+  const std::size_t cols = W.cols();
+  dst.resize(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = W.at(r, c);
+  }
 }
 
 }  // namespace
@@ -149,108 +203,36 @@ std::vector<LstmStepCache> LstmCell::run(
   return caches;
 }
 
-void LstmCell::run_final(const std::vector<std::vector<float>>& xs,
-                         std::vector<float>& h, std::vector<float>& c,
-                         std::vector<float>& pre) const {
-  const std::size_t H = hidden_dim_;
-  h.assign(H, 0.f);
-  c.assign(H, 0.f);
-  pre.resize(4 * H);
-  for (const auto& x : xs) {
-    std::fill(pre.begin(), pre.end(), 0.f);
-    affine(wx_, b_, x.data(), pre.data());
-    for (std::size_t r = 0; r < 4 * H; ++r) {
-      float acc = 0.f;
-      const float* row = wh_.data() + r * H;
-      for (std::size_t col = 0; col < H; ++col) acc += row[col] * h[col];
-      pre[r] += acc;
-    }
-    // Gate activations and state update in place; same operation order as
-    // forward(), so results match the training path bit-for-bit.
-    for (std::size_t i = 0; i < H; ++i) {
-      const float ig = sigmoidf(pre[i]);
-      const float fg = sigmoidf(pre[H + i]);
-      const float gg = tanh_approx(pre[2 * H + i]);
-      const float og = sigmoidf(pre[3 * H + i]);
-      c[i] = fg * c[i] + ig * gg;
-      h[i] = og * tanh_approx(c[i]);
-    }
-  }
-}
-
 void LstmCell::run_final_batch(
     const std::vector<std::vector<const float*>>& seqs,
     std::vector<float>& h_out, LstmBatchScratch& s) const {
   const std::size_t H = hidden_dim_;
-  const std::size_t D = input_dim_;
-  const std::size_t B = seqs.size();
-  h_out.assign(B * H, 0.f);
-  if (B == 0) return;
-
-  // Sort lanes by descending length: as t grows, lanes retire from the back
-  // of the packed panels, so the live lanes are always columns [0, live).
-  s.order.resize(B);
-  for (std::size_t b = 0; b < B; ++b) s.order[b] = b;
-  std::sort(s.order.begin(), s.order.end(), [&](std::size_t a, std::size_t b) {
-    return seqs[a].size() > seqs[b].size();
-  });
-  const std::size_t T = seqs[s.order[0]].size();
-  if (T == 0) return;
-
-  s.x.resize(D * B);
-  s.h.assign(H * B, 0.f);
-  s.c.assign(H * B, 0.f);
-  s.pre.resize(4 * H * B);
-  s.rec.resize(4 * H * B);
-
-  std::size_t live = B;
-  for (std::size_t t = 0; t < T; ++t) {
-    while (live > 0 && seqs[s.order[live - 1]].size() <= t) --live;
-    // Gather this timestep's inputs into the D x live panel (column per
-    // lane) — the only per-element copy the batched path performs.
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      const float* xv = seqs[s.order[pos]][t];
-      for (std::size_t d = 0; d < D; ++d) s.x[d * B + pos] = xv[d];
-    }
-    // pre = b (broadcast) + wx_ * X; rec = wh_ * H; pre += rec. The split
-    // mirrors run_final (affine chain seeded with the bias, recurrent sum
-    // accumulated separately, then one add), keeping results bit-identical.
-    for (std::size_t r = 0; r < 4 * H; ++r) {
-      std::fill(s.pre.begin() + r * B, s.pre.begin() + r * B + live,
-                b_.data()[r]);
-      std::fill(s.rec.begin() + r * B, s.rec.begin() + r * B + live, 0.f);
-    }
-    gemm_accum(wx_, s.x.data(), B, live, s.pre.data(), B);
-    gemm_accum(wh_, s.h.data(), B, live, s.rec.data(), B);
-    for (std::size_t r = 0; r < 4 * H; ++r) {
-      float* prow = s.pre.data() + r * B;
-      const float* rrow = s.rec.data() + r * B;
-      for (std::size_t pos = 0; pos < live; ++pos) prow[pos] += rrow[pos];
-    }
-    for (std::size_t i = 0; i < H; ++i) {
-      const float* p_i = s.pre.data() + i * B;
-      const float* p_f = s.pre.data() + (H + i) * B;
-      const float* p_g = s.pre.data() + (2 * H + i) * B;
-      const float* p_o = s.pre.data() + (3 * H + i) * B;
-      float* crow = s.c.data() + i * B;
-      float* hrow = s.h.data() + i * B;
-      for (std::size_t pos = 0; pos < live; ++pos) {
-        const float ig = sigmoidf(p_i[pos]);
-        const float fg = sigmoidf(p_f[pos]);
-        const float gg = tanh_approx(p_g[pos]);
-        const float og = sigmoidf(p_o[pos]);
-        crow[pos] = fg * crow[pos] + ig * gg;
-        hrow[pos] = og * tanh_approx(crow[pos]);
+  const std::size_t G = 4 * H;
+  h_out.assign(seqs.size() * H, 0.f);
+  transpose_into(wx_, s.wxt);
+  transpose_into(wh_, s.wht);
+  s.pre.resize(G);
+  s.c.resize(H);
+  for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
+    // The lane's hidden state lives in its output row from the start, so an
+    // empty lane leaves zeros and a finished one needs no copy-out.
+    float* h = h_out.data() + lane * H;
+    std::fill(s.c.begin(), s.c.end(), 0.f);
+    for (const float* x : seqs[lane]) {
+      gate_preacts(b_.data(), s.wxt.data(), x, input_dim_, s.wht.data(), h,
+                   H, G, s.pre.data());
+      // Same gate code and operation order as forward().
+      const float* pre = s.pre.data();
+      float* c = s.c.data();
+      for (std::size_t i = 0; i < H; ++i) {
+        const float ig = sigmoidf(pre[i]);
+        const float fg = sigmoidf(pre[H + i]);
+        const float gg = tanh_approx(pre[2 * H + i]);
+        const float og = sigmoidf(pre[3 * H + i]);
+        c[i] = fg * c[i] + ig * gg;
+        h[i] = og * tanh_approx(c[i]);
       }
     }
-  }
-  // A retired lane's column stopped updating at its last step, so every
-  // column now holds its lane's final hidden state; scatter back to rows.
-  for (std::size_t pos = 0; pos < B; ++pos) {
-    const std::size_t lane = s.order[pos];
-    if (seqs[lane].empty()) continue;  // stays zeros
-    float* row = h_out.data() + lane * H;
-    for (std::size_t i = 0; i < H; ++i) row[i] = s.h[i * B + pos];
   }
 }
 

@@ -13,15 +13,13 @@
 namespace comet::nn {
 
 /// Reusable scratch buffers of LstmCell::run_final_batch. One instance per
-/// calling thread; buffers grow to the largest (batch x dim) seen and are
-/// then reused allocation-free across batches.
+/// calling thread; buffers grow to the largest dimensions seen and are then
+/// reused allocation-free across batches.
 struct LstmBatchScratch {
-  std::vector<float> x;     // D x B input panel for the current timestep
-  std::vector<float> h;     // H x B hidden-state panel (one column per lane)
-  std::vector<float> c;     // H x B cell-state panel
-  std::vector<float> pre;   // 4H x B gate pre-activations
-  std::vector<float> rec;   // 4H x B recurrent contribution (wh_ * h)
-  std::vector<std::size_t> order;  // lanes sorted by descending length
+  std::vector<float> wxt;  // D x 4H: wx transposed, rebuilt on every call
+  std::vector<float> wht;  // H x 4H: wh transposed, rebuilt on every call
+  std::vector<float> pre;  // 4H gate pre-activations of the current step
+  std::vector<float> c;    // H cell state of the current lane
 };
 
 /// Cached activations of one LSTM step (needed for BPTT).
@@ -59,30 +57,19 @@ class LstmCell {
   std::vector<LstmStepCache> run(
       const std::vector<std::vector<float>>& xs) const;
 
-  /// Inference-only sequence run from zero state: leaves the final hidden
-  /// state in `h` (zeros for empty input) without materializing the BPTT
-  /// step caches. `h`, `c`, and `pre` are caller-owned scratch buffers
-  /// reused across calls, so a batched prediction loop allocates nothing
-  /// per sequence. Numerically identical to run(xs).back().h.
-  void run_final(const std::vector<std::vector<float>>& xs,
-                 std::vector<float>& h, std::vector<float>& c,
-                 std::vector<float>& pre) const;
-
-  /// Cross-lane batched inference: run B independent sequences from zero
-  /// state in one lane-packed pass. `seqs[b]` is lane b's input sequence as
-  /// pointers to `input_dim()`-sized vectors (rows of an embedding table, or
-  /// rows of a previous layer's output — no per-step copies of the inputs
-  /// are taken beyond the gather into the timestep panel). On return,
-  /// `h_out` is a B x hidden_dim() row-major matrix whose row b holds lane
-  /// b's final hidden state (zeros for an empty lane).
+  /// Batched inference: run B independent sequences from zero state.
+  /// `seqs[b]` is lane b's input sequence as pointers to `input_dim()`-sized
+  /// vectors (rows of an embedding table, or rows of a previous layer's
+  /// output; the inputs are never copied). On return, `h_out` is a
+  /// B x hidden_dim() row-major matrix whose row b holds lane b's final
+  /// hidden state (zeros for an empty lane).
   ///
-  /// The batch is padded to the longest sequence: lanes are sorted by
-  /// descending length so the live lanes of every timestep form a panel
-  /// prefix, and each timestep computes all lanes' gate pre-activations as
-  /// two matrix-matrix products (wx_ * X and wh_ * H over the live columns,
-  /// via nn::gemm_accum) instead of per-lane matrix-vector products. The
-  /// per-lane accumulation order matches run_final exactly, so results are
-  /// bit-identical to running each sequence through run_final / run.
+  /// Each lane runs on its own over transposed copies of the gate weights
+  /// (built into `scratch` per call), so one step is two matrix-vector
+  /// products whose inner loops run over the 4H gate rows in register-held
+  /// chunks, at full SIMD width whatever the batch size. Every gate
+  /// pre-activation is the same k-ascending chain forward() computes, so
+  /// row b is bit-identical to run(seqs[b]).back().h.
   void run_final_batch(const std::vector<std::vector<const float*>>& seqs,
                        std::vector<float>& h_out,
                        LstmBatchScratch& scratch) const;

@@ -28,53 +28,6 @@ void affine(const Mat& W, const Mat& b, const float* x, float* y) {
   }
 }
 
-void gemm_accum(const float* A, std::size_t m, std::size_t k, const float* B,
-                std::size_t ldb, std::size_t n, float* C, std::size_t ldc) {
-  // Blocked over k so the active B panel stays cache-resident while every
-  // row of A sweeps it, and unrolled 4x over k so each C element is loaded
-  // and stored once per four updates instead of once per update. The
-  // per-element additions still form one strictly k-ascending chain
-  // (((c + a0*b0) + a1*b1) + ...), so results are bit-identical to the
-  // straight triple loop — and to the per-column matrix-vector path. The
-  // j-inner loops are contiguous over B and C and carry no reduction, so
-  // the vectorizer can go wide without reassociating anything.
-  constexpr std::size_t kKB = 128;
-  for (std::size_t k0 = 0; k0 < k; k0 += kKB) {
-    const std::size_t k1 = std::min(k, k0 + kKB);
-    for (std::size_t r = 0; r < m; ++r) {
-      const float* __restrict__ arow = A + r * k;
-      float* __restrict__ crow = C + r * ldc;
-      std::size_t kk = k0;
-      for (; kk + 4 <= k1; kk += 4) {
-        const float a0 = arow[kk], a1 = arow[kk + 1];
-        const float a2 = arow[kk + 2], a3 = arow[kk + 3];
-        const float* __restrict__ b0 = B + kk * ldb;
-        const float* __restrict__ b1 = b0 + ldb;
-        const float* __restrict__ b2 = b1 + ldb;
-        const float* __restrict__ b3 = b2 + ldb;
-        for (std::size_t j = 0; j < n; ++j) {
-          float c = crow[j];
-          c += a0 * b0[j];
-          c += a1 * b1[j];
-          c += a2 * b2[j];
-          c += a3 * b3[j];
-          crow[j] = c;
-        }
-      }
-      for (; kk < k1; ++kk) {
-        const float a = arow[kk];
-        const float* __restrict__ brow = B + kk * ldb;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += a * brow[j];
-      }
-    }
-  }
-}
-
-void gemm_accum(const Mat& W, const float* B, std::size_t ldb, std::size_t n,
-                float* C, std::size_t ldc) {
-  gemm_accum(W.data(), W.rows(), W.cols(), B, ldb, n, C, ldc);
-}
-
 void affine_backward(Mat& W, Mat& b, const float* x, const float* dy,
                      float* dx) {
   const std::size_t out = W.rows();

@@ -49,21 +49,6 @@ class Mat {
 /// y = W x + b  (W: out x in, x: in, y: out). Accumulates into y.
 void affine(const Mat& W, const Mat& b, const float* x, float* y);
 
-/// C += A * B  for row-major panels: A is m x k (packed, lda = k), B is
-/// k x n with leading dimension ldb, C is m x n with leading dimension ldc.
-/// Blocked over k so the B panel stays cache-resident across the m rows.
-///
-/// Accumulation order per output element is strictly k-ascending — the same
-/// chain a matrix-vector loop produces — so a batched forward pass built on
-/// this kernel is bit-identical to its per-column scalar counterpart.
-void gemm_accum(const float* A, std::size_t m, std::size_t k, const float* B,
-                std::size_t ldb, std::size_t n, float* C, std::size_t ldc);
-
-/// Mat-level convenience: C += W * B (W packed row-major, B/C panels with
-/// leading dimensions ldb/ldc and n live columns).
-void gemm_accum(const Mat& W, const float* B, std::size_t ldb, std::size_t n,
-                float* C, std::size_t ldc);
-
 /// Backward of affine: given dy, accumulate dW, db, and dx.
 /// dx may be nullptr to skip input-gradient computation.
 void affine_backward(Mat& W, Mat& b, const float* x, const float* dy,

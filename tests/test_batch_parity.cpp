@@ -14,11 +14,14 @@
 #include "cost/crude_model.h"
 #include "cost/granite_model.h"
 #include "cost/ithemal_model.h"
+#include "perturb/perturber.h"
 #include "sim/models.h"
 #include "util/rng.h"
+#include "x86/parser.h"
 
 namespace cc = comet::cost;
 namespace cb = comet::bhive;
+namespace cp = comet::perturb;
 namespace cs = comet::sim;
 namespace cx = comet::x86;
 
@@ -45,8 +48,8 @@ std::vector<cx::BasicBlock> mixed_batch(std::size_t n, std::uint64_t seed) {
 
 // Bit-for-bit check of predict_batch against element-wise predict(), first
 // sequentially, then with the batch chunked over 4 pool threads.
-void expect_batch_parity(cc::CostModel& model, std::size_t batch_size) {
-  const auto blocks = mixed_batch(batch_size, /*seed=*/17);
+void expect_batch_parity(cc::CostModel& model,
+                         const std::vector<cx::BasicBlock>& blocks) {
   std::vector<double> scalar(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     scalar[i] = model.predict(blocks[i]);
@@ -69,6 +72,31 @@ void expect_batch_parity(cc::CostModel& model, std::size_t batch_size) {
     EXPECT_EQ(threaded[i], scalar[i])
         << model.name() << " threaded batch diverges at " << i;
   }
+}
+
+void expect_batch_parity(cc::CostModel& model, std::size_t batch_size) {
+  expect_batch_parity(model, mixed_batch(batch_size, /*seed=*/17));
+}
+
+// The broker's real shape: unconstrained Γ samples of one generated block,
+// so instructions repeat within and across the samples.
+std::vector<cx::BasicBlock> gamma_batch(std::size_t n, std::uint64_t seed) {
+  comet::util::Rng rng(seed);
+  const cp::Perturber perturber(cb::BlockGenerator().generate(rng));
+  std::vector<cx::BasicBlock> blocks;
+  for (std::size_t i = 0; i < n; ++i) {
+    blocks.push_back(perturber.sample(comet::graph::FeatureSet{}, rng).block);
+  }
+  return blocks;
+}
+
+// Blocks that repeat whole, blocks made of one instruction repeated, and
+// empty blocks, interleaved.
+std::vector<cx::BasicBlock> repeated_batch() {
+  const auto a = cx::parse_block("add rcx, rax\nmov rdx, qword ptr [rdi + 8]");
+  const auto b = cx::parse_block("imul rax, rcx\nimul rax, rcx\nimul rax, rcx");
+  const auto c = cx::parse_block("add rcx, rax");
+  return {a, {}, b, a, c, {}, {}, b, c, a, {}};
 }
 
 cc::IthemalConfig tiny_ithemal() {
@@ -138,6 +166,28 @@ TEST(BatchParity, IthemalTrained) {
     model.train_step(block, 1.0 + static_cast<double>(block.size()) / 4.0);
   }
   expect_batch_parity(model, 64);
+}
+
+// Repeated instructions share one token-LSTM lane; the batch must still
+// match per-block predict() on every block, with and without threads.
+TEST(BatchParity, IthemalRepeatedInstructions) {
+  cc::IthemalModel model(HSW, tiny_ithemal());
+  expect_batch_parity(model, gamma_batch(16, 31));
+  expect_batch_parity(model, gamma_batch(40, 32));
+  expect_batch_parity(model, repeated_batch());
+}
+
+// The benchmark's dimensions (4H = 96, whole register chunks) and a 4H of
+// 20, which runs entirely in the scalar tail.
+TEST(BatchParity, IthemalGateRowTail) {
+  for (const std::size_t hidden : {std::size_t{24}, std::size_t{5}}) {
+    cc::IthemalConfig cfg;
+    cfg.hidden_dim = hidden;
+    cc::IthemalModel model(HSW, cfg);
+    expect_batch_parity(model, 64);
+    expect_batch_parity(model, gamma_batch(16, 33));
+    expect_batch_parity(model, repeated_batch());
+  }
 }
 
 TEST(BatchParity, SkylakeModelsToo) {

@@ -3,9 +3,13 @@
 // model-agnostic CostModel interface.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "bhive/dataset.h"
 #include "cost/granite_model.h"
@@ -185,6 +189,40 @@ TEST(Granite, TrainOrLoadUsesCache) {
   EXPECT_EQ(b.train_or_load(tmp, blocks, targets), 0.0);  // loaded
   EXPECT_DOUBLE_EQ(a.predict(blocks[0]), b.predict(blocks[0]));
   std::filesystem::remove(tmp);
+}
+
+// A bare filename has an empty parent path: train_or_load must train, save
+// into the working directory and leave only the checkpoint behind.
+TEST(Granite, TrainOrLoadAcceptsBareFilename) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("comet_granite_bare_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+
+  cb::DatasetOptions opts;
+  opts.size = 30;
+  opts.seed = 78;
+  const auto data = cb::generate_dataset(opts);
+  const auto blocks = data.block_views();
+  const auto targets = data.label_views(cc::MicroArch::Haswell);
+  cc::GraniteConfig cfg;
+  cfg.epochs = 1;
+  cc::GraniteModel a(cc::MicroArch::Haswell, cfg);
+  EXPECT_GT(a.train_or_load("granite.bin", blocks, targets), 0.0);
+  cc::GraniteModel b(cc::MicroArch::Haswell, cfg);
+  EXPECT_EQ(b.train_or_load("granite.bin", blocks, targets), 0.0);
+  EXPECT_DOUBLE_EQ(a.predict(blocks[0]), b.predict(blocks[0]));
+
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"granite.bin"});
+
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Granite, TrainSizeMismatchThrows) {

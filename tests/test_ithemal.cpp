@@ -2,9 +2,14 @@
 // synthetic datasets, serialization round-trip, and train_or_load caching.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "bhive/dataset.h"
 #include "cost/ithemal_model.h"
@@ -297,4 +302,45 @@ TEST(Ithemal, TrainOrLoadCaches) {
   const auto block = blocks.front();
   EXPECT_DOUBLE_EQ(a.predict(block), b.predict(block));
   std::filesystem::remove(path);
+}
+
+// A bare filename has an empty parent path: train_or_load must train, save
+// into the working directory and leave only the checkpoint behind (the
+// save stages a sibling temp file and renames it into place).
+TEST(Ithemal, TrainOrLoadAcceptsBareFilename) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("comet_ithemal_bare_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+
+  std::vector<cx::BasicBlock> blocks;
+  std::vector<double> targets;
+  comet::util::Rng rng(8);
+  cb::BlockGenerator gen;
+  for (int i = 0; i < 20; ++i) {
+    blocks.push_back(gen.generate(rng));
+    targets.push_back(1.0 + static_cast<double>(i % 3));
+  }
+  cc::IthemalModel a(HSW, tiny_config());
+  EXPECT_GT(a.train_or_load("ithemal.bin", blocks, targets), 0.0);
+  cc::IthemalModel b(HSW, tiny_config());
+  EXPECT_DOUBLE_EQ(b.train_or_load("ithemal.bin", blocks, targets), 0.0);
+  EXPECT_DOUBLE_EQ(a.predict(blocks.front()), b.predict(blocks.front()));
+
+  // A save that cannot land (the target is a directory) throws and also
+  // leaves no temp file.
+  std::filesystem::create_directory("taken");
+  EXPECT_THROW(a.save("taken"), std::runtime_error);
+
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"ithemal.bin", "taken"}));
+
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove_all(dir);
 }

@@ -2,7 +2,10 @@
 // shapes, and — critically — numerical gradient checks of the full BPTT.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "nn/lstm.h"
 #include "nn/mat.h"
@@ -174,6 +177,46 @@ TEST(Lstm, DeterministicForward) {
   const auto b = cell.run(xs);
   for (std::size_t i = 0; i < a.back().h.size(); ++i) {
     EXPECT_FLOAT_EQ(a.back().h[i], b.back().h[i]);
+  }
+}
+
+// run_final_batch must reproduce run(xs).back().h bit for bit on every
+// lane, whatever the lane lengths: empty lanes stay zero, T = 1 lanes take
+// one step. The shapes cover 4H = 96 (three full register chunks), 48 (one
+// chunk plus a tail) and 20 (tail only).
+TEST(Lstm, BatchedFinalStateMatchesRunBitwise) {
+  struct Shape {
+    std::size_t d, h;
+  };
+  for (const Shape shape : {Shape{12, 24}, Shape{8, 12}, Shape{3, 5}}) {
+    Rng rng(40 + shape.h);
+    const cn::LstmCell cell(shape.d, shape.h, rng);
+    std::vector<std::vector<std::vector<float>>> inputs;
+    for (const std::size_t len : {0, 1, 5, 1, 0, 9, 2, 3, 1, 13, 0, 4}) {
+      std::vector<std::vector<float>> xs(len, std::vector<float>(shape.d));
+      for (auto& x : xs) {
+        for (auto& v : x) v = static_cast<float>(rng.uniform(-3.0, 3.0));
+      }
+      inputs.push_back(std::move(xs));
+    }
+    std::vector<std::vector<const float*>> seqs;
+    for (const auto& xs : inputs) {
+      auto& lane = seqs.emplace_back();
+      for (const auto& x : xs) lane.push_back(x.data());
+    }
+    cn::LstmBatchScratch scratch;
+    std::vector<float> h_out;
+    cell.run_final_batch(seqs, h_out, scratch);
+    ASSERT_EQ(h_out.size(), inputs.size() * shape.h);
+    for (std::size_t lane = 0; lane < inputs.size(); ++lane) {
+      const auto caches = cell.run(inputs[lane]);
+      for (std::size_t i = 0; i < shape.h; ++i) {
+        const float want = caches.empty() ? 0.f : caches.back().h[i];
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(h_out[lane * shape.h + i]),
+                  std::bit_cast<std::uint32_t>(want))
+            << "H=" << shape.h << " lane " << lane << " unit " << i;
+      }
+    }
   }
 }
 
