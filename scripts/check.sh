@@ -111,8 +111,8 @@ case "$MODE" in
     ;;
 
   asan)
-    # Memory-error pass over the whole suite (the lane-packed batch paths
-    # do manual panel indexing; ASan keeps them honest).
+    # Memory-error pass over the whole suite (the batched paths index flat
+    # weight and state buffers by hand; ASan keeps them honest).
     run_suite "$ASAN_DIR" -DCOMET_ASAN=ON
     echo "check.sh: asan pass green"
     ;;

@@ -28,7 +28,7 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
                      const char* what,
                      const std::vector<const nn::Mat*>& mats) {
-  if (path.has_parent_path()) {
+  if (!path.parent_path().empty()) {
     std::filesystem::create_directories(path.parent_path());
   }
   // Write a sibling temp file, then rename it over `path`: a concurrent
@@ -36,13 +36,12 @@ void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
   // truncated one. The name is unique per process and per call, so two
   // writers never share a temp file.
   static std::atomic<unsigned> next_tmp{0};
-  std::filesystem::path tmp = path;
-  tmp += ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(next_tmp.fetch_add(1));
-  std::FILE* fp = std::fopen(tmp.string().c_str(), "wb");
+  const std::string tmp = path.string() + ".tmp." +
+                          std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1));
+  std::FILE* fp = std::fopen(tmp.c_str(), "wb");
   if (fp == nullptr) {
-    throw std::runtime_error(std::string(what) + ": cannot open " +
-                             tmp.string());
+    throw std::runtime_error(std::string(what) + ": cannot open " + tmp);
   }
   bool ok = std::fwrite(&magic, sizeof(magic), 1, fp) == 1;
   for (const nn::Mat* m : mats) {
@@ -52,12 +51,11 @@ void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
          std::fwrite(m->data(), sizeof(float), m->size(), fp) == m->size();
   }
   ok = std::fclose(fp) == 0 && ok;
-  std::error_code ec;
-  if (ok) std::filesystem::rename(tmp, path, ec);
-  if (!ok || ec) {
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
     // A partial file would masquerade as a valid cache until the next
     // load; remove it and fail loudly instead.
-    std::filesystem::remove(tmp, ec);
+    std::remove(tmp.c_str());
     throw std::runtime_error(std::string(what) + ": cannot write " +
                              path.string());
   }

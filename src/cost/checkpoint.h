@@ -43,7 +43,7 @@ inline constexpr std::uint64_t kMaxCheckpointDim = 1u << 20;
 /// directory if needed. The bytes go to a sibling temp file that is then
 /// renamed over `path`, so a concurrent load_checkpoint never reads a
 /// partial file. Throws std::runtime_error on open failure, short write or
-/// failed rename; the temp file is removed either way.
+/// failed rename, and leaves no temp file behind.
 void save_checkpoint(const std::filesystem::path& path, std::uint32_t magic,
                      const char* what, const std::vector<const nn::Mat*>& mats);
 

@@ -184,11 +184,7 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
   const std::size_t D = config_.embed_dim;
   const std::size_t H = config_.hidden_dim;
 
-  // Stage 1 — tokenize the range. An instruction's embedding is a pure
-  // function of its token ids, so every distinct token sequence gets one
-  // token-LSTM lane, found through a map keyed by views into `tokens` (no
-  // per-instruction key is allocated). Lane inputs are pointers straight
-  // into the embedding table.
+  // Stage 1 — tokenize the non-empty blocks of the range.
   std::vector<std::size_t> live;  // out index of each non-empty block
   std::vector<std::vector<std::vector<int>>> tokens;
   for (std::size_t b = begin; b < end; ++b) {
@@ -201,6 +197,10 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
   }
   if (live.empty()) return;
 
+  // Stage 2 — an instruction's embedding is a pure function of its token
+  // ids, so every distinct token sequence gets one token-LSTM lane, found
+  // through a map keyed by views into `tokens` (no per-instruction key is
+  // allocated). Lane inputs are pointers straight into the embedding table.
   std::unordered_map<TokenSeq, std::size_t, TokenSeqHash> lane_of;
   std::vector<std::vector<const float*>> token_lanes;
   std::vector<std::size_t> inst_lane;  // every instruction, in block order
@@ -217,13 +217,13 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
     }
   }
 
-  // Stage 2 — token LSTM; row l of inst_h is distinct-instruction lane l's
+  // Stage 3 — token LSTM; row l of inst_h is distinct-instruction lane l's
   // embedding.
   nn::LstmBatchScratch scratch;
   std::vector<float> inst_h;
   token_lstm_.run_final_batch(token_lanes, inst_h, scratch);
 
-  // Stage 3 — block LSTM: each block's lane walks the embedding rows of its
+  // Stage 4 — block LSTM: each block's lane walks the embedding rows of its
   // instructions, shared between repeats.
   std::vector<std::vector<const float*>> block_lanes(live.size());
   std::size_t next_inst = 0;
@@ -236,7 +236,7 @@ void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
   std::vector<float> blk_h;
   block_lstm_.run_final_batch(block_lanes, blk_h, scratch);
 
-  // Stage 4 — regression head (same double-precision chain as forward()).
+  // Stage 5 — regression head (same double-precision chain as forward()).
   for (std::size_t k = 0; k < live.size(); ++k) {
     const float* h = blk_h.data() + k * H;
     double y = head_b_.data()[0];

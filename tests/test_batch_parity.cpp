@@ -144,10 +144,10 @@ TEST(BatchParity, Granite) {
   expect_batch_parity(model, 64);
 }
 
-// The cross-block lane-packed LSTM path: exercised at several batch sizes
-// (single lane, lanes that retire at different timesteps, chunk-boundary
-// cases for the threaded run) and with weights moved off the deterministic
-// init by a few training steps.
+// The cross-block batched LSTM path: exercised at several batch sizes
+// (single lane, lanes of different lengths, chunk-boundary cases for the
+// threaded run) and with weights moved off the deterministic init by a few
+// training steps.
 TEST(BatchParity, IthemalUntrained) {
   cc::IthemalModel model(HSW, tiny_ithemal());
   expect_batch_parity(model, 1);
