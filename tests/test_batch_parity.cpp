@@ -179,7 +179,7 @@ TEST(BatchParity, IthemalRepeatedInstructions) {
 
 // The benchmark's dimensions (4H = 96, whole register chunks) and a 4H of
 // 20, which runs entirely in the scalar tail.
-TEST(BatchParity, IthemalGateRowTail) {
+TEST(BatchParity, IthemalGateRowChunksAndTail) {
   for (const std::size_t hidden : {std::size_t{24}, std::size_t{5}}) {
     cc::IthemalConfig cfg;
     cfg.hidden_dim = hidden;
