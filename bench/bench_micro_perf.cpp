@@ -291,8 +291,8 @@ void BM_IthemalPredictGammaBatch(benchmark::State& state) {
 BENCHMARK(BM_IthemalPredictGammaBatch)->Unit(benchmark::kMicrosecond);
 
 // The analytical models' batch path chunked over the shared thread pool
-// (CostModel::set_batch_threads) — the serving layer's per-shard batches
-// get intra-batch parallelism on top of cross-shard concurrency.
+// (CostModel::set_batch_threads) — a served job's batches get
+// intra-batch parallelism on top of cross-worker concurrency.
 void BM_OracleBatchThreaded(benchmark::State& state) {
   sim::HardwareOracle model(cost::MicroArch::Haswell);
   model.set_batch_threads(static_cast<std::size_t>(state.range(0)));

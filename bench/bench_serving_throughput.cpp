@@ -1,27 +1,34 @@
 // Serving-throughput bench: requests/sec of the concurrent explanation
-// server vs. the sequential path, at 1/2/4/8 workers.
+// server vs. the sequential path, at 1/2/4/8 workers, on the real crude
+// and oracle models; then an open-loop overload test of load shedding.
 //
-// The regime that motivates the serve/ subsystem (sharded and remote
-// serving) is a model backend whose per-query latency is not this
-// process's CPU — a remote inference service, a simulator farm, a
-// measurement rig. serve::RemoteStandInModel reproduces that regime
-// portably (including on single-core CI runners) by charging a fixed
-// round-trip per predict_batch call on top of the real crude/oracle
-// models; predictions are untouched, so every served explanation is
-// verified bit-identical to its sequentially computed twin.
+// Every served explanation is verified bit-identical to its sequentially
+// computed twin. Acceptance gate printed explicitly: >= 2x throughput at 4
+// workers vs. sequential, with bit-identical results.
 //
-// Acceptance gate printed explicitly: >= 2x throughput at 4 workers vs.
-// sequential, with bit-identical results.
+// One untimed served pass runs before anything is timed: on a small
+// multi-core VM, multi-threaded runs shorter than about a second read
+// ~1.0x whatever the worker count until the threads and cores are warm.
+//
+// The overload section is open loop: seeded Poisson arrivals at 2x the
+// saturation rate measured by the sweep, half of them interactive, with
+// latency measured from each request's intended arrival, so the time a
+// producer spends blocked in submit() counts (no coordinated omission).
+// It prints interactive p50/p99 with shedding off and with the default
+// WatermarkShedPolicy.
 //
 // Overrides for CI fast smoke (env wins over argv):
 //   COMET_SERVE_WORKERS=2,4   (or argv[1])  worker counts to sweep
 //   COMET_SERVE_JOBS=4        (or argv[2])  number of requests to submit
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -30,9 +37,9 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/isa_servers.h"
-#include "serve/remote_model.h"
 #include "serve/shed_policy.h"
 #include "sim/models.h"
+#include "util/rng.h"
 
 namespace cb = comet::bhive;
 namespace cc = comet::core;
@@ -108,11 +115,17 @@ comet::obs::HistogramSnapshot merged_hist(
 
 std::string ns_to_ms(double ns) { return Table::fmt(ns / 1e6, 2); }
 
+// Nearest-rank percentile of an ascending sample; 0 when empty.
+double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr auto kRoundTrip = std::chrono::microseconds(3000);
-
   std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
   if (const char* env = std::getenv("COMET_SERVE_WORKERS")) {
     worker_counts = parse_counts(env);
@@ -120,56 +133,62 @@ int main(int argc, char** argv) {
     worker_counts = parse_counts(argv[1]);
   }
   if (worker_counts.empty()) worker_counts = {1, 2, 4, 8};
-  std::size_t jobs_override = 0;  // 0 = default request set
+  std::size_t job_count = 200;
   if (const char* env = std::getenv("COMET_SERVE_JOBS")) {
     const auto parsed = parse_counts(env);
-    if (!parsed.empty()) jobs_override = parsed[0];
+    if (!parsed.empty() && parsed[0] != 0) job_count = parsed[0];
   } else if (argc > 2) {
     const auto parsed = parse_counts(argv[2]);
-    if (!parsed.empty()) jobs_override = parsed[0];
+    if (!parsed.empty() && parsed[0] != 0) job_count = parsed[0];
   }
 
   auto crude =
       std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
   auto oracle =
       std::make_shared<const comet::sim::HardwareOracle>(ck::MicroArch::Haswell);
-  auto remote_crude =
-      std::make_shared<const cs::RemoteStandInModel>(crude, kRoundTrip);
-  auto remote_oracle =
-      std::make_shared<const cs::RemoteStandInModel>(oracle, kRoundTrip);
 
   const std::vector<cx::BasicBlock> blocks = {
       cb::listing1_motivating(),    cb::listing2_case_study1(),
       cb::listing3_case_study2(),   cb::listing4_appendixF_beta1(),
       cb::listing5_appendixF_beta2(),
   };
+  // Alternates crude/oracle over the paper blocks; distinct seeds, so no
+  // two requests are the same search.
   std::vector<Request> requests;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    requests.push_back({"crude-hsw", blocks[i], serving_options(10 + i)});
-    requests.push_back({"oracle-hsw", blocks[i], serving_options(20 + i)});
-  }
-  if (jobs_override != 0) {
-    std::vector<Request> cycled;
-    for (std::size_t i = 0; i < jobs_override; ++i) {
-      Request r = requests[i % requests.size()];
-      r.options.seed = 100 + i;  // distinct seeds: no hidden dedup
-      cycled.push_back(std::move(r));
-    }
-    requests = std::move(cycled);
+  for (std::size_t i = 0; i < job_count; ++i) {
+    requests.push_back({i % 2 == 0 ? "crude-hsw" : "oracle-hsw",
+                        blocks[(i / 2) % blocks.size()],
+                        serving_options(100 + i)});
   }
 
   print_header(
       "Serving throughput: concurrent explanation server vs. sequential",
-      "remote-backend stand-in, round-trip = " +
-          std::to_string(kRoundTrip.count()) + " us/batch, " +
-          std::to_string(requests.size()) + " requests (crude + oracle, " +
+      std::to_string(requests.size()) + " requests (crude + oracle, " +
           std::to_string(blocks.size()) + " paper blocks)");
 
   const auto model_for = [&](const std::string& key) {
     return key == "crude-hsw"
-               ? std::static_pointer_cast<const ck::CostModel>(remote_crude)
-               : std::static_pointer_cast<const ck::CostModel>(remote_oracle);
+               ? std::static_pointer_cast<const ck::CostModel>(crude)
+               : std::static_pointer_cast<const ck::CostModel>(oracle);
   };
+  const auto serve_all = [&](std::size_t workers,
+                             std::vector<std::uint64_t>* tickets) {
+    auto server = std::make_unique<cs::X86ExplanationServer>(
+        cs::ServeOptions{.workers = workers,
+                         .queue_capacity = requests.size()});
+    server->register_model("crude-hsw", crude);
+    server->register_model("oracle-hsw", oracle);
+    for (const auto& r : requests) {
+      const std::uint64_t ticket = server->submit(r.key, r.block, r.options);
+      if (tickets != nullptr) tickets->push_back(ticket);
+    }
+    return server;
+  };
+
+  // ---- untimed warm-up, at the widest sweep point ----
+  serve_all(*std::max_element(worker_counts.begin(), worker_counts.end()),
+            nullptr)
+      ->drain();
 
   // ---- sequential baseline (and the parity reference) ----
   std::vector<cc::Explanation> reference;
@@ -188,50 +207,52 @@ int main(int argc, char** argv) {
   double speedup_at_4 = 0.0;
   bool swept_4 = false;
   bool all_identical = true;
+  // Saturation rate (req/s) of the overload section's worker count.
+  const std::size_t ov_workers = std::find(worker_counts.begin(),
+                                           worker_counts.end(),
+                                           4) != worker_counts.end()
+                                     ? 4
+                                     : worker_counts.back();
+  double saturation_per_s = 0.0;
   Table latency({"workers", "queue p50", "queue p95", "queue p99", "run p50",
                  "run p95", "run p99"});
   std::string last_report;
   for (const std::size_t workers : worker_counts) {
-    cs::X86ExplanationServer server(
-        {.workers = workers, .queue_capacity = requests.size()});
-    server.register_model("crude-hsw", remote_crude);
-    server.register_model("oracle-hsw", remote_oracle);
-    const auto start = Clock::now();
     std::vector<std::uint64_t> tickets;
-    for (const auto& r : requests) {
-      tickets.push_back(server.submit(r.key, r.block, r.options));
-    }
-    const auto results = server.drain();
+    const auto start = Clock::now();
+    const auto server = serve_all(workers, &tickets);
+    const auto results = server->drain();
     const double wall_ms = ms_since(start);
 
+    std::unordered_map<std::uint64_t, std::size_t> index_of;
+    for (std::size_t i = 0; i < tickets.size(); ++i) index_of[tickets[i]] = i;
     bool ok = results.size() == requests.size();
     for (const auto& served : results) {
-      for (std::size_t i = 0; i < tickets.size(); ++i) {
-        if (tickets[i] == served.id) {
-          ok = ok && identical(served.explanation, reference[i]);
-        }
-      }
+      ok = ok && served.status == cs::ServeStatus::kOk &&
+           identical(served.explanation, reference[index_of.at(served.id)]);
     }
     all_identical = all_identical && ok;
     const double speedup = seq_ms / wall_ms;
+    const double per_s = 1000.0 * requests.size() / wall_ms;
     if (workers == 4) {
       speedup_at_4 = speedup;
       swept_4 = true;
     }
+    if (workers == ov_workers) saturation_per_s = per_s;
     table.add_row({std::to_string(workers), Table::fmt(wall_ms, 1),
-                   Table::fmt(1000.0 * requests.size() / wall_ms, 2),
-                   Table::fmt(speedup, 2) + "x", ok ? "yes" : "NO"});
+                   Table::fmt(per_s, 2), Table::fmt(speedup, 2) + "x",
+                   ok ? "yes" : "NO"});
 
     // Request-lifecycle latencies, merged across model keys (the server
     // keeps one histogram per model_key label).
-    const auto snap = server.metrics().snapshot();
+    const auto snap = server->metrics().snapshot();
     const auto queue = merged_hist(snap, "serve_queue_wait_ns");
     const auto run = merged_hist(snap, "serve_run_ns");
     latency.add_row({std::to_string(workers), ns_to_ms(queue.p50()),
                      ns_to_ms(queue.p95()), ns_to_ms(queue.p99()),
                      ns_to_ms(run.p50()), ns_to_ms(run.p95()),
                      ns_to_ms(run.p99())});
-    last_report = server.report();
+    last_report = server->report();
   }
   std::printf("%s\n", table.to_string().c_str());
   print_header("Request-lifecycle latency percentiles (ms)",
@@ -248,89 +269,93 @@ int main(int argc, char** argv) {
                 all_identical ? "yes" : "NO");
   }
 
-  // ---- overload: priority lanes and load shedding under 2x load ----
-  // Offered load is 2x what the admission queue + workers hold at once,
-  // alternating interactive/batch. With shedding off, the whole backlog
-  // queues behind the bounded queue (backpressure) and interactive tail
-  // latency pays for every batch job ahead of it; with the watermark
-  // policy on, batch work is shed early (a typed refusal, never a silent
-  // drop — ok + shed always equals offered) and the interactive tail
-  // tightens. Goodput counts completed explanations only. Honors the
-  // same COMET_SERVE_WORKERS (last entry) / COMET_SERVE_JOBS overrides.
-  const std::size_t ov_workers = worker_counts.back();
+  // ---- overload: open-loop Poisson arrivals at 2x saturation ----
+  // Each seed draws one arrival schedule, alternating interactive/batch;
+  // the same schedule runs with shedding off and on. A producer thread
+  // submits every request at its intended time (or as soon as submit()
+  // unblocks, when the bounded queue is full), and latency runs from the
+  // intended arrival to the worker's completion stamp, so backpressure
+  // shows up in the latency instead of silently slowing the arrivals.
+  // With the watermark policy on, batch work is shed above half queue
+  // occupancy (a typed refusal, never a silent drop: ok + shed always
+  // equals offered). Goodput counts completed explanations only.
   const std::size_t ov_capacity = 2 * ov_workers;
-  const std::size_t ov_offered =
-      jobs_override != 0 ? jobs_override : 2 * (ov_capacity + ov_workers);
-  print_header("Overload: 2x offered load, shedding off vs on",
-               std::to_string(ov_offered) + " requests at " +
-                   std::to_string(ov_workers) + " workers, queue capacity " +
-                   std::to_string(ov_capacity) +
-                   ", interactive/batch alternating");
-  Table overload({"shedding", "wall ms", "ok", "shed", "goodput req/s",
+  const double offered_per_s = 2.0 * saturation_per_s;
+  print_header(
+      "Overload: open-loop Poisson arrivals at 2x saturation, shedding off "
+      "vs on",
+      std::to_string(requests.size()) + " requests per run at " +
+          Table::fmt(offered_per_s, 1) + " req/s (saturation " +
+          Table::fmt(saturation_per_s, 1) + " req/s at " +
+          std::to_string(ov_workers) + " workers), queue capacity " +
+          std::to_string(ov_capacity) +
+          ", interactive/batch alternating; latency from intended arrival");
+  Table overload({"seed", "shedding", "ok", "shed", "goodput req/s",
                   "interactive p50 ms", "interactive p99 ms"});
   bool accounted = true;
-  for (const bool shed_on : {false, true}) {
-    cs::ServeOptions serve_options;
-    serve_options.workers = ov_workers;
-    serve_options.queue_capacity = ov_capacity;
-    if (shed_on) {
-      serve_options.shed_policy =
-          std::make_shared<const cs::WatermarkShedPolicy>();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    comet::util::Rng rng(seed);
+    std::vector<std::uint64_t> arrival_ns(requests.size());
+    double t_ns = 0.0;
+    for (auto& at : arrival_ns) {
+      t_ns += -std::log(1.0 - rng.uniform()) / offered_per_s * 1e9;
+      at = static_cast<std::uint64_t>(t_ns);
     }
-    cs::X86ExplanationServer server(serve_options);
-    server.register_model("crude-hsw", remote_crude);
-    server.register_model("oracle-hsw", remote_oracle);
-
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < ov_offered; ++i) {
-      const Request& r = requests[i % requests.size()];
-      cs::RequestOptions request;
-      request.lane = i % 2 == 0 ? cs::Lane::kInteractive : cs::Lane::kBatch;
-      if (request.lane == cs::Lane::kInteractive) {
-        // Generous enough that feasible work never expires; the deadline
-        // is what lets the saturation watermark judge feasibility.
-        request.deadline_ns =
-            comet::obs::steady_clock().now_ns() + 60ull * 1'000'000'000;
+    for (const bool shed_on : {false, true}) {
+      cs::ServeOptions serve_options;
+      serve_options.workers = ov_workers;
+      serve_options.queue_capacity = ov_capacity;
+      if (shed_on) {
+        serve_options.shed_policy =
+            std::make_shared<const cs::WatermarkShedPolicy>();
       }
-      cc::CometOptions job = r.options;
-      job.seed = 1000 + i;  // distinct seeds: no hidden dedup
-      server.submit(r.key, r.block, job, request);
-    }
-    const auto results = server.drain();
-    const double wall_ms = ms_since(start);
+      cs::X86ExplanationServer server(serve_options);
+      server.register_model("crude-hsw", crude);
+      server.register_model("oracle-hsw", oracle);
 
-    std::size_t ok = 0;
-    std::size_t shed = 0;
-    std::size_t other = 0;
-    std::vector<double> interactive_ms;
-    for (const auto& served : results) {
-      if (cs::has_explanation(served.status)) {
-        ++ok;
-        if (served.lane == cs::Lane::kInteractive) {
-          interactive_ms.push_back(
-              static_cast<double>(served.trace.done_ns -
-                                  served.trace.admit_ns) /
-              1e6);
+      const comet::obs::Clock& clock = comet::obs::steady_clock();
+      std::unordered_map<std::uint64_t, std::size_t> index_of;
+      const std::uint64_t origin_ns = clock.now_ns();
+      const auto start = Clock::now();
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::uint64_t due = origin_ns + arrival_ns[i];
+        const std::uint64_t now = clock.now_ns();
+        if (now < due) {
+          std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
         }
-      } else if (served.status == cs::ServeStatus::kShed) {
-        ++shed;
-      } else {
-        ++other;
+        const Request& r = requests[i];
+        cs::RequestOptions request;
+        request.lane = i % 2 == 0 ? cs::Lane::kInteractive : cs::Lane::kBatch;
+        index_of[server.submit(r.key, r.block, r.options, request)] = i;
       }
+      const auto results = server.drain();
+      const double wall_ms = ms_since(start);
+
+      std::size_t ok = 0;
+      std::size_t shed = 0;
+      std::vector<double> interactive_ms;
+      for (const auto& served : results) {
+        if (cs::has_explanation(served.status)) {
+          ++ok;
+          if (served.lane == cs::Lane::kInteractive) {
+            const std::uint64_t intended =
+                origin_ns + arrival_ns[index_of.at(served.id)];
+            interactive_ms.push_back(
+                static_cast<double>(served.trace.done_ns - intended) / 1e6);
+          }
+        } else if (served.status == cs::ServeStatus::kShed) {
+          ++shed;
+        }
+      }
+      accounted = accounted && ok + shed == requests.size();
+      std::sort(interactive_ms.begin(), interactive_ms.end());
+      overload.add_row(
+          {std::to_string(seed), shed_on ? "watermark" : "off",
+           std::to_string(ok), std::to_string(shed),
+           Table::fmt(1000.0 * static_cast<double>(ok) / wall_ms, 2),
+           Table::fmt(percentile(interactive_ms, 0.50), 2),
+           Table::fmt(percentile(interactive_ms, 0.99), 2)});
     }
-    accounted = accounted && other == 0 && ok + shed == ov_offered;
-    std::sort(interactive_ms.begin(), interactive_ms.end());
-    const auto pct = [&interactive_ms](double p) {
-      if (interactive_ms.empty()) return 0.0;
-      const auto idx = static_cast<std::size_t>(
-          p * static_cast<double>(interactive_ms.size() - 1) + 0.5);
-      return interactive_ms[std::min(idx, interactive_ms.size() - 1)];
-    };
-    overload.add_row({shed_on ? "watermark" : "off", Table::fmt(wall_ms, 1),
-                      std::to_string(ok), std::to_string(shed),
-                      Table::fmt(1000.0 * static_cast<double>(ok) / wall_ms,
-                                 2),
-                      Table::fmt(pct(0.50), 2), Table::fmt(pct(0.99), 2)});
   }
   std::printf("%s\n", overload.to_string().c_str());
   std::printf("every offered request accounted (ok + shed == offered): %s\n",

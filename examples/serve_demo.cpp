@@ -1,8 +1,8 @@
-// serve_demo: a concurrent multi-model explanation sweep through the full
-// serving stack — scheduler → per-model-kind pools → shards → models.
+// serve_demo: a concurrent multi-model explanation sweep through the
+// serving stack — scheduler → registered models.
 //
-// Registers four x86 cost models (a 2-shard crude pool, the hardware
-// oracle, uiCA, and llvm-mca stand-ins), streams one explanation job per
+// Registers four x86 cost models (the crude model, the hardware oracle,
+// uiCA, and llvm-mca stand-ins), streams one explanation job per
 // (paper block, model kind) pair through a 4-worker ExplanationServer,
 // prints results as they complete (completion order, not submission
 // order), and finishes with the per-model query-traffic drain report.
@@ -17,7 +17,6 @@
 #include "cost/crude_model.h"
 #include "riscv/parser.h"
 #include "serve/isa_servers.h"
-#include "serve/sharded_cost_model.h"
 #include "sim/models.h"
 
 namespace cb = comet::bhive;
@@ -45,13 +44,9 @@ cc::CometOptions demo_options(std::uint64_t seed) {
 int main() {
   std::printf("== concurrent multi-model explanation sweep (x86) ==\n");
 
-  // One model key per registered backend; the crude model is served from a
-  // 2-shard broker pool (per-shard model instance + memo cache).
-  auto sharded_crude = std::make_shared<const cs::ShardedCostModel>(
-      [](std::size_t) {
-        return std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
-      },
-      /*shards=*/2);
+  // One model key per registered backend, each one model instance shared
+  // by every worker.
+  auto crude = std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
   auto oracle =
       std::make_shared<const comet::sim::HardwareOracle>(ck::MicroArch::Haswell);
   auto uica =
@@ -60,7 +55,7 @@ int main() {
       std::make_shared<const comet::sim::McaLikeModel>(ck::MicroArch::Haswell);
 
   cs::X86ExplanationServer server({.workers = 4, .queue_capacity = 16});
-  server.register_model("crude-hsw[2shards]", sharded_crude);
+  server.register_model("crude-hsw", crude);
   server.register_model("oracle-hsw", oracle);
   server.register_model("uica-hsw", uica);
   server.register_model("mca-hsw", mca);
@@ -70,7 +65,7 @@ int main() {
       {"listing2", cb::listing2_case_study1()},
       {"listing3", cb::listing3_case_study2()},
   };
-  const std::vector<std::string> keys = {"crude-hsw[2shards]", "oracle-hsw",
+  const std::vector<std::string> keys = {"crude-hsw", "oracle-hsw",
                                          "uica-hsw", "mca-hsw"};
 
   std::vector<std::string> label_of;  // label_of[ticket - 1]
@@ -85,7 +80,7 @@ int main() {
               label_of.size());
 
   while (auto served = server.next()) {
-    std::printf("  [done #%llu] %-9s @ %-18s -> %s\n",
+    std::printf("  [done #%llu] %-9s @ %-10s -> %s\n",
                 static_cast<unsigned long long>(served->id),
                 label_of[served->id - 1].c_str(), served->model_key.c_str(),
                 served->explanation.to_string().c_str());

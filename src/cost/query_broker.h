@@ -24,15 +24,12 @@
 //   * A QueryBroker instance is NOT thread-safe: the memo table, the stats
 //     ledger, and the scratch buffers are unsynchronized. Confine each
 //     broker to one thread at a time (each explanation owns a private
-//     broker; serve::ShardedBrokerPool gives every shard its own broker
-//     touched only by that shard's thread).
+//     broker, so a served request's broker lives on its worker).
 //   * The broker only ever calls const methods on the model, so a single
 //     model instance may back many brokers on many threads provided its
 //     predict()/predict_batch() are const-thread-safe (true for every
 //     model in this repository: they use only locals and const members).
-//   * The broker does not own the model; whoever builds a broker pool owns
-//     the per-shard model instances and keeps them alive (see
-//     serve::ShardedBrokerPool's factory).
+//   * The broker does not own the model; the caller keeps it alive.
 #pragma once
 
 #include <cstddef>
@@ -54,14 +51,13 @@ class QueryBroker {
   explicit QueryBroker(const Model& model, bool memoize = true)
       : model_(&model), memoize_(memoize) {}
 
-  /// Pointer variant for pool construction (per-shard ownership lives in
-  /// the pool; the broker stays non-owning). `model` must be non-null and
-  /// outlive the broker.
+  /// Pointer variant (the broker stays non-owning). `model` must be
+  /// non-null and outlive the broker.
   explicit QueryBroker(const Model* model, bool memoize = true)
       : model_(model), memoize_(memoize) {}
 
-  // Movable (so brokers can live in pool containers), not copyable (a
-  // copied memo table would double-count traffic in merged stats).
+  // Movable (so brokers can live in containers), not copyable (a copied
+  // memo table would double-count traffic in merged stats).
   QueryBroker(QueryBroker&&) noexcept = default;
   QueryBroker& operator=(QueryBroker&&) noexcept = default;
 
@@ -137,25 +133,6 @@ class QueryBroker {
   const QueryStats& stats() const { return stats_; }
   void reset_stats() { stats_ = QueryStats{}; }
   const Model& model() const { return *model_; }
-
-  /// Drop every memo entry whose key fails `pred` (signature:
-  /// bool(const std::string&)). Used when a sharded pool re-shards the
-  /// hash space: entries that now route to a different shard are evicted
-  /// so a stale local copy can never shadow the owning shard's. Like
-  /// every other method, must run on the thread that owns this broker.
-  template <typename Pred>
-  void retain_memo_if(Pred pred) {
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (pred(it->first)) {
-        ++it;
-      } else {
-        it = cache_.erase(it);
-      }
-    }
-  }
-
-  /// Live memo-entry count (observability for re-shard tests).
-  std::size_t memo_size() const { return cache_.size(); }
 
  private:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

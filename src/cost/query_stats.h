@@ -4,8 +4,8 @@
 // template machinery.
 //
 // The counters are plain sums, so stats from independent brokers (one per
-// shard of a serve::ShardedBrokerPool, one per served request) merge with
-// operator+= into a single load-accounting ledger.
+// served request) merge with operator+= into a single load-accounting
+// ledger.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +24,8 @@ struct QueryStats {
   std::size_t batch_calls = 0;  ///< predict_batch() calls issued downstream
   std::size_t single_calls = 0; ///< single predict() calls issued downstream
 
-  /// Merge another broker's ledger into this one (per-shard / per-request
-  /// aggregation for the sharded pool and the explanation server).
+  /// Merge another broker's ledger into this one (per-request aggregation
+  /// in the explanation server).
   QueryStats& operator+=(const QueryStats& other) {
     requested += other.requested;
     evaluated += other.evaluated;
@@ -51,7 +51,7 @@ struct QueryStats {
   }
 
   /// Mean predictions evaluated per predict_batch round-trip — the batch
-  /// width a remote or sharded backend actually sees. Single-call
+  /// width a remote backend actually sees. Single-call
   /// evaluations are excluded from the numerator; 0 when no batch call was
   /// issued.
   double batch_fill() const {

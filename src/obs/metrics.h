@@ -14,7 +14,7 @@
 //     that live as long as the registry, so hot paths resolve a name once
 //     and then increment through the handle — no map lookup per event.
 //   * Everything merges. HistogramSnapshot is plain data with operator+=,
-//     exactly like cost::QueryStats, so per-worker / per-shard / per-server
+//     exactly like cost::QueryStats, so per-worker / per-server
 //     observations aggregate into one ledger.
 //   * Locking is the PR 6 contract: every mutable member is
 //     COMET_GUARDED_BY an util::Mutex and checked by the Clang
@@ -88,7 +88,7 @@ class Gauge {
 };
 
 /// Plain-data histogram state: fixed log2 buckets + count/sum/min/max.
-/// Mergeable with operator+= (per-shard and per-server ledgers aggregate
+/// Mergeable with operator+= (per-worker and per-server ledgers aggregate
 /// the same way QueryStats does).
 struct HistogramSnapshot {
   static constexpr std::size_t kBuckets = 64;

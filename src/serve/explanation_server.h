@@ -1,14 +1,14 @@
 // ExplanationServer: the request scheduler at the top of the serving stack
 //
-//     scheduler  →  per-model-kind pools  →  shards  →  models
+//     scheduler  →  registered models (local, or a RemoteShardClient)
 //
 // It accepts a stream of (block, model-key, options) jobs, multiplexes them
 // over a fixed set of worker threads (one AnchorEngine run per job), and
 // delivers explanations in completion order. Model keys name registered
-// model instances — typically one per (model kind, µarch) pair, each either
-// a plain const-thread-safe model shared by all workers or a
-// serve::ShardedCostModel whose own shard threads parallelize every batch
-// the engines issue.
+// model instances — typically one per (model kind, µarch) pair — each a
+// const-thread-safe model shared by all workers. A remote backend is one
+// serve::RemoteShardClient, whose RemoteShardOptions::fallback is the one
+// failover path.
 //
 // Flow control: admission goes through a bounded queue. submit() blocks
 // until space frees up (backpressure propagates to the producer);
@@ -26,7 +26,7 @@
 // (ServeStatus::kDeadlineExceeded*) — never a silent drop. Workers
 // dequeue interactive-lane work first; an anti-starvation credit hands
 // the batch lane one dequeue in every ServeOptions::batch_credit_every.
-// A pluggable ShedPolicy (ServeOptions::shed_policy) can refuse work at
+// A WatermarkShedPolicy (ServeOptions::shed_policy) can refuse work at
 // admission when the queue saturates (ServeStatus::kShed), shedding
 // batch-lane and deadline-infeasible jobs first; sheds are counted per
 // lane in the metrics registry. Deadlines gate *whether* a job runs,
@@ -35,6 +35,11 @@
 // to the sequential path. Deadline checks are the one scheduling-side
 // clock use, and they read the same injectable obs::Clock as the
 // metrics, so tests drive them with an obs::ManualClock.
+//
+// Model errors: an exception thrown out of a job's engine run (say a
+// RemoteShardClient with no fallback timing out) fails that job only. It
+// is delivered as ServeStatus::kFailed carrying the error's what() text,
+// counted in serve_failed{model_key=...}, and the worker goes on serving.
 //
 // Determinism: each job's engine owns its RNG, seeded from the job's
 // options and block (see AnchorEngine::explain), and each job's broker is
@@ -104,20 +109,21 @@ struct ServeOptions {
   /// floor; the batch lane can never starve outright).
   std::size_t batch_credit_every = 4;
   /// Admission-time load shedding; nullptr = never shed (bounded-queue
-  /// backpressure only). Must be const-thread-safe.
-  std::shared_ptr<const ShedPolicy> shed_policy = nullptr;
+  /// backpressure only).
+  std::shared_ptr<const WatermarkShedPolicy> shed_policy = nullptr;
 };
 
 /// How a submission left the server. Only kOk and kLate carry a valid
 /// explanation; the other statuses are typed refusals (the job never
-/// ran), delivered through the same next()/drain() stream so no
-/// accepted ticket is ever silently dropped.
+/// ran) or a typed model failure, delivered through the same
+/// next()/drain() stream so no accepted ticket is ever silently dropped.
 enum class ServeStatus : std::uint8_t {
   kOk = 0,                    ///< ran to completion (within deadline, if any)
   kLate = 1,                  ///< ran to completion but past its deadline
   kDeadlineExceededAtAdmit = 2,  ///< already expired when submitted
   kDeadlineExceededInQueue = 3,  ///< expired while queued; never ran
-  kShed = 4,                  ///< refused by the ShedPolicy at admission
+  kShed = 4,                  ///< refused by the shed policy at admission
+  kFailed = 5,                ///< the model threw; Served::error says why
 };
 
 /// True when a Served with this status carries a usable explanation.
@@ -132,6 +138,7 @@ inline const char* serve_status_name(ServeStatus status) {
     case ServeStatus::kDeadlineExceededAtAdmit: return "expired_at_admit";
     case ServeStatus::kDeadlineExceededInQueue: return "expired_in_queue";
     case ServeStatus::kShed: return "shed";
+    case ServeStatus::kFailed: return "failed";
   }
   return "unknown";
 }
@@ -178,6 +185,7 @@ class ExplanationServer {
     ServeStatus status = ServeStatus::kOk;
     Lane lane = Lane::kInteractive;
     std::uint64_t deadline_ns = 0;  ///< echo of the request's deadline
+    std::string error;  ///< kFailed only: the model error's what() text
   };
 
   explicit ExplanationServer(ServeOptions options = {})
@@ -206,8 +214,8 @@ class ExplanationServer {
   ExplanationServer& operator=(const ExplanationServer&) = delete;
 
   /// Register a model under `key`. The instance must be const-thread-safe
-  /// (all models in this repository are) or internally synchronized (a
-  /// ShardedCostModel); it is shared by every job submitted under the key.
+  /// (all models in this repository are, RemoteShardClient included); it
+  /// is shared by every job submitted under the key.
   void register_model(const std::string& key,
                       std::shared_ptr<const Model> model)
       COMET_EXCLUDES(mutex_) {
@@ -333,7 +341,8 @@ class ExplanationServer {
   /// per-model-key serve_queue_wait_ns{model_key=...} /
   /// serve_run_ns{model_key=...} latency histograms, and the traffic-
   /// control counters: serve_deadline_expired{stage="admit"|"queue"},
-  /// serve_deadline_late, and serve_shed{lane="interactive"|"batch"}.
+  /// serve_deadline_late, and serve_shed{lane="interactive"|"batch"};
+  /// and serve_failed{model_key=...} for jobs whose model threw.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Prometheus-style text exposition of every instrument (scrape body).
@@ -396,10 +405,6 @@ class ExplanationServer {
       context.has_deadline = request.deadline_ns != 0;
       context.deadline_slack_ns =
           request.deadline_ns != 0 ? request.deadline_ns - now : 0;
-      context.submit_blocked =
-          static_cast<std::uint64_t>(submit_blocked_.value());
-      context.try_submit_rejected =
-          static_cast<std::uint64_t>(try_submit_rejected_.value());
       if (options_.shed_policy->should_shed(context)) {
         return ServeStatus::kShed;
       }
@@ -551,14 +556,21 @@ class ExplanationServer {
           continue;
         }
       }
-      // The engine references the request's model and options for the
-      // duration of the run; both live in `request` on this stack frame.
-      Engine engine(*request.model, request.options);
       if (options_.metrics) served.trace.start_ns = clock_.now_ns();
-      served.explanation = engine.explain(request.block);
+      bool ran = true;
+      try {
+        // The engine references the request's model and options for the
+        // duration of the run; both live in `request` on this stack frame.
+        Engine engine(*request.model, request.options);
+        served.explanation = engine.explain(request.block);
+      } catch (const std::exception& error) {
+        served.status = ServeStatus::kFailed;
+        served.error = error.what();
+        ran = false;
+      }
       // Run expiry is only a label: the explanation completed, so it is
       // delivered (bit-identical to sequential) — just marked late.
-      if (request.deadline_ns != 0 &&
+      if (ran && request.deadline_ns != 0 &&
           clock_.now_ns() >= request.deadline_ns) {
         served.status = ServeStatus::kLate;
         if (options_.metrics) deadline_late_.increment();
@@ -566,23 +578,31 @@ class ExplanationServer {
       if (options_.metrics) {
         served.trace.done_ns = clock_.now_ns();
         completed_count_.increment();
-        // Per-model-key latency histograms; resolved by name per completion
-        // (an engine run dwarfs one map lookup).
-        metrics_
-            .histogram(obs::MetricsRegistry::labeled(
-                "serve_queue_wait_ns", "model_key", served.model_key))
-            .record(served.trace.queue_wait_ns());
-        metrics_
-            .histogram(obs::MetricsRegistry::labeled(
-                "serve_run_ns", "model_key", served.model_key))
-            .record(served.trace.run_ns());
+        // Per-model-key instruments; resolved by name per completion (an
+        // engine run dwarfs one map lookup).
+        if (ran) {
+          metrics_
+              .histogram(obs::MetricsRegistry::labeled(
+                  "serve_queue_wait_ns", "model_key", served.model_key))
+              .record(served.trace.queue_wait_ns());
+          metrics_
+              .histogram(obs::MetricsRegistry::labeled(
+                  "serve_run_ns", "model_key", served.model_key))
+              .record(served.trace.run_ns());
+        } else {
+          metrics_
+              .counter(obs::MetricsRegistry::labeled(
+                  "serve_failed", "model_key", served.model_key))
+              .increment();
+        }
       }
-      finish(std::move(served), /*ran=*/true);
+      finish(std::move(served), ran);
     }
   }
 
-  // Completion-side bookkeeping shared by the ran and expired-in-queue
-  // paths: publish the result, retire the ticket, wake consumers.
+  // Completion-side bookkeeping shared by the ran, failed and
+  // expired-in-queue paths: publish the result, retire the ticket, wake
+  // consumers.
   void finish(Served served, bool ran) COMET_EXCLUDES(mutex_) {
     {
       util::MutexLock lock(mutex_);

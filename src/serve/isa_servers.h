@@ -8,8 +8,8 @@
 // explanations.
 //
 //   serve::X86ExplanationServer server({.workers = 4});
-//   server.register_model("crude-hsw", crude);       // plain shared model
-//   server.register_model("oracle-hsw", sharded);    // or a ShardedCostModel
+//   server.register_model("crude-hsw", crude);        // a local model
+//   server.register_model("ithemal-hsw", remote);     // or a RemoteShardClient
 //   server.submit("crude-hsw", block, options);
 //   while (auto r = server.next()) { ... }
 #pragma once
@@ -20,8 +20,9 @@
 
 namespace comet::serve {
 
-/// Serves x86 jobs against any cost::CostModel (including ShardedCostModel
-/// pools); one model key per registered (model kind, µarch) instance.
+/// Serves x86 jobs against any cost::CostModel (including a
+/// RemoteShardClient); one model key per registered (model kind, µarch)
+/// instance.
 using X86ExplanationServer = ExplanationServer<core::CometExplainer::Traits>;
 
 /// Serves RISC-V jobs against RvCostModel instances.

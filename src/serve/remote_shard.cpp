@@ -374,7 +374,7 @@ bool RemoteShardServer::handle_frame(net::Transport& transport,
         model_->predict_batch(blocks, values);
         {
           util::MutexLock lock(mutex_);
-          // The server is memo-free (client-side shard brokers already
+          // The server is memo-free (the client-side brokers already
           // deduplicate), so requested == evaluated by construction.
           stats_.requested += blocks.size();
           stats_.evaluated += blocks.size();

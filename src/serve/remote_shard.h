@@ -1,18 +1,17 @@
-// Remote shards: serve::ShardedBrokerPool shards living in another
-// process, reached over the net/ wire protocol.
+// Remote shards: a cost model living in another process, reached over the
+// net/ wire protocol.
 //
-//     scheduler → pools → shards → [wire protocol] → remote models
+//     scheduler → RemoteShardClient → [wire protocol] → remote model
 //
 // serve::RemoteShardClient is a cost::CostModel whose predict/predict_batch
 // serialize the blocks (canonical text — the same string every memo cache
 // keys on), frame them (net/wire.h), and round-trip them over a
 // net::Transport to a serve::RemoteShardServer wrapping the real model.
-// Because the client *is* a CostModel, a remote shard drops into every
-// existing seam unchanged: hand a connector to ShardedCostModel's factory
-// and the pool's shard threads each own a connection to a remote process;
-// predictions cross the wire as IEEE-754 bit patterns, so remote-sharded
-// explanations stay bit-identical to in-process ones (asserted by
-// tests/test_remote_shard.cpp against the tests/test_serve.cpp goldens).
+// Because the client *is* a CostModel, it registers with the
+// ExplanationServer like any local model; predictions cross the wire as
+// IEEE-754 bit patterns, so remotely served explanations stay
+// bit-identical to in-process ones (asserted by
+// tests/test_remote_shard.cpp against the sequential plain-model path).
 //
 // Failure semantics (each path has a typed, tested outcome):
 //   * per-request deadline  — RemoteShardOptions::request_timeout_ns bounds
@@ -37,9 +36,9 @@
 // are counted and discarded, so one slow exchange cannot poison the next.
 //
 // Thread-safety: the client is const-thread-safe the way every model in
-// the repo is — requests serialize on an internal mutex (a pool shard
-// drives its client from one thread anyway), and cancel()/counters() may
-// be called concurrently from any thread. All connection state is
+// the repo is — requests serialize on an internal mutex (server workers
+// sharing one client take turns on its connection), and
+// cancel()/counters() may be called concurrently from any thread. All connection state is
 // annotated COMET_GUARDED_BY per the PR 6 gate.
 #pragma once
 
@@ -109,8 +108,7 @@ class RemoteShardClient final : public cost::CostModel {
   /// request timeout. All transport-class failures (timeout, dead
   /// connection, malformed reply) return false — a probe is a question,
   /// not a request, so nothing is retried or failed over. Cancellation
-  /// still throws net::CancelledError. This is the Prober a
-  /// ShardHealthMonitor drives.
+  /// still throws net::CancelledError.
   bool ping() const;
 
   /// Failure-mode accounting, all monotonic.
@@ -175,7 +173,7 @@ class RemoteShardServer {
   void serve(net::Transport& transport);
 
   /// Serve `transport` on an internal thread (the in-process deployment
-  /// shape: one server, N shard connections).
+  /// shape: one server, one session per client connection).
   void start(std::unique_ptr<net::Transport> transport);
 
   /// Close every started transport and join every session thread.
@@ -192,7 +190,7 @@ class RemoteShardServer {
   Counters counters() const;
 
   /// Ledger of the traffic this server evaluated (requested == evaluated:
-  /// the server is deliberately memo-free — client-side shard brokers
+  /// the server is deliberately memo-free — the client-side brokers
   /// already deduplicate, and a second cache would only hide their hit
   /// rates).
   cost::QueryStats stats() const;

@@ -1,17 +1,14 @@
 // Load shedding for the serving admission queue.
 //
-// A ShedPolicy decides, at admission time, whether the server should
-// refuse a job outright instead of queueing it. The decision sees the
-// same saturation signals the operator sees on a dashboard — live queue
-// depth against capacity, and the cumulative backpressure counters
-// (serve_submit_blocked / serve_try_submit_rejected) — plus the job's
-// own traffic class (lane, deadline slack). A shed job is never a
-// silent drop: the server delivers a typed Served result with
-// ServeStatus::kShed and counts it per lane in the metrics registry.
+// A WatermarkShedPolicy decides, at admission time, whether the server
+// should refuse a job outright instead of queueing it. The decision sees
+// live queue depth against capacity plus the job's own traffic class
+// (lane, deadline slack). A shed job is never a silent drop: the server
+// delivers a typed Served result with ServeStatus::kShed and counts it
+// per lane in the metrics registry.
 //
-// Policies must be const-thread-safe: should_shed() is called under the
-// server's admission lock from every producer thread. Keep them
-// stateless (WatermarkShedPolicy is) or internally synchronized.
+// The policy is stateless, so should_shed() may be called under the
+// server's admission lock from every producer thread.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +28,7 @@ inline const char* lane_name(Lane lane) {
   return lane == Lane::kInteractive ? "interactive" : "batch";
 }
 
-/// Everything a policy may consult for one admission decision.
+/// Everything the policy consults for one admission decision.
 struct ShedContext {
   std::size_t queue_depth = 0;     ///< jobs queued across both lanes
   std::size_t queue_capacity = 0;  ///< admission-queue bound
@@ -41,22 +38,9 @@ struct ShedContext {
   /// deadline. Already-expired jobs never reach the policy — the server
   /// rejects those first with a typed deadline result.
   std::uint64_t deadline_slack_ns = 0;
-  /// Cumulative backpressure counters (serve_submit_blocked /
-  /// serve_try_submit_rejected) at decision time. Zero while the server
-  /// runs with metrics off.
-  std::uint64_t submit_blocked = 0;
-  std::uint64_t try_submit_rejected = 0;
 };
 
-class ShedPolicy {
- public:
-  virtual ~ShedPolicy() = default;
-
-  /// True to refuse the job (the server delivers ServeStatus::kShed).
-  virtual bool should_shed(const ShedContext& context) const = 0;
-};
-
-/// The default production policy: two watermarks over queue occupancy.
+/// Two watermarks over queue occupancy.
 ///
 ///   * Above `batch_watermark` (fraction of capacity), batch-lane jobs
 ///     are shed — interactive traffic keeps the remaining headroom.
@@ -67,7 +51,7 @@ class ShedPolicy {
 ///
 /// Interactive jobs without a deadline are never shed — they fall back
 /// to ordinary backpressure (submit blocks / try_submit rejects).
-class WatermarkShedPolicy final : public ShedPolicy {
+class WatermarkShedPolicy {
  public:
   struct Options {
     double batch_watermark = 0.5;
@@ -78,7 +62,8 @@ class WatermarkShedPolicy final : public ShedPolicy {
   WatermarkShedPolicy() = default;
   explicit WatermarkShedPolicy(Options options) : options_(options) {}
 
-  bool should_shed(const ShedContext& context) const override;
+  /// True to refuse the job (the server delivers ServeStatus::kShed).
+  bool should_shed(const ShedContext& context) const;
 
  private:
   Options options_;

@@ -1,11 +1,10 @@
 // A fixed-size FIFO thread pool and the latch its callers join on — the
-// execution substrate of the concurrent layers (serve/'s shard threads,
-// the cost::CostModel batch fan-out, test harnesses).
+// execution substrate of the cost::CostModel batch fan-out (and of test
+// harnesses).
 //
 // Deliberately minimal: tasks are opaque std::function<void()>s executed in
 // submission order by whichever worker frees up first. With one worker the
-// pool is a strict FIFO executor, which is what serializes a shard's
-// broker and model onto one thread; more workers trade that ordering for
+// pool is a strict FIFO executor; more workers trade that ordering for
 // concurrency (callers opt in explicitly).
 //
 // Shutdown is graceful: the destructor lets workers drain every queued task

@@ -35,9 +35,9 @@ struct BasicBlock {
 
   /// Multi-line Intel-syntax rendering, one instruction per line, each
   /// ending in '\n'. These bytes are a contract: they are the query
-  /// broker's memo key, the sharded pool's route, the remote shard
-  /// client's wire payload and the anchor engine's RNG seed, so they must
-  /// not change (tests/test_block_text_golden.cpp pins them).
+  /// broker's memo key, the remote shard client's wire payload and the
+  /// anchor engine's RNG seed, so they must not change
+  /// (tests/test_block_text_golden.cpp pins them).
   std::string to_string() const;
 
   bool operator==(const BasicBlock&) const = default;

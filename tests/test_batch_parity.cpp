@@ -2,8 +2,8 @@
 // a mixed batch (empty blocks, duplicates, varied sizes) must match
 // per-block predict() bit-for-bit — sequentially AND with the batch chunked
 // across the shared thread pool (set_batch_threads). This is the contract
-// the query broker, the sharded serving layer, and the engine's golden
-// parity all stand on.
+// the query broker, the serving layer, and the engine's golden parity all
+// stand on.
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -165,7 +165,7 @@ class RuleScoping(unittest.TestCase):
             [], rules_hit("src/net/wire.cpp", '#include "serve/x.h"'))
         self.assertEqual(
             [], rules_hit("tests/test_serve.cpp",
-                          '#include "serve/sharded_pool.h"'))
+                          '#include "serve/remote_shard.h"'))
 
     def test_upward_include_spares_mentions_and_lookalikes(self):
         self.assertEqual(

@@ -2,9 +2,9 @@
 // histogram bucket/percentile/merge math, registry handle stability and
 // exporters, the clock seam, counter/histogram thread-safety (meaningful
 // under TSan — scripts/check.sh --tsan builds this file), engine phase
-// timers, per-shard pool instrumentation, and the non-negotiable contract
-// of the whole layer: explanations served with metrics on (real or mocked
-// clock) are bit-identical to metrics-off and to the sequential path.
+// timers, and the non-negotiable contract of the whole layer: explanations
+// served with metrics on (real or mocked clock) are bit-identical to
+// metrics-off and to the sequential path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/phase_timers.h"
 #include "serve/isa_servers.h"
-#include "serve/sharded_cost_model.h"
 #include "x86/parser.h"
 
 namespace cb = comet::bhive;
@@ -404,47 +403,4 @@ TEST(ServeMetrics, LifecycleCountersAndHistogramsFill) {
                                    "serve_run_ns_count{model_key=\"crude\"}"));
   EXPECT_NE(std::string::npos,
             server.metrics_json().find("serve_run_ns{model_key=\\\"crude\\\"}"));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded pool instrumentation
-
-TEST(ShardedPoolMetrics, BatchSizeHistogramsAndHitRateGauges) {
-  const cs::ShardedCostModel sharded(
-      [](std::size_t) {
-        return std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
-      },
-      /*shards=*/2);
-  std::vector<cx::BasicBlock> blocks;
-  for (const auto& block :
-       {cb::listing1_motivating(), cb::listing2_case_study1(),
-        cb::listing3_case_study2(), cb::listing4_appendixF_beta1()}) {
-    blocks.push_back(block);
-  }
-  std::vector<double> out(blocks.size());
-  sharded.predict_batch(blocks, out);
-
-  const auto snap = sharded.metrics().snapshot();
-  std::uint64_t recorded = 0, sub_batches = 0;
-  for (const auto& [name, h] : snap.histograms) {
-    ASSERT_EQ(0u, name.rfind("shard_batch_size{shard=\"", 0)) << name;
-    recorded += h.sum;        // total blocks routed through this shard
-    sub_batches += h.count;   // dispatches it received
-  }
-  EXPECT_EQ(blocks.size(), recorded);  // every block routed exactly once
-  EXPECT_GE(sub_batches, 1u);
-  EXPECT_LE(sub_batches, 2u);  // at most one sub-batch per shard per call
-
-  // First pass: cold caches. Repeat the identical batch: every query memo-
-  // hits, and the per-shard hit-rate gauges say so.
-  sharded.predict_batch(blocks, out);
-  bool any_hits = false;
-  for (const auto& [name, v] : sharded.metrics().snapshot().gauges) {
-    ASSERT_EQ(0u, name.rfind("shard_hit_rate{shard=\"", 0)) << name;
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-    any_hits = any_hits || v > 0.0;
-  }
-  EXPECT_TRUE(any_hits);
-  EXPECT_EQ(0.5, sharded.stats().hit_rate());  // 2nd pass fully memoized
 }

@@ -12,14 +12,11 @@
 //     the request resent; duplicated responses are discarded as stale;
 //   * cancellation — cancel() fails an in-flight request with
 //     CancelledError and never falls over to the local fallback;
-//   * fault recovery — RemoteShardClient::ping() round-trips the
-//     kHealthCheck frame and fails closed when the server dies; a seeded
-//     ShardHealthMonitor sweep takes a shard host through permanent death
-//     (circuit opens after `failure_threshold` failed wire pings, the
-//     pool re-shards the hash space over the survivors and sweeps their
-//     memos), recovery, and half-open re-admission — with every
-//     prediction and whole explanation served before, during, and after
-//     the outage bit-identical to in-process serving;
+//   * liveness — RemoteShardClient::ping() round-trips the kHealthCheck
+//     frame and fails closed when the server dies;
+//   * failover and failure — nested clients degrade tier by tier through
+//     their fallbacks; with no fallback, a served timeout is a typed
+//     kFailed result and the next job re-dials and returns the same bits;
 //   * protocol errors — a bad block text fails the request (kError /
 //     kParseError) but not the session; garbage bytes end the session
 //     after a best-effort error report; and every scenario above ends in
@@ -29,19 +26,16 @@
 // reproducible: the fault schedule, not thread timing, decides what fails.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -52,11 +46,8 @@
 #include "net/sim_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
-#include "obs/clock.h"
-#include "serve/health.h"
 #include "serve/isa_servers.h"
 #include "serve/remote_shard.h"
-#include "serve/sharded_cost_model.h"
 #include "util/contract.h"
 #include "x86/parser.h"
 
@@ -64,7 +55,6 @@ namespace cb = comet::bhive;
 namespace cc = comet::core;
 namespace ck = comet::cost;
 namespace cn = comet::net;
-namespace co = comet::obs;
 namespace cs = comet::serve;
 namespace cx = comet::x86;
 
@@ -146,6 +136,13 @@ struct ServerRig {
   std::vector<std::pair<cn::FaultSchedule, cn::FaultSchedule>> plans_;
   std::shared_ptr<std::size_t> dials_;
 };
+
+// A connector to a host that is down: every dial fails.
+cs::RemoteShardClient::Connector dead_host() {
+  return []() -> std::unique_ptr<cn::Transport> {
+    throw cn::DisconnectedError("shard host is down");
+  };
+}
 
 // A model whose queries block until the test opens the gate (to pin a
 // server session mid-request for the cancellation test).
@@ -239,46 +236,40 @@ TEST(RemoteShard, PredictionsBitIdenticalToLocalModelAndLedgersMatch) {
 }
 
 TEST(RemoteShard, ServedExplanationsBitIdenticalIncludingStatsAndMetrics) {
-  // The in-process golden: the scheduler over a locally sharded crude
-  // model (the tests/test_serve.cpp topology).
+  // The golden: the sequential explanation over a plain in-process model.
   const auto block = cb::listing2_case_study1();
   const auto options = light_options(5);
-  const cs::ShardedCostModel local_sharded(
-      [](std::size_t) -> std::shared_ptr<const ck::CostModel> {
-        return crude();
-      },
-      /*shards=*/2);
-  const auto expected =
-      cc::CometExplainer(local_sharded, options).explain(block);
-  // Same bits as a plain un-sharded model, so the remote comparison below
-  // is anchored to the sequential golden, not merely to another pool.
-  expect_identical(cc::CometExplainer(*crude(), options).explain(block),
-                   expected);
+  const auto expected = cc::CometExplainer(*crude(), options).explain(block);
 
-  // The remote topology: scheduler → pool → shards → wire → servers. Each
-  // shard's model is a RemoteShardClient dialing its own server.
+  // The remote topology: scheduler → RemoteShardClient → wire → server.
+  ServerRig rig(crude());
   cs::RemoteShardOptions remote_options;
   remote_options.request_timeout_ns = kMustSucceedNs;
-  auto remote_sharded = std::make_shared<const cs::ShardedCostModel>(
-      [&remote_options](std::size_t) -> std::shared_ptr<const ck::CostModel> {
-        ServerRig rig(crude());
-        return std::make_shared<const cs::RemoteShardClient>(rig.connector(),
-                                                             remote_options);
-      },
-      /*shards=*/2);
+  auto client = std::make_shared<const cs::RemoteShardClient>(
+      rig.connector(), remote_options);
 
   cs::X86ExplanationServer server({.workers = 2, .queue_capacity = 4});
-  server.register_model("remote-sharded", remote_sharded);
-  server.submit("remote-sharded", block, options);
+  server.register_model("remote", client);
+  server.submit("remote", block, options);
   const auto results = server.drain();
   ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].status, cs::ServeStatus::kOk);
 
-  // Bit-identical explanation AND bit-identical merged ledger: the wire
-  // moved doubles as raw bit patterns, so the broker above it cannot tell
-  // remote shards from local ones.
+  // Bit-identical explanation AND bit-identical ledger: the wire moved
+  // doubles as raw bit patterns, so the broker above it cannot tell the
+  // remote model from a local one.
   expect_identical(results[0].explanation, expected);
   EXPECT_EQ(results[0].explanation.query_stats, expected.query_stats);
-  EXPECT_EQ(remote_sharded->stats(), local_sharded.stats());
+  EXPECT_EQ(server.stats_by_model().at("remote"), expected.query_stats);
+  // Everything the broker evaluated crossed the wire exactly once, over
+  // one connection, with no failure of any kind.
+  EXPECT_EQ(rig.server->stats().evaluated, expected.query_stats.evaluated);
+  EXPECT_EQ(rig.dials(), 1u);
+  const auto counters = client->counters();
+  EXPECT_EQ(counters.requests, counters.responses);
+  EXPECT_EQ(counters.timeouts + counters.reconnects + counters.failovers +
+                counters.wire_errors + counters.stale_frames,
+            0u);
 
   // The serve_* metrics surface agrees a request went through cleanly.
   const auto snap = server.metrics().snapshot();
@@ -615,6 +606,17 @@ TEST(RemoteShardServer, BadBlockTextFailsTheRequestNotTheSession) {
   EXPECT_EQ(cn::decode_error(off_reply.payload).code,
             cn::ErrorBody::kBadRequest);
 
+  // A malformed health probe is refused the same way.
+  cn::Frame bad_probe;
+  bad_probe.type = cn::MessageType::kHealthCheck;
+  bad_probe.request_id = 10;
+  bad_probe.payload = {1, 2, 3};
+  const auto probe_reply = exchange(bad_probe);
+  EXPECT_EQ(probe_reply.type, cn::MessageType::kError);
+  EXPECT_EQ(probe_reply.request_id, 10u);
+  EXPECT_EQ(cn::decode_error(probe_reply.payload).code,
+            cn::ErrorBody::kBadRequest);
+
   // The same session still serves a good request afterwards.
   cn::Frame good;
   good.type = cn::MessageType::kPredictRequest;
@@ -640,7 +642,7 @@ TEST(RemoteShardServer, BadBlockTextFailsTheRequestNotTheSession) {
   EXPECT_EQ(counters.sessions, 1u);
   EXPECT_EQ(counters.requests, 2u);
   EXPECT_EQ(counters.responses, 1u);
-  EXPECT_EQ(counters.errors, 2u);
+  EXPECT_EQ(counters.errors, 3u);
   // Only the good request reached the model: the ledger holds one block.
   EXPECT_EQ(server.stats().requested, 1u);
   EXPECT_EQ(server.stats().evaluated, 1u);
@@ -676,65 +678,6 @@ TEST(RemoteShardServer, GarbageBytesEndTheSessionWithABestEffortError) {
   EXPECT_EQ(server.counters().responses, 0u);
 }
 
-namespace {
-
-// A shard host that can die and come back. kill() stops the current
-// server — closing every live session, so connected clients see EOF —
-// and makes further dials fail with DisconnectedError; revive() installs
-// a fresh server for new dials. (RemoteShardServer is one-shot by
-// contract: start() after stop() is a ContractViolation, so revival
-// swaps in a new instance rather than restarting the old one.)
-class RevivableRig {
- public:
-  explicit RevivableRig(std::shared_ptr<const ck::CostModel> model)
-      : model_(std::move(model)), slot_(std::make_shared<Slot>()) {
-    slot_->server = std::make_shared<cs::RemoteShardServer>(model_);
-  }
-
-  ~RevivableRig() { kill(); }
-
-  void kill() {
-    std::shared_ptr<cs::RemoteShardServer> doomed;
-    {
-      std::lock_guard<std::mutex> lock(slot_->mutex);
-      doomed = std::move(slot_->server);
-      slot_->server = nullptr;
-    }
-    if (doomed != nullptr) doomed->stop();
-  }
-
-  void revive() {
-    std::lock_guard<std::mutex> lock(slot_->mutex);
-    slot_->server = std::make_shared<cs::RemoteShardServer>(model_);
-  }
-
-  cs::RemoteShardClient::Connector connector() const {
-    return [slot = slot_]() -> std::unique_ptr<cn::Transport> {
-      std::shared_ptr<cs::RemoteShardServer> server;
-      {
-        std::lock_guard<std::mutex> lock(slot->mutex);
-        server = slot->server;
-      }
-      if (server == nullptr) {
-        throw cn::DisconnectedError("RevivableRig: shard host is down");
-      }
-      auto [client_end, server_end] = cn::make_sim_pair();
-      server->start(std::move(server_end));
-      return std::move(client_end);
-    };
-  }
-
- private:
-  struct Slot {
-    std::mutex mutex;
-    std::shared_ptr<cs::RemoteShardServer> server;
-  };
-  std::shared_ptr<const ck::CostModel> model_;
-  std::shared_ptr<Slot> slot_;
-};
-
-}  // namespace
-
 TEST(RemoteShardHealth, PingRoundTripsAndFailsClosedOnceTheServerDies) {
   ServerRig rig(crude());
   cs::RemoteShardOptions copt;
@@ -758,258 +701,88 @@ TEST(RemoteShardHealth, PingRoundTripsAndFailsClosedOnceTheServerDies) {
   EXPECT_EQ(client.counters().health_failures, 1u);
 }
 
-TEST(ShardFaultRecovery, DeathReShardsRecoveryReadmitsDeterministically) {
-  const auto plain = crude();
-  constexpr std::size_t kShards = 3;
+TEST(RemoteShardHealth, PingFailsClosedOnAWrongEchoTypeOrPayload) {
+  // A scripted peer answers each frame it receives with the next reply
+  // of `script`, built from the request it answers.
+  auto [client_end, peer] = cn::make_sim_pair();
+  auto dial = std::make_shared<std::unique_ptr<cn::Transport>>(
+      std::move(client_end));
+  cs::RemoteShardOptions copt;
+  copt.request_timeout_ns = kMustSucceedNs;
+  copt.max_attempts = 1;  // one connection: a re-dial would find none
+  cs::RemoteShardClient client([dial] { return std::move(*dial); }, copt);
 
-  std::vector<std::unique_ptr<RevivableRig>> rigs;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    rigs.push_back(std::make_unique<RevivableRig>(plain));
-  }
-
-  // The pool's shards are remote clients; the test keeps its own handles
-  // for the health prober.
-  std::vector<std::shared_ptr<const cs::RemoteShardClient>> clients(kShards);
-  cs::ShardedCostModel sharded(
-      [&](std::size_t s) {
-        cs::RemoteShardOptions copt;
-        copt.request_timeout_ns = kMustSucceedNs;
-        auto client = std::make_shared<const cs::RemoteShardClient>(
-            rigs[s]->connector(), copt);
-        clients[s] = client;
-        return client;
+  const std::vector<std::function<cn::Frame(const cn::Frame&)>> script = {
+      [](const cn::Frame& request) {  // echoes the wrong nonce
+        cn::Frame reply;
+        reply.type = cn::MessageType::kHealthReply;
+        reply.payload = cn::encode_health_reply(
+            {cn::decode_health_ping(request.payload).nonce + 1, 0});
+        return reply;
       },
-      kShards);
-
-  co::ManualClock clock;  // t = 0; the monitor never reads wall time
-  cs::HealthOptions hopt;
-  hopt.failure_threshold = 2;
-  hopt.readmit_probes = 2;
-  hopt.probe_interval_ns = 0;    // live shards probe on every tick
-  hopt.backoff_base_ns = 1'000;  // dead-shard re-probe backoff (manual ns)
-  hopt.backoff_factor = 2.0;
-  hopt.backoff_max_ns = 8'000;
-  hopt.jitter_frac = 0.25;
-  hopt.seed = 0xc0ffee;
-  hopt.clock = &clock;
-  cs::ShardHealthMonitor monitor(
-      kShards, [&](std::size_t s) { return clients[s]->ping(); }, hopt);
-  std::vector<std::size_t> died;
-  std::vector<std::size_t> readmitted;
-  monitor.set_on_dead([&](std::size_t s) {
-    died.push_back(s);
-    sharded.set_shard_live(s, false);
-  });
-  monitor.set_on_readmitted([&](std::size_t s) {
-    readmitted.push_back(s);
-    sharded.set_shard_live(s, true);
-  });
-
-  // Prime the fleet: predictions over the pool are bit-identical to the
-  // in-process model, and the memo holds each distinct block exactly
-  // once, pool-wide.
-  const std::vector<cx::BasicBlock> blocks = test_blocks(12);
-  std::set<std::string> texts;
-  for (const auto& block : blocks) texts.insert(block.to_string());
-  const std::size_t distinct = texts.size();
-
-  std::vector<double> expected(blocks.size());
-  plain->predict_batch(blocks, expected);
-  std::vector<double> got(blocks.size());
-  sharded.predict_batch(blocks, got);
-  EXPECT_EQ(got, expected);
-
-  const std::vector<std::size_t> sizes_primed = sharded.memo_sizes();
-  std::size_t total_primed = 0;
-  for (const std::size_t n : sizes_primed) total_primed += n;
-  EXPECT_EQ(total_primed, distinct);
-
-  // Healthy fleet: one tick wire-pings every shard.
-  monitor.tick();
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(monitor.health(s), cs::ShardHealth::kHealthy);
-    EXPECT_EQ(clients[s]->counters().health_pings, 1u);
-  }
-
-  // Shard 1's host dies. failure_threshold = 2 consecutive failed pings
-  // open the circuit: on_dead fires exactly once and the pool re-shards
-  // the hash space over the survivors.
-  rigs[1]->kill();
-  monitor.tick();
-  EXPECT_EQ(monitor.health(1), cs::ShardHealth::kSuspect);
-  EXPECT_TRUE(died.empty());
-  monitor.tick();
-  EXPECT_EQ(monitor.health(1), cs::ShardHealth::kDead);
-  EXPECT_EQ(died, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(sharded.live_shards(), (std::vector<std::size_t>{0, 2}));
-
-  // The re-shard swept the survivors' memos down to what they now own;
-  // the dead shard's memo is untouched (nobody talks to it).
-  const std::vector<std::size_t> sizes_dead = sharded.memo_sizes();
-  EXPECT_EQ(sizes_dead[1], sizes_primed[1]);
-  EXPECT_LE(sizes_dead[0], sizes_primed[0]);
-  EXPECT_LE(sizes_dead[2], sizes_primed[2]);
-
-  // Degraded serving: the same batch re-routes to the survivors and is
-  // still bit-identical; the survivors re-memoize the moved keys.
-  std::fill(got.begin(), got.end(), 0.0);
-  sharded.predict_batch(blocks, got);
-  EXPECT_EQ(got, expected);
-  const std::vector<std::size_t> sizes_degraded = sharded.memo_sizes();
-  EXPECT_EQ(sizes_degraded[0] + sizes_degraded[2], distinct);
-  EXPECT_EQ(sizes_degraded[1], sizes_primed[1]);
-
-  // A whole explanation served mid-outage is bit-identical to the
-  // sequential in-process run.
-  const cc::CometOptions opt = light_options(404);
-  const cx::BasicBlock block = blocks.front();
-  const cc::Explanation sequential =
-      cc::CometExplainer(*plain, opt).explain(block);
-  const cc::Explanation degraded =
-      cc::CometExplainer(sharded, opt).explain(block);
-  expect_identical(degraded, sequential);
-
-  // Dead shards re-probe on a jittered exponential backoff, not every
-  // tick: at the same manual time the next probe is not yet due.
-  const std::uint64_t failures_at_death = monitor.counters().failures;
-  monitor.tick();
-  EXPECT_EQ(monitor.counters().failures, failures_at_death);
-  EXPECT_EQ(monitor.health(1), cs::ShardHealth::kDead);
-
-  clock.advance_ns(2'000);  // past the first jittered backoff
-  monitor.tick();           // still down: one more failure, no new death
-  EXPECT_EQ(monitor.counters().failures, failures_at_death + 1);
-  EXPECT_EQ(monitor.counters().deaths, 1u);
-  EXPECT_EQ(died.size(), 1u);
-
-  // The host comes back. The first successful probe enters half-open
-  // probation — the shard is NOT yet re-admitted to routing.
-  rigs[1]->revive();
-  clock.advance_ns(20'000);  // past the capped backoff, whatever the jitter
-  monitor.tick();
-  EXPECT_EQ(monitor.health(1), cs::ShardHealth::kProbation);
-  EXPECT_TRUE(readmitted.empty());
-  EXPECT_EQ(sharded.live_shards(), (std::vector<std::size_t>{0, 2}));
-
-  // readmit_probes = 2 consecutive successes re-admit it.
-  monitor.tick();
-  EXPECT_EQ(monitor.health(1), cs::ShardHealth::kHealthy);
-  EXPECT_EQ(readmitted, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(sharded.live_shards(), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(monitor.counters().deaths, 1u);
-  EXPECT_EQ(monitor.counters().readmissions, 1u);
-
-  // Re-admission restores the original hash assignment, so shard 1's
-  // memo (which only ever held keys it owns under the full routing)
-  // survives the readmit sweep intact.
-  const std::vector<std::size_t> sizes_readmitted = sharded.memo_sizes();
-  EXPECT_EQ(sizes_readmitted[1], sizes_primed[1]);
-
-  // Full-fleet serving after recovery: the old batch is bit-identical,
-  // and fresh traffic routes to the re-admitted shard again (its memo
-  // grows past what it held before the outage).
-  std::fill(got.begin(), got.end(), 0.0);
-  sharded.predict_batch(blocks, got);
-  EXPECT_EQ(got, expected);
-
-  cb::DatasetOptions fresh_opt;
-  fresh_opt.size = 12;
-  fresh_opt.seed = 1234;
-  const cb::Dataset fresh_dataset = cb::generate_dataset(fresh_opt);
-  std::vector<cx::BasicBlock> fresh;
-  for (const auto& labeled : fresh_dataset.blocks()) {
-    fresh.push_back(labeled.block);
-  }
-  std::vector<double> fresh_expected(fresh.size());
-  std::vector<double> fresh_got(fresh.size());
-  plain->predict_batch(fresh, fresh_expected);
-  sharded.predict_batch(fresh, fresh_got);
-  EXPECT_EQ(fresh_got, fresh_expected);
-  EXPECT_GT(sharded.memo_sizes()[1], sizes_readmitted[1]);
-
-  const cc::Explanation recovered =
-      cc::CometExplainer(sharded, opt).explain(block);
-  expect_identical(recovered, sequential);
-
-  // The outage left its trace in the probe accounting.
-  EXPECT_GE(clients[1]->counters().health_failures, 3u);
-}
-
-// ---------------- the health monitor's circuit, without a network ----------
-
-TEST(ShardHealthMonitor, DeadBackoffGrowsToItsCapAndHalfOpenRelapseReopens) {
-  co::ManualClock clock;
-  cs::HealthOptions hopt;
-  hopt.failure_threshold = 1;
-  hopt.readmit_probes = 2;
-  hopt.backoff_base_ns = 100;
-  hopt.backoff_factor = 2.0;
-  hopt.backoff_max_ns = 300;
-  hopt.jitter_frac = 0.0;  // exact due times
-  hopt.clock = &clock;
-  bool up = false;
-  cs::ShardHealthMonitor monitor(
-      1, [&](std::size_t) { return up; }, hopt);
-  std::size_t deaths_seen = 0;
-  std::size_t readmissions_seen = 0;
-  monitor.set_on_dead([&](std::size_t) { ++deaths_seen; });
-  monitor.set_on_readmitted([&](std::size_t) { ++readmissions_seen; });
-
-  // Probes land only when due, so the probe count reads the backoff.
-  const auto probes_at = [&](std::uint64_t t) {
-    clock.set_ns(t);
-    monitor.tick();
-    return monitor.counters().probes;
+      [](const cn::Frame&) {  // answers with an error, not an echo
+        cn::Frame reply;
+        reply.type = cn::MessageType::kError;
+        reply.payload = cn::encode_error({cn::ErrorBody::kBadRequest, "no"});
+        return reply;
+      },
+      [](const cn::Frame&) {  // a well-framed but malformed echo
+        cn::Frame reply;
+        reply.type = cn::MessageType::kHealthReply;
+        reply.payload = {1, 2, 3};
+        return reply;
+      },
+      [](const cn::Frame&) {  // refuses a prediction
+        cn::Frame reply;
+        reply.type = cn::MessageType::kError;
+        reply.payload =
+            cn::encode_error({cn::ErrorBody::kInternalError, "model down"});
+        return reply;
+      },
   };
-  EXPECT_EQ(probes_at(0), 1u);  // fails: dead, re-probe at 0 + 100
-  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kDead);
-  EXPECT_EQ(probes_at(99), 1u);
-  EXPECT_EQ(probes_at(100), 2u);  // still dead: backoff 200, due 300
-  EXPECT_EQ(probes_at(299), 2u);
-  EXPECT_EQ(probes_at(300), 3u);  // backoff 400 capped at 300, due 600
-  EXPECT_EQ(probes_at(599), 3u);
-  EXPECT_EQ(probes_at(600), 4u);
-
-  // Half-open, then a relapse: dead again, the same outage continuing
-  // (no second death, no on_dead refire).
-  up = true;
-  EXPECT_EQ(probes_at(900), 5u);
-  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kProbation);
-  up = false;
-  EXPECT_EQ(probes_at(901), 6u);
-  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kDead);
-  EXPECT_EQ(monitor.counters().deaths, 1u);
-  EXPECT_EQ(deaths_seen, 1u);
-
-  // Two consecutive half-open successes re-admit it.
-  up = true;
-  monitor.force_probe_all();
-  monitor.force_probe_all();
-  EXPECT_EQ(monitor.health(0), cs::ShardHealth::kHealthy);
-  EXPECT_EQ(readmissions_seen, 1u);
-  EXPECT_EQ(monitor.counters().readmissions, 1u);
-  EXPECT_EQ(monitor.counters().failures, 5u);
-}
-
-TEST(ShardHealthMonitor, BackgroundTickerProbesUntilStopped) {
-  std::atomic<std::size_t> probes{0};
-  cs::ShardHealthMonitor monitor(2, [&](std::size_t) {
-    ++probes;
-    return true;
+  auto scripted = std::async(std::launch::async, [&peer, &script] {
+    cn::FrameAssembler rx;
+    std::uint8_t buf[512];
+    for (const auto& answer : script) {
+      std::optional<cn::Frame> request;
+      while (!(request = rx.poll())) {
+        const std::size_t n =
+            peer->recv(std::span<std::uint8_t>(buf), kMustSucceedNs);
+        if (n == 0) return;
+        rx.feed(std::span<const std::uint8_t>(buf, n));
+      }
+      cn::Frame reply = answer(*request);
+      reply.request_id = request->request_id;
+      peer->send(cn::encode_frame(reply));
+    }
   });
-  monitor.start(/*period_ns=*/1'000'000);
-  // Bounded poll: the 1 ms ticker needs a few periods, not seconds.
-  for (int i = 0; i < 10'000 && probes.load() < 6; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  EXPECT_FALSE(client.ping());
+  EXPECT_FALSE(client.ping());
+  EXPECT_FALSE(client.ping());
+  // Only the malformed payload counts as a wire error; none of the three
+  // drops the connection.
+  auto counters = client.counters();
+  EXPECT_EQ(counters.health_pings, 3u);
+  EXPECT_EQ(counters.health_failures, 3u);
+  EXPECT_EQ(counters.wire_errors, 1u);
+  EXPECT_EQ(counters.reconnects, 0u);
+
+  // A refused prediction with no fallback is a typed error that carries
+  // the server's code and message.
+  try {
+    client.predict(test_blocks(1)[0]);
+    ADD_FAILURE() << "expected a TransportError";
+  } catch (const cn::TransportError& error) {
+    EXPECT_NE(std::string(error.what()).find("server error 3: model down"),
+              std::string::npos)
+        << error.what();
   }
-  monitor.stop();
-  EXPECT_GE(probes.load(), 6u);
-  const std::size_t after_stop = probes.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(probes.load(), after_stop);
-  EXPECT_EQ(monitor.snapshot(),
-            std::vector<cs::ShardHealth>(2, cs::ShardHealth::kHealthy));
-  monitor.stop();  // idempotent
+  counters = client.counters();
+  EXPECT_EQ(counters.requests, 1u);
+  EXPECT_EQ(counters.responses, 0u);
+  EXPECT_EQ(counters.failovers, 0u);
+  scripted.get();
 }
 
 // ---------------- tiered failover: nested clients ----------------
@@ -1023,19 +796,15 @@ TEST(RemoteShard, NestedFallbacksDegradeThroughTiersWithPerClientCounters) {
 
   // Tiers are nested clients: a dead primary whose fallback is a dead
   // secondary whose fallback is the local crude model.
-  RevivableRig primary_rig(model);
-  RevivableRig secondary_rig(model);
-  primary_rig.kill();
-  secondary_rig.kill();
   cs::RemoteShardOptions secondary_options;
   secondary_options.request_timeout_ns = kMustSucceedNs;
   secondary_options.fallback = model;
   auto secondary = std::make_shared<cs::RemoteShardClient>(
-      secondary_rig.connector(), secondary_options);
+      dead_host(), secondary_options);
   cs::RemoteShardOptions primary_options;
   primary_options.request_timeout_ns = kMustSucceedNs;
   primary_options.fallback = secondary;
-  cs::RemoteShardClient primary(primary_rig.connector(), primary_options);
+  cs::RemoteShardClient primary(dead_host(), primary_options);
 
   std::vector<double> out(blocks.size());
   primary.predict_batch(std::span<const cx::BasicBlock>(blocks),
@@ -1065,45 +834,40 @@ TEST(RemoteShard, NestedFallbacksDegradeThroughTiersWithPerClientCounters) {
   EXPECT_EQ(secondary->counters().requests, secondary_requests);
 }
 
-// ---------------- errors behind a sharded pool ----------------
+// ---------------- a model error inside a served job ----------------
 
-TEST(RemoteShard, TimeoutBehindShardedPoolReachesCallerAndPoolRecovers) {
-  const auto model = crude();
-  const auto blocks = test_blocks(12);
-  std::vector<double> expected(blocks.size());
-  model->predict_batch(std::span<const cx::BasicBlock>(blocks),
-                       std::span<double>(expected));
+TEST(RemoteShard, ServedTimeoutIsATypedFailureAndTheNextJobRedials) {
+  const auto block = cb::listing2_case_study1();
+  const auto options = light_options(5);
+  const auto expected = cc::CometExplainer(*crude(), options).explain(block);
 
-  // Each shard's first request is dropped and it has no fallback: the
-  // TimeoutError surfaces on the shard thread and must be rethrown here.
-  std::vector<std::unique_ptr<ServerRig>> rigs;
-  for (std::size_t s = 0; s < 2; ++s) {
-    rigs.push_back(std::make_unique<ServerRig>(
-        model, std::vector<std::pair<cn::FaultSchedule, cn::FaultSchedule>>{
-                   {cn::FaultSchedule({cn::Fault::drop()}),
-                    cn::FaultSchedule()}}));
-  }
-  cs::RemoteShardOptions options;
-  options.request_timeout_ns = kFaultTimeoutNs;
-  const cs::ShardedCostModel sharded(
-      [&](std::size_t s) {
-        return std::make_shared<const cs::RemoteShardClient>(
-            rigs[s]->connector(), options);
-      },
-      /*shards=*/2);
+  // The first connection drops the first request and the client has no
+  // fallback: the TimeoutError surfaces inside the server's worker.
+  ServerRig rig(crude(),
+                {{cn::FaultSchedule({cn::Fault::drop()}), cn::FaultSchedule()}});
+  cs::RemoteShardOptions remote_options;
+  remote_options.request_timeout_ns = kFaultTimeoutNs;
+  auto client = std::make_shared<const cs::RemoteShardClient>(
+      rig.connector(), remote_options);
 
-  std::vector<double> out(blocks.size());
-  EXPECT_THROW(sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                                     std::span<double>(out)),
-               cn::TimeoutError);
-  // The timed-out connections were dropped; the re-dials are clean.
-  sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                        std::span<double>(out));
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
-              std::bit_cast<std::uint64_t>(expected[i]))
-        << "block " << i;
-  }
-  // Both shards took part: one faulted dial, then one clean re-dial each.
-  for (const auto& rig : rigs) EXPECT_EQ(rig->dials(), 2u);
+  cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 4});
+  server.register_model("remote", client);
+  server.submit("remote", block, options);
+  const auto failed = server.drain();
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].status, cs::ServeStatus::kFailed);
+  EXPECT_NE(failed[0].error.find("deadline"), std::string::npos)
+      << failed[0].error;
+  EXPECT_EQ(client->counters().timeouts, 1u);
+  EXPECT_EQ(client->counters().failovers, 0u);
+
+  // The timed-out connection was dropped; the next job re-dials a clean
+  // one on the same worker and returns the sequential bits.
+  server.submit("remote", block, options);
+  const auto recovered = server.drain();
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].status, cs::ServeStatus::kOk);
+  expect_identical(recovered[0].explanation, expected);
+  EXPECT_EQ(recovered[0].explanation.query_stats, expected.query_stats);
+  EXPECT_EQ(rig.dials(), 2u);
 }

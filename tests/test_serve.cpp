@@ -1,7 +1,7 @@
 // Tests for the concurrent explanation-serving subsystem (src/serve/):
-// sharded-pool result parity with a single model and error propagation
-// from a throwing shard, completion-order scheduler correctness under 8
-// worker threads, bounded-queue backpressure, the engine's width-capped
+// completion-order scheduler correctness under 8 worker threads,
+// bounded-queue backpressure, a throwing model delivered as a typed
+// kFailed result while the worker keeps serving, the engine's width-capped
 // fused arm pulls (golden ledger, cap never exceeded), and the concurrency
 // determinism rule: served explanations are bit-identical to sequentially
 // computed ones because every request owns its RNG and broker.
@@ -24,8 +24,6 @@
 #include "riscv/explain.h"
 #include "riscv/parser.h"
 #include "serve/isa_servers.h"
-#include "serve/sharded_cost_model.h"
-#include "serve/sharded_pool.h"
 #include "sim/models.h"
 #include "x86/parser.h"
 
@@ -129,6 +127,22 @@ class GateModel final : public ck::CostModel {
   bool open_ = false;
 };
 
+// Throws from every query while the shared `failing` flag is set.
+class FlakyModel final : public ck::CostModel {
+ public:
+  explicit FlakyModel(std::shared_ptr<const std::atomic<bool>> failing)
+      : failing_(std::move(failing)) {}
+  double predict(const cx::BasicBlock& block) const override {
+    if (failing_->load()) throw std::runtime_error("flaky model");
+    return inner_.predict(block);
+  }
+  std::string name() const override { return "flaky"; }
+
+ private:
+  std::shared_ptr<const std::atomic<bool>> failing_;
+  ck::CrudeModel inner_{ck::MicroArch::Haswell};
+};
+
 void expect_identical(const cc::Explanation& a, const cc::Explanation& b) {
   EXPECT_EQ(a.features, b.features)
       << a.features.to_string() << " vs " << b.features.to_string();
@@ -203,108 +217,6 @@ TEST(QueryBrokerPool, PointerConstructionAndMoveKeepCacheAndStats) {
   EXPECT_EQ(&pool[0].model(), static_cast<const ck::CostModel*>(&model));
 }
 
-// ---------------- ShardedBrokerPool ----------------
-
-TEST(ShardedBrokerPool, MatchesSingleModelAndMergesStats) {
-  const auto blocks = test_blocks(80);
-  const ck::CrudeModel reference(ck::MicroArch::Haswell);
-  std::vector<double> expected(blocks.size());
-  reference.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                          std::span<double>(expected));
-
-  cs::ShardedBrokerPool<cx::BasicBlock, ck::CostModel> pool(
-      [](std::size_t) {
-        return std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
-      },
-      /*shards=*/4);
-  EXPECT_EQ(pool.shard_count(), 4u);
-
-  std::vector<double> out(blocks.size());
-  pool.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                     std::span<double>(out));
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], expected[i]) << "block " << i;
-  }
-
-  // Merged ledger equals the sum of per-shard ledgers, and the whole batch
-  // was requested exactly once.
-  const auto per_shard = pool.shard_stats();
-  ck::QueryStats sum;
-  for (const auto& s : per_shard) sum += s;
-  EXPECT_EQ(sum, pool.stats());
-  EXPECT_EQ(sum.requested, blocks.size());
-  EXPECT_EQ(sum.single_calls, 0u);
-
-  // Every block lands on its hash-owned shard, so a repeat batch is served
-  // entirely from the shard memo caches.
-  const std::size_t evaluated_before = sum.evaluated;
-  pool.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                     std::span<double>(out));
-  const auto after = pool.stats();
-  EXPECT_EQ(after.evaluated, evaluated_before);
-  EXPECT_EQ(after.requested, 2 * blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], expected[i]);
-  }
-
-  // Single-block routing agrees too.
-  EXPECT_DOUBLE_EQ(pool.predict(blocks[0]), expected[0]);
-}
-
-TEST(ShardedCostModel, IsADropInCostModel) {
-  cs::ShardedCostModel sharded(
-      [](std::size_t) {
-        return std::make_shared<const ck::CrudeModel>(ck::MicroArch::Skylake);
-      },
-      /*shards=*/3);
-  const ck::CrudeModel reference(ck::MicroArch::Skylake);
-  const ck::CostModel& as_base = sharded;
-  const auto block = golden_block();
-  EXPECT_DOUBLE_EQ(as_base.predict(block), reference.predict(block));
-  EXPECT_EQ(as_base.name(), "sharded-3(" + reference.name() + ")");
-}
-
-// Throws from every query while the shared `failing` flag is set.
-class FlakyModel final : public ck::CostModel {
- public:
-  explicit FlakyModel(std::shared_ptr<const std::atomic<bool>> failing)
-      : failing_(std::move(failing)) {}
-  double predict(const cx::BasicBlock& block) const override {
-    if (failing_->load()) throw std::runtime_error("flaky model");
-    return inner_.predict(block);
-  }
-  std::string name() const override { return "flaky"; }
-
- private:
-  std::shared_ptr<const std::atomic<bool>> failing_;
-  ck::CrudeModel inner_{ck::MicroArch::Haswell};
-};
-
-TEST(ShardedCostModel, ThrowingShardRethrowsOnCallerAndPoolKeepsServing) {
-  auto failing = std::make_shared<std::atomic<bool>>(true);
-  const cs::ShardedCostModel sharded(
-      [failing](std::size_t) {
-        return std::make_shared<const FlakyModel>(failing);
-      },
-      /*shards=*/2);
-  const auto blocks = test_blocks(20);
-  std::vector<double> out(blocks.size());
-  // The error crosses from the shard threads to this one instead of
-  // escaping into a worker loop (which would terminate the process).
-  EXPECT_THROW(sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                                     std::span<double>(out)),
-               std::runtime_error);
-
-  failing->store(false);
-  const ck::CrudeModel reference(ck::MicroArch::Haswell);
-  std::vector<double> expected(blocks.size());
-  reference.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                          std::span<double>(expected));
-  sharded.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                        std::span<double>(out));
-  EXPECT_EQ(out, expected);
-  EXPECT_EQ(sharded.stats().requested, 2 * blocks.size());
-}
 
 // ---------------- engine: width-capped fused arm pulls ----------------
 
@@ -477,26 +389,50 @@ TEST(ExplanationServer, ConcurrentRequestsBitIdenticalToSequential) {
   }
 }
 
-TEST(ExplanationServer, ServedOverShardedPoolMatchesPlainModel) {
-  // Full-stack parity: scheduler → pool → shards → models produces the
-  // same bits as one explainer over one model instance.
-  auto sharded = std::make_shared<const cs::ShardedCostModel>(
-      [](std::size_t) {
-        return std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
-      },
-      /*shards=*/4);
-  const ck::CrudeModel plain(ck::MicroArch::Haswell);
+TEST(ExplanationServer, ThrowingModelIsATypedFailureAndTheWorkerKeepsServing) {
+  auto failing = std::make_shared<std::atomic<bool>>(true);
+  auto flaky = std::make_shared<const FlakyModel>(failing);
+  const auto block = golden_block();
+  const auto options = light_options(7);
 
-  const auto block = cb::listing2_case_study1();
-  const auto options = light_options(5);
-  const auto expected = cc::CometExplainer(plain, options).explain(block);
+  // One worker, so the job after the failure runs on the same thread the
+  // exception crossed.
+  cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 4});
+  server.register_model("flaky", flaky);
+  const std::uint64_t failed_ticket = server.submit("flaky", block, options);
+  const auto failed = server.drain();
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].id, failed_ticket);
+  EXPECT_EQ(failed[0].status, cs::ServeStatus::kFailed);
+  EXPECT_FALSE(cs::has_explanation(failed[0].status));
+  EXPECT_STREQ(cs::serve_status_name(failed[0].status), "failed");
+  EXPECT_EQ(failed[0].error, "flaky model");
+  EXPECT_EQ(failed[0].model_key, "flaky");
+  // A failed run merges nothing into the per-key ledger.
+  EXPECT_FALSE(server.stats_by_model().contains("flaky"));
 
-  cs::X86ExplanationServer server({.workers = 2, .queue_capacity = 4});
-  server.register_model("sharded-crude", sharded);
-  server.submit("sharded-crude", block, options);
-  const auto results = server.drain();
-  ASSERT_EQ(results.size(), 1u);
-  expect_identical(results[0].explanation, expected);
+  // The worker survived: the next job on the same key runs and matches
+  // the sequential explanation over the model it wraps.
+  failing->store(false);
+  server.submit("flaky", block, options);
+  const auto recovered = server.drain();
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].status, cs::ServeStatus::kOk);
+  EXPECT_TRUE(recovered[0].error.empty());
+  const ck::CrudeModel crude(ck::MicroArch::Haswell);
+  const auto expected = cc::CometExplainer(crude, options).explain(block);
+  expect_identical(recovered[0].explanation, expected);
+  EXPECT_EQ(recovered[0].explanation.query_stats, expected.query_stats);
+  EXPECT_EQ(server.stats_by_model().at("flaky"), expected.query_stats);
+
+  std::uint64_t failed_count = 0;
+  std::uint64_t completed = 0;
+  for (const auto& [name, value] : server.metrics().snapshot().counters) {
+    if (name == "serve_failed{model_key=\"flaky\"}") failed_count = value;
+    if (name == "serve_completed") completed = value;
+  }
+  EXPECT_EQ(failed_count, 1u);
+  EXPECT_EQ(completed, 2u);
 }
 
 TEST(ExplanationServer, BoundedQueueExertsBackpressure) {

@@ -6,11 +6,13 @@
 // machinery changes the bits of an explanation that completes.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/comet.h"
@@ -245,6 +247,52 @@ TEST(Deadlines, ExpiryInQueueNeverRunsTheEngine) {
   }
   EXPECT_EQ(counter_value(server, "serve_deadline_expired{stage=\"queue\"}"),
             1u);
+}
+
+TEST(Deadlines, ExpiryWhileBlockedInSubmitIsATypedAdmitRefusal) {
+  co::ManualClock clock;
+  auto gate = std::make_shared<GateModel>();
+  cs::X86ExplanationServer server(
+      {.workers = 1, .queue_capacity = 1, .clock = &clock});
+  server.register_model("gate", gate);
+
+  // Pin the worker, then fill the one queue slot.
+  server.submit("gate", small_block(), light_options(1));
+  gate->await_entered();
+  server.submit("gate", small_block(), light_options(2));
+
+  // This producer finds the queue full and blocks in submit(); its
+  // deadline passes while it waits.
+  std::thread producer([&server, &clock] {
+    server.submit("gate", small_block(), light_options(3),
+                  {.deadline_ns = clock.now_ns() + 100});
+  });
+  // Bounded poll: the producer counts itself blocked before it parks.
+  for (int i = 0;
+       i < 10'000 && counter_value(server, "serve_submit_blocked") == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(counter_value(server, "serve_submit_blocked"), 1u);
+  clock.advance_ns(200);
+  gate->open();
+  producer.join();
+
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), 3u);
+  std::size_t ok = 0;
+  std::size_t expired = 0;
+  for (const auto& served : results) {
+    if (served.status == cs::ServeStatus::kOk) ++ok;
+    if (served.status == cs::ServeStatus::kDeadlineExceededAtAdmit) {
+      ++expired;
+      EXPECT_EQ(served.deadline_ns, 100u);
+    }
+  }
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(expired, 1u);
+  EXPECT_EQ(
+      counter_value(server, "serve_deadline_expired{stage=\"admit\"}"), 1u);
 }
 
 TEST(Deadlines, LateRunIsDeliveredBitIdenticalAndLabelled) {
