@@ -290,23 +290,6 @@ void BM_IthemalPredictGammaBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IthemalPredictGammaBatch)->Unit(benchmark::kMicrosecond);
 
-// The analytical models' batch path chunked over the shared thread pool
-// (CostModel::set_batch_threads) — a served job's batches get
-// intra-batch parallelism on top of cross-worker concurrency.
-void BM_OracleBatchThreaded(benchmark::State& state) {
-  sim::HardwareOracle model(cost::MicroArch::Haswell);
-  model.set_batch_threads(static_cast<std::size_t>(state.range(0)));
-  const auto blocks = micro_corpus(256);
-  std::vector<double> out(blocks.size());
-  for (auto _ : state) {
-    model.predict_batch(std::span<const x86::BasicBlock>(blocks),
-                        std::span<double>(out));
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_OracleBatchThreaded)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
-
 // The broker's memoization on top of batching, on a stream with repeats
 // (the shape of anchor-search traffic).
 void BM_BrokerMemoizedBatch(benchmark::State& state) {

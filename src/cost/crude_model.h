@@ -29,9 +29,8 @@ class CrudeModel final : public CostModel {
                       graph::DepGraphOptions graph_options = {});
 
   double predict(const x86::BasicBlock& block) const override;
-  // predict_batch: inherits the base element-wise sweep, which already
-  // chunks across the shared pool under set_batch_threads() — the
-  // analytical pass is pure per block (table lookups + a local dep graph).
+  // predict_batch: the base element-wise loop — the analytical pass is
+  // pure per block (table lookups + a local dep graph).
   std::string name() const override;
 
   MicroArch uarch() const { return uarch_; }

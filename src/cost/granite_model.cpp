@@ -161,18 +161,6 @@ double GraniteModel::predict(const x86::BasicBlock& block) const {
   return forward(block).prediction;
 }
 
-void GraniteModel::predict_batch(std::span<const x86::BasicBlock> blocks,
-                                 std::span<double> out) const {
-  // forward() touches only const weights and locals, so chunks of the
-  // batch evaluate independently (and identically to the sequential sweep)
-  // on the shared pool when batch threads are enabled.
-  for_batch_chunks(blocks.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = blocks[i].empty() ? 0.0 : forward(blocks[i]).prediction;
-    }
-  });
-}
-
 std::string GraniteModel::name() const {
   return "granite-" + uarch_name(uarch_);
 }

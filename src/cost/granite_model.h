@@ -41,11 +41,9 @@ class GraniteModel final : public CostModel {
   explicit GraniteModel(MicroArch uarch, GraniteConfig config = {});
 
   double predict(const x86::BasicBlock& block) const override;
-  /// Batched inference. Each block carries its own dependency graph, so
-  /// the win here is amortizing the virtual-dispatch and setup per batch;
-  /// cross-query reuse comes from the query broker's memoization.
-  void predict_batch(std::span<const x86::BasicBlock> blocks,
-                     std::span<double> out) const override;
+  // predict_batch: the base element-wise loop. Each block carries its own
+  // dependency graph, so there is no work to share across a batch;
+  // cross-query reuse comes from the query broker's memoization.
   std::string name() const override;
   MicroArch uarch() const { return uarch_; }
 

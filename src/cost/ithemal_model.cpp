@@ -32,7 +32,7 @@ int width_code(std::uint16_t bits) {
 }
 constexpr int kWidthCodes = 7;
 
-/// A view of one instruction's token ids: the key of predict_range's
+/// A view of one instruction's token ids: the key of predict_batch's
 /// distinct-instruction map.
 struct TokenSeq {
   const int* data;
@@ -173,21 +173,16 @@ double IthemalModel::predict(const x86::BasicBlock& block) const {
 
 void IthemalModel::predict_batch(std::span<const x86::BasicBlock> blocks,
                                  std::span<double> out) const {
-  for_batch_chunks(blocks.size(), [&](std::size_t begin, std::size_t end) {
-    predict_range(blocks, out, begin, end);
-  });
-}
-
-void IthemalModel::predict_range(std::span<const x86::BasicBlock> blocks,
-                                 std::span<double> out, std::size_t begin,
-                                 std::size_t end) const {
+  COMET_CHECK_MSG(blocks.size() == out.size(),
+                  "predict_batch: " << blocks.size() << " blocks but "
+                                    << out.size() << " output slots");
   const std::size_t D = config_.embed_dim;
   const std::size_t H = config_.hidden_dim;
 
-  // Stage 1 — tokenize the non-empty blocks of the range.
+  // Stage 1 — tokenize the non-empty blocks of the batch.
   std::vector<std::size_t> live;  // out index of each non-empty block
   std::vector<std::vector<std::vector<int>>> tokens;
-  for (std::size_t b = begin; b < end; ++b) {
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (blocks[b].empty()) {
       out[b] = 0.0;
       continue;

@@ -61,9 +61,7 @@ class IthemalModel final : public CostModel {
   /// token LSTM once per distinct instruction (token sequence) in the batch
   /// and the block LSTM once per block, whose lanes share the rows of
   /// repeated instructions (nn::LstmCell::run_final_batch). Bit-for-bit
-  /// equal to element-wise predict(); honors set_batch_threads() by
-  /// evaluating contiguous sub-batches concurrently, each with its own
-  /// distinct-instruction lanes.
+  /// equal to element-wise predict().
   void predict_batch(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out) const override;
   std::string name() const override;
@@ -99,12 +97,6 @@ class IthemalModel final : public CostModel {
   /// The matrices of the checkpoint format, in serialization order.
   std::vector<nn::Mat*> checkpoint_mats();
   std::vector<const nn::Mat*> checkpoint_mats() const;
-
-  /// One batched forward over blocks[begin, end): the unit of work
-  /// predict_batch hands to each batch-threads chunk.
-  void predict_range(std::span<const x86::BasicBlock> blocks,
-                     std::span<double> out, std::size_t begin,
-                     std::size_t end) const;
 
   MicroArch uarch_;
   IthemalConfig config_;

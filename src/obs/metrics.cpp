@@ -69,20 +69,26 @@ std::string with_label(const std::string& body, const std::string& extra) {
 // ---------------------------------------------------------------------------
 // HistogramSnapshot
 
+// Values 0..7 map to themselves; a value in octave k >= 3, [2^k, 2^(k+1)),
+// maps to (k - 2) * 8 plus the 3 bits below its top bit.
 std::size_t HistogramSnapshot::bucket_of(std::uint64_t value) {
-  if (value == 0) return 0;
-  const std::size_t width = static_cast<std::size_t>(std::bit_width(value));
-  return std::min<std::size_t>(width, kBuckets - 1);
+  if (value < kSubBuckets) return static_cast<std::size_t>(value);
+  const int shift = static_cast<int>(std::bit_width(value)) - 4;  // k - 3
+  return static_cast<std::size_t>(shift + 1) * kSubBuckets +
+         static_cast<std::size_t>((value >> shift) - kSubBuckets);
 }
 
 double HistogramSnapshot::bucket_lower(std::size_t i) {
-  if (i == 0) return 0.0;
-  return std::ldexp(1.0, static_cast<int>(i) - 1);  // 2^(i-1)
+  if (i < kSubBuckets) return static_cast<double>(i);
+  const int shift = static_cast<int>(i / kSubBuckets) - 1;
+  return std::ldexp(static_cast<double>(kSubBuckets + i % kSubBuckets),
+                    shift);
 }
 
 double HistogramSnapshot::bucket_upper(std::size_t i) {
-  if (i == 0) return 0.0;
-  return std::ldexp(1.0, static_cast<int>(i));  // 2^i
+  if (i < kSubBuckets) return static_cast<double>(i);
+  const int shift = static_cast<int>(i / kSubBuckets) - 1;
+  return bucket_lower(i) + (std::ldexp(1.0, shift) - 1.0);
 }
 
 void HistogramSnapshot::record(std::uint64_t value) {
@@ -113,8 +119,7 @@ double HistogramSnapshot::quantile(double q) const {
       const double hi = bucket_upper(i);
       const double v = lo + (hi - lo) * pos;
       // Clamp to the observed range: a constant series reports its exact
-      // value at every percentile, and the overflow bucket's nominal upper
-      // bound (2^64) never leaks into an estimate.
+      // value at every percentile.
       return std::clamp(v, static_cast<double>(min),
                         static_cast<double>(max));
     }

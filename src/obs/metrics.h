@@ -8,8 +8,8 @@
 //   * Observation never perturbs results. Metrics record wall-clock and
 //     traffic facts about a computation whose outputs are pinned
 //     bit-identical to the sequential path (tests/test_obs.cpp asserts
-//     metrics-on == metrics-off explanations). Clock readings enter through
-//     obs::Clock only and never feed the search.
+//     served == sequential on the steady and a mocked clock). Clock
+//     readings enter through obs::Clock only and never feed the search.
 //   * Handles are stable. counter()/gauge()/histogram() return references
 //     that live as long as the registry, so hot paths resolve a name once
 //     and then increment through the handle — no map lookup per event.
@@ -22,13 +22,15 @@
 //     keeps concurrent workers off each other's cache lines and off the
 //     registry map.
 //
-// Histogram shape: 64 fixed log2 buckets (bucket 0 holds exact zeros;
-// bucket i holds [2^(i-1), 2^i) for 1 <= i <= 62; bucket 63 is the
-// overflow). Quantiles are estimated by linear interpolation inside the
-// bucket containing the rank and clamped to the observed [min, max], so a
-// constant series reports its exact value at every percentile. With
-// nanosecond samples the relative error bound is the bucket width: a
-// factor-of-two band, ample for p50/p95/p99 latency reporting.
+// Histogram shape: log-linear buckets, 8 linear sub-buckets per octave.
+// Values 0..7 get one exact bucket each; every octave [2^k, 2^(k+1)) with
+// k >= 3 splits into 8 buckets of width 2^(k-3), up to the top of the
+// uint64 range (no overflow bucket). Quantiles are estimated by linear
+// interpolation inside the bucket containing the rank and clamped to the
+// observed [min, max], so a constant series reports its exact value at
+// every percentile. An estimate and the true quantile share a bucket whose
+// width is at most 1/8 of its lower bound, so the relative error is below
+// 12.5%.
 //
 // Label convention: a fully-qualified metric name may carry Prometheus
 // labels inline — `serve_run_ns{model_key="crude-hsw"}` — built with
@@ -87,11 +89,13 @@ class Gauge {
   double value_ COMET_GUARDED_BY(mutex_) = 0.0;
 };
 
-/// Plain-data histogram state: fixed log2 buckets + count/sum/min/max.
+/// Plain-data histogram state: log-linear buckets + count/sum/min/max.
 /// Mergeable with operator+= (per-worker and per-server ledgers aggregate
 /// the same way QueryStats does).
 struct HistogramSnapshot {
-  static constexpr std::size_t kBuckets = 64;
+  static constexpr std::size_t kSubBuckets = 8;  ///< per octave
+  /// 8 exact buckets for 0..7, then 8 per octave for k = 3..63.
+  static constexpr std::size_t kBuckets = kSubBuckets * 62;
 
   std::array<std::uint64_t, kBuckets> buckets{};
   std::uint64_t count = 0;
@@ -101,7 +105,7 @@ struct HistogramSnapshot {
 
   /// Index of the bucket `value` falls into.
   static std::size_t bucket_of(std::uint64_t value);
-  /// Inclusive lower / exclusive upper value bound of bucket `i`.
+  /// Smallest / largest value bucket `i` holds (both inclusive).
   static double bucket_lower(std::size_t i);
   static double bucket_upper(std::size_t i);
 

@@ -25,7 +25,7 @@
 // running, and both cases surface as typed Served results
 // (ServeStatus::kDeadlineExceeded*) — never a silent drop. Workers
 // dequeue interactive-lane work first; an anti-starvation credit hands
-// the batch lane one dequeue in every ServeOptions::batch_credit_every.
+// the batch lane one dequeue in every kBatchCreditEvery.
 // A WatermarkShedPolicy (ServeOptions::shed_policy) can refuse work at
 // admission when the queue saturates (ServeStatus::kShed), shedding
 // batch-lane and deadline-infeasible jobs first; sheds are counted per
@@ -51,15 +51,17 @@
 // Observability: the server carries an obs::MetricsRegistry and traces
 // every request's lifecycle — admit (accepted into the queue) → start (a
 // worker dequeued it) → done (engine finished) → deliver (handed to the
-// consumer). Exported per model key: queue-wait and service-latency
-// histograms (p50/p95/p99); globally: live queue-depth and outstanding
-// gauges, submitted/completed counters, and the two backpressure counters
-// (submit had to block; try_submit was rejected). Scrape via
+// consumer). A refusal (shed or expired at admission) is stamped admit =
+// start = done, so its queue-wait and run spans are zero. Exported per
+// model key: queue-wait and service-latency histograms (p50/p95/p99);
+// globally: live queue-depth and outstanding gauges, submitted/completed
+// counters, and the two backpressure counters (submit had to block;
+// try_submit was rejected). Scrape via
 // metrics_text() (Prometheus exposition) or metrics_json(). All clock
 // reads go through obs::Clock (ServeOptions::clock, steady by default) and
 // only ever land in metrics and trace fields — never in scheduling or the
 // search — so served explanations remain bit-identical to sequential runs
-// with metrics on, off, or mocked (tests/test_obs.cpp).
+// on the steady clock or a mocked one (tests/test_obs.cpp).
 //
 // The server is templated over the same ISA traits as the engine, so the
 // one scheduler serves both instantiations: x86 (CometExplainer::Traits)
@@ -92,26 +94,20 @@ namespace comet::serve {
 struct ServeOptions {
   std::size_t workers = 2;         ///< concurrent explanation sessions
   std::size_t queue_capacity = 32; ///< admission-queue bound (backpressure)
-  /// Collect lifecycle metrics and request traces (counters/gauges update,
-  /// latency histograms fill, Served::trace is stamped). Off = zero clock
-  /// reads and untouched instruments; explanations are bit-identical
-  /// either way. (Jobs with deadlines read the clock regardless — the
-  /// deadline decides whether the job runs at all.)
-  bool metrics = true;
   /// Time source for metrics, traces, and deadline checks; nullptr =
   /// obs::steady_clock(). Tests inject an obs::ManualClock for
   /// deterministic latency and expiry assertions. Must outlive the
   /// server.
   const obs::Clock* clock = nullptr;
-  /// Anti-starvation: with both lanes non-empty, one dequeue in every
-  /// `batch_credit_every` goes to the batch lane (the rest are
-  /// interactive-first). 0 is treated as 1 (strict alternation is the
-  /// floor; the batch lane can never starve outright).
-  std::size_t batch_credit_every = 4;
   /// Admission-time load shedding; nullptr = never shed (bounded-queue
   /// backpressure only).
   std::shared_ptr<const WatermarkShedPolicy> shed_policy = nullptr;
 };
+
+/// Anti-starvation: with both lanes non-empty, one dequeue in every
+/// kBatchCreditEvery goes to the batch lane (the rest are
+/// interactive-first), so the batch lane can never starve outright.
+constexpr std::size_t kBatchCreditEvery = 4;
 
 /// How a submission left the server. Only kOk and kLate carry a valid
 /// explanation; the other statuses are typed refusals (the job never
@@ -153,8 +149,7 @@ struct RequestOptions {
   std::uint64_t deadline_ns = 0;
 };
 
-/// Request-lifecycle timestamps (obs::Clock readings, ns). All zero when
-/// the server runs with metrics off.
+/// Request-lifecycle timestamps (obs::Clock readings, ns).
 struct RequestTrace {
   std::uint64_t admit_ns = 0;    ///< accepted into the admission queue
   std::uint64_t start_ns = 0;    ///< dequeued by a worker; run begins
@@ -181,7 +176,7 @@ class ExplanationServer {
     std::uint64_t id = 0;     ///< submission ticket
     std::string model_key;    ///< which registered model served it
     Explanation explanation;  ///< bit-identical to the sequential path
-    RequestTrace trace;       ///< lifecycle timestamps (metrics on only)
+    RequestTrace trace;       ///< lifecycle timestamps
     ServeStatus status = ServeStatus::kOk;
     Lane lane = Lane::kInteractive;
     std::uint64_t deadline_ns = 0;  ///< echo of the request's deadline
@@ -235,7 +230,7 @@ class ExplanationServer {
     if (const auto verdict = admission_verdict(request)) {
       return finish_rejected(model_key, request, *verdict);
     }
-    if (options_.metrics && queued() >= options_.queue_capacity) {
+    if (queued() >= options_.queue_capacity) {
       submit_blocked_.increment();  // producer is about to feel backpressure
     }
     // Backpressure is deliberately unbounded: the producer asked to
@@ -267,7 +262,7 @@ class ExplanationServer {
       return true;
     }
     if (queued() >= options_.queue_capacity) {
-      if (options_.metrics) try_submit_rejected_.increment();
+      try_submit_rejected_.increment();
       return false;
     }
     const std::uint64_t ticket = enqueue(model_key, std::move(model),
@@ -426,20 +421,21 @@ class ExplanationServer {
     served.status = status;
     served.lane = request.lane;
     served.deadline_ns = request.deadline_ns;
-    if (options_.metrics) {
-      submitted_.increment();
-      served.trace.admit_ns = clock_.now_ns();
-      if (status == ServeStatus::kShed) {
-        metrics_
-            .counter(obs::MetricsRegistry::labeled("serve_shed", "lane",
-                                                   lane_name(request.lane)))
-            .increment();
-      } else {
-        metrics_
-            .counter(obs::MetricsRegistry::labeled("serve_deadline_expired",
-                                                   "stage", "admit"))
-            .increment();
-      }
+    // Never queued, never run: admit = start = done, like a queue expiry.
+    served.trace.admit_ns = clock_.now_ns();
+    served.trace.start_ns = served.trace.admit_ns;
+    served.trace.done_ns = served.trace.admit_ns;
+    submitted_.increment();
+    if (status == ServeStatus::kShed) {
+      metrics_
+          .counter(obs::MetricsRegistry::labeled("serve_shed", "lane",
+                                                 lane_name(request.lane)))
+          .increment();
+    } else {
+      metrics_
+          .counter(obs::MetricsRegistry::labeled("serve_deadline_expired",
+                                                 "stage", "admit"))
+          .increment();
     }
     completed_.push_back(std::move(served));
     cv_done_.notify_all();
@@ -460,33 +456,27 @@ class ExplanationServer {
     request.options = std::move(options);
     request.lane = request_options.lane;
     request.deadline_ns = request_options.deadline_ns;
-    if (options_.metrics) {
-      request.admit_ns = clock_.now_ns();
-      submitted_.increment();
-    }
+    request.admit_ns = clock_.now_ns();
+    submitted_.increment();
     lane_queue(request.lane).push_back(std::move(request));
     ++outstanding_;
-    if (options_.metrics) {
-      queue_depth_.set(static_cast<double>(queued()));
-      lane_depth(request_options.lane)
-          .set(static_cast<double>(lane_queue(request_options.lane).size()));
-      outstanding_gauge_.set(static_cast<double>(outstanding_));
-    }
+    queue_depth_.set(static_cast<double>(queued()));
+    lane_depth(request_options.lane)
+        .set(static_cast<double>(lane_queue(request_options.lane).size()));
+    outstanding_gauge_.set(static_cast<double>(outstanding_));
     cv_work_.notify_one();
     return ticket;
   }
 
   // Which lane the next free worker should serve. Interactive first;
-  // with both lanes waiting, one dequeue in every batch_credit_every is
+  // with both lanes waiting, one dequeue in every kBatchCreditEvery is
   // batch (anti-starvation). A batch dequeue resets the credit either
   // way, so an idle period can't bank more than one batch turn.
   Lane pick_lane() COMET_REQUIRES(mutex_) {
     const bool interactive = !lane_queue(Lane::kInteractive).empty();
     const bool batch = !lane_queue(Lane::kBatch).empty();
     if (interactive && batch) {
-      const std::size_t every =
-          options_.batch_credit_every == 0 ? 1 : options_.batch_credit_every;
-      if (batch_credit_ + 1 >= every) {
+      if (batch_credit_ + 1 >= kBatchCreditEvery) {
         batch_credit_ = 0;
         return Lane::kBatch;
       }
@@ -504,7 +494,6 @@ class ExplanationServer {
   // leaves next()/drain(). deliver - done is how long a finished result
   // waited for its consumer.
   void stamp_delivery(Served& served) {
-    if (!options_.metrics) return;
     served.trace.deliver_ns = clock_.now_ns();
     deliver_wait_ns_.record(served.trace.deliver_ns - served.trace.done_ns);
   }
@@ -522,11 +511,8 @@ class ExplanationServer {
         const Lane lane = pick_lane();
         request = std::move(lane_queue(lane).front());
         lane_queue(lane).pop_front();
-        if (options_.metrics) {
-          queue_depth_.set(static_cast<double>(queued()));
-          lane_depth(lane).set(
-              static_cast<double>(lane_queue(lane).size()));
-        }
+        queue_depth_.set(static_cast<double>(queued()));
+        lane_depth(lane).set(static_cast<double>(lane_queue(lane).size()));
         cv_space_.notify_one();
       }
       Served served;
@@ -535,28 +521,21 @@ class ExplanationServer {
       served.lane = request.lane;
       served.deadline_ns = request.deadline_ns;
       served.trace.admit_ns = request.admit_ns;
+      served.trace.start_ns = clock_.now_ns();
       // Queue expiry: the deadline passed while the job waited for a
-      // worker. Typed result, no engine run. (Clock read gated on the
-      // deadline's presence, like every deadline check.)
-      std::uint64_t dequeue_now = 0;
-      if (request.deadline_ns != 0) {
-        dequeue_now = clock_.now_ns();
-        if (dequeue_now >= request.deadline_ns) {
-          served.status = ServeStatus::kDeadlineExceededInQueue;
-          if (options_.metrics) {
-            served.trace.start_ns = dequeue_now;
-            served.trace.done_ns = dequeue_now;
-            completed_count_.increment();
-            metrics_
-                .counter(obs::MetricsRegistry::labeled(
-                    "serve_deadline_expired", "stage", "queue"))
-                .increment();
-          }
-          finish(std::move(served), /*ran=*/false);
-          continue;
-        }
+      // worker. Typed result, no engine run.
+      if (request.deadline_ns != 0 &&
+          served.trace.start_ns >= request.deadline_ns) {
+        served.status = ServeStatus::kDeadlineExceededInQueue;
+        served.trace.done_ns = served.trace.start_ns;
+        completed_count_.increment();
+        metrics_
+            .counter(obs::MetricsRegistry::labeled("serve_deadline_expired",
+                                                   "stage", "queue"))
+            .increment();
+        finish(std::move(served), /*ran=*/false);
+        continue;
       }
-      if (options_.metrics) served.trace.start_ns = clock_.now_ns();
       bool ran = true;
       try {
         // The engine references the request's model and options for the
@@ -568,33 +547,31 @@ class ExplanationServer {
         served.error = error.what();
         ran = false;
       }
+      served.trace.done_ns = clock_.now_ns();
       // Run expiry is only a label: the explanation completed, so it is
       // delivered (bit-identical to sequential) — just marked late.
       if (ran && request.deadline_ns != 0 &&
-          clock_.now_ns() >= request.deadline_ns) {
+          served.trace.done_ns >= request.deadline_ns) {
         served.status = ServeStatus::kLate;
-        if (options_.metrics) deadline_late_.increment();
+        deadline_late_.increment();
       }
-      if (options_.metrics) {
-        served.trace.done_ns = clock_.now_ns();
-        completed_count_.increment();
-        // Per-model-key instruments; resolved by name per completion (an
-        // engine run dwarfs one map lookup).
-        if (ran) {
-          metrics_
-              .histogram(obs::MetricsRegistry::labeled(
-                  "serve_queue_wait_ns", "model_key", served.model_key))
-              .record(served.trace.queue_wait_ns());
-          metrics_
-              .histogram(obs::MetricsRegistry::labeled(
-                  "serve_run_ns", "model_key", served.model_key))
-              .record(served.trace.run_ns());
-        } else {
-          metrics_
-              .counter(obs::MetricsRegistry::labeled(
-                  "serve_failed", "model_key", served.model_key))
-              .increment();
-        }
+      completed_count_.increment();
+      // Per-model-key instruments; resolved by name per completion (an
+      // engine run dwarfs one map lookup).
+      if (ran) {
+        metrics_
+            .histogram(obs::MetricsRegistry::labeled(
+                "serve_queue_wait_ns", "model_key", served.model_key))
+            .record(served.trace.queue_wait_ns());
+        metrics_
+            .histogram(obs::MetricsRegistry::labeled(
+                "serve_run_ns", "model_key", served.model_key))
+            .record(served.trace.run_ns());
+      } else {
+        metrics_
+            .counter(obs::MetricsRegistry::labeled(
+                "serve_failed", "model_key", served.model_key))
+            .increment();
       }
       finish(std::move(served), ran);
     }
@@ -609,9 +586,7 @@ class ExplanationServer {
       if (ran) stats_[served.model_key] += served.explanation.query_stats;
       completed_.push_back(std::move(served));
       --outstanding_;
-      if (options_.metrics) {
-        outstanding_gauge_.set(static_cast<double>(outstanding_));
-      }
+      outstanding_gauge_.set(static_cast<double>(outstanding_));
     }
     cv_done_.notify_all();
   }

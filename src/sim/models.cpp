@@ -4,36 +4,12 @@
 
 namespace comet::sim {
 
-namespace {
-
-// Shared batch sweep for the three simulator-backed models: one chunk of
-// the batch driven by one simulator configuration without per-element
-// virtual dispatch. The simulator is a pure function of (block, options),
-// so the owning model chunks batches across the shared pool freely.
-void simulate_range(std::span<const x86::BasicBlock> blocks,
-                    std::span<double> out, cost::MicroArch uarch,
-                    const SimOptions& options, std::size_t begin,
-                    std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    out[i] = simulate_throughput(blocks[i], uarch, options);
-  }
-}
-
-}  // namespace
-
 HardwareOracle::HardwareOracle(cost::MicroArch uarch) : uarch_(uarch) {
   options_ = SimOptions{};  // full-detail configuration
 }
 
 double HardwareOracle::predict(const x86::BasicBlock& block) const {
   return simulate_throughput(block, uarch_, options_);
-}
-
-void HardwareOracle::predict_batch(std::span<const x86::BasicBlock> blocks,
-                                   std::span<double> out) const {
-  for_batch_chunks(blocks.size(), [&](std::size_t begin, std::size_t end) {
-    simulate_range(blocks, out, uarch_, options_, begin, end);
-  });
 }
 
 std::string HardwareOracle::name() const {
@@ -53,13 +29,6 @@ double UiCASimModel::predict(const x86::BasicBlock& block) const {
   return simulate_throughput(block, uarch_, options_);
 }
 
-void UiCASimModel::predict_batch(std::span<const x86::BasicBlock> blocks,
-                                 std::span<double> out) const {
-  for_batch_chunks(blocks.size(), [&](std::size_t begin, std::size_t end) {
-    simulate_range(blocks, out, uarch_, options_, begin, end);
-  });
-}
-
 std::string UiCASimModel::name() const {
   return "uica-" + cost::uarch_name(uarch_);
 }
@@ -74,13 +43,6 @@ McaLikeModel::McaLikeModel(cost::MicroArch uarch) : uarch_(uarch) {
 
 double McaLikeModel::predict(const x86::BasicBlock& block) const {
   return simulate_throughput(block, uarch_, options_);
-}
-
-void McaLikeModel::predict_batch(std::span<const x86::BasicBlock> blocks,
-                                 std::span<double> out) const {
-  for_batch_chunks(blocks.size(), [&](std::size_t begin, std::size_t end) {
-    simulate_range(blocks, out, uarch_, options_, begin, end);
-  });
 }
 
 std::string McaLikeModel::name() const {

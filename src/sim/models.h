@@ -23,8 +23,6 @@ class HardwareOracle final : public cost::CostModel {
  public:
   explicit HardwareOracle(cost::MicroArch uarch);
   double predict(const x86::BasicBlock& block) const override;
-  void predict_batch(std::span<const x86::BasicBlock> blocks,
-                     std::span<double> out) const override;
   std::string name() const override;
   cost::MicroArch uarch() const { return uarch_; }
 
@@ -37,8 +35,6 @@ class UiCASimModel final : public cost::CostModel {
  public:
   explicit UiCASimModel(cost::MicroArch uarch);
   double predict(const x86::BasicBlock& block) const override;
-  void predict_batch(std::span<const x86::BasicBlock> blocks,
-                     std::span<double> out) const override;
   std::string name() const override;
   cost::MicroArch uarch() const { return uarch_; }
 
@@ -51,8 +47,6 @@ class McaLikeModel final : public cost::CostModel {
  public:
   explicit McaLikeModel(cost::MicroArch uarch);
   double predict(const x86::BasicBlock& block) const override;
-  void predict_batch(std::span<const x86::BasicBlock> blocks,
-                     std::span<double> out) const override;
   std::string name() const override;
 
  private:

@@ -1,13 +1,14 @@
 // Batched-vs-scalar parity suite: for every cost model, predict_batch over
 // a mixed batch (empty blocks, duplicates, varied sizes) must match
-// per-block predict() bit-for-bit — sequentially AND with the batch chunked
-// across the shared thread pool (set_batch_threads). This is the contract
-// the query broker, the serving layer, and the engine's golden parity all
-// stand on.
+// per-block predict() bit-for-bit — from one thread AND from several
+// threads calling the same const model at once (as serving workers do).
+// This is the contract the query broker, the serving layer, and the
+// engine's golden parity all stand on.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "bhive/generator.h"
@@ -47,8 +48,9 @@ std::vector<cx::BasicBlock> mixed_batch(std::size_t n, std::uint64_t seed) {
 }
 
 // Bit-for-bit check of predict_batch against element-wise predict(), first
-// sequentially, then with the batch chunked over 4 pool threads.
-void expect_batch_parity(cc::CostModel& model,
+// from this thread, then from 4 threads calling the same const model at
+// once.
+void expect_batch_parity(const cc::CostModel& model,
                          const std::vector<cx::BasicBlock>& blocks) {
   std::vector<double> scalar(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -63,18 +65,27 @@ void expect_batch_parity(cc::CostModel& model,
         << model.name() << " sequential batch diverges at " << i;
   }
 
-  model.set_batch_threads(4);
-  std::vector<double> threaded(blocks.size(), -1.0);
-  model.predict_batch(std::span<const cx::BasicBlock>(blocks),
-                      std::span<double>(threaded));
-  model.set_batch_threads(1);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(threaded[i], scalar[i])
-        << model.name() << " threaded batch diverges at " << i;
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> concurrent(
+      kThreads, std::vector<double>(blocks.size(), -1.0));
+  std::vector<std::thread> threads;
+  for (auto& out : concurrent) {
+    threads.emplace_back([&model, &blocks, &out] {
+      model.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                          std::span<double>(out));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_EQ(concurrent[t][i], scalar[i])
+          << model.name() << " concurrent batch " << t << " diverges at "
+          << i;
+    }
   }
 }
 
-void expect_batch_parity(cc::CostModel& model, std::size_t batch_size) {
+void expect_batch_parity(const cc::CostModel& model, std::size_t batch_size) {
   expect_batch_parity(model, mixed_batch(batch_size, /*seed=*/17));
 }
 
@@ -145,8 +156,7 @@ TEST(BatchParity, Granite) {
 }
 
 // The cross-block batched LSTM path: exercised at several batch sizes
-// (single lane, lanes of different lengths, chunk-boundary cases for the
-// threaded run) and with weights moved off the deterministic init by a few
+// (single lane, lanes of different lengths, odd sizes) and with weights moved off the deterministic init by a few
 // training steps.
 TEST(BatchParity, IthemalUntrained) {
   cc::IthemalModel model(HSW, tiny_ithemal());
@@ -169,7 +179,7 @@ TEST(BatchParity, IthemalTrained) {
 }
 
 // Repeated instructions share one token-LSTM lane; the batch must still
-// match per-block predict() on every block, with and without threads.
+// match per-block predict() on every block, from one thread or several.
 TEST(BatchParity, IthemalRepeatedInstructions) {
   cc::IthemalModel model(HSW, tiny_ithemal());
   expect_batch_parity(model, gamma_batch(16, 31));
@@ -207,9 +217,8 @@ TEST(BatchParity, AllEmptyBatch) {
   for (const double v : out) EXPECT_EQ(v, 0.0);
 }
 
-// The default base-class fallback also honors the knob (a model without a
-// vectorized override still chunks across the pool).
-TEST(BatchParity, BaseClassFallbackHonorsBatchThreads) {
+// The default base-class loop, for a model without an override.
+TEST(BatchParity, BaseClassFallback) {
   class PlainModel final : public cc::CostModel {
    public:
     double predict(const cx::BasicBlock& block) const override {

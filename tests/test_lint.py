@@ -111,10 +111,10 @@ class RuleFiresAndSuppresses(unittest.TestCase):
 
     def test_upward_include(self):
         self.check("src/core/anchor_engine.h",
-                   '#pragma once\n#include "serve/async_broker.h"',
+                   '#pragma once\n#include "serve/explanation_server.h"',
                    "upward-include", line=2)
         self.check("src/cost/cost_model.cpp",
-                   '#include "serve/thread_pool.h"', "upward-include")
+                   '#include "serve/remote_shard.h"', "upward-include")
         self.check("src/perturb/p.cpp", "#include <net/wire.h>",
                    "upward-include")
 

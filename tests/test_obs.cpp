@@ -3,10 +3,12 @@
 // exporters, the clock seam, counter/histogram thread-safety (meaningful
 // under TSan — scripts/check.sh --tsan builds this file), engine phase
 // timers, and the non-negotiable contract of the whole layer: explanations
-// served with metrics on (real or mocked clock) are bit-identical to
-// metrics-off and to the sequential path.
+// served on the steady clock or a mocked one are bit-identical to the
+// sequential path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/phase_timers.h"
 #include "serve/isa_servers.h"
+#include "util/rng.h"
 #include "x86/parser.h"
 
 namespace cb = comet::bhive;
@@ -53,27 +56,44 @@ void expect_identical(const cc::Explanation& a, const cc::Explanation& b) {
 // ---------------------------------------------------------------------------
 // HistogramSnapshot: bucket math
 
-TEST(HistogramBuckets, Log2BucketBoundaries) {
+TEST(HistogramBuckets, ExactBelowEightThenEightPerOctave) {
   using H = co::HistogramSnapshot;
-  EXPECT_EQ(0u, H::bucket_of(0));  // bucket 0 holds exact zeros
-  EXPECT_EQ(1u, H::bucket_of(1));  // bucket i holds [2^(i-1), 2^i)
-  EXPECT_EQ(2u, H::bucket_of(2));
-  EXPECT_EQ(2u, H::bucket_of(3));
-  EXPECT_EQ(3u, H::bucket_of(4));
-  EXPECT_EQ(3u, H::bucket_of(7));
-  EXPECT_EQ(4u, H::bucket_of(8));
-  EXPECT_EQ(11u, H::bucket_of(1024));
-  // The overflow bucket absorbs everything >= 2^62.
-  EXPECT_EQ(63u, H::bucket_of(std::uint64_t{1} << 62));
-  EXPECT_EQ(63u, H::bucket_of(~std::uint64_t{0}));
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    EXPECT_EQ(v, H::bucket_of(v));  // one exact bucket per small value
+  }
+  // [8, 16): eight width-1 buckets; [16, 32): eight width-2 buckets.
+  EXPECT_EQ(8u, H::bucket_of(8));
+  EXPECT_EQ(15u, H::bucket_of(15));
+  EXPECT_EQ(16u, H::bucket_of(16));
+  EXPECT_EQ(16u, H::bucket_of(17));
+  EXPECT_EQ(17u, H::bucket_of(18));
+  EXPECT_EQ(23u, H::bucket_of(31));
+  EXPECT_EQ(24u, H::bucket_of(32));
+  // 1024 = 2^10 opens octave 10; 1152 = 1024 + 128 is its second bucket.
+  EXPECT_EQ(64u, H::bucket_of(1024));
+  EXPECT_EQ(64u, H::bucket_of(1151));
+  EXPECT_EQ(65u, H::bucket_of(1152));
+  // The top octave reaches the end of the uint64 range: no overflow.
+  EXPECT_EQ(H::kBuckets - 8, H::bucket_of(std::uint64_t{1} << 63));
+  EXPECT_EQ(H::kBuckets - 1, H::bucket_of(~std::uint64_t{0}));
 }
 
-TEST(HistogramBuckets, BoundsBracketEveryValue) {
+TEST(HistogramBuckets, BoundsBracketEveryValueAndTile) {
   using H = co::HistogramSnapshot;
-  for (const std::uint64_t v : {1ull, 2ull, 3ull, 100ull, 4095ull, 4096ull}) {
+  for (const std::uint64_t v : std::vector<std::uint64_t>{
+           0, 1, 7, 8, 9, 100, 4095, 4096, 1'000'000'007,
+           std::uint64_t{1} << 40}) {
     const std::size_t i = H::bucket_of(v);
     EXPECT_LE(H::bucket_lower(i), static_cast<double>(v)) << v;
-    EXPECT_LT(static_cast<double>(v), H::bucket_upper(i)) << v;
+    EXPECT_LE(static_cast<double>(v), H::bucket_upper(i)) << v;
+  }
+  // Consecutive buckets tile the integers, and no bucket is wider than an
+  // eighth of its lower bound (the 12.5% error bound).
+  for (std::size_t i = 0; i + 1 < 8 * 40; ++i) {
+    EXPECT_EQ(H::bucket_upper(i) + 1.0, H::bucket_lower(i + 1)) << i;
+    EXPECT_LE(8.0 * (H::bucket_upper(i) - H::bucket_lower(i)),
+              H::bucket_lower(i))
+        << i;
   }
 }
 
@@ -110,10 +130,34 @@ TEST(HistogramPercentiles, OrderedAndBracketedByMinMax) {
   EXPECT_LE(p95, p99);
   EXPECT_GE(p50, 1.0);
   EXPECT_LE(p99, 1000.0);
-  // Log2 buckets bound the relative error by a factor of two.
-  EXPECT_GE(p50, 250.0);
-  EXPECT_LE(p50, 1000.0);
-  EXPECT_GE(p99, 500.0);
+  // Within 12.5% of the exact ranks (500, 950, 990).
+  EXPECT_NEAR(p50, 500.0, 500.0 * 0.125);
+  EXPECT_NEAR(p95, 950.0, 950.0 * 0.125);
+  EXPECT_NEAR(p99, 990.0, 990.0 * 0.125);
+}
+
+// Seeded log-uniform latencies from 1 ns to 10 s: every reported quantile
+// stays within 12.5% of the exact nearest-rank quantile of the samples.
+TEST(HistogramPercentiles, QuantilesWithinEighthOfExact) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    comet::util::Rng rng(seed);
+    co::HistogramSnapshot h;
+    std::vector<std::uint64_t> samples;
+    for (int i = 0; i < 5000; ++i) {
+      const auto v = static_cast<std::uint64_t>(
+          std::pow(10.0, 10.0 * rng.uniform()));  // [1, 1e10) ns
+      samples.push_back(v);
+      h.record(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    for (const double q : {0.50, 0.90, 0.95, 0.99}) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(samples.size())));
+      const double exact = static_cast<double>(samples[rank - 1]);
+      EXPECT_NEAR(h.quantile(q), exact, exact * 0.125)
+          << "seed " << seed << " q " << q;
+    }
+  }
 }
 
 TEST(HistogramPercentiles, MergeEqualsRecordingIntoOne) {
@@ -190,8 +234,9 @@ TEST(MetricsRegistry, PrometheusExposition) {
   co::MetricsRegistry registry;
   registry.counter("reqs").increment(3);
   registry.gauge("depth").set(2.5);
-  registry.histogram("lat_ns").record(5);   // bucket (4, 8]
+  registry.histogram("lat_ns").record(5);   // exact bucket [5, 5]
   registry.histogram("lat_ns").record(5);
+  registry.histogram("lat_ns").record(20);  // bucket [20, 21]
   registry
       .histogram(co::MetricsRegistry::labeled("lat_ns", "key", "a"))
       .record(1);
@@ -201,11 +246,13 @@ TEST(MetricsRegistry, PrometheusExposition) {
   EXPECT_NE(std::string::npos, text.find("# TYPE depth gauge"));
   EXPECT_NE(std::string::npos, text.find("depth 2.5\n"));
   EXPECT_NE(std::string::npos, text.find("# TYPE lat_ns histogram"));
-  // Cumulative buckets: both 5s land in le="8"; +Inf carries the total.
-  EXPECT_NE(std::string::npos, text.find("lat_ns_bucket{le=\"8.0\"} 2"));
-  EXPECT_NE(std::string::npos, text.find("lat_ns_bucket{le=\"+Inf\"} 2"));
-  EXPECT_NE(std::string::npos, text.find("lat_ns_sum 10"));
-  EXPECT_NE(std::string::npos, text.find("lat_ns_count 2"));
+  // Cumulative buckets: both 5s land in le="5", the 20 in le="21"; +Inf
+  // carries the total. Empty buckets in between are elided.
+  EXPECT_NE(std::string::npos, text.find("lat_ns_bucket{le=\"5.0\"} 2\n"
+                                         "lat_ns_bucket{le=\"21.0\"} 3\n"
+                                         "lat_ns_bucket{le=\"+Inf\"} 3\n"));
+  EXPECT_NE(std::string::npos, text.find("lat_ns_sum 30"));
+  EXPECT_NE(std::string::npos, text.find("lat_ns_count 3"));
   // The labeled sibling keeps its label on every series.
   EXPECT_NE(std::string::npos,
             text.find("lat_ns_bucket{key=\"a\",le=\"+Inf\"} 1"));
@@ -303,7 +350,7 @@ TEST(PhaseTimers, ManualClockYieldsDeterministicSplit) {
 // ---------------------------------------------------------------------------
 // Serving-layer metrics + the parity contract
 
-TEST(ServeMetrics, MetricsOnOffAndSequentialAreBitIdentical) {
+TEST(ServeMetrics, ManualClockSteadyClockAndSequentialAreBitIdentical) {
   auto model =
       std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
   const std::vector<cx::BasicBlock> blocks = {
@@ -317,11 +364,9 @@ TEST(ServeMetrics, MetricsOnOffAndSequentialAreBitIdentical) {
   }
 
   co::ManualClock clock(1000);
-  const auto run_server = [&](bool metrics, const co::Clock* clk) {
-    cs::X86ExplanationServer server({.workers = 3,
-                                     .queue_capacity = 8,
-                                     .metrics = metrics,
-                                     .clock = clk});
+  const auto run_server = [&](const co::Clock* clk) {
+    cs::X86ExplanationServer server(
+        {.workers = 3, .queue_capacity = 8, .clock = clk});
     server.register_model("crude", model);
     std::vector<std::uint64_t> tickets;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -336,20 +381,23 @@ TEST(ServeMetrics, MetricsOnOffAndSequentialAreBitIdentical) {
     return by_ticket;
   };
 
-  const auto with_metrics = run_server(true, &clock);
-  const auto without_metrics = run_server(false, nullptr);
+  const auto manual = run_server(&clock);
+  const auto steady = run_server(nullptr);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    expect_identical(reference[i], with_metrics[i].explanation);
-    expect_identical(reference[i], without_metrics[i].explanation);
-    // Metrics off: not a single clock read; the trace stays all-zero.
-    EXPECT_EQ(0u, without_metrics[i].trace.admit_ns);
-    EXPECT_EQ(0u, without_metrics[i].trace.deliver_ns);
-    // Metrics on with a frozen manual clock: every lifecycle stamp is the
-    // clock's exact value — deterministic, not merely plausible.
-    EXPECT_EQ(1000u, with_metrics[i].trace.admit_ns);
-    EXPECT_EQ(1000u, with_metrics[i].trace.deliver_ns);
-    EXPECT_EQ(0u, with_metrics[i].trace.queue_wait_ns());
-    EXPECT_EQ(0u, with_metrics[i].trace.run_ns());
+    expect_identical(reference[i], manual[i].explanation);
+    expect_identical(reference[i], steady[i].explanation);
+    // A frozen manual clock: every lifecycle stamp is the clock's exact
+    // value — deterministic, not merely plausible.
+    EXPECT_EQ(1000u, manual[i].trace.admit_ns);
+    EXPECT_EQ(1000u, manual[i].trace.deliver_ns);
+    EXPECT_EQ(0u, manual[i].trace.queue_wait_ns());
+    EXPECT_EQ(0u, manual[i].trace.run_ns());
+    // The steady clock stamps a monotone lifecycle.
+    const auto& trace = steady[i].trace;
+    EXPECT_GT(trace.admit_ns, 0u);
+    EXPECT_LE(trace.admit_ns, trace.start_ns);
+    EXPECT_LE(trace.start_ns, trace.done_ns);
+    EXPECT_LE(trace.done_ns, trace.deliver_ns);
   }
 }
 

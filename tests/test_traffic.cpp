@@ -325,8 +325,7 @@ TEST(Deadlines, LateRunIsDeliveredBitIdenticalAndLabelled) {
 
 TEST(Lanes, InteractiveFirstWithBatchAntiStarvationCredit) {
   auto gate = std::make_shared<GateModel>();
-  cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 16,
-                                   .batch_credit_every = 3});
+  cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 16});
   server.register_model("gate", gate);
 
   // Pin the worker, then fill both lanes while nothing can be dequeued.
@@ -334,25 +333,29 @@ TEST(Lanes, InteractiveFirstWithBatchAntiStarvationCredit) {
   gate->await_entered();
   std::vector<std::uint64_t> interactive;
   std::vector<std::uint64_t> batch;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 6; ++i) {
     interactive.push_back(server.submit("gate", small_block(),
                                         light_options(10 + i),
                                         {.lane = cs::Lane::kInteractive}));
-    batch.push_back(server.submit("gate", small_block(),
-                                  light_options(20 + i),
-                                  {.lane = cs::Lane::kBatch}));
+    if (i < 3) {
+      batch.push_back(server.submit("gate", small_block(),
+                                    light_options(20 + i),
+                                    {.lane = cs::Lane::kBatch}));
+    }
   }
   gate->open();
 
   // Single worker => completion order == dequeue order. With
-  // batch_credit_every = 3 and both lanes waiting, every third dequeue is
+  // kBatchCreditEvery = 4 and both lanes waiting, every fourth dequeue is
   // batch; once the interactive lane empties, batch drains in order.
+  static_assert(cs::kBatchCreditEvery == 4);
   const auto results = server.drain();
-  ASSERT_EQ(results.size(), 9u);
+  ASSERT_EQ(results.size(), 10u);
   EXPECT_EQ(results[0].id, pin);
   const std::vector<std::uint64_t> expected_order = {
-      interactive[0], interactive[1], batch[0],
-      interactive[2], interactive[3], batch[1], batch[2], batch[3]};
+      interactive[0], interactive[1], interactive[2], batch[0],
+      interactive[3], interactive[4], interactive[5], batch[1],
+      batch[2]};
   for (std::size_t i = 0; i < expected_order.size(); ++i) {
     EXPECT_EQ(results[i + 1].id, expected_order[i]) << "position " << i;
   }
@@ -431,6 +434,68 @@ TEST(Shedding, WatermarkPolicyShedsBatchFirstAndCountsPerLane) {
   EXPECT_EQ(counter_value(server, "serve_try_submit_rejected"), 1u);
 }
 
+// A refusal never queues or runs, so its trace is admit = start = done:
+// zero queue wait, zero run time, and a delivery wait measured from the
+// refusal — not from clock zero.
+TEST(Shedding, RefusalsStampAZeroLengthLifecycle) {
+  constexpr std::uint64_t kStart = 10'000'000'000;  // 10 s
+  constexpr std::uint64_t kWait = 5'000'000;        // 5 ms
+  co::ManualClock clock(kStart);
+  auto gate = std::make_shared<GateModel>();
+  cs::ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.clock = &clock;
+  options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>();
+  cs::X86ExplanationServer server(options);
+  server.register_model("gate", gate);
+
+  server.submit("gate", small_block(), light_options(1));
+  gate->await_entered();
+  // One batch job fills the queue to the batch watermark; the rest shed.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(server.try_submit("gate", small_block(),
+                                  light_options(10 + i), nullptr,
+                                  {.lane = cs::Lane::kBatch}));
+  }
+  // Already expired at admission.
+  server.submit("gate", small_block(), light_options(20),
+                {.lane = cs::Lane::kInteractive, .deadline_ns = kStart - 1});
+  clock.advance_ns(kWait);
+  gate->open();
+
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), 8u);
+  std::size_t shed = 0;
+  std::size_t expired = 0;
+  for (const auto& served : results) {
+    if (served.status == cs::ServeStatus::kOk) continue;
+    shed += served.status == cs::ServeStatus::kShed;
+    expired += served.status == cs::ServeStatus::kDeadlineExceededAtAdmit;
+    EXPECT_EQ(served.trace.admit_ns, kStart);
+    EXPECT_EQ(served.trace.start_ns, kStart);
+    EXPECT_EQ(served.trace.done_ns, kStart);
+    EXPECT_EQ(served.trace.deliver_ns, kStart + kWait);
+    EXPECT_EQ(served.trace.queue_wait_ns(), 0u);
+    EXPECT_EQ(served.trace.run_ns(), 0u);
+    EXPECT_EQ(served.trace.total_ns(), kWait);
+  }
+  EXPECT_EQ(shed, 5u);
+  EXPECT_EQ(expired, 1u);
+
+  // The refusals' delivery waits are kWait each; the two jobs that ran
+  // finished after the clock moved, so they waited zero.
+  std::size_t found = 0;
+  for (const auto& [name, h] : server.metrics().snapshot().histograms) {
+    if (name != "serve_deliver_wait_ns") continue;
+    ++found;
+    EXPECT_EQ(h.count, 8u);
+    EXPECT_EQ(h.max, kWait);
+    EXPECT_EQ(h.sum, 6 * kWait);
+  }
+  EXPECT_EQ(found, 1u);
+}
+
 // ---------------- determinism under full traffic controls ----------------
 
 TEST(TrafficControls, CompletedExplanationsBitIdenticalToSequential) {
@@ -504,7 +569,6 @@ TEST(TrafficControls, ChaosRoundsKeepBitParityUnderTightQueues) {
     cs::ServeOptions options;
     options.workers = 3;
     options.queue_capacity = 4;  // blocking submits exercise backpressure
-    options.batch_credit_every = 2 + round % 3;
     options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>();
     cs::X86ExplanationServer server(options);
     server.register_model("crude", crude);
