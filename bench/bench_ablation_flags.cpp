@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md decision 2): should flag-carried hazards be edges of
+// Ablation: should flag-carried hazards be edges of
 // the dependency multigraph COMET extracts features from?
 //
 // The paper's multigraphs carry register/memory hazards; we exclude flag

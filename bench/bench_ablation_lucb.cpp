@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md decision 4): KL-LUCB adaptive arm allocation vs a
+// Ablation: KL-LUCB adaptive arm allocation vs a
 // uniform round-robin baseline, at equal per-level pull budgets.
 //
 // COMET adopts Anchors' KL-LUCB best-arm identification to concentrate

@@ -14,8 +14,8 @@
 // saturation rate measured by the sweep, half of them interactive, with
 // latency measured from each request's intended arrival, so the time a
 // producer spends blocked in submit() counts (no coordinated omission).
-// It prints interactive p50/p99 with shedding off and with the default
-// WatermarkShedPolicy.
+// It prints interactive p50/p99 with shedding off and with
+// ServeOptions::shed_batch_lane on.
 //
 // Overrides for CI fast smoke (env wins over argv):
 //   COMET_SERVE_WORKERS=2,4   (or argv[1])  worker counts to sweep
@@ -37,7 +37,6 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/isa_servers.h"
-#include "serve/shed_policy.h"
 #include "sim/models.h"
 #include "util/rng.h"
 
@@ -305,10 +304,7 @@ int main(int argc, char** argv) {
       cs::ServeOptions serve_options;
       serve_options.workers = ov_workers;
       serve_options.queue_capacity = ov_capacity;
-      if (shed_on) {
-        serve_options.shed_policy =
-            std::make_shared<const cs::WatermarkShedPolicy>();
-      }
+      serve_options.shed_batch_lane = shed_on;
       cs::X86ExplanationServer server(serve_options);
       server.register_model("crude-hsw", crude);
       server.register_model("oracle-hsw", oracle);

@@ -58,26 +58,33 @@ namespace comet::core {
 /// level-1 fan-out unbounded raised peak RSS by up to 2x on the benchmark.
 inline constexpr std::size_t kMaxFusedBlocks = 64;
 
+// KL-LUCB / beam-search constants (Anchors defaults; no caller varies them).
+/// Bandit failure probability of the KL-LUCB confidence bounds.
+inline constexpr double kLucbConfidenceDelta = 0.1;
+/// KL-LUCB stops once the strongest challenger's upper bound is within
+/// this of the weakest top-B arm's lower bound.
+inline constexpr double kLucbEpsilon = 0.15;
+/// Largest feature set the beam search grows (beam levels 1..3).
+inline constexpr std::size_t kMaxExplanationSize = 3;
+
 /// The ISA-independent knobs of the anchor search, shared by every
 /// instantiation (x86 CometOptions, RISC-V RvExplainOptions).
 struct AnchorSearchOptions {
   /// ε-ball radius around M(β) (paper Appendix E: 0.5 cycles for real cost
-  /// models, ∆/4 = 0.25 for the crude model C).
+  /// models, ∆/4 = 0.25 for the crude model C). The ball is open: a sample
+  /// counts as a hit iff |M(α) − M(β)| < ε, so one exactly ε away misses.
   double epsilon = 0.5;
   /// Precision threshold is (1 − delta); the paper uses 0.7.
   double delta = 0.3;
 
   // -- KL-LUCB / beam-search hyperparameters (Anchors defaults) --
   /// Use the adaptive KL-LUCB best-arm procedure to allocate the per-level
-  /// pull budget (design decision 4 in DESIGN.md). When false, the same
-  /// budget is spent uniformly round-robin across candidate arms — the
-  /// baseline the ablation bench compares against.
+  /// pull budget. When false, the same budget is spent uniformly
+  /// round-robin across candidate arms — the baseline the ablation bench
+  /// compares against.
   bool use_kl_lucb = true;
-  double lucb_confidence_delta = 0.1;  ///< bandit failure probability
-  double lucb_epsilon = 0.15;          ///< UB/LB separation tolerance
   std::size_t batch_size = 12;         ///< perturbations per arm pull
   std::size_t beam_width = 4;
-  std::size_t max_explanation_size = 3;
   std::size_t max_pulls_per_level = 160;  ///< arm pulls per beam level
 
   /// Samples drawn from D (=Γ(∅)) for coverage estimation. The paper uses
@@ -85,11 +92,6 @@ struct AnchorSearchOptions {
   std::size_t coverage_samples = 2000;
   /// Extra samples to firm up the precision estimate of the final answer.
   std::size_t final_precision_samples = 200;
-
-  /// Memoize model queries in the broker (block-text keyed). Identical
-  /// output either way for deterministic models; disabled only by tests
-  /// and ablations auditing the raw query volume.
-  bool memoize_queries = true;
 
   /// Opt-in per-level phase timing (obs::PhaseTimings on the explanation):
   /// point at a clock — obs::steady_clock() in production, a ManualClock in
@@ -138,7 +140,7 @@ class AnchorEngine {
   struct Arm {
     FeatureSet features;
     std::size_t pulls = 0;  // samples drawn
-    std::size_t hits = 0;   // samples with |M(α) − M(β)| ≤ ε
+    std::size_t hits = 0;   // samples with |M(α) − M(β)| < ε
 
     double mean() const { return util::hit_rate(hits, pulls); }
   };
@@ -153,7 +155,7 @@ double AnchorEngine<Traits>::estimate_precision(const Block& block,
                                                 std::size_t samples,
                                                 util::Rng& rng) const {
   const Perturber perturber = Traits::make_perturber(block, options_);
-  Broker broker(model_, options_.memoize_queries);
+  Broker broker(model_);
   double base = 0.0;
   broker.predict_batch(std::span<const Block>(&block, 1),
                        std::span<double>(&base, 1));
@@ -204,7 +206,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   // the same requests run sequentially.
   util::Rng rng(options_.seed ^ util::fnv1a64(block.to_string().c_str()));
   const Perturber perturber = Traits::make_perturber(block, options_);
-  Broker broker(model_, options_.memoize_queries);
+  Broker broker(model_);
 
   // Opt-in phase timing. Stamps are taken strictly *between* phases and
   // accumulate into the explanation's obs::PhaseTimings; no reading ever
@@ -304,8 +306,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   Arm best_effort;        // highest-precision candidate seen anywhere
   double best_effort_mean = -1.0;
 
-  for (std::size_t level = 1; level <= options_.max_explanation_size;
-       ++level) {
+  for (std::size_t level = 1; level <= kMaxExplanationSize; ++level) {
     obs::PhaseTimings::Level level_timing;
     std::uint64_t t_phase = stamp();
 
@@ -363,7 +364,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
       // The round's level is fixed, so arms sharing (hits, pulls) share
       // their bounds: each is computed once per round.
       round_bounds.reset(util::kl_lucb_level(pulls_done, arms.size(),
-                                             options_.lucb_confidence_delta));
+                                             kLucbConfidenceDelta));
       // Weakest member of the tentative top set.
       std::size_t weakest = order[0];
       double weakest_lb = std::numeric_limits<double>::infinity();
@@ -387,7 +388,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         }
       }
       if (order.size() <= B ||
-          challenger_ub - weakest_lb < options_.lucb_epsilon) {
+          challenger_ub - weakest_lb < kLucbEpsilon) {
         break;
       }
       // The round's separating arms, pulled as one fused batch.
@@ -402,8 +403,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return arms[a].mean() > arms[b].mean();
     });
-    const double verify_beta =
-        std::log(1.0 / options_.lucb_confidence_delta);
+    const double verify_beta = std::log(1.0 / kLucbConfidenceDelta);
     for (std::size_t i = 0; i < std::min(B, order.size()); ++i) {
       Arm& arm = arms[order[i]];
       if (arm.mean() > best_effort_mean) {

@@ -6,8 +6,11 @@
 //
 //   F* = argmax_{F ⊆ P̂} Cov(F)   s.t.   Prec(F) ≥ 1 − δ
 //
-// where Prec(F) = Pr_{α ~ D_F}[ |M(α) − M(β)| ≤ ε ]  and
+// where Prec(F) = Pr_{α ~ D_F}[ |M(α) − M(β)| < ε ]  and
 //       Cov(F)  = Pr_{α ~ D}[ F ⊆ P̂(α) ].
+//
+// (The paper writes ≤ ε; the engine's ε-ball is open, so a sample exactly
+// ε away from M(β) counts as a miss. The explanation goldens pin this.)
 //
 // The search itself — Anchors-style bottom-up beam search with KL-LUCB
 // best-arm identification, batched through a query broker — lives in the

@@ -10,9 +10,11 @@
 //   * batching   — callers hand over whole sample batches; the model sees
 //                  one predict_batch() call per batch instead of a virtual
 //                  predict() per sample,
-//   * memoization — results are cached by block text, so a recurring
-//                  perturbation costs a hash lookup instead of a forward
-//                  pass (duplicates inside a single batch are folded too),
+//   * memoization — results are always cached by block text, so a
+//                  recurring perturbation costs a hash lookup instead of a
+//                  forward pass (duplicates inside a single batch are
+//                  folded too); for a deterministic model a memo hit
+//                  returns exactly the value predict() would,
 //   * accounting — all query traffic is counted here, giving benches and
 //                  tests one authoritative place to audit the query budget.
 //
@@ -45,16 +47,8 @@ namespace comet::cost {
 template <typename Block, typename Model>
 class QueryBroker {
  public:
-  /// `model` must outlive the broker. `memoize` disables the cache (the
-  /// batching and accounting remain); results are identical either way for
-  /// deterministic models.
-  explicit QueryBroker(const Model& model, bool memoize = true)
-      : model_(&model), memoize_(memoize) {}
-
-  /// Pointer variant (the broker stays non-owning). `model` must be
-  /// non-null and outlive the broker.
-  explicit QueryBroker(const Model* model, bool memoize = true)
-      : model_(model), memoize_(memoize) {}
+  /// `model` must outlive the broker.
+  explicit QueryBroker(const Model& model) : model_(&model) {}
 
   // Movable (so brokers can live in containers), not copyable (a copied
   // memo table would double-count traffic in merged stats).
@@ -67,12 +61,6 @@ class QueryBroker {
   void predict_batch(std::span<const Block> blocks, std::span<double> out) {
     stats_.requested += blocks.size();
     if (blocks.empty()) return;
-    if (!memoize_) {
-      stats_.evaluated += blocks.size();
-      ++stats_.batch_calls;
-      model_->predict_batch(blocks, out);
-      return;
-    }
     miss_blocks_.clear();
     miss_keys_.clear();
     pending_.clear();
@@ -115,30 +103,25 @@ class QueryBroker {
   /// engine traffic should use predict_batch instead.
   double predict_one(const Block& block) {
     ++stats_.requested;
-    std::string key;
-    if (memoize_) {
-      key = block.to_string();
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        ++stats_.cache_hits;
-        return it->second;
-      }
+    std::string key = block.to_string();
+    if (const auto it = cache_.find(key); it != cache_.end()) {
+      ++stats_.cache_hits;
+      return it->second;
     }
     ++stats_.evaluated;
     ++stats_.single_calls;
     const double v = model_->predict(block);
-    if (memoize_) cache_.emplace(std::move(key), v);
+    cache_.emplace(std::move(key), v);
     return v;
   }
 
   const QueryStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = QueryStats{}; }
   const Model& model() const { return *model_; }
 
  private:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  const Model* model_;
-  bool memoize_;
+  const Model* model_;  // a pointer, so the broker stays move-assignable
   QueryStats stats_;
   std::unordered_map<std::string, double> cache_;
   // Reused per-call scratch (miss gathering); no allocations on the hot

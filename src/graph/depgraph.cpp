@@ -77,12 +77,10 @@ std::vector<x86::RegFamily> conflicting_families(
 }
 
 // Same memory location? Syntactic identity of the address expression
-// (ignoring access width), or always-true under conservative aliasing.
+// (ignoring access width).
 bool same_location(const std::optional<x86::MemOperand>& a,
-                   const std::optional<x86::MemOperand>& b,
-                   bool conservative) {
+                   const std::optional<x86::MemOperand>& b) {
   if (!a || !b) return false;
-  if (conservative) return true;
   return a->base == b->base && a->index == b->index && a->scale == b->scale &&
          a->disp == b->disp;
 }
@@ -130,7 +128,7 @@ DepGraph DepGraph::build(const x86::BasicBlock& block,
       add_reg_edges(DepKind::WAW, fx[i].reg_writes, fx[j].reg_writes);
 
       // Memory hazards on the explicit memory operand.
-      if (same_location(fx[i].mem, fx[j].mem, options.conservative_memory)) {
+      if (same_location(fx[i].mem, fx[j].mem)) {
         const auto add_mem = [&](DepKind k, bool cond) {
           if (!cond) return;
           const auto ki = static_cast<std::size_t>(k);

@@ -11,11 +11,10 @@
 //    (so `mov rdx, rcx` depends on `add rcx, rax`, and `al`/`ah` do not
 //    conflict);
 //  * memory hazards between syntactically identical address expressions
-//    (the standard basic-block approximation; configurable to treat all
-//    memory as may-alias);
+//    (the standard basic-block approximation);
 //  * flag hazards are modeled but excluded by default — flag-carried edges
 //    between nearly every pair of ALU instructions would drown the feature
-//    space that explanations are built from (see DESIGN.md).
+//    space that explanations are built from.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +49,6 @@ struct DepEdge {
 struct DepGraphOptions {
   /// Include flag-carried hazards as edges.
   bool include_flag_deps = false;
-  /// Treat any two memory accesses as potentially aliasing (otherwise only
-  /// syntactically identical address expressions conflict).
-  bool conservative_memory = false;
   /// Only link each consumer to the *nearest* earlier conflicting writer
   /// (classic def-use chains) rather than every earlier conflicting access.
   bool nearest_only = true;

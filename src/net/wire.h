@@ -119,8 +119,9 @@ class FrameAssembler {
 /// kPredictRequest: the blocks to price, as their canonical text (the
 /// same string the memo caches key on, so the server prices exactly what
 /// the client would have). v2 prefixes the block list with the traffic
-/// class: `priority` selects the serving lane (0 = interactive, 1 =
-/// batch; anything else is rejected at decode) and `deadline_ns` is the
+/// class: `priority` names a serving lane (0 = interactive, 1 = batch;
+/// anything else is rejected at decode; RemoteShardClient always sends 0
+/// and RemoteShardServer does not read it) and `deadline_ns` is the
 /// *remaining* time budget in nanoseconds (relative, because absolute
 /// clocks don't agree across hosts; 0 means no deadline). Both fields
 /// are advisory scheduling hints — they never change the bits of a

@@ -49,7 +49,8 @@ struct PerturbConfig {
   bool whole_instruction_replacement = false;
   /// Prefer rename targets not used anywhere in the block when breaking a
   /// dependency, so a break does not accidentally create a new dependency.
-  /// Disabled only by the design-ablation bench.
+  /// Disabled only by test_perturb_golden and fuzz_perturber, which cover
+  /// the non-fresh rename path.
   bool prefer_fresh_rename = true;
 };
 

@@ -10,12 +10,11 @@
 // serve::RemoteShardClient, whose RemoteShardOptions::fallback is the one
 // failover path.
 //
-// Flow control: admission goes through a bounded queue. submit() blocks
-// until space frees up (backpressure propagates to the producer);
-// try_submit() is the non-blocking variant and returns false when the
-// queue is full. Shutdown is a graceful drain — every accepted job is
-// explained before the workers join, and drain() lets callers wait for
-// exactly that without destroying the server.
+// Flow control: submit() is the one admission call. It goes through a
+// bounded queue and blocks until space frees up, so backpressure
+// propagates to the producer. Shutdown is a graceful drain — every
+// accepted job is explained before the workers join, and drain() lets
+// callers wait for exactly that without destroying the server.
 //
 // Traffic controls: every submission carries a RequestOptions — a lane
 // (interactive vs. batch) and an optional absolute deadline on the
@@ -26,10 +25,10 @@
 // (ServeStatus::kDeadlineExceeded*) — never a silent drop. Workers
 // dequeue interactive-lane work first; an anti-starvation credit hands
 // the batch lane one dequeue in every kBatchCreditEvery.
-// A WatermarkShedPolicy (ServeOptions::shed_policy) can refuse work at
-// admission when the queue saturates (ServeStatus::kShed), shedding
-// batch-lane and deadline-infeasible jobs first; sheds are counted per
-// lane in the metrics registry. Deadlines gate *whether* a job runs,
+// With ServeOptions::shed_batch_lane set, a batch-lane job is refused at
+// admission (ServeStatus::kShed) once the queue is at least half full;
+// interactive work is never shed. Sheds are counted per lane in the
+// metrics registry. Deadlines gate *whether* a job runs,
 // never how it runs: an explanation that completes — even one finishing
 // past its deadline, delivered as ServeStatus::kLate — is bit-identical
 // to the sequential path. Deadline checks are the one scheduling-side
@@ -55,8 +54,7 @@
 // start = done, so its queue-wait and run spans are zero. Exported per
 // model key: queue-wait and service-latency histograms (p50/p95/p99);
 // globally: live queue-depth and outstanding gauges, submitted/completed
-// counters, and the two backpressure counters (submit had to block;
-// try_submit was rejected). Scrape via
+// counters, and the backpressure counter (submit had to block). Scrape via
 // metrics_text() (Prometheus exposition) or metrics_json(). All clock
 // reads go through obs::Clock (ServeOptions::clock, steady by default) and
 // only ever land in metrics and trace fields — never in scheduling or the
@@ -86,10 +84,21 @@
 #include "cost/query_stats.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "serve/shed_policy.h"
 #include "util/sync.h"
 
 namespace comet::serve {
+
+/// Traffic class of a serving request. Interactive is the latency-
+/// sensitive lane (dequeued first); batch is throughput traffic that
+/// absorbs shedding and queueing delay when the server saturates.
+enum class Lane : std::uint8_t {
+  kInteractive = 0,
+  kBatch = 1,
+};
+
+inline const char* lane_name(Lane lane) {
+  return lane == Lane::kInteractive ? "interactive" : "batch";
+}
 
 struct ServeOptions {
   std::size_t workers = 2;         ///< concurrent explanation sessions
@@ -99,9 +108,10 @@ struct ServeOptions {
   /// deterministic latency and expiry assertions. Must outlive the
   /// server.
   const obs::Clock* clock = nullptr;
-  /// Admission-time load shedding; nullptr = never shed (bounded-queue
-  /// backpressure only).
-  std::shared_ptr<const WatermarkShedPolicy> shed_policy = nullptr;
+  /// Admission-time load shedding: refuse batch-lane jobs (typed kShed)
+  /// while the queue is at least half full, keeping the headroom for
+  /// interactive work. Off = bounded-queue backpressure only.
+  bool shed_batch_lane = false;
 };
 
 /// Anti-starvation: with both lanes non-empty, one dequeue in every
@@ -118,7 +128,7 @@ enum class ServeStatus : std::uint8_t {
   kLate = 1,                  ///< ran to completion but past its deadline
   kDeadlineExceededAtAdmit = 2,  ///< already expired when submitted
   kDeadlineExceededInQueue = 3,  ///< expired while queued; never ran
-  kShed = 4,                  ///< refused by the shed policy at admission
+  kShed = 4,                  ///< batch job shed at admission
   kFailed = 5,                ///< the model threw; Served::error says why
 };
 
@@ -246,32 +256,6 @@ class ExplanationServer {
                    std::move(options), request);
   }
 
-  /// Non-blocking submit: false (and no ticket) when the queue is full.
-  /// Expired or shed work still resolves to a typed Served result (true
-  /// is returned and a ticket issued — the refusal arrives via
-  /// next()/drain()).
-  bool try_submit(const std::string& model_key, Block block, Options options,
-                  std::uint64_t* id = nullptr, RequestOptions request = {})
-      COMET_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    std::shared_ptr<const Model> model = lookup(model_key);
-    if (const auto verdict = admission_verdict(request)) {
-      const std::uint64_t ticket =
-          finish_rejected(model_key, request, *verdict);
-      if (id != nullptr) *id = ticket;
-      return true;
-    }
-    if (queued() >= options_.queue_capacity) {
-      try_submit_rejected_.increment();
-      return false;
-    }
-    const std::uint64_t ticket = enqueue(model_key, std::move(model),
-                                         std::move(block), std::move(options),
-                                         request);
-    if (id != nullptr) *id = ticket;
-    return true;
-  }
-
   /// Next completed explanation, in completion order. Blocks while
   /// accepted jobs are outstanding; returns nullopt once every accepted
   /// job has been delivered.
@@ -330,7 +314,7 @@ class ExplanationServer {
   }
 
   /// The server's metrics registry: serve_submitted / serve_completed /
-  /// serve_submit_blocked / serve_try_submit_rejected counters, live
+  /// serve_submit_blocked counters, live
   /// serve_queue_depth / serve_outstanding gauges (plus per-lane
   /// serve_lane_depth{lane=...}), the serve_deliver_wait_ns histogram,
   /// per-model-key serve_queue_wait_ns{model_key=...} /
@@ -380,29 +364,17 @@ class ExplanationServer {
     return lanes_[static_cast<std::size_t>(lane)];
   }
 
-  // Instant admission refusals: already expired, or refused by the shed
-  // policy. nullopt = admit normally. The clock is read only when the
-  // request actually carries a deadline.
+  // Instant admission refusals: already expired, or a batch-lane job shed
+  // at half occupancy. nullopt = admit normally. The clock is read only
+  // when the request actually carries a deadline.
   std::optional<ServeStatus> admission_verdict(const RequestOptions& request)
       COMET_REQUIRES(mutex_) {
-    std::uint64_t now = 0;
-    if (request.deadline_ns != 0) {
-      now = clock_.now_ns();
-      if (now >= request.deadline_ns) {
-        return ServeStatus::kDeadlineExceededAtAdmit;
-      }
+    if (request.deadline_ns != 0 && clock_.now_ns() >= request.deadline_ns) {
+      return ServeStatus::kDeadlineExceededAtAdmit;
     }
-    if (options_.shed_policy != nullptr) {
-      ShedContext context;
-      context.queue_depth = queued();
-      context.queue_capacity = options_.queue_capacity;
-      context.lane = request.lane;
-      context.has_deadline = request.deadline_ns != 0;
-      context.deadline_slack_ns =
-          request.deadline_ns != 0 ? request.deadline_ns - now : 0;
-      if (options_.shed_policy->should_shed(context)) {
-        return ServeStatus::kShed;
-      }
+    if (options_.shed_batch_lane && request.lane == Lane::kBatch &&
+        2 * queued() >= options_.queue_capacity) {
+      return ServeStatus::kShed;
     }
     return std::nullopt;
   }
@@ -600,8 +572,6 @@ class ExplanationServer {
   obs::Counter& submitted_ = metrics_.counter("serve_submitted");
   obs::Counter& completed_count_ = metrics_.counter("serve_completed");
   obs::Counter& submit_blocked_ = metrics_.counter("serve_submit_blocked");
-  obs::Counter& try_submit_rejected_ =
-      metrics_.counter("serve_try_submit_rejected");
   obs::Gauge& queue_depth_ = metrics_.gauge("serve_queue_depth");
   obs::Gauge& outstanding_gauge_ = metrics_.gauge("serve_outstanding");
   obs::Histogram& deliver_wait_ns_ =

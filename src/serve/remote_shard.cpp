@@ -195,7 +195,6 @@ void RemoteShardClient::predict_batch(std::span<const x86::BasicBlock> blocks,
                   "remote-shard: predict_batch out/blocks size mismatch");
   if (blocks.empty()) return;
   net::PredictRequest request;
-  request.priority = options_.priority;
   // Ship the remaining budget, not an absolute clock reading (clocks do
   // not cross hosts): the server sees how long this round-trip may take.
   request.deadline_ns = options_.request_timeout_ns;
@@ -371,7 +370,21 @@ bool RemoteShardServer::handle_frame(net::Transport& transport,
           blocks.push_back(x86::parse_block(text));
         }
         std::vector<double> values(blocks.size());
-        model_->predict_batch(blocks, values);
+        try {
+          model_->predict_batch(blocks, values);
+        } catch (const std::exception& error) {
+          // A model failure fails this request, not the session: the
+          // client fails over or surfaces the typed error.
+          {
+            util::MutexLock lock(mutex_);
+            ++counters_.errors;
+          }
+          reply.type = net::MessageType::kError;
+          reply.payload = net::encode_error(
+              {net::ErrorBody::kInternalError, error.what()});
+          transport.send(net::encode_frame(reply));
+          return true;
+        }
         {
           util::MutexLock lock(mutex_);
           // The server is memo-free (the client-side brokers already

@@ -30,6 +30,10 @@
 //   * cancellation          — cancel() fails the in-flight request and all
 //     future ones with net::CancelledError (never failed over: cancel is
 //     a caller decision, not a fault).
+//   * model failure         — an exception out of the server's model fails
+//     that request with a kError reply (ErrorBody::kInternalError); the
+//     session stays open, and the client fails over or throws the typed
+//     error, exactly as for an unreachable server.
 //
 // Responses are matched to requests by id: stale frames (a late response
 // to a request that already timed out, or a fault-duplicated response)
@@ -71,10 +75,6 @@ struct RemoteShardOptions {
   /// (timeout or attempts exhausted): a local model, or another client
   /// for a further tier. nullptr = propagate the typed error.
   std::shared_ptr<const cost::CostModel> fallback;
-  /// Traffic class stamped on every kPredictRequest (0 = interactive,
-  /// 1 = batch — serve::Lane values). Advisory: lets the remote side see
-  /// which serving lane generated the traffic.
-  std::uint8_t priority = 0;
 };
 
 class RemoteShardClient final : public cost::CostModel {
@@ -158,7 +158,9 @@ class RemoteShardClient final : public cost::CostModel {
 /// one or more transports (one session thread each). Sessions end on peer
 /// EOF, a kShutdown frame, malformed bytes (best-effort kError reply,
 /// then close), or stop(); stop() closes every started transport and
-/// joins every session thread, so destruction is a graceful drain.
+/// joins every session thread, so destruction is a graceful drain. A bad
+/// block text (kParseError) or an exception out of the model
+/// (kInternalError) fails that one request; the session stays open.
 class RemoteShardServer {
  public:
   explicit RemoteShardServer(std::shared_ptr<const cost::CostModel> model);
@@ -184,7 +186,8 @@ class RemoteShardServer {
     std::uint64_t sessions = 0;   ///< serve()/start() connections begun
     std::uint64_t requests = 0;   ///< predict requests decoded
     std::uint64_t responses = 0;  ///< predict responses sent
-    std::uint64_t errors = 0;     ///< kError frames sent (parse/bad bytes)
+    std::uint64_t errors = 0;     ///< kError frames sent (parse, bad
+                                  ///< bytes, model failure)
     std::uint64_t health_checks = 0;  ///< kHealthCheck probes answered
   };
   Counters counters() const;

@@ -1,6 +1,7 @@
 // Tests for the unified, ISA-generic anchor engine: golden-seed parity with
-// the pre-refactor x86 engine, and the invariant that every engine-issued
-// model query flows through the query broker's batch path.
+// the pre-refactor x86 engine, the invariant that every engine-issued
+// model query flows through the query broker's batch path, and the open
+// ε-ball (a sample exactly ε away from M(β) is a miss).
 #include <gtest/gtest.h>
 
 #include <span>
@@ -161,6 +162,24 @@ struct StubTraits {
   }
 };
 
+// Predicts 2.0 for the target block and 2.0 + offset for every sample, so
+// each sample sits at a chosen, exactly representable distance from M(β).
+struct OffsetModel {
+  double offset = 0.0;
+  double predict(const StubBlock& block) const {
+    return block.text == "base" ? 2.0 : 2.0 + offset;
+  }
+  void predict_batch(std::span<const StubBlock> blocks,
+                     std::span<double> out) const {
+    for (std::size_t i = 0; i < blocks.size(); ++i) out[i] = predict(blocks[i]);
+  }
+  std::string name() const { return "offset"; }
+};
+
+struct OffsetTraits : StubTraits {
+  using Model = OffsetModel;
+};
+
 cx::BasicBlock golden_block() {
   return cx::parse_block(R"(
     mov rax, 5
@@ -259,6 +278,39 @@ TEST(AnchorEngine, EstimatePrecisionIgnoresEmptyPerturbations) {
   const double prec =
       engine.estimate_precision(block, StubFeatureSet{}, 400, rng);
   EXPECT_DOUBLE_EQ(prec, 1.0);
+}
+
+// ---------- the ε boundary ----------
+
+// Hits are |M(α) − M(β)| < ε, strictly: a sample exactly ε away, above or
+// below, is a miss in the search's arm scoring and in estimate_precision
+// alike. The explanation goldens were recorded with this rule.
+TEST(AnchorEngine, SampleExactlyEpsilonAwayIsAMiss) {
+  StubOptions opt;
+  opt.epsilon = 0.5;
+  opt.coverage_samples = 50;
+  opt.seed = 4;
+  const StubBlock block{"base"};
+  for (const double offset : {0.5, -0.5}) {
+    SCOPED_TRACE(offset);
+    const OffsetModel model{offset};
+    const cc::AnchorEngine<OffsetTraits> engine(model, opt);
+    comet::util::Rng rng(9);
+    EXPECT_DOUBLE_EQ(
+        engine.estimate_precision(block, StubFeatureSet{}, 200, rng), 0.0);
+    const auto e = engine.explain(block);
+    EXPECT_FALSE(e.met_threshold);
+    EXPECT_DOUBLE_EQ(e.precision, 0.0);
+  }
+  // Inside the ball every sample hits.
+  const OffsetModel inside{0.375};
+  const cc::AnchorEngine<OffsetTraits> engine(inside, opt);
+  comet::util::Rng rng(9);
+  EXPECT_DOUBLE_EQ(
+      engine.estimate_precision(block, StubFeatureSet{}, 200, rng), 1.0);
+  const auto e = engine.explain(block);
+  EXPECT_TRUE(e.met_threshold);
+  EXPECT_DOUBLE_EQ(e.precision, 1.0);
 }
 
 // ---------- the KL-lower-bound acceptance gate ----------

@@ -128,20 +128,6 @@ TEST(DepGraph, MemoryDifferentAddressesNoDep) {
   }
 }
 
-TEST(DepGraph, ConservativeMemoryAliasesEverything) {
-  cg::DepGraphOptions opt;
-  opt.conservative_memory = true;
-  const auto g = cg::DepGraph::build(bb(R"(
-    mov qword ptr [rdi + 8], rax
-    mov rcx, qword ptr [rsi + 16]
-  )"), opt);
-  bool found = false;
-  for (const auto& e : g.edges()) {
-    found |= e.resource == cg::DepResource::Memory;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(DepGraph, FlagDepsExcludedByDefault) {
   const auto g = cg::DepGraph::build(bb(R"(
     add rax, rcx

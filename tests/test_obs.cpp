@@ -427,7 +427,6 @@ TEST(ServeMetrics, LifecycleCountersAndHistogramsFill) {
   EXPECT_EQ(blocks.size(), counter("serve_submitted"));
   EXPECT_EQ(blocks.size(), counter("serve_completed"));
   EXPECT_EQ(0u, counter("serve_submit_blocked"));
-  EXPECT_EQ(0u, counter("serve_try_submit_rejected"));
 
   std::uint64_t run_count = 0, queue_count = 0, deliver_count = 0;
   for (const auto& [name, h] : snap.histograms) {

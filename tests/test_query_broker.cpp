@@ -1,8 +1,11 @@
 // Tests for the batched query layer: predict_batch element-wise parity for
-// every model in the zoo, QueryBroker memoization/dedup/accounting, and the
-// invariance of explanation output under broker memoization.
+// every model in the zoo, QueryBroker memoization/dedup/accounting, and
+// that every broker output — miss, memo hit or in-batch duplicate — is
+// bit-identical to the model's own predict().
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -134,21 +137,6 @@ TEST(QueryBroker, MemoizesRepeatQueries) {
   EXPECT_EQ(model.single_queries, 0u);
 }
 
-TEST(QueryBroker, NoMemoizationStillBatches) {
-  const CountingModel model;
-  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model,
-                                                        /*memoize=*/false);
-  const auto block = cx::parse_block("add rcx, rax");
-  const std::vector<cx::BasicBlock> batch{block, block};
-  std::vector<double> out(batch.size());
-  broker.predict_batch(std::span<const cx::BasicBlock>(batch),
-                       std::span<double>(out));
-  EXPECT_EQ(broker.stats().evaluated, 2u);
-  EXPECT_EQ(broker.stats().cache_hits, 0u);
-  EXPECT_EQ(broker.stats().batch_calls, 1u);
-  EXPECT_EQ(model.batch_calls, 1u);
-}
-
 TEST(QueryBroker, SinglePathCountsSeparately) {
   const CountingModel model;
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
@@ -160,34 +148,58 @@ TEST(QueryBroker, SinglePathCountsSeparately) {
   EXPECT_EQ(model.single_queries, 1u);
 }
 
-// ---------- memoization does not change explanation output ----------
+// ---------- memoization never changes a prediction ----------
 
 TEST(QueryBroker, MemoizationInvariantExplanation) {
   const ck::CrudeModel model(ck::MicroArch::Haswell);
   cc::CometOptions opt;
-  opt.epsilon = 0.25;
-  opt.coverage_samples = 300;
-  opt.final_precision_samples = 120;
   opt.seed = 17;
-  cc::CometOptions no_memo = opt;
-  no_memo.memoize_queries = false;
-
   const auto block = cx::parse_block(R"(
     mov rbx, 5
     add rsi, rdi
     div rcx
     mov r8, r9
   )");
-  const auto with = cc::CometExplainer(model, opt).explain(block);
-  const auto without = cc::CometExplainer(model, no_memo).explain(block);
-  EXPECT_EQ(with.features, without.features);
-  EXPECT_DOUBLE_EQ(with.precision, without.precision);
-  EXPECT_DOUBLE_EQ(with.coverage, without.coverage);
-  EXPECT_EQ(with.met_threshold, without.met_threshold);
-  EXPECT_EQ(with.model_queries, without.model_queries);
-  // Memoization strictly reduces evaluated queries on a search that
-  // revisits perturbations; the requested volume is identical.
-  EXPECT_EQ(with.query_stats.requested, without.query_stats.requested);
-  EXPECT_LT(with.query_stats.evaluated, without.query_stats.evaluated);
-  EXPECT_GT(with.query_stats.cache_hits, 0u);
+  // The stream an explanation sends: Γ samples of the block, which recur
+  // across and within batches, in batches of the engine's fused width.
+  const auto perturber = cc::X86AnchorTraits::make_perturber(block, opt);
+  Rng rng(opt.seed);
+  std::vector<std::vector<cx::BasicBlock>> batches;
+  // The first batch holds the block twice: an in-batch duplicate.
+  batches.push_back({block, block});
+  for (std::size_t b = 0; b < 20; ++b) {
+    std::vector<cx::BasicBlock> batch;
+    for (std::size_t i = 0; i < cc::kMaxFusedBlocks / 2; ++i) {
+      auto alpha = perturber.sample(comet::graph::FeatureSet{}, rng);
+      if (!alpha.block.empty()) batch.push_back(std::move(alpha.block));
+    }
+    batches.push_back(std::move(batch));
+  }
+  // The block again, now a memo hit from the first batch.
+  batches.push_back({block});
+
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  std::size_t requested = 0;
+  for (const auto& batch : batches) {
+    std::vector<double> out(batch.size());
+    broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+                         std::span<double>(out));
+    requested += batch.size();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(model.predict(batch[i])))
+          << batch[i].to_string();
+    }
+    if (&batch == &batches.front()) {
+      EXPECT_EQ(broker.stats().evaluated, 1u);
+      EXPECT_EQ(broker.stats().cache_hits, 1u);
+    }
+  }
+  // Every path was taken: misses reached the model, and Γ's recurring
+  // samples were served from the memo.
+  const auto& stats = broker.stats();
+  EXPECT_EQ(stats.requested, requested);
+  EXPECT_EQ(stats.requested, stats.evaluated + stats.cache_hits);
+  EXPECT_GT(stats.evaluated, 1u);
+  EXPECT_GT(stats.cache_hits, requested / 4);
 }

@@ -17,15 +17,18 @@
 //   * failover and failure — nested clients degrade tier by tier through
 //     their fallbacks; with no fallback, a served timeout is a typed
 //     kFailed result and the next job re-dials and returns the same bits;
-//   * protocol errors — a bad block text fails the request (kError /
-//     kParseError) but not the session; garbage bytes end the session
-//     after a best-effort error report; and every scenario above ends in
-//     a clean server drain (stop() returns, counters balance).
+//   * protocol errors — a bad block text (kError / kParseError) or a
+//     throwing model (kInternalError) fails the request but not the
+//     session, and the client fails over or surfaces the typed error;
+//     garbage bytes end the session after a best-effort error report; and
+//     every scenario above ends in a clean server drain (stop() returns,
+//     counters balance).
 //
 // Everything here runs over net::SimTransport, so each scenario is exactly
 // reproducible: the fault schedule, not thread timing, decides what fails.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -35,6 +38,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -279,9 +283,6 @@ TEST(RemoteShard, ServedExplanationsBitIdenticalIncludingStatsAndMetrics) {
     }
     if (name == "serve_completed") {
       EXPECT_EQ(value, 1u);
-    }
-    if (name == "serve_try_submit_rejected") {
-      EXPECT_EQ(value, 0u);
     }
   }
 }
@@ -646,6 +647,90 @@ TEST(RemoteShardServer, BadBlockTextFailsTheRequestNotTheSession) {
   // Only the good request reached the model: the ledger holds one block.
   EXPECT_EQ(server.stats().requested, 1u);
   EXPECT_EQ(server.stats().evaluated, 1u);
+}
+
+// Throws out of its first predict_batch, then answers like the crude model.
+class ThrowOnceModel final : public ck::CostModel {
+ public:
+  double predict(const cx::BasicBlock& block) const override {
+    return inner_.predict(block);
+  }
+  void predict_batch(std::span<const cx::BasicBlock> blocks,
+                     std::span<double> out) const override {
+    if (!thrown_.exchange(true)) throw std::runtime_error("model down");
+    inner_.predict_batch(blocks, out);
+  }
+  std::string name() const override { return "throw-once"; }
+
+ private:
+  ck::CrudeModel inner_{ck::MicroArch::Haswell};
+  mutable std::atomic<bool> thrown_{false};
+};
+
+// Answers every block with 42: a fallback whose values are recognisable.
+class FortyTwoModel final : public ck::CostModel {
+ public:
+  double predict(const cx::BasicBlock&) const override { return 42.0; }
+  std::string name() const override { return "forty-two"; }
+};
+
+TEST(RemoteShardServer, ThrowingModelFailsTheRequestNotTheSession) {
+  const cx::BasicBlock block = test_blocks(1)[0];
+  const double expected = crude()->predict(block);
+  for (const bool with_fallback : {false, true}) {
+    SCOPED_TRACE(with_fallback ? "with fallback" : "no fallback");
+    cs::RemoteShardServer server(std::make_shared<const ThrowOnceModel>());
+    auto [client_end, server_end] = cn::make_sim_pair();
+    // serve() on the caller's thread of an async task: an exception that
+    // escaped it would land in the future instead of aborting the process.
+    auto session = std::async(std::launch::async,
+                              [&server, &transport = *server_end] {
+                                server.serve(transport);
+                              });
+    // One connection only: a second dial means the session was lost.
+    auto slot = std::make_shared<std::unique_ptr<cn::Transport>>(
+        std::move(client_end));
+    cs::RemoteShardOptions options;
+    options.request_timeout_ns = kFaultTimeoutNs;
+    options.max_attempts = 1;
+    if (with_fallback) options.fallback = std::make_shared<FortyTwoModel>();
+    {
+      cs::RemoteShardClient client(
+          [slot]() -> std::unique_ptr<cn::Transport> {
+            if (*slot == nullptr) {
+              throw cn::DisconnectedError("session lost");
+            }
+            return std::move(*slot);
+          },
+          options);
+
+      if (with_fallback) {
+        EXPECT_EQ(client.predict(block), 42.0);
+      } else {
+        try {
+          client.predict(block);
+          ADD_FAILURE() << "the model error was swallowed";
+        } catch (const cn::TransportError& error) {
+          EXPECT_NE(std::string(error.what()).find("model down"),
+                    std::string::npos)
+              << error.what();
+        }
+      }
+      // The same connection serves the next request with the model's bits.
+      EXPECT_EQ(client.predict(block), expected);
+      const auto counters = client.counters();
+      EXPECT_EQ(counters.reconnects, 0u);
+      EXPECT_EQ(counters.timeouts, 0u);
+      EXPECT_EQ(counters.failovers, with_fallback ? 1u : 0u);
+      EXPECT_EQ(counters.responses, 1u);
+    }
+    // The client's destructor closed its end: the session ends cleanly.
+    EXPECT_NO_THROW(session.get());
+    const auto counters = server.counters();
+    EXPECT_EQ(counters.requests, 2u);
+    EXPECT_EQ(counters.responses, 1u);
+    EXPECT_EQ(counters.errors, 1u);
+  }
 }
 
 TEST(RemoteShardServer, GarbageBytesEndTheSessionWithABestEffortError) {

@@ -199,9 +199,9 @@ TEST(QueryStats, MergeAndFormat) {
 
 // ---------------- QueryBroker: pool-friendliness ----------------
 
-TEST(QueryBrokerPool, PointerConstructionAndMoveKeepCacheAndStats) {
+TEST(QueryBrokerPool, MoveKeepsCacheAndStats) {
   const ck::CrudeModel model(ck::MicroArch::Haswell);
-  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(&model);
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
   const auto block = golden_block();
   const double direct = model.predict(block);
   EXPECT_DOUBLE_EQ(broker.predict_one(block), direct);
@@ -269,8 +269,10 @@ class WidthRecordingModel final : public ck::CostModel {
 
 TEST(EngineWidening, FusedBatchesNeverExceedTheWidthCap) {
   // A level-1 fan-out of every feature of a paper block, 16 samples per
-  // arm and no memo (so the model sees each fused batch whole): the group
-  // is many times wider than the cap and must be split.
+  // arm: the group is many times wider than the cap and must be split.
+  // The memo only ever narrows what reaches the model, so the cap bounds
+  // the model's widest batch, and a batch wider than one arm's shows that
+  // arms were fused.
   const cx::BasicBlock block = cx::parse_block(R"(
     mov rax, qword ptr [rdi + 8]
     add rax, rbx
@@ -281,7 +283,6 @@ TEST(EngineWidening, FusedBatchesNeverExceedTheWidthCap) {
   )");
   cc::CometOptions opt = golden_options();
   opt.batch_size = 16;
-  opt.memoize_queries = false;
   ASSERT_GT(cg::extract_features(block, opt.graph_options).size() *
                 opt.batch_size,
             cc::kMaxFusedBlocks);
@@ -442,48 +443,47 @@ TEST(ExplanationServer, BoundedQueueExertsBackpressure) {
 
   cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 2});
   server.register_model("gate", gate);
+  const auto counter = [&server](const std::string& name) {
+    for (const auto& [key, value] : server.metrics().snapshot().counters) {
+      if (key == name) return value;
+    }
+    return std::uint64_t{0};
+  };
 
   // Pin the single worker inside the gate, then fill the admission queue.
   server.submit("gate", block, options);
   gate->await_entered();
   server.submit("gate", block, options);
   server.submit("gate", block, options);
+  EXPECT_EQ(counter("serve_submit_blocked"), 0u);
 
-  // Queue full: non-blocking admission is refused...
+  // Queue full: the next submit blocks until a worker frees a slot.
+  std::atomic<bool> returned{false};
   std::uint64_t ticket = 0;
-  EXPECT_FALSE(server.try_submit("gate", block, options, &ticket));
-  EXPECT_EQ(ticket, 0u);
-  // ...and unknown keys are rejected at admission, not at execution.
-  EXPECT_THROW(server.try_submit("nope", block, options),
-               std::out_of_range);
+  std::thread producer([&] {
+    ticket = server.submit("gate", block, options);
+    returned = true;
+  });
+  // Bounded poll: the producer counts itself blocked before it parks.
+  for (int i = 0; i < 10'000 && counter("serve_submit_blocked") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(counter("serve_submit_blocked"), 1u);
+  // No slot can free while the worker is pinned, so no ticket yet.
+  EXPECT_FALSE(returned);
+  // Unknown keys are rejected at admission, not at execution.
+  EXPECT_THROW(server.submit("nope", block, options), std::out_of_range);
 
   gate->open();
-  const auto results = server.drain();
-  EXPECT_EQ(results.size(), 3u);
-
-  // Space freed: admission works again and the job completes.
-  EXPECT_TRUE(server.try_submit("gate", block, options, &ticket));
+  producer.join();
   EXPECT_GT(ticket, 0u);
-  EXPECT_EQ(server.drain().size(), 1u);
+  EXPECT_EQ(server.drain().size(), 4u);
 
-  // The flow-control events above are on the metrics surface: exactly one
-  // try_submit refusal (the unknown-key throw is not a queue rejection),
-  // no blocking submit ever waited, and the lifecycle counters balance.
-  const auto snap = server.metrics().snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "serve_try_submit_rejected") {
-      EXPECT_EQ(1u, value);
-    }
-    if (name == "serve_submit_blocked") {
-      EXPECT_EQ(0u, value);
-    }
-    if (name == "serve_submitted") {
-      EXPECT_EQ(4u, value);
-    }
-    if (name == "serve_completed") {
-      EXPECT_EQ(4u, value);
-    }
-  }
+  // The flow-control events above are on the metrics surface: one
+  // blocking submit waited, and the lifecycle counters balance.
+  EXPECT_EQ(counter("serve_submit_blocked"), 1u);
+  EXPECT_EQ(counter("serve_submitted"), 4u);
+  EXPECT_EQ(counter("serve_completed"), 4u);
 }
 
 // ---------------- the shared RISC-V served path ----------------

@@ -1,8 +1,8 @@
 // Tests for the serving-layer traffic controls (PR 10): per-request
 // deadlines with typed expiry at admission, in queue, and after a late
 // run; the two-lane admission queue (interactive-first dequeue with the
-// batch anti-starvation credit); watermark load shedding with per-lane
-// accounting; and the determinism contract — none of the scheduling
+// batch anti-starvation credit); batch-lane load shedding at half queue
+// occupancy with per-lane accounting; and the determinism contract — none of the scheduling
 // machinery changes the bits of an explanation that completes.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "cost/crude_model.h"
 #include "obs/clock.h"
 #include "serve/isa_servers.h"
-#include "serve/shed_policy.h"
 #include "x86/parser.h"
 
 namespace cc = comet::core;
@@ -137,46 +136,6 @@ std::uint64_t counter_value(const cs::X86ExplanationServer& server,
 
 }  // namespace
 
-// ---------------- the watermark policy in isolation ----------------
-
-TEST(WatermarkShedPolicy, TwoWatermarksAndInfeasibilityShedding) {
-  cs::WatermarkShedPolicy policy(
-      {.batch_watermark = 0.5, .saturation_watermark = 0.875,
-       .min_slack_ns = 1000});
-  cs::ShedContext context;
-  context.queue_capacity = 8;
-
-  // Below every watermark: nobody is shed.
-  context.queue_depth = 3;
-  context.lane = cs::Lane::kBatch;
-  EXPECT_FALSE(policy.should_shed(context));
-
-  // Above the batch watermark: batch is shed, interactive is not.
-  context.queue_depth = 4;
-  EXPECT_TRUE(policy.should_shed(context));
-  context.lane = cs::Lane::kInteractive;
-  EXPECT_FALSE(policy.should_shed(context));
-
-  // At saturation: deadline-infeasible work is shed from either lane;
-  // feasible (or deadline-free) interactive work never is.
-  context.queue_depth = 7;
-  context.has_deadline = true;
-  context.deadline_slack_ns = 500;  // < min_slack_ns
-  EXPECT_TRUE(policy.should_shed(context));
-  context.deadline_slack_ns = 5000;
-  EXPECT_FALSE(policy.should_shed(context));
-  context.has_deadline = false;
-  EXPECT_FALSE(policy.should_shed(context));
-
-  // min_slack_ns = 0 disables infeasibility shedding entirely.
-  cs::WatermarkShedPolicy no_slack(
-      {.batch_watermark = 0.5, .saturation_watermark = 0.875,
-       .min_slack_ns = 0});
-  context.has_deadline = true;
-  context.deadline_slack_ns = 1;
-  EXPECT_FALSE(no_slack.should_shed(context));
-}
-
 // ---------------- deadline expiry at every stage ----------------
 
 TEST(Deadlines, ExpiredAtAdmitIsATypedRefusalNotASilentDrop) {
@@ -193,13 +152,11 @@ TEST(Deadlines, ExpiredAtAdmitIsATypedRefusalNotASilentDrop) {
                     {.lane = cs::Lane::kInteractive, .deadline_ns = 50});
   EXPECT_GT(ticket, 0u);
 
-  // try_submit agrees: an expired request is "accepted" (true, ticket)
-  // because its typed result is already on the stream.
-  std::uint64_t try_ticket = 0;
-  EXPECT_TRUE(server.try_submit("crude", small_block(), light_options(2),
-                                &try_ticket,
-                                {.lane = cs::Lane::kBatch, .deadline_ns = 99}));
-  EXPECT_GT(try_ticket, 0u);
+  // The batch lane is refused the same way.
+  const auto batch_ticket =
+      server.submit("crude", small_block(), light_options(2),
+                    {.lane = cs::Lane::kBatch, .deadline_ns = 99});
+  EXPECT_GT(batch_ticket, ticket);
 
   const auto results = server.drain();
   ASSERT_EQ(results.size(), 2u);
@@ -366,59 +323,51 @@ TEST(Lanes, InteractiveFirstWithBatchAntiStarvationCredit) {
 
 // ---------------- load shedding with per-lane accounting ----------------
 
-TEST(Shedding, WatermarkPolicyShedsBatchFirstAndCountsPerLane) {
+TEST(Shedding, BatchShedAtHalfCapacityInteractiveNever) {
   co::ManualClock clock;
   auto gate = std::make_shared<GateModel>();
   cs::ServeOptions options;
   options.workers = 1;
   options.queue_capacity = 8;
   options.clock = &clock;
-  options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>(
-      cs::WatermarkShedPolicy::Options{.batch_watermark = 0.5,
-                                       .saturation_watermark = 0.875,
-                                       .min_slack_ns = 1000});
+  options.shed_batch_lane = true;
   cs::X86ExplanationServer server(options);
   server.register_model("gate", gate);
 
   server.submit("gate", small_block(), light_options(1));
   gate->await_entered();
 
-  // Four interactive jobs fill half the queue (shedding never fires below
-  // the batch watermark)...
+  // Below half capacity (depth 0..3 of 8) batch work is admitted...
   for (int i = 0; i < 4; ++i) {
     server.submit("gate", small_block(), light_options(10 + i),
-                  {.lane = cs::Lane::kInteractive});
+                  {.lane = cs::Lane::kBatch});
   }
-  // ...so the next batch job is shed, with a ticket and a typed result.
-  std::uint64_t shed_ticket = 0;
-  ASSERT_TRUE(server.try_submit("gate", small_block(), light_options(30),
-                                &shed_ticket, {.lane = cs::Lane::kBatch}));
+  EXPECT_EQ(counter_value(server, "serve_shed{lane=\"batch\"}"), 0u);
+  // ...and at depth 4 (2 * 4 >= 8) the next batch job is shed, with a
+  // ticket and a typed result.
+  const auto shed_ticket = server.submit("gate", small_block(),
+                                         light_options(30),
+                                         {.lane = cs::Lane::kBatch});
   EXPECT_GT(shed_ticket, 0u);
   EXPECT_EQ(counter_value(server, "serve_shed{lane=\"batch\"}"), 1u);
 
-  // Interactive traffic is untouched until saturation...
-  for (int i = 0; i < 3; ++i) {
-    server.submit("gate", small_block(), light_options(40 + i),
-                  {.lane = cs::Lane::kInteractive});
+  // Interactive work fills the rest of the queue, with a deadline one
+  // nanosecond away or with none: it is never shed.
+  for (int i = 0; i < 4; ++i) {
+    cs::RequestOptions request{.lane = cs::Lane::kInteractive};
+    if (i % 2 == 0) request.deadline_ns = clock.now_ns() + 1;
+    server.submit("gate", small_block(), light_options(40 + i), request);
   }
-  // ...where deadline-infeasible interactive work (500ns slack < 1000ns
-  // minimum) is shed too: it would only expire in the queue.
-  ASSERT_TRUE(server.try_submit(
-      "gate", small_block(), light_options(50), nullptr,
-      {.lane = cs::Lane::kInteractive, .deadline_ns = clock.now_ns() + 500}));
-  EXPECT_EQ(counter_value(server, "serve_shed{lane=\"interactive\"}"), 1u);
-
-  // Deadline-free interactive work still falls through to ordinary
-  // bounded-queue backpressure: admitted while a slot remains...
-  EXPECT_TRUE(server.try_submit("gate", small_block(), light_options(60),
-                                nullptr, {.lane = cs::Lane::kInteractive}));
-  // ...then refused (false, no typed result) when the queue is full.
-  EXPECT_FALSE(server.try_submit("gate", small_block(), light_options(61),
-                                 nullptr, {.lane = cs::Lane::kInteractive}));
+  // At full capacity a batch job is still shed rather than blocked.
+  server.submit("gate", small_block(), light_options(50),
+                {.lane = cs::Lane::kBatch});
+  EXPECT_EQ(counter_value(server, "serve_shed{lane=\"batch\"}"), 2u);
+  EXPECT_EQ(counter_value(server, "serve_shed{lane=\"interactive\"}"), 0u);
+  EXPECT_EQ(counter_value(server, "serve_submit_blocked"), 0u);
 
   gate->open();
   const auto results = server.drain();
-  // 1 pin + 4 + 3 + 1 ran; 2 shed refusals rode the same stream.
+  // 1 pin + 4 batch + 4 interactive ran; 2 shed refusals rode the stream.
   ASSERT_EQ(results.size(), 11u);
   std::size_t ok = 0;
   std::size_t shed = 0;
@@ -426,12 +375,33 @@ TEST(Shedding, WatermarkPolicyShedsBatchFirstAndCountsPerLane) {
     if (served.status == cs::ServeStatus::kOk) ++ok;
     if (served.status == cs::ServeStatus::kShed) {
       ++shed;
+      EXPECT_EQ(served.lane, cs::Lane::kBatch);
       EXPECT_FALSE(cs::has_explanation(served.status));
     }
   }
   EXPECT_EQ(ok, 9u);
   EXPECT_EQ(shed, 2u);
-  EXPECT_EQ(counter_value(server, "serve_try_submit_rejected"), 1u);
+}
+
+TEST(Shedding, OddCapacityRoundsTheHalfUp) {
+  auto gate = std::make_shared<GateModel>();
+  cs::ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 5;
+  options.shed_batch_lane = true;
+  cs::X86ExplanationServer server(options);
+  server.register_model("gate", gate);
+
+  server.submit("gate", small_block(), light_options(1));
+  gate->await_entered();
+  // Depths 0, 1 and 2 admit (2 * 2 < 5); depth 3 sheds (2 * 3 >= 5).
+  for (int i = 0; i < 4; ++i) {
+    server.submit("gate", small_block(), light_options(10 + i),
+                  {.lane = cs::Lane::kBatch});
+  }
+  EXPECT_EQ(counter_value(server, "serve_shed{lane=\"batch\"}"), 1u);
+  gate->open();
+  EXPECT_EQ(server.drain().size(), 5u);
 }
 
 // A refusal never queues or runs, so its trace is admit = start = done:
@@ -446,17 +416,16 @@ TEST(Shedding, RefusalsStampAZeroLengthLifecycle) {
   options.workers = 1;
   options.queue_capacity = 2;
   options.clock = &clock;
-  options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>();
+  options.shed_batch_lane = true;
   cs::X86ExplanationServer server(options);
   server.register_model("gate", gate);
 
   server.submit("gate", small_block(), light_options(1));
   gate->await_entered();
-  // One batch job fills the queue to the batch watermark; the rest shed.
+  // One batch job fills the queue to half capacity; the rest shed.
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(server.try_submit("gate", small_block(),
-                                  light_options(10 + i), nullptr,
-                                  {.lane = cs::Lane::kBatch}));
+    server.submit("gate", small_block(), light_options(10 + i),
+                  {.lane = cs::Lane::kBatch});
   }
   // Already expired at admission.
   server.submit("gate", small_block(), light_options(20),
@@ -510,13 +479,13 @@ TEST(TrafficControls, CompletedExplanationsBitIdenticalToSequential) {
         cc::CometExplainer(*crude, job_options.back()).explain(block));
   }
 
-  // Deadlines, lanes, and a live shed policy all engaged — but generous
+  // Deadlines, lanes, and batch-lane shedding all engaged — but generous
   // enough that every job runs. The scheduling machinery must not perturb
   // a single bit.
   cs::ServeOptions options;
   options.workers = 4;
   options.queue_capacity = 16;
-  options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>();
+  options.shed_batch_lane = true;
   cs::X86ExplanationServer server(options);
   server.register_model("crude", crude);
 
@@ -569,7 +538,7 @@ TEST(TrafficControls, ChaosRoundsKeepBitParityUnderTightQueues) {
     cs::ServeOptions options;
     options.workers = 3;
     options.queue_capacity = 4;  // blocking submits exercise backpressure
-    options.shed_policy = std::make_shared<const cs::WatermarkShedPolicy>();
+    options.shed_batch_lane = true;
     cs::X86ExplanationServer server(options);
     server.register_model("crude", crude);
 
@@ -602,8 +571,8 @@ TEST(TrafficControls, ChaosRoundsKeepBitParityUnderTightQueues) {
         EXPECT_EQ(served.lane, cs::Lane::kBatch) << "round " << round;
       }
     }
-    // Interactive work is never shed by the watermark policy, so at
-    // least half of every round completes.
+    // Interactive work is never shed, so at least half of every round
+    // completes.
     EXPECT_GE(completed, kJobs / 2) << "round " << round;
   }
 }

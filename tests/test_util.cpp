@@ -322,7 +322,7 @@ double ref_lower(double p_hat, std::size_t n, double level) {
 
 /// Levels the engine uses: the KL-LUCB schedule at early, middle and
 /// late rounds of small and large levels, and the firm-up pass's
-/// log(1 / lucb_confidence_delta).
+/// log(1 / core::kLucbConfidenceDelta).
 std::vector<double> engine_levels() {
   std::vector<double> levels;
   for (const std::size_t t : {2, 41, 159}) {
