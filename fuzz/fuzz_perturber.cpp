@@ -1,9 +1,12 @@
 // Fuzz harness: the perturbation algorithm Γ (perturb::Perturber::sample)
-// over arbitrary blocks, preserve sets, seeds and configurations.
+// over arbitrary blocks, preserve sets, seeds and configurations, and the
+// graph-free dependency test its containment check runs on
+// (graph::has_dep_edge).
 //
 // Input layout (missing header bytes read as zero):
 //   byte  0      config bits: 1 = whole_instruction_replacement,
-//                2 = prefer_fresh_rename off
+//                2 = prefer_fresh_rename off, 4 = nearest_only off,
+//                8 = include_flag_deps
 //   bytes 1..7   preserve-set bits: feature i of the block's P̂ is preserved
 //                when bit (i mod 56) is set
 //   bytes 8..15  RNG seed (little-endian)
@@ -13,6 +16,8 @@
 //   * every sampled instruction is catalog-valid;
 //   * orig_index is strictly increasing, in range, and one per instruction;
 //   * every preserved Inst and NumInsts feature is contained;
+//   * has_dep_edge agrees with DepGraph::build(...).has_edge for every
+//     (from, to, kind) of the sample, under the input's graph options;
 //   * no exception escapes except the parser's rejection of the text.
 // Dependency features are counted, not asserted: Γ can still lose a
 // preserved memory-carried dependency whose address base register a rename
@@ -83,12 +88,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   cp::PerturbConfig config;
   config.whole_instruction_replacement = (header[0] & 1) != 0;
   config.prefer_fresh_rename = (header[0] & 2) == 0;
+  cg::DepGraphOptions graph_options;
+  graph_options.nearest_only = (header[0] & 4) == 0;
+  graph_options.include_flag_deps = (header[0] & 8) != 0;
   const std::uint64_t subset_bits = read_le(header + 1, 7);
   comet::util::Rng rng(read_le(header + 8, 8));
 
   const std::size_t n = block.size();
-  const cp::Perturber perturber(block, {}, config);
-  const auto all = cg::extract_features(block).items();
+  const cp::Perturber perturber(block, graph_options, config);
+  const auto all = cg::extract_features(block, graph_options).items();
   cg::FeatureSet preserve;
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (((subset_bits >> (i % 56)) & 1) != 0) preserve.insert(all[i]);
@@ -101,6 +109,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!comet::x86::is_valid(pb.block.instructions[k])) __builtin_trap();
       if (pb.orig_index[k] >= n) __builtin_trap();
       if (k > 0 && pb.orig_index[k - 1] >= pb.orig_index[k]) __builtin_trap();
+    }
+    const cg::DepGraph graph = cg::DepGraph::build(pb.block, graph_options);
+    for (std::size_t from = 0; from < pb.block.size(); ++from) {
+      for (std::size_t to = 0; to < pb.block.size(); ++to) {
+        for (const auto kind :
+             {cg::DepKind::RAW, cg::DepKind::WAR, cg::DepKind::WAW}) {
+          if (cg::has_dep_edge(pb.block, from, to, kind, graph_options) !=
+              graph.has_edge(from, to, kind)) {
+            __builtin_trap();
+          }
+        }
+      }
     }
     for (const cg::Feature& f : preserve.items()) {
       const bool held = perturber.contains(pb, cg::FeatureSet({f}));

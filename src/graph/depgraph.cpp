@@ -1,7 +1,11 @@
 #include "graph/depgraph.h"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <tuple>
+
+#include "util/inline_vec.h"
 
 namespace comet::graph {
 
@@ -16,9 +20,12 @@ std::string dep_kind_name(DepKind kind) {
 
 namespace {
 
+using x86::family_bit;
+using x86::FamilyMask;
 using x86::InstSemantics;
-using x86::Reg;
 using x86::RegAccess;
+
+constexpr DepKind kKinds[] = {DepKind::RAW, DepKind::WAR, DepKind::WAW};
 
 // A single byte-granular register read or write.
 struct RegEvent {
@@ -26,14 +33,15 @@ struct RegEvent {
   x86::ByteRange range;
 };
 
+// Every register access yields at most one read and one write event.
+using RegEvents = util::InlineVec<RegEvent, x86::RegAccessList::kCapacity>;
+
 struct InstEffects {
-  std::vector<RegEvent> reg_reads;
-  std::vector<RegEvent> reg_writes;
+  RegEvents reg_reads;
+  RegEvents reg_writes;
   bool mem_read = false;
   bool mem_write = false;
   std::optional<x86::MemOperand> mem;  // identity of explicit access
-  bool stack_read = false;             // implicit stack access (push/pop)
-  bool stack_write = false;
   bool flags_read = false;
   bool flags_write = false;
 };
@@ -50,26 +58,21 @@ InstEffects effects_of(const x86::Instruction& inst) {
     fx.mem_read = sem.mem->read;
     fx.mem_write = sem.mem->write;
   }
-  fx.stack_read = sem.stack_mem_read;
-  fx.stack_write = sem.stack_mem_write;
   fx.flags_read = sem.reads_flags;
   fx.flags_write = sem.writes_flags;
   return fx;
 }
 
 // All families carrying a byte-range conflict between two event sets.
-// Returning every family (not just the first) matters for the multigraph:
-// two instructions can conflict through several registers at once, and each
-// carries its own edge.
-std::vector<x86::RegFamily> conflicting_families(
-    const std::vector<RegEvent>& earlier, const std::vector<RegEvent>& later) {
-  std::vector<x86::RegFamily> out;
+// Every family counts (not just the first): two instructions can conflict
+// through several registers at once, and each carries its own edge.
+FamilyMask conflicting_families(const RegEvents& earlier,
+                                const RegEvents& later) {
+  FamilyMask out = 0;
   for (const auto& e : earlier) {
     for (const auto& l : later) {
       if (e.family == l.family && e.range.overlaps(l.range)) {
-        if (std::find(out.begin(), out.end(), e.family) == out.end()) {
-          out.push_back(e.family);
-        }
+        out |= family_bit(e.family);
       }
     }
   }
@@ -85,6 +88,40 @@ bool same_location(const std::optional<x86::MemOperand>& a,
          a->disp == b->disp;
 }
 
+// The three hazard tests between an earlier instruction `a` and a later
+// instruction `b`. RAW: `a` writes what `b` reads; WAR: `a` reads what `b`
+// writes; WAW: both write it.
+FamilyMask reg_hazard(DepKind kind, const InstEffects& a,
+                      const InstEffects& b) {
+  switch (kind) {
+    case DepKind::RAW: return conflicting_families(a.reg_writes, b.reg_reads);
+    case DepKind::WAR: return conflicting_families(a.reg_reads, b.reg_writes);
+    case DepKind::WAW: return conflicting_families(a.reg_writes, b.reg_writes);
+  }
+  return 0;
+}
+
+bool access_hazard(DepKind kind, bool a_read, bool a_write, bool b_read,
+                   bool b_write) {
+  switch (kind) {
+    case DepKind::RAW: return a_write && b_read;
+    case DepKind::WAR: return a_read && b_write;
+    case DepKind::WAW: return a_write && b_write;
+  }
+  return false;
+}
+
+// Memory hazards are on the explicit memory operand only.
+bool mem_hazard(DepKind kind, const InstEffects& a, const InstEffects& b) {
+  return same_location(a.mem, b.mem) &&
+         access_hazard(kind, a.mem_read, a.mem_write, b.mem_read, b.mem_write);
+}
+
+bool flag_hazard(DepKind kind, const InstEffects& a, const InstEffects& b) {
+  return access_hazard(kind, a.flags_read, a.flags_write, b.flags_read,
+                       b.flags_write);
+}
+
 }  // namespace
 
 DepGraph DepGraph::build(const x86::BasicBlock& block,
@@ -97,69 +134,46 @@ DepGraph DepGraph::build(const x86::BasicBlock& block,
   for (const auto& inst : block.instructions) fx.push_back(effects_of(inst));
 
   // `nearest_only` bookkeeping: once instruction j consumed a hazard of a
-  // given (kind, family) from some i, earlier instructions with the same
-  // conflict are skipped for j.
+  // given kind on a given resource from some i, earlier instructions with
+  // the same conflict are skipped for j.
   for (std::size_t j = 1; j < block.size(); ++j) {
-    std::vector<std::pair<DepKind, x86::RegFamily>> seen;
-    const auto already = [&](DepKind k, x86::RegFamily f) {
-      return std::find(seen.begin(), seen.end(), std::make_pair(k, f)) !=
-             seen.end();
-    };
+    FamilyMask seen_regs[3] = {0, 0, 0};
     bool seen_mem[3] = {false, false, false};
     bool seen_flags[3] = {false, false, false};
 
-    for (std::size_t ii = j; ii-- > 0;) {
-      const std::size_t i = ii;
-      const auto add_reg_edges = [&](DepKind kind,
-                                     const std::vector<RegEvent>& earlier,
-                                     const std::vector<RegEvent>& later) {
-        for (const x86::RegFamily fam :
-             conflicting_families(earlier, later)) {
-          if (options.nearest_only && already(kind, fam)) continue;
-          g.edges_.push_back({i, j, kind, DepResource::Register, fam});
-          if (options.nearest_only) seen.emplace_back(kind, fam);
+    for (std::size_t i = j; i-- > 0;) {
+      for (const DepKind kind : kKinds) {
+        const auto k = static_cast<std::size_t>(kind);
+        FamilyMask fams = reg_hazard(kind, fx[i], fx[j]);
+        if (options.nearest_only) {
+          fams &= ~seen_regs[k];
+          seen_regs[k] |= fams;
         }
-      };
-      // RAW: i writes a register that j reads.
-      add_reg_edges(DepKind::RAW, fx[i].reg_writes, fx[j].reg_reads);
-      // WAR: i reads a register that j writes.
-      add_reg_edges(DepKind::WAR, fx[i].reg_reads, fx[j].reg_writes);
-      // WAW: both write the same register.
-      add_reg_edges(DepKind::WAW, fx[i].reg_writes, fx[j].reg_writes);
+        for (FamilyMask m = fams; m != 0; m &= m - 1) {
+          g.edges_.push_back(
+              {i, j, kind, DepResource::Register,
+               static_cast<x86::RegFamily>(std::countr_zero(m))});
+        }
 
-      // Memory hazards on the explicit memory operand.
-      if (same_location(fx[i].mem, fx[j].mem)) {
-        const auto add_mem = [&](DepKind k, bool cond) {
-          if (!cond) return;
-          const auto ki = static_cast<std::size_t>(k);
-          if (options.nearest_only && seen_mem[ki]) return;
-          g.edges_.push_back({i, j, k, DepResource::Memory,
+        if (mem_hazard(kind, fx[i], fx[j]) &&
+            !(options.nearest_only && seen_mem[k])) {
+          g.edges_.push_back({i, j, kind, DepResource::Memory,
                               x86::RegFamily::RAX});
-          if (options.nearest_only) seen_mem[ki] = true;
-        };
-        add_mem(DepKind::RAW, fx[i].mem_write && fx[j].mem_read);
-        add_mem(DepKind::WAR, fx[i].mem_read && fx[j].mem_write);
-        add_mem(DepKind::WAW, fx[i].mem_write && fx[j].mem_write);
-      }
+          seen_mem[k] = true;
+        }
 
-      // Flag hazards (usually excluded; see header).
-      if (options.include_flag_deps) {
-        const auto add_flags = [&](DepKind k, bool cond) {
-          if (!cond) return;
-          const auto ki = static_cast<std::size_t>(k);
-          if (options.nearest_only && seen_flags[ki]) return;
-          g.edges_.push_back({i, j, k, DepResource::Flags,
+        // Flag hazards (usually excluded; see header).
+        if (options.include_flag_deps && flag_hazard(kind, fx[i], fx[j]) &&
+            !(options.nearest_only && seen_flags[k])) {
+          g.edges_.push_back({i, j, kind, DepResource::Flags,
                               x86::RegFamily::FLAGS});
-          if (options.nearest_only) seen_flags[ki] = true;
-        };
-        add_flags(DepKind::RAW, fx[i].flags_write && fx[j].flags_read);
-        add_flags(DepKind::WAR, fx[i].flags_read && fx[j].flags_write);
-        add_flags(DepKind::WAW, fx[i].flags_write && fx[j].flags_write);
+          seen_flags[k] = true;
+        }
       }
     }
   }
 
-  // Deterministic order: by (from, to, kind, resource).
+  // Deterministic order: by (from, to, kind, resource, family).
   std::sort(g.edges_.begin(), g.edges_.end(), [](const DepEdge& a,
                                                  const DepEdge& b) {
     return std::tie(a.from, a.to, a.kind, a.resource, a.family) <
@@ -168,6 +182,30 @@ DepGraph DepGraph::build(const x86::BasicBlock& block,
   g.edges_.erase(std::unique(g.edges_.begin(), g.edges_.end()),
                  g.edges_.end());
   return g;
+}
+
+bool has_dep_edge(const x86::BasicBlock& block, std::size_t from,
+                  std::size_t to, DepKind kind,
+                  const DepGraphOptions& options) {
+  if (from >= to || to >= block.size()) return false;
+  const InstEffects later = effects_of(block.instructions[to]);
+  const InstEffects earlier = effects_of(block.instructions[from]);
+  // Everything that carries a `kind` hazard from `from` into `to`...
+  FamilyMask regs = reg_hazard(kind, earlier, later);
+  bool mem = mem_hazard(kind, earlier, later);
+  bool flags = options.include_flag_deps && flag_hazard(kind, earlier, later);
+  if (options.nearest_only) {
+    // ...minus what an instruction in between carries into `to` with the
+    // same hazard: build() links `to` to that nearer instruction instead.
+    for (std::size_t k = from + 1; k < to && (regs != 0 || mem || flags);
+         ++k) {
+      const InstEffects mid = effects_of(block.instructions[k]);
+      regs &= ~reg_hazard(kind, mid, later);
+      mem = mem && !mem_hazard(kind, mid, later);
+      flags = flags && !flag_hazard(kind, mid, later);
+    }
+  }
+  return regs != 0 || mem || flags;
 }
 
 std::vector<DepEdge> DepGraph::edges_of(std::size_t v) const {

@@ -80,4 +80,11 @@ class DepGraph {
   std::vector<DepEdge> edges_;
 };
 
+/// Does `DepGraph::build(block, options).has_edge(from, to, kind)` hold?
+/// The same answer, without the graph: reads only instructions from..to,
+/// which must be valid. This is Γ's containment test for Dep features.
+bool has_dep_edge(const x86::BasicBlock& block, std::size_t from,
+                  std::size_t to, DepKind kind,
+                  const DepGraphOptions& options = {});
+
 }  // namespace comet::graph

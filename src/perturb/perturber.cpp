@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <optional>
 
 #include "util/contract.h"
 
@@ -357,7 +356,6 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
 
 bool Perturber::contains(const PerturbedBlock& pb,
                          const FeatureSet& fs) const {
-  std::optional<graph::DepGraph> pg;  // built lazily
   for (const Feature& f : fs.items()) {
     switch (f.type()) {
       case graph::FeatureType::NumInsts:
@@ -377,8 +375,9 @@ bool Perturber::contains(const PerturbedBlock& pb,
         if (pf == PerturbedBlock::npos || pt == PerturbedBlock::npos) {
           return false;
         }
-        if (!pg) pg = graph::DepGraph::build(pb.block, graph_options_);
-        if (!pg->has_edge(pf, pt, fd.kind)) return false;
+        if (!graph::has_dep_edge(pb.block, pf, pt, fd.kind, graph_options_)) {
+          return false;
+        }
         break;
       }
     }
@@ -407,7 +406,8 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
 
     // Operand choices: every renameable register occurrence can take any
     // family of its class; memory displacements contribute a word-aligned
-    // neighborhood factor.
+    // neighborhood factor, unless a preserved memory dependency pins the
+    // operand's identity (Γ never shifts it then).
     const auto& inst = block_.instructions[v];
     for (const auto& op : inst.operands) {
       const auto count_family = [&](RegFamily fam, RegClass cls) {
@@ -424,7 +424,9 @@ double Perturber::log10_space_size(const FeatureSet& preserve) const {
         const auto& m = op.as_mem();
         if (m.base) count_family(m.base->family, RegClass::Gpr);
         if (m.index) count_family(m.index->family, RegClass::Gpr);
-        log10_total += std::log10(16.0);  // displacement neighborhood
+        if (!pins.mem_pinned[v]) {
+          log10_total += std::log10(16.0);  // displacement neighborhood
+        }
       }
     }
   }

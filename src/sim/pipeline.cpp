@@ -67,34 +67,51 @@ std::uint16_t compute_ports(OpClass cls, MicroArch u) {
   return 0b01100011;
 }
 
-constexpr std::uint16_t kLoadPorts = 0b00001100;       // p2 p3
-constexpr std::uint16_t kStoreDataPorts = 0b00010000;  // p4
-constexpr std::uint16_t kStoreAddrPorts = 0b10001100;  // p2 p3 p7
+/// The ports of a non-empty port mask, in ascending order.
+struct PortList {
+  std::array<std::uint8_t, kNumPorts> port{};
+  int count = 0;
+};
+
+constexpr PortList port_list(std::uint16_t mask) {
+  PortList l;
+  for (int p = 0; p < kNumPorts; ++p) {
+    if ((mask >> p) & 1) l.port[l.count++] = static_cast<std::uint8_t>(p);
+  }
+  return l;
+}
+
+constexpr PortList kLoadPorts = port_list(0b00001100);       // p2 p3
+constexpr PortList kStoreDataPorts = port_list(0b00010000);  // p4
+constexpr PortList kStoreAddrPorts = port_list(0b10001100);  // p2 p3 p7
 
 struct PortFile {
   std::array<double, kNumPorts> free_at{};  // next free cycle per port
   int last_port = -1;  ///< port chosen by the most recent dispatch
 
-  /// Dispatch a uop with earliest start `ready` on any port in `mask`,
+  /// Dispatch a uop with earliest start `ready` on one of `ports`,
   /// occupying the chosen port for `occupancy` cycles. Returns start time.
   /// Ties on start time go to the least-loaded (earliest-free) port, so
   /// un-contended uops spread across their port set instead of queueing
   /// behind an arbitrary fixed pick — this is what makes the per-port
-  /// pressure numbers in SimTrace meaningful.
-  double dispatch(double ready, std::uint16_t mask, double occupancy) {
-    int best = -1;
-    double best_start = 0.0;
-    for (unsigned m = mask; m != 0; m &= m - 1) {
-      const int p = std::countr_zero(m);
-      const double start = std::max(ready, free_at[p]);
-      if (best < 0 || start < best_start ||
-          (start == best_start && free_at[p] < free_at[best])) {
-        best = p;
-        best_start = start;
-      }
+  /// pressure numbers in SimTrace meaningful. Remaining ties go to the
+  /// lowest port. The best port is kept with selects rather than branches,
+  /// since which port wins is data-dependent.
+  double dispatch(double ready, const PortList& ports, double occupancy) {
+    int best = ports.port[0];
+    double best_free = free_at[best];
+    double best_start = std::max(ready, best_free);
+    for (int k = 1; k < ports.count; ++k) {
+      const int p = ports.port[k];
+      const double free = free_at[p];
+      const double start = std::max(ready, free);
+      const bool better =
+          start < best_start || (start == best_start && free < best_free);
+      best = better ? p : best;
+      best_free = better ? free : best_free;
+      best_start = better ? start : best_start;
     }
     last_port = best;
-    if (best < 0) return ready;  // no port constraint
     free_at[best] = best_start + occupancy;
     return best_start;
   }
@@ -115,7 +132,7 @@ struct DecodedInst {
   bool rsp_at_issue = false;  ///< stack engine: rsp ready at issue + 1
   int mem_read_slot = -1;     ///< address slot of an explicit load, or -1
   int mem_write_slot = -1;    ///< address slot of an explicit store, or -1
-  std::uint16_t ports;
+  PortList ports;             ///< ports of the compute uop
   double latency;
   double occupancy;
   bool zero_idiom;
@@ -152,7 +169,7 @@ DecodedInst decode(const x86::Instruction& inst, MicroArch u,
     if (sem.mem->read) d.mem_read_slot = static_cast<int>(slot);
     if (sem.mem->write) d.mem_write_slot = static_cast<int>(slot);
   }
-  d.ports = compute_ports(inf.cls, u);
+  d.ports = port_list(compute_ports(inf.cls, u));
   d.load = (sem.mem && sem.mem->read) || sem.stack_mem_read;
   d.store = (sem.mem && sem.mem->write) || sem.stack_mem_write;
   d.uops = 1 + (d.load ? 1 : 0) + (d.store ? 2 : 0);

@@ -33,8 +33,7 @@ std::string BasicBlock::to_string() const {
 
 namespace {
 
-void merge_reg_access(std::vector<RegAccess>& regs, Reg r, bool read,
-                      bool write) {
+void merge_reg_access(RegAccessList& regs, Reg r, bool read, bool write) {
   for (auto& a : regs) {
     if (a.reg == r) {
       a.read |= read;
@@ -71,9 +70,9 @@ InstSemantics semantics(const Instruction& inst) {
         break;
       case OperandKind::Mem: {
         // Address registers are always read, even for stores.
-        for (const auto& r : op.address_regs()) {
-          merge_reg_access(out.regs, r, true, false);
-        }
+        const MemOperand& m = op.as_mem();
+        if (m.base) merge_reg_access(out.regs, *m.base, true, false);
+        if (m.index) merge_reg_access(out.regs, *m.index, true, false);
         if (!inf.address_only_mem && (rd || wr)) {
           out.mem = MemAccess{op.as_mem(), rd, wr};
         }

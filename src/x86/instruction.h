@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "util/inline_vec.h"
 #include "x86/isa.h"
 #include "x86/operand.h"
 
@@ -50,6 +51,11 @@ struct RegAccess {
   bool write = false;
 };
 
+/// The register accesses of one instruction, stored inline: the widest form
+/// in the catalog (`div qword ptr [rbx + rcx*8]`: base, index and the
+/// implicit rax/rdx) needs four of the eight slots.
+using RegAccessList = util::InlineVec<RegAccess, 8>;
+
 /// Explicit-memory access performed by an instruction (at most one memory
 /// operand exists per instruction in this ISA subset).
 struct MemAccess {
@@ -61,9 +67,9 @@ struct MemAccess {
 /// Full access semantics of one instruction, derived from the catalog:
 /// register reads/writes (explicit operands, memory addressing registers,
 /// and implicit registers), the explicit memory access if any, implicit
-/// stack memory effects, and flags effects.
+/// stack memory effects, and flags effects. Holds no heap memory.
 struct InstSemantics {
-  std::vector<RegAccess> regs;
+  RegAccessList regs;
   std::optional<MemAccess> mem;
   bool stack_mem_read = false;
   bool stack_mem_write = false;

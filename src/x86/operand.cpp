@@ -17,15 +17,6 @@ std::uint16_t Operand::size_bits() const {
   return 0;
 }
 
-std::vector<Reg> Operand::address_regs() const {
-  std::vector<Reg> out;
-  if (!is_mem()) return out;
-  const auto& m = as_mem();
-  if (m.base) out.push_back(*m.base);
-  if (m.index) out.push_back(*m.index);
-  return out;
-}
-
 namespace {
 
 /// Append the decimal digits of `v` (an integer type).

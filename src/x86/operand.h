@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <variant>
-#include <vector>
 
 #include "x86/registers.h"
 
@@ -69,9 +68,6 @@ class Operand {
   /// Data width of the operand in bits (register width / memory access
   /// width / immediate width).
   std::uint16_t size_bits() const;
-
-  /// Registers read when this operand is *addressed* (mem base/index).
-  std::vector<Reg> address_regs() const;
 
   /// Intel-syntax rendering ("rax", "qword ptr [rdi + 24]", "80").
   std::string to_string() const;

@@ -1,11 +1,19 @@
 // Unit tests for the dependency multigraph and block feature extraction.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "bhive/generator.h"
 #include "graph/depgraph.h"
 #include "graph/features.h"
+#include "perturb/perturber.h"
+#include "util/rng.h"
 #include "x86/parser.h"
 
+namespace cb = comet::bhive;
 namespace cg = comet::graph;
+namespace cp = comet::perturb;
 namespace cx = comet::x86;
 
 namespace {
@@ -205,6 +213,93 @@ TEST(DepGraph, EmptyBlock) {
   const auto g = cg::DepGraph::build(cx::BasicBlock{});
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_TRUE(g.edges().empty());
+}
+
+// ---------- has_dep_edge ----------
+
+TEST(DepGraph, HasDepEdgeAgreesWithBuild) {
+  // Hand-written chains where a nearer instruction takes over a hazard on
+  // each resource (memory, flags, sub-registers), then generated blocks
+  // from both sources at the default and a memory-heavy mix, plus Γ
+  // samples of each: deletions and renames move which instruction is the
+  // nearest end of an edge.
+  std::vector<cx::BasicBlock> seeds = {
+      bb(R"(
+        mov qword ptr [rdi + 8], rax
+        add qword ptr [rdi + 8], rbx
+        mov rcx, qword ptr [rdi + 8]
+        mov qword ptr [rdi + 8], rcx
+        mov rdx, qword ptr [rdi + 8]
+      )"),
+      bb(R"(
+        add rax, 1
+        cmp rbx, 2
+        cmove rcx, rdx
+        sub rcx, rax
+        setb al
+      )"),
+      bb(R"(
+        mov al, 1
+        mov ah, 2
+        mov ecx, eax
+        mov rax, rcx
+        add al, cl
+        mov rdx, rax
+      )"),
+  };
+  comet::util::Rng rng(7);
+  for (const auto source :
+       {cb::BlockSource::Clang, cb::BlockSource::OpenBLAS}) {
+    for (const double p_mem : {0.3, 0.9}) {
+      cb::GeneratorOptions opts;
+      opts.source = source;
+      opts.p_mem = p_mem;
+      const cb::BlockGenerator gen(opts);
+      for (int b = 0; b < 20; ++b) seeds.push_back(gen.generate(rng));
+    }
+  }
+  std::vector<cx::BasicBlock> blocks;
+  for (const auto& seed : seeds) {
+    blocks.push_back(seed);
+    const cp::Perturber p(seed);
+    for (int s = 0; s < 5; ++s) {
+      blocks.push_back(p.sample(cg::FeatureSet{}, rng).block);
+    }
+  }
+
+  std::size_t edges = 0;
+  for (const bool nearest_only : {true, false}) {
+    for (const bool include_flag_deps : {false, true}) {
+      cg::DepGraphOptions options;
+      options.nearest_only = nearest_only;
+      options.include_flag_deps = include_flag_deps;
+      for (const auto& block : blocks) {
+        const auto g = cg::DepGraph::build(block, options);
+        // Every pair, from >= to and out-of-range indices included.
+        std::vector<std::size_t> indices;
+        for (std::size_t i = 0; i <= block.size() + 1; ++i) {
+          indices.push_back(i);
+        }
+        indices.push_back(std::numeric_limits<std::size_t>::max());
+        for (const std::size_t from : indices) {
+          for (const std::size_t to : indices) {
+            for (const auto kind :
+                 {cg::DepKind::RAW, cg::DepKind::WAR, cg::DepKind::WAW}) {
+              const bool want = g.has_edge(from, to, kind);
+              ASSERT_EQ(cg::has_dep_edge(block, from, to, kind, options),
+                        want)
+                  << cg::dep_kind_name(kind) << " " << from << " -> " << to
+                  << " nearest_only=" << nearest_only
+                  << " include_flag_deps=" << include_flag_deps << "\n"
+                  << block.to_string();
+              edges += want ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(edges, 1000u);  // the agreement is not vacuous
 }
 
 // ---------- features ----------

@@ -3,6 +3,7 @@
 // and perturbation-space size estimation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "graph/features.h"
@@ -293,6 +294,28 @@ TEST(SpaceSize, ShrinksWhenFeaturesPreserved) {
   cg::FeatureSet fs2 = fs;
   fs2.insert(raw01());
   EXPECT_LE(p.log10_space_size(fs2), constrained);
+}
+
+TEST(SpaceSize, PreservedMemoryDepPinsDisplacements) {
+  // A preserved memory dependency pins the opcodes of both endpoints (as
+  // their Inst features would) and their memory operands, whose
+  // displacements Γ then never shifts: one log10(16) factor less each.
+  cp::Perturber p(bb(R"(
+    mov qword ptr [rdi + 8], rax
+    mov rbx, qword ptr [rdi + 8]
+  )"));
+  const auto& edges = p.dep_graph().edges();
+  ASSERT_EQ(edges.size(), 1u);
+  ASSERT_EQ(edges[0].resource, cg::DepResource::Memory);
+  ASSERT_EQ(edges[0].kind, cg::DepKind::RAW);
+
+  cg::FeatureSet mem_raw;
+  mem_raw.insert(cg::Feature(cg::DepFeature{0, 1, cg::DepKind::RAW}));
+  cg::FeatureSet endpoints;
+  endpoints.insert(cg::Feature(cg::InstFeature{0, cx::Opcode::MOV}));
+  endpoints.insert(cg::Feature(cg::InstFeature{1, cx::Opcode::MOV}));
+  EXPECT_NEAR(p.log10_space_size(mem_raw),
+              p.log10_space_size(endpoints) - 2 * std::log10(16.0), 1e-9);
 }
 
 TEST(SpaceSize, MonotonicityProperty) {

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
+#include "util/contract.h"
 #include "x86/instruction.h"
 #include "x86/isa.h"
 #include "x86/operand.h"
@@ -98,10 +100,12 @@ TEST(Operand, AddressRegs) {
   m.base = *cx::parse_reg("rbp");
   m.index = *cx::parse_reg("rax");
   m.scale = 4;
-  const auto regs = cx::Operand::mem(m).address_regs();
-  ASSERT_EQ(regs.size(), 2u);
-  EXPECT_EQ(regs[0].family, cx::RegFamily::RBP);
-  EXPECT_EQ(regs[1].family, cx::RegFamily::RAX);
+  const auto op = cx::Operand::mem(m);
+  const auto& mem = op.as_mem();
+  ASSERT_TRUE(mem.base.has_value());
+  ASSERT_TRUE(mem.index.has_value());
+  EXPECT_EQ(mem.base->family, cx::RegFamily::RBP);
+  EXPECT_EQ(mem.index->family, cx::RegFamily::RAX);
 }
 
 TEST(Operand, MemToString) {
@@ -348,6 +352,47 @@ TEST(Semantics, Avx3OperandAccess) {
   }
   EXPECT_TRUE(xmm0_rw);
   EXPECT_TRUE(xmm6_r);
+}
+
+namespace {
+
+/// "rbx:r rax:rw ...": every register access, in semantics() order
+/// (explicit operands, then implicit effects).
+std::string describe(const cx::RegAccessList& regs) {
+  std::string out;
+  for (const auto& a : regs) {
+    if (!out.empty()) out += ' ';
+    out += cx::reg_name(a.reg) + ':' + (a.read ? "r" : "") +
+           (a.write ? "w" : "");
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Semantics, WidestFormsFitInline) {
+  // Base and index registers plus two implicit registers: the most
+  // register accesses any catalog form makes.
+  const auto div =
+      cx::semantics(cx::parse_instruction("div qword ptr [rbx + rcx*8]"));
+  EXPECT_EQ(describe(div.regs), "rbx:r rcx:r rax:rw rdx:rw");
+  ASSERT_TRUE(div.mem.has_value());
+  EXPECT_TRUE(div.mem->read);
+  EXPECT_EQ(describe(cx::semantics(cx::parse_instruction("cqo")).regs),
+            "rax:r rdx:w");
+  EXPECT_EQ(describe(cx::semantics(
+                         cx::parse_instruction("push qword ptr [rbx + rcx*8]"))
+                         .regs),
+            "rbx:r rcx:r rsp:rw");
+
+  cx::RegAccessList full;
+  for (std::size_t i = 0; i < cx::RegAccessList::kCapacity; ++i) {
+    full.push_back(cx::RegAccess{});
+  }
+  EXPECT_EQ(full.size(), 8u);
+  EXPECT_THROW(full.push_back(cx::RegAccess{}),
+               comet::util::ContractViolation);
+  EXPECT_EQ(full.size(), 8u);
 }
 
 TEST(Semantics, InvalidInstructionThrows) {
