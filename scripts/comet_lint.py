@@ -53,9 +53,12 @@ check:
                     invocations - their blocking loop is linted where it is
                     defined.
   upward-include    No #include of serve/ or net/ headers in src/ outside
-                    src/serve/ and src/net/. Dependencies point downward:
-                    the engine, the models and the utilities never reach up
-                    into the serving or transport layers that build on them.
+                    src/serve/ and src/net/, and no project header in
+                    src/net/ but net/, obs/ and util/ ones. Dependencies
+                    point downward: the engine, the models and the
+                    utilities never reach up into the serving or transport
+                    layers that build on them, and the transport layer
+                    never reaches into the models or the serving layer.
 
 Suppression: a finding is silenced by a comment on the same line or the
 line directly above it:
@@ -318,21 +321,33 @@ def _check_unbounded_wait(relpath, raw_lines, scrubbed):
 
 _INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
 _UPWARD_INCLUDE_RE = re.compile(r"^\s*#\s*include\s*[<\"](?:serve|net)/")
+# In src/net/, a quoted include is a project header and must come from one
+# of the layers below it; angled ones there are system headers
+# (<sys/socket.h>).
+_NET_PROJECT_INCLUDE_RE = re.compile(
+    r"^\s*#\s*include\s*\"(?!(?:net|obs|util)/)"
+)
 
 
 def _check_upward_include(relpath, raw_lines, scrubbed):
-    del relpath
+    if relpath.startswith("src/net/"):
+        pattern = _NET_PROJECT_INCLUDE_RE
+        message = (
+            "src/net/ may include only net/, obs/ and util/ headers - "
+            "dependencies point downward; move the shared piece below"
+        )
+    else:
+        pattern = _UPWARD_INCLUDE_RE
+        message = (
+            "upward include of a serve/ or net/ header - dependencies "
+            "point downward; move the shared piece below (e.g. util/)"
+        )
     # The scrubber blanks the include path (a string literal), so the
     # directive is found on the scrubbed line and the path read raw.
     return [
-        (
-            idx,
-            "upward include of a serve/ or net/ header - dependencies "
-            "point downward; move the shared piece below (e.g. util/)",
-        )
+        (idx, message)
         for idx, line in enumerate(scrubbed)
-        if _INCLUDE_RE.search(line)
-        and _UPWARD_INCLUDE_RE.search(raw_lines[idx])
+        if _INCLUDE_RE.search(line) and pattern.search(raw_lines[idx])
     ]
 
 
@@ -473,9 +488,9 @@ RULES = [
     Rule(
         "upward-include",
         "no #include of serve/ or net/ headers in src/ outside src/serve/ "
-        "and src/net/ - dependencies point downward",
-        lambda p: p.startswith("src/")
-        and not p.startswith(("src/serve/", "src/net/")),
+        "and src/net/, and only net/, obs/ and util/ headers in src/net/ - "
+        "dependencies point downward",
+        lambda p: p.startswith("src/") and not p.startswith("src/serve/"),
         _check_upward_include,
     ),
 ]

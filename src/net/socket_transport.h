@@ -20,7 +20,7 @@
 // Concurrency: one thread drives send()/recv() at a time, but close() —
 // implemented as shutdown(2), with the fd reclaimed only in the
 // destructor — may be called from any thread to unblock a pending recv()
-// (the cancellation hook serve::RemoteShardClient::cancel relies on).
+// (the hook serve::RemoteShardServer::stop() relies on).
 #pragma once
 
 #include <atomic>

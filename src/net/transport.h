@@ -11,18 +11,17 @@
 //
 // Error taxonomy — every failure is a typed exception, so callers can
 // give each failure mode its documented behavior (timeout → failover,
-// disconnect → reconnect, cancel → propagate) instead of string-matching:
+// disconnect → reconnect) instead of string-matching:
 //
 //   TransportError      base; also: connection setup failures
 //   TimeoutError        a deadline elapsed before bytes arrived
 //   DisconnectedError   the peer closed / the connection died mid-stream
-//   CancelledError      the operation was cancelled locally (see
-//                       serve::RemoteShardClient::cancel)
 //
 // Thread-safety contract: one thread drives send()/recv() at a time (the
 // serving layer serializes requests per connection), but close() may be
-// called concurrently from any thread — it is the cancellation hook that
-// unblocks a pending recv(), and every implementation must support it.
+// called concurrently from any thread — it is the hook that unblocks a
+// pending recv() (serve::RemoteShardServer::stop() ends its sessions
+// this way), and every implementation must support it.
 #pragma once
 
 #include <cstddef>
@@ -51,13 +50,6 @@ class DisconnectedError : public TransportError {
  public:
   explicit DisconnectedError(const std::string& what)
       : TransportError(what) {}
-};
-
-/// The operation was cancelled on this side (never retried or failed
-/// over: cancellation is a caller decision, not a fault).
-class CancelledError : public TransportError {
- public:
-  explicit CancelledError(const std::string& what) : TransportError(what) {}
 };
 
 /// recv()/accept() timeout value meaning "block until bytes or EOF".

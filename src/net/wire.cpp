@@ -13,10 +13,6 @@ namespace {
 // and COMET_CHECKs every advance, so a truncated or forged payload throws
 // before any out-of-range access or oversized allocation.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -44,21 +40,6 @@ void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    require(1);
-    return bytes_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    require(2);
-    const std::uint16_t v =
-        static_cast<std::uint16_t>(bytes_[pos_]) |
-        static_cast<std::uint16_t>(static_cast<std::uint16_t>(bytes_[pos_ + 1])
-                                   << 8);
-    pos_ += 2;
-    return v;
-  }
 
   std::uint32_t u32() {
     require(4);
@@ -116,7 +97,7 @@ std::uint32_t payload_checksum(std::span<const std::uint8_t> payload) {
 
 bool is_valid_message_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(MessageType::kPredictRequest) &&
-         raw <= static_cast<std::uint8_t>(MessageType::kHealthReply);
+         raw <= static_cast<std::uint8_t>(MessageType::kError);
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
@@ -209,11 +190,7 @@ std::optional<Frame> FrameAssembler::poll() {
 std::vector<std::uint8_t> encode_predict_request(const PredictRequest& req) {
   COMET_CHECK_MSG(req.block_texts.size() <= kMaxPayload,
                   "request too large: " << req.block_texts.size());
-  COMET_CHECK_MSG(req.priority <= PredictRequest::kMaxPriority,
-                  "invalid priority: " << int{req.priority});
   std::vector<std::uint8_t> out;
-  put_u8(out, req.priority);
-  put_u64(out, req.deadline_ns);
   put_u32(out, static_cast<std::uint32_t>(req.block_texts.size()));
   for (const auto& text : req.block_texts) put_string(out, text);
   return out;
@@ -222,10 +199,6 @@ std::vector<std::uint8_t> encode_predict_request(const PredictRequest& req) {
 PredictRequest decode_predict_request(std::span<const std::uint8_t> bytes) {
   Reader reader(bytes);
   PredictRequest req;
-  req.priority = reader.u8();
-  COMET_CHECK_MSG(req.priority <= PredictRequest::kMaxPriority,
-                  "invalid priority: " << int{req.priority});
-  req.deadline_ns = reader.u64();
   const std::uint32_t count = reader.u32();
   // Each block costs at least a 4-byte length; reject forged counts before
   // reserving anything.
@@ -276,58 +249,6 @@ ErrorBody decode_error(std::span<const std::uint8_t> bytes) {
   error.message = reader.string();
   reader.expect_end();
   return error;
-}
-
-std::vector<std::uint8_t> encode_health_ping(const HealthPing& ping) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, ping.nonce);
-  return out;
-}
-
-HealthPing decode_health_ping(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
-  HealthPing ping;
-  ping.nonce = reader.u64();
-  reader.expect_end();
-  return ping;
-}
-
-std::vector<std::uint8_t> encode_health_reply(const HealthReply& reply) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, reply.nonce);
-  put_u64(out, reply.requests_served);
-  return out;
-}
-
-HealthReply decode_health_reply(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
-  HealthReply reply;
-  reply.nonce = reader.u64();
-  reply.requests_served = reader.u64();
-  reader.expect_end();
-  return reply;
-}
-
-std::vector<std::uint8_t> encode_stats(const cost::QueryStats& stats) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, stats.requested);
-  put_u64(out, stats.evaluated);
-  put_u64(out, stats.cache_hits);
-  put_u64(out, stats.batch_calls);
-  put_u64(out, stats.single_calls);
-  return out;
-}
-
-cost::QueryStats decode_stats(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
-  cost::QueryStats stats;
-  stats.requested = reader.u64();
-  stats.evaluated = reader.u64();
-  stats.cache_hits = reader.u64();
-  stats.batch_calls = reader.u64();
-  stats.single_calls = reader.u64();
-  reader.expect_end();
-  return stats;
 }
 
 }  // namespace comet::net

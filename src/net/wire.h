@@ -1,7 +1,9 @@
 // The COMET wire protocol: length-prefixed binary frames for networked
 // explanation serving.
 //
-// Every message on a shard connection is one frame:
+// The protocol has one request/reply pair — kPredictRequest answered by
+// kPredictResponse or kError — and every message on a shard connection
+// is one frame:
 //
 //   offset  size  field
 //   0       4     u32  payload length (little-endian; payload bytes only)
@@ -37,15 +39,13 @@
 #include <string>
 #include <vector>
 
-#include "cost/query_stats.h"
-
 namespace comet::net {
 
 /// Current protocol version; bumped on any layout or codec change.
-/// v2 added the health-check message pair and the priority/deadline
-/// fields on kPredictRequest; v1 frames are rejected at decode with a
-/// typed version-mismatch ContractViolation.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// v3 cut the protocol to one request/reply pair plus kError and dropped
+/// the priority/deadline prefix of kPredictRequest; v1 and v2 frames are
+/// rejected at decode with a typed version-mismatch ContractViolation.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Fixed frame header size in bytes (the payload follows).
 inline constexpr std::size_t kHeaderSize = 20;
@@ -54,16 +54,12 @@ inline constexpr std::size_t kHeaderSize = 20;
 /// rejected before any allocation (forged-size defense).
 inline constexpr std::size_t kMaxPayload = std::size_t{1} << 24;  // 16 MiB
 
-/// Message types understood by the remote-shard protocol.
+/// Message types understood by the remote-shard protocol. The values are
+/// contiguous, so is_valid_message_type is a range check.
 enum class MessageType : std::uint8_t {
   kPredictRequest = 1,   ///< client → server: blocks to price
   kPredictResponse = 2,  ///< server → client: predictions, same request id
-  kStatsRequest = 3,     ///< client → server: ask for the server ledger
-  kStatsResponse = 4,    ///< server → client: cost::QueryStats
-  kError = 5,            ///< server → client: typed failure report
-  kShutdown = 6,         ///< client → server: close the session gracefully
-  kHealthCheck = 7,      ///< client → server: liveness probe (HealthPing)
-  kHealthReply = 8,      ///< server → client: probe echo (HealthReply)
+  kError = 3,            ///< server → client: typed failure report
 };
 
 /// True for every value a conforming peer may put in the type byte.
@@ -118,41 +114,13 @@ class FrameAssembler {
 
 /// kPredictRequest: the blocks to price, as their canonical text (the
 /// same string the memo caches key on, so the server prices exactly what
-/// the client would have). v2 prefixes the block list with the traffic
-/// class: `priority` names a serving lane (0 = interactive, 1 = batch;
-/// anything else is rejected at decode; RemoteShardClient always sends 0
-/// and RemoteShardServer does not read it) and `deadline_ns` is the
-/// *remaining* time budget in nanoseconds (relative, because absolute
-/// clocks don't agree across hosts; 0 means no deadline). Both fields
-/// are advisory scheduling hints — they never change the bits of a
-/// completed prediction.
+/// the client would have): a u32 block count, then one length-prefixed
+/// string per block.
 struct PredictRequest {
-  static constexpr std::uint8_t kMaxPriority = 1;
-
-  std::uint8_t priority = 0;
-  std::uint64_t deadline_ns = 0;
   std::vector<std::string> block_texts;
 
   friend bool operator==(const PredictRequest&, const PredictRequest&) =
       default;
-};
-
-/// kHealthCheck: a liveness probe. The nonce is echoed by the reply so a
-/// stale reply from a previous probe can never satisfy the current one.
-struct HealthPing {
-  std::uint64_t nonce = 0;
-
-  friend bool operator==(const HealthPing&, const HealthPing&) = default;
-};
-
-/// kHealthReply: probe echo plus a coarse liveness signal (total predict
-/// requests served) so monitors can tell "up and idle" from "up and
-/// wedged at zero throughput".
-struct HealthReply {
-  std::uint64_t nonce = 0;
-  std::uint64_t requests_served = 0;
-
-  friend bool operator==(const HealthReply&, const HealthReply&) = default;
 };
 
 /// kPredictResponse: one prediction per requested block, in order.
@@ -185,15 +153,5 @@ PredictResponse decode_predict_response(std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_error(const ErrorBody& error);
 ErrorBody decode_error(std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encode_health_ping(const HealthPing& ping);
-HealthPing decode_health_ping(std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encode_health_reply(const HealthReply& reply);
-HealthReply decode_health_reply(std::span<const std::uint8_t> bytes);
-
-/// kStatsResponse carries a cost::QueryStats ledger (five u64 counters).
-std::vector<std::uint8_t> encode_stats(const cost::QueryStats& stats);
-cost::QueryStats decode_stats(std::span<const std::uint8_t> bytes);
 
 }  // namespace comet::net

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -41,68 +43,35 @@ RemoteShardClient::RemoteShardClient(Connector connector,
 
 RemoteShardClient::~RemoteShardClient() {
   // Closing our end gives the server session a clean EOF to drain on.
+  util::MutexLock lock(mutex_);
   drop_transport();
 }
 
 std::string RemoteShardClient::name() const { return "remote-shard"; }
 
-void RemoteShardClient::throw_if_cancelled(const char* what) const {
-  util::MutexLock lock(conn_mutex_);
-  if (cancelled_) throw net::CancelledError(what);
-}
-
-void RemoteShardClient::cancel() {
-  std::shared_ptr<net::Transport> live;
-  {
-    util::MutexLock lock(conn_mutex_);
-    cancelled_ = true;
-    live = transport_;
+net::Transport& RemoteShardClient::ensure_transport() const {
+  if (!transport_) {
+    transport_ = connector_();
+    COMET_CHECK_MSG(transport_ != nullptr,
+                    "remote-shard: connector returned null");
+    // A fresh connection starts a fresh byte stream.
+    assembler_.reset();
+    if (ever_connected_) ++counters_.reconnects;
+    ever_connected_ = true;
   }
-  // close() is the any-thread cancellation hook: an in-flight recv() on
-  // the request thread wakes (EOF), notices cancelled_, and rethrows as
-  // CancelledError.
-  if (live) live->close();
-}
-
-std::shared_ptr<net::Transport> RemoteShardClient::ensure_transport(
-    bool* dialed) const {
-  {
-    util::MutexLock lock(conn_mutex_);
-    if (cancelled_) throw net::CancelledError("remote-shard: cancelled");
-    if (transport_) {
-      *dialed = false;
-      return transport_;
-    }
-  }
-  // Dial outside the lock: the connector may block (a real connect), and
-  // cancel() must never wait behind it.
-  std::shared_ptr<net::Transport> fresh = connector_();
-  COMET_CHECK_MSG(fresh != nullptr, "remote-shard: connector returned null");
-  util::MutexLock lock(conn_mutex_);
-  if (cancelled_) {
-    fresh->close();
-    throw net::CancelledError("remote-shard: cancelled");
-  }
-  transport_ = fresh;
-  *dialed = true;
-  return fresh;
+  return *transport_;
 }
 
 void RemoteShardClient::drop_transport() const {
-  std::shared_ptr<net::Transport> dead;
-  {
-    util::MutexLock lock(conn_mutex_);
-    dead = std::move(transport_);
-    transport_ = nullptr;
-  }
-  if (dead) dead->close();
+  if (transport_) transport_->close();
+  transport_ = nullptr;
+  assembler_.reset();
 }
 
-net::Frame RemoteShardClient::round_trip(net::MessageType request_type,
-                                         std::vector<std::uint8_t> payload)
-    const {
+net::Frame RemoteShardClient::round_trip(
+    std::vector<std::uint8_t> payload) const {
   net::Frame request;
-  request.type = request_type;
+  request.type = net::MessageType::kPredictRequest;
   request.request_id = next_id_++;
   request.payload = std::move(payload);
   // Encoded once: every resend attempt ships the identical bytes under the
@@ -113,18 +82,12 @@ net::Frame RemoteShardClient::round_trip(net::MessageType request_type,
   const obs::Clock& clock = obs::steady_clock();
   for (std::size_t attempt = 0;; ++attempt) {
     try {
-      bool dialed = false;
-      const std::shared_ptr<net::Transport> transport =
-          ensure_transport(&dialed);
-      if (dialed) {
-        // A fresh connection starts a fresh byte stream.
-        assembler_.reset();
-        if (ever_connected_) ++counters_.reconnects;
-        ever_connected_ = true;
-      }
-      transport->send(encoded);
+      net::Transport& transport = ensure_transport();
+      // Taken before the send: the deadline covers this attempt's send
+      // and wait, so time spent in a slow send is not free.
       const std::uint64_t deadline =
           clock.now_ns() + options_.request_timeout_ns;
+      transport.send(encoded);
       std::array<std::uint8_t, 4096> buf;
       for (;;) {
         while (std::optional<net::Frame> frame = assembler_.poll()) {
@@ -140,7 +103,7 @@ net::Frame RemoteShardClient::round_trip(net::MessageType request_type,
           throw net::TimeoutError("remote-shard: request deadline elapsed");
         }
         const std::size_t n =
-            transport->recv(std::span<std::uint8_t>(buf), deadline - now);
+            transport.recv(std::span<std::uint8_t>(buf), deadline - now);
         if (n == 0) {
           throw net::DisconnectedError(
               "remote-shard: server closed the connection");
@@ -148,31 +111,21 @@ net::Frame RemoteShardClient::round_trip(net::MessageType request_type,
         assembler_.feed(std::span<const std::uint8_t>(buf.data(), n));
       }
     } catch (const net::TimeoutError&) {
-      throw_if_cancelled("remote-shard: cancelled");
       // The stream state after a timeout is unknowable (the response may
       // be half-delivered), so the connection is dropped — and the
       // deadline is a promise to the caller, so there is no retry.
       ++counters_.timeouts;
       drop_transport();
-      assembler_.reset();
-      throw;
-    } catch (const net::CancelledError&) {
-      drop_transport();
-      assembler_.reset();
       throw;
     } catch (const net::TransportError&) {
-      throw_if_cancelled("remote-shard: cancelled");
       ++counters_.wire_errors;
       drop_transport();
-      assembler_.reset();
       if (attempt + 1 >= options_.max_attempts) throw;
     } catch (const util::ContractViolation& violation) {
       // Garbage bytes from the peer (a malformed frame out of the
       // assembler): same treatment as a dead connection.
-      throw_if_cancelled("remote-shard: cancelled");
       ++counters_.wire_errors;
       drop_transport();
-      assembler_.reset();
       if (attempt + 1 >= options_.max_attempts) {
         throw net::DisconnectedError(
             std::string("remote-shard: malformed bytes from server: ") +
@@ -195,9 +148,6 @@ void RemoteShardClient::predict_batch(std::span<const x86::BasicBlock> blocks,
                   "remote-shard: predict_batch out/blocks size mismatch");
   if (blocks.empty()) return;
   net::PredictRequest request;
-  // Ship the remaining budget, not an absolute clock reading (clocks do
-  // not cross hosts): the server sees how long this round-trip may take.
-  request.deadline_ns = options_.request_timeout_ns;
   request.block_texts.reserve(blocks.size());
   for (const x86::BasicBlock& block : blocks) {
     request.block_texts.push_back(block.to_string());
@@ -206,9 +156,8 @@ void RemoteShardClient::predict_batch(std::span<const x86::BasicBlock> blocks,
     util::MutexLock lock(mutex_);
     ++counters_.requests;
     try {
-      const net::Frame response = round_trip(
-          net::MessageType::kPredictRequest,
-          net::encode_predict_request(request));
+      const net::Frame response =
+          round_trip(net::encode_predict_request(request));
       if (response.type == net::MessageType::kPredictResponse) {
         const net::PredictResponse decoded =
             net::decode_predict_response(response.payload);
@@ -221,8 +170,6 @@ void RemoteShardClient::predict_batch(std::span<const x86::BasicBlock> blocks,
         return;
       }
       throw net::TransportError(refusal_message(response));
-    } catch (const net::CancelledError&) {
-      throw;  // a caller decision, never failed over
     } catch (const net::TransportError&) {
       if (!options_.fallback) throw;
       ++counters_.failovers;
@@ -237,50 +184,6 @@ void RemoteShardClient::predict_batch(std::span<const x86::BasicBlock> blocks,
   // Failover: serve locally. Outside mutex_ so a slow fallback model does
   // not block counters()/the next caller longer than it must.
   options_.fallback->predict_batch(blocks, out);
-}
-
-cost::QueryStats RemoteShardClient::server_stats() const {
-  util::MutexLock lock(mutex_);
-  const net::Frame response =
-      round_trip(net::MessageType::kStatsRequest, {});
-  COMET_CHECK_MSG(response.type == net::MessageType::kStatsResponse,
-                  "remote-shard: bad stats response type");
-  return net::decode_stats(response.payload);
-}
-
-bool RemoteShardClient::ping() const {
-  util::MutexLock lock(mutex_);
-  ++counters_.health_pings;
-  net::HealthPing probe;
-  // Varies per probe (ids are monotonic) so a stale reply from an earlier
-  // probe can never pass the echo check; round_trip's id matching already
-  // discards such frames, the nonce is the wire-level belt-and-braces.
-  probe.nonce = 0x9e3779b97f4a7c15ULL ^ next_id_;
-  try {
-    const net::Frame response = round_trip(net::MessageType::kHealthCheck,
-                                           net::encode_health_ping(probe));
-    if (response.type != net::MessageType::kHealthReply) {
-      ++counters_.health_failures;
-      return false;
-    }
-    const net::HealthReply reply = net::decode_health_reply(response.payload);
-    if (reply.nonce != probe.nonce) {
-      ++counters_.health_failures;
-      return false;
-    }
-    return true;
-  } catch (const net::CancelledError&) {
-    throw;  // a caller decision, as everywhere else
-  } catch (const net::TransportError&) {
-    ++counters_.health_failures;
-    return false;
-  } catch (const util::ContractViolation&) {
-    // Malformed reply payload: the shard is up enough to send garbage,
-    // which is not up enough to route traffic to.
-    ++counters_.wire_errors;
-    ++counters_.health_failures;
-    return false;
-  }
 }
 
 RemoteShardClient::Counters RemoteShardClient::counters() const {
@@ -325,7 +228,7 @@ void RemoteShardServer::session_loop(net::Transport& transport) {
         assembler.feed(std::span<const std::uint8_t>(buf.data(), n));
         frame = assembler.poll();
       }
-      if (!handle_frame(transport, *frame)) return;
+      handle_frame(transport, *frame);
     } catch (const util::ContractViolation& violation) {
       // Malformed bytes from the client: report best-effort, then end the
       // session — the stream has no recoverable frame boundary left.
@@ -349,133 +252,106 @@ void RemoteShardServer::session_loop(net::Transport& transport) {
   }
 }
 
-bool RemoteShardServer::handle_frame(net::Transport& transport,
+void RemoteShardServer::handle_frame(net::Transport& transport,
                                      const net::Frame& frame) {
   net::Frame reply;
   reply.request_id = frame.request_id;
-  switch (frame.type) {
-    case net::MessageType::kShutdown:
-      return false;
-    case net::MessageType::kPredictRequest: {
-      {
-        util::MutexLock lock(mutex_);
-        ++counters_.requests;
-      }
-      try {
-        const net::PredictRequest request =
-            net::decode_predict_request(frame.payload);
-        std::vector<x86::BasicBlock> blocks;
-        blocks.reserve(request.block_texts.size());
-        for (const std::string& text : request.block_texts) {
-          blocks.push_back(x86::parse_block(text));
-        }
-        std::vector<double> values(blocks.size());
-        try {
-          model_->predict_batch(blocks, values);
-        } catch (const std::exception& error) {
-          // A model failure fails this request, not the session: the
-          // client fails over or surfaces the typed error.
-          {
-            util::MutexLock lock(mutex_);
-            ++counters_.errors;
-          }
-          reply.type = net::MessageType::kError;
-          reply.payload = net::encode_error(
-              {net::ErrorBody::kInternalError, error.what()});
-          transport.send(net::encode_frame(reply));
-          return true;
-        }
-        {
-          util::MutexLock lock(mutex_);
-          // The server is memo-free (the client-side brokers already
-          // deduplicate), so requested == evaluated by construction.
-          stats_.requested += blocks.size();
-          stats_.evaluated += blocks.size();
-          stats_.batch_calls += 1;
-          ++counters_.responses;
-        }
-        reply.type = net::MessageType::kPredictResponse;
-        reply.payload = net::encode_predict_response({std::move(values)});
-      } catch (const x86::ParseError& error) {
-        // A bad block text fails this request, not the session.
-        {
-          util::MutexLock lock(mutex_);
-          ++counters_.errors;
-        }
-        reply.type = net::MessageType::kError;
-        reply.payload =
-            net::encode_error({net::ErrorBody::kParseError, error.what()});
-      }
-      transport.send(net::encode_frame(reply));
-      return true;
+  // A sound frame keeps its boundary, so each failure below fails this
+  // one request under its id and the session stays open.
+  const auto refuse = [&](std::uint32_t code, const char* message) {
+    {
+      util::MutexLock lock(mutex_);
+      ++counters_.errors;
     }
-    case net::MessageType::kStatsRequest:
-      reply.type = net::MessageType::kStatsResponse;
-      reply.payload = net::encode_stats(stats());
-      transport.send(net::encode_frame(reply));
-      return true;
-    case net::MessageType::kHealthCheck: {
-      net::HealthReply health;
-      try {
-        health.nonce = net::decode_health_ping(frame.payload).nonce;
-      } catch (const util::ContractViolation& violation) {
-        {
-          util::MutexLock lock(mutex_);
-          ++counters_.errors;
-        }
-        reply.type = net::MessageType::kError;
-        reply.payload = net::encode_error(
-            {net::ErrorBody::kBadRequest, violation.what()});
-        transport.send(net::encode_frame(reply));
-        return true;
-      }
-      {
-        util::MutexLock lock(mutex_);
-        ++counters_.health_checks;
-        health.requests_served = counters_.requests;
-      }
-      reply.type = net::MessageType::kHealthReply;
-      reply.payload = net::encode_health_reply(health);
-      transport.send(net::encode_frame(reply));
-      return true;
-    }
-    default: {
-      // Response types never flow client → server.
-      {
-        util::MutexLock lock(mutex_);
-        ++counters_.errors;
-      }
-      reply.type = net::MessageType::kError;
-      reply.payload = net::encode_error(
-          {net::ErrorBody::kBadRequest, "unexpected message type"});
-      transport.send(net::encode_frame(reply));
-      return true;
-    }
+    reply.type = net::MessageType::kError;
+    reply.payload = net::encode_error({code, message});
+    transport.send(net::encode_frame(reply));
+  };
+  if (frame.type != net::MessageType::kPredictRequest) {
+    // Response types never flow client → server.
+    refuse(net::ErrorBody::kBadRequest, "unexpected message type");
+    return;
   }
+  {
+    util::MutexLock lock(mutex_);
+    ++counters_.requests;
+  }
+  std::vector<x86::BasicBlock> blocks;
+  try {
+    const net::PredictRequest request =
+        net::decode_predict_request(frame.payload);
+    blocks.reserve(request.block_texts.size());
+    for (const std::string& text : request.block_texts) {
+      blocks.push_back(x86::parse_block(text));
+    }
+  } catch (const x86::ParseError& error) {
+    refuse(net::ErrorBody::kParseError, error.what());
+    return;
+  } catch (const util::ContractViolation& violation) {
+    refuse(net::ErrorBody::kBadRequest, violation.what());
+    return;
+  }
+  std::vector<double> values(blocks.size());
+  try {
+    model_->predict_batch(blocks, values);
+  } catch (const std::exception& error) {
+    // The client fails over or surfaces the typed error.
+    refuse(net::ErrorBody::kInternalError, error.what());
+    return;
+  }
+  {
+    util::MutexLock lock(mutex_);
+    // The server is memo-free (the client-side brokers already
+    // deduplicate), so requested == evaluated by construction.
+    stats_.requested += blocks.size();
+    stats_.evaluated += blocks.size();
+    stats_.batch_calls += 1;
+    ++counters_.responses;
+  }
+  reply.type = net::MessageType::kPredictResponse;
+  reply.payload = net::encode_predict_response({std::move(values)});
+  transport.send(net::encode_frame(reply));
 }
 
 void RemoteShardServer::start(std::unique_ptr<net::Transport> transport) {
   COMET_CHECK_MSG(transport != nullptr, "RemoteShardServer: null transport");
-  std::shared_ptr<net::Transport> shared = std::move(transport);
-  util::MutexLock lock(mutex_);
-  COMET_CHECK_MSG(!stopping_, "RemoteShardServer: start() after stop()");
-  transports_.push_back(shared);
-  threads_.emplace_back([this, shared] { serve(*shared); });
+  std::list<Session> ended;
+  {
+    util::MutexLock lock(mutex_);
+    COMET_CHECK_MSG(!stopping_, "RemoteShardServer: start() after stop()");
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const auto next = std::next(it);
+      if (it->ended.load()) ended.splice(ended.end(), sessions_, it);
+      it = next;
+    }
+    Session& session = sessions_.emplace_back();
+    session.transport = std::move(transport);
+    try {
+      session.thread = std::thread([this, &session] {
+        serve(*session.transport);
+        session.ended.store(true);
+      });
+    } catch (...) {
+      sessions_.pop_back();  // no thread: nothing to join later
+      throw;
+    }
+  }
+  // Joined outside the lock: an ended session has at most its return
+  // left to run.
+  for (Session& session : ended) session.thread.join();
 }
 
 void RemoteShardServer::stop() {
-  std::vector<std::shared_ptr<net::Transport>> transports;
-  std::vector<std::thread> threads;
+  std::list<Session> sessions;
   {
     util::MutexLock lock(mutex_);
     stopping_ = true;
-    transports.swap(transports_);
-    threads.swap(threads_);
+    sessions.swap(sessions_);
   }
   // Close every session's transport (unblocks their recv with EOF), then
   // join outside the lock so draining sessions can still take it.
-  for (const auto& transport : transports) transport->close();
-  for (std::thread& thread : threads) thread.join();
+  for (Session& session : sessions) session.transport->close();
+  for (Session& session : sessions) session.thread.join();
 }
 
 RemoteShardServer::Counters RemoteShardServer::counters() const {

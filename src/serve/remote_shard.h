@@ -14,10 +14,10 @@
 // tests/test_remote_shard.cpp against the sequential plain-model path).
 //
 // Failure semantics (each path has a typed, tested outcome):
-//   * per-request deadline  — RemoteShardOptions::request_timeout_ns bounds
-//     every round-trip; expiry throws net::TimeoutError. The connection is
-//     dropped (its stream state is unknowable), never retried: a deadline
-//     is a promise to the caller, not a hint.
+//   * per-attempt deadline  — RemoteShardOptions::request_timeout_ns bounds
+//     each attempt's send + wait; expiry throws net::TimeoutError. The
+//     connection is dropped (its stream state is unknowable), never
+//     retried: a deadline is a promise to the caller, not a hint.
 //   * reconnect             — a dead connection (peer EOF, reset, garbage
 //     bytes) is dropped and re-dialed through the connector, and the
 //     request is resent, up to max_attempts total tries.
@@ -27,29 +27,29 @@
 //     is the repo's one failover path. Tiers nest: the fallback may be
 //     another RemoteShardClient with a fallback of its own (remote →
 //     remote → local), each client counting its own failovers.
-//   * cancellation          — cancel() fails the in-flight request and all
-//     future ones with net::CancelledError (never failed over: cancel is
-//     a caller decision, not a fault).
-//   * model failure         — an exception out of the server's model fails
-//     that request with a kError reply (ErrorBody::kInternalError); the
-//     session stays open, and the client fails over or throws the typed
-//     error, exactly as for an unreachable server.
+//   * refused request       — an exception out of the server's model
+//     (ErrorBody::kInternalError), a bad block text (kParseError) or an
+//     undecodable predict payload (kBadRequest) fails that request with
+//     a kError reply; the session stays open, and the client fails over
+//     or throws the typed error, exactly as for an unreachable server.
 //
 // Responses are matched to requests by id: stale frames (a late response
 // to a request that already timed out, or a fault-duplicated response)
 // are counted and discarded, so one slow exchange cannot poison the next.
 //
 // Thread-safety: the client is const-thread-safe the way every model in
-// the repo is — requests serialize on an internal mutex (server workers
-// sharing one client take turns on its connection), and
-// cancel()/counters() may be called concurrently from any thread. All connection state is
-// annotated COMET_GUARDED_BY per the PR 6 gate.
+// the repo is — requests serialize on one internal mutex, which also
+// guards the connection (server workers sharing one client take turns on
+// it, and a re-dial runs under it), and counters() may be called
+// concurrently from any thread. All connection state is annotated
+// COMET_GUARDED_BY.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
+#include <list>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,8 +65,9 @@
 namespace comet::serve {
 
 struct RemoteShardOptions {
-  /// Per-request deadline over the whole round-trip (send + wait). Expiry
-  /// throws net::TimeoutError (or fails over, if a fallback is set).
+  /// Deadline per attempt, over its whole round-trip (send + wait).
+  /// Expiry throws net::TimeoutError (or fails over, if a fallback is
+  /// set).
   std::uint64_t request_timeout_ns = 500'000'000;  // 500ms
   /// Total send attempts per request: 1 + (max_attempts - 1) reconnects.
   /// Timeouts never retry; only dead-connection errors do.
@@ -94,23 +95,6 @@ class RemoteShardClient final : public cost::CostModel {
   /// "remote-shard".
   std::string name() const override;
 
-  /// Fail the in-flight request (if any) and every future one with
-  /// net::CancelledError. Callable from any thread; irreversible.
-  void cancel();
-
-  /// Round-trip the server's ledger (kStatsRequest). Subject to the same
-  /// deadline/typed errors as predictions, but never failed over (stats
-  /// are about the remote side by definition).
-  cost::QueryStats server_stats() const;
-
-  /// Liveness probe: one kHealthCheck round-trip, true iff the server
-  /// answered with a kHealthReply echoing this probe's nonce within the
-  /// request timeout. All transport-class failures (timeout, dead
-  /// connection, malformed reply) return false — a probe is a question,
-  /// not a request, so nothing is retried or failed over. Cancellation
-  /// still throws net::CancelledError.
-  bool ping() const;
-
   /// Failure-mode accounting, all monotonic.
   struct Counters {
     std::uint64_t requests = 0;    ///< predict/predict_batch round-trips
@@ -120,47 +104,42 @@ class RemoteShardClient final : public cost::CostModel {
     std::uint64_t failovers = 0;   ///< served by the local fallback
     std::uint64_t stale_frames = 0;  ///< late/duplicate responses discarded
     std::uint64_t wire_errors = 0;   ///< malformed bytes / dead connections
-    std::uint64_t health_pings = 0;      ///< ping() probes issued
-    std::uint64_t health_failures = 0;   ///< ping() probes that came back false
   };
   Counters counters() const;
 
  private:
-  // One framed round-trip under mutex_: send `request`, await the matching
-  // response frame within the deadline. Throws the typed net errors.
-  net::Frame round_trip(net::MessageType request_type,
-                        std::vector<std::uint8_t> payload) const
+  // One framed round-trip: send a kPredictRequest carrying `payload`,
+  // await the matching response frame within each attempt's deadline.
+  // Throws the typed net errors.
+  net::Frame round_trip(std::vector<std::uint8_t> payload) const
       COMET_REQUIRES(mutex_);
 
-  // Connection lifecycle (conn_mutex_ nests inside mutex_; cancel() takes
-  // only conn_mutex_ so it can interrupt a request in flight).
-  std::shared_ptr<net::Transport> ensure_transport(bool* dialed) const
-      COMET_EXCLUDES(conn_mutex_);
-  void drop_transport() const COMET_EXCLUDES(conn_mutex_);
-  void throw_if_cancelled(const char* what) const COMET_EXCLUDES(conn_mutex_);
+  // Connection lifecycle: the live connection, dialed on demand (the dial
+  // may block; it runs under mutex_ like the request that needs it), and
+  // its teardown.
+  net::Transport& ensure_transport() const COMET_REQUIRES(mutex_);
+  void drop_transport() const COMET_REQUIRES(mutex_);
 
   Connector connector_;
   RemoteShardOptions options_;
 
-  mutable util::Mutex mutex_;  // serializes requests
+  mutable util::Mutex mutex_;  // serializes requests; guards the connection
   mutable std::uint64_t next_id_ COMET_GUARDED_BY(mutex_) = 1;
+  mutable std::unique_ptr<net::Transport> transport_ COMET_GUARDED_BY(mutex_);
   mutable net::FrameAssembler assembler_ COMET_GUARDED_BY(mutex_);
   mutable Counters counters_ COMET_GUARDED_BY(mutex_);
   mutable bool ever_connected_ COMET_GUARDED_BY(mutex_) = false;
-
-  mutable util::Mutex conn_mutex_;
-  mutable std::shared_ptr<net::Transport> transport_
-      COMET_GUARDED_BY(conn_mutex_);
-  mutable bool cancelled_ COMET_GUARDED_BY(conn_mutex_) = false;
 };
 
 /// The server half: wraps a local model and serves the wire protocol over
 /// one or more transports (one session thread each). Sessions end on peer
-/// EOF, a kShutdown frame, malformed bytes (best-effort kError reply,
-/// then close), or stop(); stop() closes every started transport and
-/// joins every session thread, so destruction is a graceful drain. A bad
-/// block text (kParseError) or an exception out of the model
-/// (kInternalError) fails that one request; the session stays open.
+/// EOF, malformed bytes (best-effort kError reply, then close), or
+/// stop(); stop() closes every started transport and joins every session
+/// thread, so destruction is a graceful drain. A sound frame the server
+/// cannot answer — an undecodable payload or a non-request type
+/// (kBadRequest), a bad block text (kParseError), an exception out of the
+/// model (kInternalError) — fails that one request; the session stays
+/// open.
 class RemoteShardServer {
  public:
   explicit RemoteShardServer(std::shared_ptr<const cost::CostModel> model);
@@ -175,7 +154,9 @@ class RemoteShardServer {
   void serve(net::Transport& transport);
 
   /// Serve `transport` on an internal thread (the in-process deployment
-  /// shape: one server, one session per client connection).
+  /// shape: one server, one session per client connection). Sessions that
+  /// have already ended are joined and released here, so a client that
+  /// re-dials does not grow the server.
   void start(std::unique_ptr<net::Transport> transport);
 
   /// Close every started transport and join every session thread.
@@ -184,11 +165,10 @@ class RemoteShardServer {
 
   struct Counters {
     std::uint64_t sessions = 0;   ///< serve()/start() connections begun
-    std::uint64_t requests = 0;   ///< predict requests decoded
+    std::uint64_t requests = 0;   ///< kPredictRequest frames received
     std::uint64_t responses = 0;  ///< predict responses sent
     std::uint64_t errors = 0;     ///< kError frames sent (parse, bad
                                   ///< bytes, model failure)
-    std::uint64_t health_checks = 0;  ///< kHealthCheck probes answered
   };
   Counters counters() const;
 
@@ -199,18 +179,24 @@ class RemoteShardServer {
   cost::QueryStats stats() const;
 
  private:
+  // One started connection. The list node never moves, so the session
+  // thread may hold a reference to it; `ended` is its last write.
+  struct Session {
+    std::unique_ptr<net::Transport> transport;
+    std::thread thread;
+    std::atomic<bool> ended{false};
+  };
+
   // The serve() body: frames in, replies out, until the session ends.
   void session_loop(net::Transport& transport);
-  // Returns false when the session should end (shutdown/peer gone).
-  bool handle_frame(net::Transport& transport, const net::Frame& frame);
+  // Answers one sound frame: a reply, or a kError for this request alone.
+  void handle_frame(net::Transport& transport, const net::Frame& frame);
 
   std::shared_ptr<const cost::CostModel> model_;
   mutable util::Mutex mutex_;
   Counters counters_ COMET_GUARDED_BY(mutex_);
   cost::QueryStats stats_ COMET_GUARDED_BY(mutex_);
-  std::vector<std::shared_ptr<net::Transport>> transports_
-      COMET_GUARDED_BY(mutex_);
-  std::vector<std::thread> threads_ COMET_GUARDED_BY(mutex_);
+  std::list<Session> sessions_ COMET_GUARDED_BY(mutex_);
   bool stopping_ COMET_GUARDED_BY(mutex_) = false;
 };
 

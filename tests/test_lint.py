@@ -117,6 +117,12 @@ class RuleFiresAndSuppresses(unittest.TestCase):
                    '#include "serve/remote_shard.h"', "upward-include")
         self.check("src/perturb/p.cpp", "#include <net/wire.h>",
                    "upward-include")
+        # src/net/ sits on obs/ and util/ only.
+        self.check("src/net/wire.cpp", '#include "serve/x.h"',
+                   "upward-include")
+        self.check("src/net/wire.h",
+                   '#pragma once\n#include "cost/query_stats.h"',
+                   "upward-include", line=2)
 
 
 class RuleScoping(unittest.TestCase):
@@ -162,7 +168,11 @@ class RuleScoping(unittest.TestCase):
             [], rules_hit("src/serve/remote_shard.h",
                           '#pragma once\n#include "net/transport.h"'))
         self.assertEqual(
-            [], rules_hit("src/net/wire.cpp", '#include "serve/x.h"'))
+            [], rules_hit("src/net/sim_transport.cpp",
+                          '#include "net/sim_transport.h"\n'
+                          "#include <sys/socket.h>\n"
+                          '#include "obs/clock.h"\n'
+                          '#include "util/sync.h"'))
         self.assertEqual(
             [], rules_hit("tests/test_serve.cpp",
                           '#include "serve/remote_shard.h"'))

@@ -10,36 +10,33 @@
 //     counters to match;
 //   * reconnect — a dead or garbage-spewing connection is re-dialed and
 //     the request resent; duplicated responses are discarded as stale;
-//   * cancellation — cancel() fails an in-flight request with
-//     CancelledError and never falls over to the local fallback;
-//   * liveness — RemoteShardClient::ping() round-trips the kHealthCheck
-//     frame and fails closed when the server dies;
+//   * the deadline — it covers each attempt's send as well as its wait;
 //   * failover and failure — nested clients degrade tier by tier through
 //     their fallbacks; with no fallback, a served timeout is a typed
 //     kFailed result and the next job re-dials and returns the same bits;
-//   * protocol errors — a bad block text (kError / kParseError) or a
-//     throwing model (kInternalError) fails the request but not the
-//     session, and the client fails over or surfaces the typed error;
-//     garbage bytes end the session after a best-effort error report; and
-//     every scenario above ends in a clean server drain (stop() returns,
-//     counters balance).
+//   * protocol errors — a bad block text (kError / kParseError), an
+//     undecodable predict payload (kBadRequest) or a throwing model
+//     (kInternalError) fails the request but not the session, and the
+//     client fails over or surfaces the typed error; garbage bytes end the
+//     session after a best-effort error report; ended sessions are
+//     released when the next one starts; and every scenario above ends in
+//     a clean server drain (stop() returns, counters balance).
 //
 // Everything here runs over net::SimTransport, so each scenario is exactly
 // reproducible: the fault schedule, not thread timing, decides what fails.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,40 +145,60 @@ cs::RemoteShardClient::Connector dead_host() {
   };
 }
 
-// A model whose queries block until the test opens the gate (to pin a
-// server session mid-request for the cancellation test).
-class GateModel final : public ck::CostModel {
+// Forwards to a wrapped transport. Subclasses override the calls they
+// observe or slow down.
+class ForwardingTransport : public cn::Transport {
  public:
-  double predict(const cx::BasicBlock&) const override {
-    wait_open();
-    return 1.0;
-  }
-  std::string name() const override { return "gate"; }
+  explicit ForwardingTransport(std::unique_ptr<cn::Transport> inner)
+      : inner_(std::move(inner)) {}
 
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      open_ = true;
-    }
-    cv_.notify_all();
+  void send(std::span<const std::uint8_t> bytes) override {
+    inner_->send(bytes);
   }
-  void await_entered() const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return entered_; });
+  std::size_t recv(std::span<std::uint8_t> buf,
+                   std::uint64_t timeout_ns) override {
+    return inner_->recv(buf, timeout_ns);
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<cn::Transport> inner_;
+};
+
+// Every send takes 50 ms before the bytes leave.
+class SlowSendTransport final : public ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  void send(std::span<const std::uint8_t> bytes) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ForwardingTransport::send(bytes);
+  }
+};
+
+// Counts the instances alive and the close() calls made on them, so a
+// test can see how many connections a server still holds.
+struct TransportTally {
+  std::atomic<int> live{0};
+  std::atomic<int> closes{0};
+};
+
+class TalliedTransport final : public ForwardingTransport {
+ public:
+  TalliedTransport(std::unique_ptr<cn::Transport> inner,
+                   std::shared_ptr<TransportTally> tally)
+      : ForwardingTransport(std::move(inner)), tally_(std::move(tally)) {
+    ++tally_->live;
+  }
+  ~TalliedTransport() override { --tally_->live; }
+
+  void close() override {
+    ++tally_->closes;
+    ForwardingTransport::close();
   }
 
  private:
-  void wait_open() const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    entered_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return open_; });
-  }
-
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  mutable bool entered_ = false;
-  mutable bool open_ = false;
+  std::shared_ptr<TransportTally> tally_;
 };
 
 }  // namespace
@@ -222,15 +239,13 @@ TEST(RemoteShard, PredictionsBitIdenticalToLocalModelAndLedgersMatch) {
   EXPECT_EQ(counters.stale_frames, 0u);
   EXPECT_EQ(rig.dials(), 1u);
 
-  // The server ledger round-trips over kStatsRequest and shows the memo-
-  // free contract: everything requested was evaluated, one batch call per
-  // round-trip.
-  const ck::QueryStats stats = client.server_stats();
+  // The server ledger shows the memo-free contract: everything requested
+  // was evaluated, one batch call per round-trip.
+  const ck::QueryStats stats = rig.server->stats();
   EXPECT_EQ(stats.requested, blocks.size() + 1);
   EXPECT_EQ(stats.evaluated, blocks.size() + 1);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.batch_calls, 2u);
-  EXPECT_EQ(stats, rig.server->stats());
 
   const auto server_counters = rig.server->counters();
   EXPECT_EQ(server_counters.sessions, 1u);
@@ -533,35 +548,28 @@ TEST(RemoteShard, SeededFaultSweepIsDeterministicAndAlwaysCorrect) {
   }
 }
 
-// ---------------- cancellation ----------------
+// ---------------- the request deadline ----------------
 
-TEST(RemoteShard, CancelFailsInFlightRequestWithoutFailover) {
-  auto gate = std::make_shared<GateModel>();
-  ServerRig rig(gate);
+TEST(RemoteShard, RequestDeadlineCoversTheSend) {
+  // Every send takes 50 ms and the deadline is 10 ms: the request must
+  // time out even though the server answers at once, because the
+  // deadline starts before the send, not after it.
+  ServerRig rig(crude());
+  auto real_connector = rig.connector();
   cs::RemoteShardOptions options;
-  options.request_timeout_ns = kMustSucceedNs;
-  options.fallback = crude();  // must NOT be consulted on cancel
-  cs::RemoteShardClient client(rig.connector(), options);
+  options.request_timeout_ns = 10'000'000;  // 10 ms
+  const cs::RemoteShardClient client(
+      [real_connector]() -> std::unique_ptr<cn::Transport> {
+        return std::make_unique<SlowSendTransport>(real_connector());
+      },
+      options);
 
-  const auto block = test_blocks(1)[0];
-  auto in_flight = std::async(std::launch::async, [&client, &block] {
-    client.predict(block);
-  });
-  // The server session is pinned inside the model: the request is in
-  // flight on the wire. Cancel from this thread.
-  gate->await_entered();
-  client.cancel();
-  EXPECT_THROW(in_flight.get(), cn::CancelledError);
-  EXPECT_EQ(client.counters().failovers, 0u);
-
-  // Every later request fails the same way, before touching the network.
-  EXPECT_THROW(client.predict(block), cn::CancelledError);
-
-  // Release the server; its reply hits a dead transport and the session
-  // drains cleanly.
-  gate->open();
-  rig.server->stop();
-  EXPECT_EQ(rig.server->counters().sessions, 1u);
+  EXPECT_THROW(client.predict(test_blocks(1)[0]), cn::TimeoutError);
+  const auto counters = client.counters();
+  EXPECT_EQ(counters.timeouts, 1u);
+  EXPECT_EQ(counters.responses, 0u);
+  EXPECT_EQ(counters.failovers, 0u);
+  EXPECT_EQ(rig.dials(), 1u);
 }
 
 // ---------------- protocol-level server behavior ----------------
@@ -607,15 +615,16 @@ TEST(RemoteShardServer, BadBlockTextFailsTheRequestNotTheSession) {
   EXPECT_EQ(cn::decode_error(off_reply.payload).code,
             cn::ErrorBody::kBadRequest);
 
-  // A malformed health probe is refused the same way.
-  cn::Frame bad_probe;
-  bad_probe.type = cn::MessageType::kHealthCheck;
-  bad_probe.request_id = 10;
-  bad_probe.payload = {1, 2, 3};
-  const auto probe_reply = exchange(bad_probe);
-  EXPECT_EQ(probe_reply.type, cn::MessageType::kError);
-  EXPECT_EQ(probe_reply.request_id, 10u);
-  EXPECT_EQ(cn::decode_error(probe_reply.payload).code,
+  // A sound frame whose predict payload will not decode is refused under
+  // its own id; the frame boundary is intact, so the session survives.
+  cn::Frame bad_payload;
+  bad_payload.type = cn::MessageType::kPredictRequest;
+  bad_payload.request_id = 10;
+  bad_payload.payload = {1, 2, 3};
+  const auto payload_reply = exchange(bad_payload);
+  EXPECT_EQ(payload_reply.type, cn::MessageType::kError);
+  EXPECT_EQ(payload_reply.request_id, 10u);
+  EXPECT_EQ(cn::decode_error(payload_reply.payload).code,
             cn::ErrorBody::kBadRequest);
 
   // The same session still serves a good request afterwards.
@@ -631,22 +640,62 @@ TEST(RemoteShardServer, BadBlockTextFailsTheRequestNotTheSession) {
   EXPECT_EQ(cn::decode_predict_response(good_reply.payload).values.size(),
             1u);
 
-  // kShutdown ends the session gracefully: the client sees end of stream.
-  cn::Frame shutdown;
-  shutdown.type = cn::MessageType::kShutdown;
-  client_end->send(cn::encode_frame(shutdown));
+  // stop() ends the session: the client sees end of stream.
+  server.stop();
   EXPECT_EQ(client_end->recv(std::span<std::uint8_t>(buf), kMustSucceedNs),
             0u);
-
-  server.stop();
   const auto counters = server.counters();
   EXPECT_EQ(counters.sessions, 1u);
-  EXPECT_EQ(counters.requests, 2u);
+  EXPECT_EQ(counters.requests, 3u);
   EXPECT_EQ(counters.responses, 1u);
   EXPECT_EQ(counters.errors, 3u);
   // Only the good request reached the model: the ledger holds one block.
   EXPECT_EQ(server.stats().requested, 1u);
   EXPECT_EQ(server.stats().evaluated, 1u);
+}
+
+TEST(RemoteShardServer, EndedSessionsAreReleasedWhenTheNextOneStarts) {
+  // A client that re-dials, over and over, one connection per client: the
+  // server must not hold every ended session (its transport and thread)
+  // until stop().
+  auto server = std::make_shared<cs::RemoteShardServer>(crude());
+  auto tally = std::make_shared<TransportTally>();
+  const cs::RemoteShardClient::Connector connector =
+      [server, tally]() -> std::unique_ptr<cn::Transport> {
+    auto [client_end, server_end] = cn::make_sim_pair();
+    server->start(
+        std::make_unique<TalliedTransport>(std::move(server_end), tally));
+    return std::move(client_end);
+  };
+  cs::RemoteShardOptions options;
+  options.request_timeout_ns = kMustSucceedNs;
+
+  const cx::BasicBlock block = test_blocks(1)[0];
+  const double expected = crude()->predict(block);
+  constexpr int kRedials = 30;
+  for (int dial = 1; dial <= kRedials; ++dial) {
+    {
+      const cs::RemoteShardClient client(connector, options);
+      EXPECT_EQ(client.predict(block), expected);
+    }
+    // The client's destructor closed its end; wait until the session has
+    // seen the EOF and closed the server's end too.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (tally->closes.load() < dial &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(tally->closes.load(), dial);
+  }
+  // Each start() released the sessions that had ended before it, so only
+  // the newest few are still held — not all 30.
+  EXPECT_LE(tally->live.load(), 3);
+  server->stop();
+  EXPECT_EQ(tally->live.load(), 0);
+  EXPECT_EQ(server->counters().sessions, static_cast<std::uint64_t>(kRedials));
+  EXPECT_EQ(server->counters().responses,
+            static_cast<std::uint64_t>(kRedials));
 }
 
 // Throws out of its first predict_batch, then answers like the crude model.
@@ -711,8 +760,10 @@ TEST(RemoteShardServer, ThrowingModelFailsTheRequestNotTheSession) {
           client.predict(block);
           ADD_FAILURE() << "the model error was swallowed";
         } catch (const cn::TransportError& error) {
-          EXPECT_NE(std::string(error.what()).find("model down"),
-                    std::string::npos)
+          // The typed error carries the server's code and message.
+          EXPECT_NE(
+              std::string(error.what()).find("server error 3: model down"),
+              std::string::npos)
               << error.what();
         }
       }
@@ -763,113 +814,6 @@ TEST(RemoteShardServer, GarbageBytesEndTheSessionWithABestEffortError) {
   EXPECT_EQ(server.counters().responses, 0u);
 }
 
-TEST(RemoteShardHealth, PingRoundTripsAndFailsClosedOnceTheServerDies) {
-  ServerRig rig(crude());
-  cs::RemoteShardOptions copt;
-  copt.request_timeout_ns = kMustSucceedNs;
-  cs::RemoteShardClient client(rig.connector(), copt);
-
-  EXPECT_TRUE(client.ping());
-  EXPECT_TRUE(client.ping());
-  EXPECT_EQ(client.counters().health_pings, 2u);
-  EXPECT_EQ(client.counters().health_failures, 0u);
-  EXPECT_EQ(rig.server->counters().health_checks, 2u);
-  // Health checks never touch the model or the request ledger.
-  EXPECT_EQ(rig.server->counters().requests, 0u);
-  EXPECT_EQ(rig.server->stats().requested, 0u);
-
-  // A dead server fails the probe closed: false, never a throw, and the
-  // failure is accounted.
-  rig.server->stop();
-  EXPECT_FALSE(client.ping());
-  EXPECT_EQ(client.counters().health_pings, 3u);
-  EXPECT_EQ(client.counters().health_failures, 1u);
-}
-
-TEST(RemoteShardHealth, PingFailsClosedOnAWrongEchoTypeOrPayload) {
-  // A scripted peer answers each frame it receives with the next reply
-  // of `script`, built from the request it answers.
-  auto [client_end, peer] = cn::make_sim_pair();
-  auto dial = std::make_shared<std::unique_ptr<cn::Transport>>(
-      std::move(client_end));
-  cs::RemoteShardOptions copt;
-  copt.request_timeout_ns = kMustSucceedNs;
-  copt.max_attempts = 1;  // one connection: a re-dial would find none
-  cs::RemoteShardClient client([dial] { return std::move(*dial); }, copt);
-
-  const std::vector<std::function<cn::Frame(const cn::Frame&)>> script = {
-      [](const cn::Frame& request) {  // echoes the wrong nonce
-        cn::Frame reply;
-        reply.type = cn::MessageType::kHealthReply;
-        reply.payload = cn::encode_health_reply(
-            {cn::decode_health_ping(request.payload).nonce + 1, 0});
-        return reply;
-      },
-      [](const cn::Frame&) {  // answers with an error, not an echo
-        cn::Frame reply;
-        reply.type = cn::MessageType::kError;
-        reply.payload = cn::encode_error({cn::ErrorBody::kBadRequest, "no"});
-        return reply;
-      },
-      [](const cn::Frame&) {  // a well-framed but malformed echo
-        cn::Frame reply;
-        reply.type = cn::MessageType::kHealthReply;
-        reply.payload = {1, 2, 3};
-        return reply;
-      },
-      [](const cn::Frame&) {  // refuses a prediction
-        cn::Frame reply;
-        reply.type = cn::MessageType::kError;
-        reply.payload =
-            cn::encode_error({cn::ErrorBody::kInternalError, "model down"});
-        return reply;
-      },
-  };
-  auto scripted = std::async(std::launch::async, [&peer, &script] {
-    cn::FrameAssembler rx;
-    std::uint8_t buf[512];
-    for (const auto& answer : script) {
-      std::optional<cn::Frame> request;
-      while (!(request = rx.poll())) {
-        const std::size_t n =
-            peer->recv(std::span<std::uint8_t>(buf), kMustSucceedNs);
-        if (n == 0) return;
-        rx.feed(std::span<const std::uint8_t>(buf, n));
-      }
-      cn::Frame reply = answer(*request);
-      reply.request_id = request->request_id;
-      peer->send(cn::encode_frame(reply));
-    }
-  });
-
-  EXPECT_FALSE(client.ping());
-  EXPECT_FALSE(client.ping());
-  EXPECT_FALSE(client.ping());
-  // Only the malformed payload counts as a wire error; none of the three
-  // drops the connection.
-  auto counters = client.counters();
-  EXPECT_EQ(counters.health_pings, 3u);
-  EXPECT_EQ(counters.health_failures, 3u);
-  EXPECT_EQ(counters.wire_errors, 1u);
-  EXPECT_EQ(counters.reconnects, 0u);
-
-  // A refused prediction with no fallback is a typed error that carries
-  // the server's code and message.
-  try {
-    client.predict(test_blocks(1)[0]);
-    ADD_FAILURE() << "expected a TransportError";
-  } catch (const cn::TransportError& error) {
-    EXPECT_NE(std::string(error.what()).find("server error 3: model down"),
-              std::string::npos)
-        << error.what();
-  }
-  counters = client.counters();
-  EXPECT_EQ(counters.requests, 1u);
-  EXPECT_EQ(counters.responses, 0u);
-  EXPECT_EQ(counters.failovers, 0u);
-  scripted.get();
-}
-
 // ---------------- tiered failover: nested clients ----------------
 
 TEST(RemoteShard, NestedFallbacksDegradeThroughTiersWithPerClientCounters) {
@@ -904,19 +848,6 @@ TEST(RemoteShard, NestedFallbacksDegradeThroughTiersWithPerClientCounters) {
   EXPECT_EQ(primary.counters().failovers, 1u);
   EXPECT_EQ(secondary->counters().requests, 1u);
   EXPECT_EQ(secondary->counters().failovers, 1u);
-
-  // Cancellation is obeyed at whichever tier sees it, never failed over:
-  // a cancelled secondary stops the chain there...
-  secondary->cancel();
-  EXPECT_THROW(primary.predict(blocks[0]), cn::CancelledError);
-  EXPECT_EQ(primary.counters().failovers, 2u);
-  EXPECT_EQ(secondary->counters().failovers, 1u);
-  // ...and a cancelled primary never consults the lower tiers.
-  const std::uint64_t secondary_requests = secondary->counters().requests;
-  primary.cancel();
-  EXPECT_THROW(primary.predict(blocks[0]), cn::CancelledError);
-  EXPECT_EQ(primary.counters().failovers, 2u);
-  EXPECT_EQ(secondary->counters().requests, secondary_requests);
 }
 
 // ---------------- a model error inside a served job ----------------
