@@ -59,6 +59,13 @@ check:
                     utilities never reach up into the serving or transport
                     layers that build on them, and the transport layer
                     never reaches into the models or the serving layer.
+  isa-include       No file under src/riscv/ includes an x86/, perturb/ or
+                    cost/ header (cost/query_stats.h excepted), and the
+                    shared feature vocabulary src/graph/vocabulary.h
+                    includes only util/ headers. RISC-V supplies only its
+                    ISA; the explanation vocabulary, engine and broker are
+                    shared, never borrowed from the x86 instantiation
+                    (paper Section 7's portability claim).
 
 Suppression: a finding is silenced by a comment on the same line or the
 line directly above it:
@@ -351,6 +358,34 @@ def _check_upward_include(relpath, raw_lines, scrubbed):
     ]
 
 
+VOCABULARY_HEADER = "src/graph/vocabulary.h"
+_RISCV_FOREIGN_INCLUDE_RE = re.compile(
+    r"^\s*#\s*include\s*[<\"](?:x86|perturb|cost)/(?!query_stats\.h[>\"])"
+)
+# The vocabulary header's project includes (quoted) must come from util/.
+_VOCABULARY_INCLUDE_RE = re.compile(r"^\s*#\s*include\s*\"(?!util/)")
+
+
+def _check_isa_include(relpath, raw_lines, scrubbed):
+    if relpath == VOCABULARY_HEADER:
+        pattern = _VOCABULARY_INCLUDE_RE
+        message = (
+            "the shared feature vocabulary may include only util/ headers - "
+            "it is instantiated by every ISA"
+        )
+    else:
+        pattern = _RISCV_FOREIGN_INCLUDE_RE
+        message = (
+            "src/riscv/ may not include x86/, perturb/ or cost/ headers "
+            "(cost/query_stats.h excepted) - RISC-V supplies only its ISA"
+        )
+    return [
+        (idx, message)
+        for idx, line in enumerate(scrubbed)
+        if _INCLUDE_RE.search(line) and pattern.search(raw_lines[idx])
+    ]
+
+
 def _check_include_guard(relpath, raw_lines, scrubbed):
     del relpath
     for idx, line in enumerate(scrubbed):
@@ -492,6 +527,14 @@ RULES = [
         "dependencies point downward",
         lambda p: p.startswith("src/") and not p.startswith("src/serve/"),
         _check_upward_include,
+    ),
+    Rule(
+        "isa-include",
+        "no x86/, perturb/ or cost/ header (but cost/query_stats.h) in "
+        "src/riscv/, and only util/ headers in src/graph/vocabulary.h - "
+        "RISC-V supplies only its ISA",
+        lambda p: p.startswith("src/riscv/") or p == VOCABULARY_HEADER,
+        _check_isa_include,
     ),
 ]
 

@@ -10,9 +10,10 @@
 // procedure (Kaufmann & Kalyanakrishnan 2013) — never mention the ISA.
 // This header is that claim made executable: AnchorEngine<Traits> contains
 // the whole search once, and an ISA plugs in through a traits type
-// providing its Block, Feature(Set), Perturber, cost-model type, and
-// options. The x86 CometExplainer and the RISC-V RvExplainer are both thin
-// instantiations; see core/comet.h and riscv/explain.h.
+// providing its Block, Feature(Set) (for both ISAs, the shared templates of
+// graph/vocabulary.h), Perturber, cost-model type, and options. The x86
+// CometExplainer and the RISC-V RvExplainer are aliases of this engine;
+// see core/comet.h and riscv/explain.h.
 //
 // The engine is batch-first: every model query it issues flows through a
 // cost::QueryBroker as part of a batch (arm pulls are whole perturbation
@@ -118,9 +119,9 @@ class AnchorEngine {
   using Explanation = typename Traits::Explanation;
   using Broker = cost::QueryBroker<Block, Model>;
 
-  /// `model` and `options` must outlive the engine.
-  AnchorEngine(const Model& model, const Options& options)
-      : model_(model), options_(options) {}
+  /// `model` must outlive the engine; the engine keeps its own options.
+  AnchorEngine(const Model& model, Options options = {})
+      : model_(model), options_(std::move(options)) {}
 
   Explanation explain(const Block& block) const;
 
@@ -146,7 +147,7 @@ class AnchorEngine {
   };
 
   const Model& model_;
-  const Options& options_;
+  Options options_;
 };
 
 template <typename Traits>

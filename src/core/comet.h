@@ -14,19 +14,21 @@
 //
 // The search itself — Anchors-style bottom-up beam search with KL-LUCB
 // best-arm identification, batched through a query broker — lives in the
-// ISA-generic core/anchor_engine.h; CometExplainer is its x86
-// instantiation via X86AnchorTraits (the RISC-V port in riscv/explain.h is
-// the second one, exactly as the paper's Section 7 portability claim asks).
+// ISA-generic core/anchor_engine.h; CometExplainer is that engine bound to
+// x86 through X86AnchorTraits (the RISC-V port in riscv/explain.h is the
+// second binding, exactly as the paper's Section 7 portability claim asks).
 #pragma once
-
-#include <cstdint>
 
 #include "core/anchor_engine.h"
 #include "core/explanation.h"
 #include "cost/cost_model.h"
+#include "graph/features.h"
 #include "perturb/perturber.h"
 
 namespace comet::core {
+
+/// An explanation of an x86 cost-model prediction.
+using Explanation = ExplanationOf<graph::FeatureSet>;
 
 /// Anchor-search options plus the x86-specific feature-extraction and
 /// perturbation configuration. The scalar search knobs (ε, δ, KL-LUCB
@@ -57,39 +59,8 @@ struct X86AnchorTraits {
   }
 };
 
-class CometExplainer {
- public:
-  /// The engine traits this explainer instantiates — the hook the serving
-  /// layer uses: serve::ExplanationServer<CometExplainer::Traits> schedules
-  /// concurrent x86 explanation sessions over the same engine.
-  using Traits = X86AnchorTraits;
-
-  /// `model` must outlive the explainer.
-  CometExplainer(const cost::CostModel& model, CometOptions options = {});
-
-  /// Explain M(β) for the given block.
-  Explanation explain(const x86::BasicBlock& block) const;
-
-  /// Standalone Monte-Carlo estimate of Prec(F) for a given feature set
-  /// (used by the Table 3 evaluation). Consumes `samples` model queries.
-  double estimate_precision(const x86::BasicBlock& block,
-                            const graph::FeatureSet& features,
-                            std::size_t samples, util::Rng& rng) const;
-
-  /// Standalone estimate of Cov(F) over `samples` unconstrained
-  /// perturbations.
-  double estimate_coverage(const x86::BasicBlock& block,
-                           const graph::FeatureSet& features,
-                           std::size_t samples, util::Rng& rng) const;
-
-  const CometOptions& options() const { return options_; }
-  const cost::CostModel& model() const { return model_; }
-
- private:
-  AnchorEngine<X86AnchorTraits> engine() const { return {model_, options_}; }
-
-  const cost::CostModel& model_;
-  CometOptions options_;
-};
+/// The x86 explainer: `CometExplainer(model, options).explain(block)`, plus
+/// the Table 3 estimators estimate_precision / estimate_coverage.
+using CometExplainer = AnchorEngine<X86AnchorTraits>;
 
 }  // namespace comet::core

@@ -1,11 +1,12 @@
-// The output type of COMET: an explanation of one cost-model prediction.
+// The output type of COMET: an explanation of one cost-model prediction,
+// over either ISA's feature set (core::Explanation for x86 in core/comet.h,
+// riscv::RvExplanation in riscv/explain.h).
 #pragma once
 
 #include <cstddef>
 #include <string>
 
 #include "cost/query_stats.h"
-#include "graph/features.h"
 #include "obs/phase_timers.h"
 #include "util/str.h"
 
@@ -14,8 +15,9 @@ namespace comet::core {
 /// A COMET explanation for M(β): the maximum-coverage feature set whose
 /// precision clears the (1-δ) threshold, plus the estimates that justified
 /// its selection.
-struct Explanation {
-  graph::FeatureSet features;
+template <typename FeatureSet>
+struct ExplanationOf {
+  FeatureSet features;
   double precision = 0.0;   ///< estimated Prec(F) (eq. 4)
   double coverage = 0.0;    ///< estimated Cov(F) (eq. 6)
   bool met_threshold = false;  ///< precision lower bound cleared 1-δ

@@ -99,22 +99,6 @@ class QueryBroker {
     }
   }
 
-  /// Single-query convenience path (counts as a single predict() call);
-  /// engine traffic should use predict_batch instead.
-  double predict_one(const Block& block) {
-    ++stats_.requested;
-    std::string key = block.to_string();
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
-    ++stats_.evaluated;
-    ++stats_.single_calls;
-    const double v = model_->predict(block);
-    cache_.emplace(std::move(key), v);
-    return v;
-  }
-
   const QueryStats& stats() const { return stats_; }
   const Model& model() const { return *model_; }
 

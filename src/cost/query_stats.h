@@ -1,7 +1,7 @@
 // Query-traffic counters maintained by the QueryBroker and carried on every
-// explanation. Split from query_broker.h so widely-included result types
-// (core::Explanation, riscv::RvExplanation) don't pull in the broker
-// template machinery.
+// explanation. Split from query_broker.h so the widely-included result type
+// (core::ExplanationOf, for both ISAs) doesn't pull in the broker template
+// machinery.
 //
 // The counters are plain sums, so stats from independent brokers (one per
 // served request) merge with operator+= into a single load-accounting
@@ -22,7 +22,6 @@ struct QueryStats {
   std::size_t evaluated = 0;    ///< predictions actually run by the model
   std::size_t cache_hits = 0;   ///< predictions served from the memo table
   std::size_t batch_calls = 0;  ///< predict_batch() calls issued downstream
-  std::size_t single_calls = 0; ///< single predict() calls issued downstream
 
   /// Merge another broker's ledger into this one (per-request aggregation
   /// in the explanation server).
@@ -31,7 +30,6 @@ struct QueryStats {
     evaluated += other.evaluated;
     cache_hits += other.cache_hits;
     batch_calls += other.batch_calls;
-    single_calls += other.single_calls;
     return *this;
   }
 
@@ -51,11 +49,10 @@ struct QueryStats {
   }
 
   /// Mean predictions evaluated per predict_batch round-trip — the batch
-  /// width a remote backend actually sees. Single-call
-  /// evaluations are excluded from the numerator; 0 when no batch call was
-  /// issued.
+  /// width a remote backend actually sees (every evaluation is batched);
+  /// 0 when no batch call was issued.
   double batch_fill() const {
-    return batch_calls ? static_cast<double>(evaluated - single_calls) /
+    return batch_calls ? static_cast<double>(evaluated) /
                              static_cast<double>(batch_calls)
                        : 0.0;
   }
@@ -67,7 +64,6 @@ struct QueryStats {
            " evaluated=" + std::to_string(evaluated) +
            " cache_hits=" + std::to_string(cache_hits) +
            " batch_calls=" + std::to_string(batch_calls) +
-           " single_calls=" + std::to_string(single_calls) +
            " hit_rate=" + util::format_fixed(hit_rate(), 3) +
            " batch_fill=" + util::format_fixed(batch_fill(), 1);
   }

@@ -9,15 +9,6 @@
 
 namespace comet::graph {
 
-std::string dep_kind_name(DepKind kind) {
-  switch (kind) {
-    case DepKind::RAW: return "RAW";
-    case DepKind::WAR: return "WAR";
-    case DepKind::WAW: return "WAW";
-  }
-  return "?";
-}
-
 namespace {
 
 using x86::family_bit;

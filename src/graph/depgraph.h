@@ -21,14 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "graph/vocabulary.h"
 #include "x86/instruction.h"
 
 namespace comet::graph {
-
-/// Data-dependency hazard kinds (paper Appendix B).
-enum class DepKind : std::uint8_t { RAW, WAR, WAW };
-
-std::string dep_kind_name(DepKind kind);
 
 /// What resource carries the hazard.
 enum class DepResource : std::uint8_t { Register, Memory, Flags };

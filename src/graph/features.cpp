@@ -1,65 +1,9 @@
 #include "graph/features.h"
 
-#include <algorithm>
 #include <map>
 #include <tuple>
 
 namespace comet::graph {
-
-std::string Feature::to_string() const {
-  switch (type()) {
-    case FeatureType::Inst: {
-      const auto& f = as_inst();
-      return "inst" + std::to_string(f.index + 1) + "(" +
-             std::string(x86::mnemonic(f.opcode)) + ")";
-    }
-    case FeatureType::Dep: {
-      const auto& f = as_dep();
-      return dep_kind_name(f.kind) + "(" + std::to_string(f.from + 1) +
-             "->" + std::to_string(f.to + 1) + ")";
-    }
-    case FeatureType::NumInsts:
-      return "eta(" + std::to_string(as_num_insts().count) + ")";
-  }
-  return "?";
-}
-
-FeatureSet::FeatureSet(std::vector<Feature> features)
-    : features_(std::move(features)) {
-  std::sort(features_.begin(), features_.end());
-  features_.erase(std::unique(features_.begin(), features_.end()),
-                  features_.end());
-}
-
-void FeatureSet::insert(const Feature& f) {
-  const auto it = std::lower_bound(features_.begin(), features_.end(), f);
-  if (it != features_.end() && *it == f) return;
-  features_.insert(it, f);
-}
-
-bool FeatureSet::contains(const Feature& f) const {
-  return std::binary_search(features_.begin(), features_.end(), f);
-}
-
-bool FeatureSet::is_subset_of(const FeatureSet& other) const {
-  return std::includes(other.features_.begin(), other.features_.end(),
-                       features_.begin(), features_.end());
-}
-
-FeatureSet FeatureSet::with(const Feature& f) const {
-  FeatureSet out = *this;
-  out.insert(f);
-  return out;
-}
-
-std::string FeatureSet::to_string() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < features_.size(); ++i) {
-    if (i) out += ", ";
-    out += features_[i].to_string();
-  }
-  return out + "}";
-}
 
 FeatureSet extract_features(const x86::BasicBlock& block,
                             const DepGraphOptions& options) {

@@ -1,111 +1,17 @@
-// Block features P̂ (paper Figure 1(iii), Section 5.1) and feature sets.
-//
-// COMET composes its explanations from three feature types:
-//   * an instruction of the block (identified by original position and
-//     opcode — "instruction 2: mov"),
-//   * a data dependency between two instructions (identified by the
-//     positions of its endpoints and the hazard kind),
-//   * the number of instructions η of the block.
-//
-// Features are positional: perturbed blocks carry a mapping from their
-// instructions back to original positions (see perturb::PerturbedBlock), so
-// "does perturbed block α still contain feature f" — the containment test
-// that defines coverage — is well defined even after deletions.
+// Block features P̂ for x86 blocks (paper Figure 1(iii), Section 5.1): the
+// shared vocabulary of graph/vocabulary.h bound to x86::Opcode, plus
+// feature extraction from the x86 dependency graph.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <variant>
-#include <vector>
-
 #include "graph/depgraph.h"
+#include "graph/vocabulary.h"
 #include "x86/instruction.h"
 
 namespace comet::graph {
 
-/// "Instruction at original position `index` has opcode `opcode`."
-struct InstFeature {
-  std::size_t index = 0;
-  x86::Opcode opcode = x86::Opcode::NOP;
-  auto operator<=>(const InstFeature&) const = default;
-};
-
-/// "A hazard of `kind` exists from original position `from` to `to`."
-/// Edges that differ only in carrying resource are collapsed into one
-/// feature: the explanation vocabulary names the dependency, not the
-/// register that carries it.
-struct DepFeature {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  DepKind kind = DepKind::RAW;
-  auto operator<=>(const DepFeature&) const = default;
-};
-
-/// "The block has exactly `count` instructions."
-struct NumInstsFeature {
-  std::size_t count = 0;
-  auto operator<=>(const NumInstsFeature&) const = default;
-};
-
-/// Coarse feature-type tags used in the paper's utility analysis (Figures
-/// 2-4): η is coarse-grained; inst and δ are fine-grained.
-enum class FeatureType : std::uint8_t { Inst, Dep, NumInsts };
-
-class Feature {
- public:
-  Feature() : v_(NumInstsFeature{}) {}
-  explicit Feature(InstFeature f) : v_(f) {}
-  explicit Feature(DepFeature f) : v_(f) {}
-  explicit Feature(NumInstsFeature f) : v_(f) {}
-
-  FeatureType type() const {
-    if (std::holds_alternative<InstFeature>(v_)) return FeatureType::Inst;
-    if (std::holds_alternative<DepFeature>(v_)) return FeatureType::Dep;
-    return FeatureType::NumInsts;
-  }
-  bool is_inst() const { return type() == FeatureType::Inst; }
-  bool is_dep() const { return type() == FeatureType::Dep; }
-  bool is_num_insts() const { return type() == FeatureType::NumInsts; }
-
-  const InstFeature& as_inst() const { return std::get<InstFeature>(v_); }
-  const DepFeature& as_dep() const { return std::get<DepFeature>(v_); }
-  const NumInstsFeature& as_num_insts() const {
-    return std::get<NumInstsFeature>(v_);
-  }
-
-  /// Short name, e.g. "inst2(mov)", "RAW(1->2)", "eta(3)".
-  std::string to_string() const;
-
-  auto operator<=>(const Feature&) const = default;
-
- private:
-  std::variant<InstFeature, DepFeature, NumInstsFeature> v_;
-};
-
-/// An ordered, duplicate-free set of features.
-class FeatureSet {
- public:
-  FeatureSet() = default;
-  explicit FeatureSet(std::vector<Feature> features);
-
-  void insert(const Feature& f);
-  bool contains(const Feature& f) const;
-  bool is_subset_of(const FeatureSet& other) const;
-  std::size_t size() const { return features_.size(); }
-  bool empty() const { return features_.empty(); }
-  const std::vector<Feature>& items() const { return features_; }
-
-  /// Set union.
-  FeatureSet with(const Feature& f) const;
-
-  std::string to_string() const;
-
-  bool operator==(const FeatureSet&) const = default;
-
- private:
-  std::vector<Feature> features_;  // kept sorted & unique
-};
+using InstFeature = InstFeatureOf<x86::Opcode>;
+using Feature = FeatureOf<x86::Opcode>;
+using FeatureSet = FeatureSetOf<x86::Opcode>;
 
 /// Extract P̂ for a block: one InstFeature per instruction, one DepFeature
 /// per distinct (from, to, kind) hazard, and the NumInstsFeature.

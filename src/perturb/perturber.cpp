@@ -159,13 +159,6 @@ std::vector<DepEdge> decode_features(const FeatureSet& preserve,
 
 }  // namespace
 
-std::size_t PerturbedBlock::position_of(std::size_t orig) const {
-  for (std::size_t k = 0; k < orig_index.size(); ++k) {
-    if (orig_index[k] == orig) return k;
-  }
-  return npos;
-}
-
 Perturber::Perturber(x86::BasicBlock block,
                      graph::DepGraphOptions graph_options,
                      PerturbConfig config)

@@ -54,18 +54,8 @@ struct PerturbConfig {
   bool prefer_fresh_rename = true;
 };
 
-/// A perturbed block plus the mapping from each of its instructions back to
-/// the original position in β (deleted instructions simply have no entry).
-/// The mapping makes positional feature containment well defined.
-struct PerturbedBlock {
-  x86::BasicBlock block;
-  std::vector<std::size_t> orig_index;
-
-  /// Position of original instruction `orig` in the perturbed block, or
-  /// npos if it was deleted.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t position_of(std::size_t orig) const;
-};
+/// A perturbed x86 block with its positional mapping back to β.
+using PerturbedBlock = graph::PerturbedBlockOf<x86::BasicBlock>;
 
 /// Γ for a fixed target block. Construction precomputes the dependency
 /// multigraph and per-instruction replacement candidate sets, so sampling

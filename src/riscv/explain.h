@@ -1,21 +1,18 @@
 // COMET's explanation engine mapped onto RISC-V (paper Section 7).
 //
 // The high-level formalism carries over unchanged, exactly as the paper
-// claims — and after the query-API redesign that is now literally true in
-// code: RvExplainer is the second instantiation of the one generic
-// core/anchor_engine.h search (beam search over feature sets, KL-LUCB
-// best-arm identification, batched model queries through a broker). Only
-// the ISA-specific pieces differ, and they enter through RvAnchorTraits:
-// the RISC-V features, dependency graph, perturbation algorithm Γ, and
-// analytical cost model. This file plus riscv/{isa,graph,perturb,cost} is
-// everything Section 7 asks for.
+// claims: RvExplainer is the one generic core/anchor_engine.h search (beam
+// search over feature sets, KL-LUCB best-arm identification, batched model
+// queries through a broker) bound to RISC-V through RvAnchorTraits, and
+// RvExplanation is the shared explanation struct over the RISC-V feature
+// set. RISC-V supplies only its ISA: the opcodes and registers
+// (riscv/isa.h), the dependency graph (riscv/graph.h), the perturbation
+// algorithm Γ (riscv/perturb.h) and the analytical cost model
+// (riscv/cost.h); the feature vocabulary is graph/vocabulary.h.
 #pragma once
 
-#include <cstdint>
-
 #include "core/anchor_engine.h"
-#include "cost/query_stats.h"
-#include "obs/phase_timers.h"
+#include "core/explanation.h"
 #include "riscv/cost.h"
 #include "riscv/perturb.h"
 
@@ -43,17 +40,7 @@ struct RvExplainOptions : core::AnchorSearchOptions {
   }
 };
 
-struct RvExplanation {
-  RvFeatureSet features;
-  double precision = 0.0;
-  double coverage = 0.0;
-  bool met_threshold = false;
-  std::size_t model_queries = 0;
-  /// Broker-side query-traffic accounting (batches, memo hits).
-  cost::QueryStats query_stats;
-  /// Opt-in engine phase timings (AnchorSearchOptions::phase_clock).
-  obs::PhaseTimings timings;
-};
+using RvExplanation = core::ExplanationOf<RvFeatureSet>;
 
 /// ISA-traits binding of the generic anchor engine to RISC-V.
 struct RvAnchorTraits {
@@ -75,37 +62,8 @@ struct RvAnchorTraits {
   }
 };
 
-class RvExplainer {
- public:
-  /// The engine traits this explainer instantiates — the hook the serving
-  /// layer uses: serve::ExplanationServer<RvExplainer::Traits> schedules
-  /// concurrent RISC-V explanation sessions over the same engine.
-  using Traits = RvAnchorTraits;
-
-  /// `model` must outlive the explainer.
-  RvExplainer(const RvCostModel& model, RvExplainOptions options = {});
-
-  RvExplanation explain(const BasicBlock& block) const;
-
-  /// Standalone Monte-Carlo estimates (RISC-V analogues of the x86 Table 3
-  /// evaluation entry points).
-  double estimate_precision(const BasicBlock& block,
-                            const RvFeatureSet& features, std::size_t samples,
-                            util::Rng& rng) const;
-  double estimate_coverage(const BasicBlock& block,
-                           const RvFeatureSet& features, std::size_t samples,
-                           util::Rng& rng) const;
-
-  const RvExplainOptions& options() const { return options_; }
-  const RvCostModel& model() const { return model_; }
-
- private:
-  core::AnchorEngine<RvAnchorTraits> engine() const {
-    return {model_, options_};
-  }
-
-  const RvCostModel& model_;
-  RvExplainOptions options_;
-};
+/// The RISC-V explainer: `RvExplainer(model, options).explain(block)`,
+/// plus the estimators estimate_precision / estimate_coverage.
+using RvExplainer = core::AnchorEngine<RvAnchorTraits>;
 
 }  // namespace comet::riscv

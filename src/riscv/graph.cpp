@@ -5,15 +5,6 @@
 
 namespace comet::riscv {
 
-std::string dep_kind_name(DepKind kind) {
-  switch (kind) {
-    case DepKind::RAW: return "RAW";
-    case DepKind::WAR: return "WAR";
-    case DepKind::WAW: return "WAW";
-  }
-  return "?";
-}
-
 DepGraph DepGraph::build(const BasicBlock& block,
                          const DepGraphOptions& options) {
   DepGraph g;
@@ -110,48 +101,6 @@ std::string DepGraph::to_string() const {
            (e.memory ? "memory" : std::string(reg_name(e.reg))) + "\n";
   }
   return out;
-}
-
-std::string RvFeature::to_string() const {
-  if (is_inst()) {
-    return "inst" + std::to_string(as_inst().index + 1) + "(" +
-           std::string(mnemonic(as_inst().opcode)) + ")";
-  }
-  if (is_dep()) {
-    return dep_kind_name(as_dep().kind) + "(" +
-           std::to_string(as_dep().from + 1) + "->" +
-           std::to_string(as_dep().to + 1) + ")";
-  }
-  return "eta(" + std::to_string(as_num_insts().count) + ")";
-}
-
-void RvFeatureSet::insert(const RvFeature& f) {
-  const auto it = std::lower_bound(features_.begin(), features_.end(), f);
-  if (it == features_.end() || *it != f) features_.insert(it, f);
-}
-
-bool RvFeatureSet::contains(const RvFeature& f) const {
-  return std::binary_search(features_.begin(), features_.end(), f);
-}
-
-bool RvFeatureSet::is_subset_of(const RvFeatureSet& other) const {
-  return std::includes(other.features_.begin(), other.features_.end(),
-                       features_.begin(), features_.end());
-}
-
-RvFeatureSet RvFeatureSet::with(const RvFeature& f) const {
-  RvFeatureSet out = *this;
-  out.insert(f);
-  return out;
-}
-
-std::string RvFeatureSet::to_string() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < features_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += features_[i].to_string();
-  }
-  return out + "}";
 }
 
 RvFeatureSet extract_features(const BasicBlock& block,

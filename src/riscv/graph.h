@@ -1,23 +1,22 @@
-// Dependency multigraph and block features for RISC-V blocks — the ISA
-// mapping of paper Section 5.1's feature extraction.
+// Dependency multigraph and feature extraction for RISC-V blocks — the ISA
+// mapping of paper Section 5.1.
 //
-// Identical structure to the x86 module: vertices are instructions,
-// directed edges are RAW/WAR/WAW hazards on registers (x0 carries none)
-// and on syntactically identical memory locations (same base register and
-// offset); features are positional instructions, hazards, and η.
+// Vertices are instructions, directed edges are RAW/WAR/WAW hazards on
+// registers (x0 carries none) and on syntactically identical memory
+// locations (same base register and offset). The feature vocabulary
+// (positional instructions, hazards, η) is the shared one of
+// graph/vocabulary.h bound to riscv::Opcode; the Rv* names are aliases.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <variant>
 #include <vector>
 
+#include "graph/vocabulary.h"
 #include "riscv/isa.h"
 
 namespace comet::riscv {
 
-enum class DepKind : std::uint8_t { RAW, WAR, WAW };
-std::string dep_kind_name(DepKind kind);
+using graph::DepKind;
 
 struct DepEdge {
   std::size_t from = 0;
@@ -49,69 +48,11 @@ class DepGraph {
   std::vector<DepEdge> edges_;
 };
 
-// ---------------------------------------------------------------------------
-// Features P̂ (instruction@position, hazard, η), mirroring graph::Feature.
-
-struct RvInstFeature {
-  std::size_t index = 0;
-  Opcode opcode = Opcode::ADD;
-  auto operator<=>(const RvInstFeature&) const = default;
-};
-struct RvDepFeature {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  DepKind kind = DepKind::RAW;
-  auto operator<=>(const RvDepFeature&) const = default;
-};
-struct RvNumInstsFeature {
-  std::size_t count = 0;
-  auto operator<=>(const RvNumInstsFeature&) const = default;
-};
-
-class RvFeature {
- public:
-  RvFeature() : v_(RvNumInstsFeature{}) {}
-  explicit RvFeature(RvInstFeature f) : v_(f) {}
-  explicit RvFeature(RvDepFeature f) : v_(f) {}
-  explicit RvFeature(RvNumInstsFeature f) : v_(f) {}
-
-  bool is_inst() const { return std::holds_alternative<RvInstFeature>(v_); }
-  bool is_dep() const { return std::holds_alternative<RvDepFeature>(v_); }
-  bool is_num_insts() const {
-    return std::holds_alternative<RvNumInstsFeature>(v_);
-  }
-  const RvInstFeature& as_inst() const {
-    return std::get<RvInstFeature>(v_);
-  }
-  const RvDepFeature& as_dep() const { return std::get<RvDepFeature>(v_); }
-  const RvNumInstsFeature& as_num_insts() const {
-    return std::get<RvNumInstsFeature>(v_);
-  }
-
-  std::string to_string() const;
-  auto operator<=>(const RvFeature&) const = default;
-
- private:
-  std::variant<RvInstFeature, RvDepFeature, RvNumInstsFeature> v_;
-};
-
-class RvFeatureSet {
- public:
-  RvFeatureSet() = default;
-
-  void insert(const RvFeature& f);
-  bool contains(const RvFeature& f) const;
-  bool is_subset_of(const RvFeatureSet& other) const;
-  std::size_t size() const { return features_.size(); }
-  bool empty() const { return features_.empty(); }
-  const std::vector<RvFeature>& items() const { return features_; }
-  RvFeatureSet with(const RvFeature& f) const;
-  std::string to_string() const;
-  bool operator==(const RvFeatureSet&) const = default;
-
- private:
-  std::vector<RvFeature> features_;  // sorted, unique
-};
+using RvInstFeature = graph::InstFeatureOf<Opcode>;
+using RvDepFeature = graph::DepFeature;
+using RvNumInstsFeature = graph::NumInstsFeature;
+using RvFeature = graph::FeatureOf<Opcode>;
+using RvFeatureSet = graph::FeatureSetOf<Opcode>;
 
 /// Extract P̂ for a RISC-V block.
 RvFeatureSet extract_features(const BasicBlock& block,

@@ -7,13 +7,6 @@
 
 namespace comet::riscv {
 
-std::size_t RvPerturbedBlock::position_of(std::size_t orig) const {
-  for (std::size_t i = 0; i < orig_index.size(); ++i) {
-    if (orig_index[i] == orig) return i;
-  }
-  return npos;
-}
-
 RvPerturber::RvPerturber(BasicBlock block, DepGraphOptions graph_options,
                          RvPerturbConfig config)
     : block_(std::move(block)),

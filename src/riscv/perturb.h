@@ -32,13 +32,7 @@ struct RvPerturbConfig {
   double p_delete = 0.33;
 };
 
-struct RvPerturbedBlock {
-  BasicBlock block;
-  std::vector<std::size_t> orig_index;
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t position_of(std::size_t orig) const;
-};
+using RvPerturbedBlock = graph::PerturbedBlockOf<BasicBlock>;
 
 class RvPerturber {
  public:

@@ -62,8 +62,8 @@
 // on the steady clock or a mocked one (tests/test_obs.cpp).
 //
 // The server is templated over the same ISA traits as the engine, so the
-// one scheduler serves both instantiations: x86 (CometExplainer::Traits)
-// and RISC-V (RvExplainer::Traits). See serve/isa_servers.h for the
+// one scheduler serves both instantiations: x86 (core::X86AnchorTraits)
+// and RISC-V (riscv::RvAnchorTraits). See serve/isa_servers.h for the
 // ready-made aliases.
 #pragma once
 
@@ -380,9 +380,10 @@ class ExplanationServer {
   }
 
   // A refusal still gets a ticket and a typed Served result on the
-  // completion stream — never a silent drop. The job never touches
-  // outstanding_ (it was never queued), but cv_done_ wakes consumers
-  // parked in next()/drain().
+  // completion stream — never a silent drop — and counts as submitted and
+  // completed, so the lifecycle counters balance after drain(). The job
+  // never touches outstanding_ (it was never queued), but cv_done_ wakes
+  // consumers parked in next()/drain().
   std::uint64_t finish_rejected(const std::string& model_key,
                                 const RequestOptions& request,
                                 ServeStatus status) COMET_REQUIRES(mutex_) {
@@ -398,6 +399,7 @@ class ExplanationServer {
     served.trace.start_ns = served.trace.admit_ns;
     served.trace.done_ns = served.trace.admit_ns;
     submitted_.increment();
+    completed_count_.increment();
     if (status == ServeStatus::kShed) {
       metrics_
           .counter(obs::MetricsRegistry::labeled("serve_shed", "lane",
@@ -510,9 +512,10 @@ class ExplanationServer {
       }
       bool ran = true;
       try {
-        // The engine references the request's model and options for the
-        // duration of the run; both live in `request` on this stack frame.
-        Engine engine(*request.model, request.options);
+        // The engine references the request's model for the duration of
+        // the run (it lives in `request` on this stack frame) and takes
+        // over the request's options.
+        Engine engine(*request.model, std::move(request.options));
         served.explanation = engine.explain(request.block);
       } catch (const std::exception& error) {
         served.status = ServeStatus::kFailed;

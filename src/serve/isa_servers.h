@@ -3,9 +3,8 @@
 // The server template is ISA-generic for the same reason the engine is
 // (paper Section 7's portability claim): nothing in scheduling, flow
 // control, or result delivery mentions the ISA. These aliases are the
-// shared served path of CometExplainer and RvExplainer — register models,
-// submit (block, model-key, options) jobs, collect completion-ordered
-// explanations.
+// served path of both explainers — register models, submit (block,
+// model-key, options) jobs, collect completion-ordered explanations.
 //
 //   serve::X86ExplanationServer server({.workers = 4});
 //   server.register_model("crude-hsw", crude);        // a local model
@@ -23,9 +22,9 @@ namespace comet::serve {
 /// Serves x86 jobs against any cost::CostModel (including a
 /// RemoteShardClient); one model key per registered (model kind, µarch)
 /// instance.
-using X86ExplanationServer = ExplanationServer<core::CometExplainer::Traits>;
+using X86ExplanationServer = ExplanationServer<core::X86AnchorTraits>;
 
 /// Serves RISC-V jobs against RvCostModel instances.
-using RvExplanationServer = ExplanationServer<riscv::RvExplainer::Traits>;
+using RvExplanationServer = ExplanationServer<riscv::RvAnchorTraits>;
 
 }  // namespace comet::serve

@@ -124,6 +124,19 @@ class RuleFiresAndSuppresses(unittest.TestCase):
                    '#pragma once\n#include "cost/query_stats.h"',
                    "upward-include", line=2)
 
+    def test_isa_include(self):
+        self.check("src/riscv/explain.h",
+                   '#pragma once\n#include "x86/instruction.h"',
+                   "isa-include", line=2)
+        self.check("src/riscv/cost.cpp", '#include "cost/query_broker.h"',
+                   "isa-include")
+        self.check("src/riscv/perturb.cpp", "#include <perturb/perturber.h>",
+                   "isa-include")
+        # The shared vocabulary sits on util/ only.
+        self.check("src/graph/vocabulary.h",
+                   '#pragma once\n#include "riscv/isa.h"',
+                   "isa-include", line=2)
+
 
 class RuleScoping(unittest.TestCase):
     """Rules only apply where the invariant lives."""
@@ -176,6 +189,24 @@ class RuleScoping(unittest.TestCase):
         self.assertEqual(
             [], rules_hit("tests/test_serve.cpp",
                           '#include "serve/remote_shard.h"'))
+
+    def test_isa_include_allows_the_shared_layers(self):
+        self.assertEqual(
+            [], rules_hit("src/riscv/explain.h",
+                          "#pragma once\n"
+                          "#include <vector>\n"
+                          '#include "core/anchor_engine.h"\n'
+                          '#include "cost/query_stats.h"\n'
+                          '#include "graph/vocabulary.h"\n'
+                          '#include "riscv/isa.h"'))
+        self.assertEqual(
+            [], rules_hit("src/graph/vocabulary.h",
+                          "#pragma once\n#include <string>\n"
+                          '#include "util/str.h"'))
+        # Only the vocabulary header is held to util/ in src/graph/.
+        self.assertEqual(
+            [], rules_hit("src/graph/features.h",
+                          '#pragma once\n#include "x86/instruction.h"'))
 
     def test_upward_include_spares_mentions_and_lookalikes(self):
         self.assertEqual(
@@ -355,7 +386,7 @@ class CommandLine(unittest.TestCase):
         for rule in ("libm-in-nn", "raw-sync", "unchecked-io", "raw-random",
                      "stdout-in-library", "include-guard", "using-namespace",
                      "raw-clock", "raw-assert", "unbounded-wait",
-                     "upward-include"):
+                     "upward-include", "isa-include"):
             self.assertIn(rule, result.stdout)
 
 

@@ -137,15 +137,22 @@ TEST(QueryBroker, MemoizesRepeatQueries) {
   EXPECT_EQ(model.single_queries, 0u);
 }
 
-TEST(QueryBroker, SinglePathCountsSeparately) {
+TEST(QueryBroker, OneBlockBatchIsMemoized) {
   const CountingModel model;
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
   const auto block = cx::parse_block("add rcx, rax");
-  EXPECT_DOUBLE_EQ(broker.predict_one(block), 2.0);
-  EXPECT_DOUBLE_EQ(broker.predict_one(block), 2.0);  // memo hit
-  EXPECT_EQ(broker.stats().single_calls, 1u);
+  double out = 0.0;
+  broker.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+                       std::span<double>(&out, 1));
+  EXPECT_DOUBLE_EQ(out, 2.0);
+  out = 0.0;
+  broker.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+                       std::span<double>(&out, 1));
+  EXPECT_DOUBLE_EQ(out, 2.0);  // memo hit
+  EXPECT_EQ(broker.stats().batch_calls, 1u);
   EXPECT_EQ(broker.stats().cache_hits, 1u);
-  EXPECT_EQ(model.single_queries, 1u);
+  EXPECT_EQ(model.batch_calls, 1u);
+  EXPECT_EQ(model.single_queries, 0u);
 }
 
 // ---------- memoization never changes a prediction ----------

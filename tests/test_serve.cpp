@@ -174,7 +174,6 @@ TEST(QueryStats, MergeAndFormat) {
   a.evaluated = 6;
   a.cache_hits = 4;
   a.batch_calls = 2;
-  a.single_calls = 1;
   ck::QueryStats b;
   b.requested = 5;
   b.evaluated = 5;
@@ -186,7 +185,6 @@ TEST(QueryStats, MergeAndFormat) {
   EXPECT_EQ(merged.evaluated, 16u);
   EXPECT_EQ(merged.cache_hits, 4u);
   EXPECT_EQ(merged.batch_calls, 4u);
-  EXPECT_EQ(merged.single_calls, 1u);
   EXPECT_EQ(a + b, b + a);
   EXPECT_NE(a, b);
 
@@ -204,13 +202,19 @@ TEST(QueryBrokerPool, MoveKeepsCacheAndStats) {
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
   const auto block = golden_block();
   const double direct = model.predict(block);
-  EXPECT_DOUBLE_EQ(broker.predict_one(block), direct);
+  const auto predict_one = [&block](auto& b) {
+    double out = 0.0;
+    b.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+                    std::span<double>(&out, 1));
+    return out;
+  };
+  EXPECT_DOUBLE_EQ(predict_one(broker), direct);
 
   // Move into a container slot (the pool pattern); cache and ledger ride
   // along.
   std::vector<ck::QueryBroker<cx::BasicBlock, ck::CostModel>> pool;
   pool.push_back(std::move(broker));
-  EXPECT_DOUBLE_EQ(pool[0].predict_one(block), direct);
+  EXPECT_DOUBLE_EQ(predict_one(pool[0]), direct);
   EXPECT_EQ(pool[0].stats().requested, 2u);
   EXPECT_EQ(pool[0].stats().evaluated, 1u);
   EXPECT_EQ(pool[0].stats().cache_hits, 1u);
@@ -241,7 +245,6 @@ TEST(EngineWidening, FusedArmPullsMatchRecordedGoldenLedger) {
   EXPECT_EQ(e.query_stats.requested, 1933u);
   EXPECT_EQ(e.query_stats.evaluated, 1473u);
   EXPECT_EQ(e.query_stats.cache_hits, 460u);
-  EXPECT_EQ(e.query_stats.single_calls, 0u);
   EXPECT_LE(e.query_stats.batch_calls, 80u);
 }
 

@@ -465,6 +465,47 @@ TEST(Shedding, RefusalsStampAZeroLengthLifecycle) {
   EXPECT_EQ(found, 1u);
 }
 
+// A refusal is a completed request: after drain() the lifecycle counters
+// balance, whether a job ran, was shed, or expired at admission.
+TEST(Shedding, RefusalsCountAsCompleted) {
+  co::ManualClock clock(1'000);
+  auto gate = std::make_shared<GateModel>();
+  cs::ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.clock = &clock;
+  options.shed_batch_lane = true;
+  cs::X86ExplanationServer server(options);
+  server.register_model("gate", gate);
+
+  server.submit("gate", small_block(), light_options(1));
+  gate->await_entered();
+  // Queue depth 1 of 2: the batch job is shed.
+  server.submit("gate", small_block(), light_options(2));
+  server.submit("gate", small_block(), light_options(3),
+                {.lane = cs::Lane::kBatch});
+  server.submit("gate", small_block(), light_options(4),
+                {.lane = cs::Lane::kInteractive, .deadline_ns = 500});
+  gate->open();
+
+  const auto results = server.drain();
+  ASSERT_EQ(results.size(), 4u);
+  std::size_t ok = 0;
+  std::size_t shed = 0;
+  std::size_t expired = 0;
+  for (const auto& served : results) {
+    ok += served.status == cs::ServeStatus::kOk;
+    shed += served.status == cs::ServeStatus::kShed;
+    expired += served.status == cs::ServeStatus::kDeadlineExceededAtAdmit;
+  }
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(shed, 1u);
+  EXPECT_EQ(expired, 1u);
+  EXPECT_EQ(counter_value(server, "serve_submitted"), 4u);
+  EXPECT_EQ(counter_value(server, "serve_completed"),
+            counter_value(server, "serve_submitted"));
+}
+
 // ---------------- determinism under full traffic controls ----------------
 
 TEST(TrafficControls, CompletedExplanationsBitIdenticalToSequential) {
