@@ -23,6 +23,11 @@
 // (a level's initial fan-out, a KL-LUCB round's two separating arms) are
 // fused into shared broker batches of at most kMaxFusedBlocks blocks.
 //
+// The engine reads no clock. Per-layer time shares (Γ sample, containment,
+// model predict, residual) come from perfbench's layer tracing
+// (`--trace 1`), which wraps the traits' perturber and model seams from
+// outside the library.
+//
 // A traits type must provide:
 //   Block, Feature, FeatureSet      — ISA feature vocabulary (positional)
 //   Perturber, PerturbedBlock      — Γ for a fixed target block
@@ -44,8 +49,6 @@
 #include <vector>
 
 #include "cost/query_broker.h"
-#include "obs/clock.h"
-#include "obs/phase_timers.h"
 #include "util/kl_bounds.h"
 #include "util/rng.h"
 
@@ -93,15 +96,6 @@ struct AnchorSearchOptions {
   std::size_t coverage_samples = 2000;
   /// Extra samples to firm up the precision estimate of the final answer.
   std::size_t final_precision_samples = 200;
-
-  /// Opt-in per-level phase timing (obs::PhaseTimings on the explanation):
-  /// point at a clock — obs::steady_clock() in production, a ManualClock in
-  /// tests — and the engine stamps each level's beam / arm-pull /
-  /// precision phases plus the coverage-pool build. Readings are taken
-  /// between phases and never feed the search, so the explanation stays
-  /// bit-identical to an untimed run; nullptr (default) performs zero
-  /// clock reads. The pointee must outlive the engine run.
-  const obs::Clock* phase_clock = nullptr;
 
   std::uint64_t seed = 1;
 };
@@ -209,23 +203,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   const Perturber perturber = Traits::make_perturber(block, options_);
   Broker broker(model_);
 
-  // Opt-in phase timing. Stamps are taken strictly *between* phases and
-  // accumulate into the explanation's obs::PhaseTimings; no reading ever
-  // feeds a search decision, so the result is bit-identical to an untimed
-  // run (tests/test_obs.cpp pins this). Without a clock every stamp is the
-  // constant 0 and the additions are dead.
-  const obs::Clock* const phase_clock = options_.phase_clock;
-  obs::PhaseTimings timings;
-  timings.enabled = phase_clock != nullptr;
-  const auto stamp = [&]() -> std::uint64_t {
-    return phase_clock ? phase_clock->now_ns() : 0;
-  };
-  const auto phase_end = [&](std::uint64_t& slot, std::uint64_t& t_prev) {
-    const std::uint64_t now = stamp();
-    slot += now - t_prev;
-    t_prev = now;
-  };
-
   double base = 0.0;
   broker.predict_batch(std::span<const Block>(&block, 1),
                        std::span<double>(&base, 1));
@@ -239,13 +216,11 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   const FeatureSet vocabulary = Traits::extract_features(block, options_);
 
   // Shared coverage pool: samples from D = Γ(∅).
-  std::uint64_t t_coverage = stamp();
   std::vector<PerturbedBlock> coverage_pool;
   coverage_pool.reserve(options_.coverage_samples);
   for (std::size_t i = 0; i < options_.coverage_samples; ++i) {
     coverage_pool.push_back(perturber.sample(FeatureSet{}, rng));
   }
-  phase_end(timings.coverage_ns, t_coverage);
   const auto coverage_of = [&](const FeatureSet& fs) {
     if (coverage_pool.empty()) return 0.0;
     std::size_t hits = 0;
@@ -308,9 +283,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   double best_effort_mean = -1.0;
 
   for (std::size_t level = 1; level <= kMaxExplanationSize; ++level) {
-    obs::PhaseTimings::Level level_timing;
-    std::uint64_t t_phase = stamp();
-
     // --- build candidate arms by extending the beam (or singletons). ---
     std::vector<Arm> arms;
     const auto add_candidate = [&](const FeatureSet& fs) {
@@ -333,11 +305,7 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         }
       }
     }
-    phase_end(level_timing.beam_ns, t_phase);
-    if (arms.empty()) {
-      if (phase_clock) timings.levels.push_back(level_timing);
-      break;
-    }
+    if (arms.empty()) break;
 
     // --- KL-LUCB: identify the top-B arms by precision. ---
     // Every candidate gets one initial pull, fused (no arm's batch depends
@@ -397,7 +365,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
       pull_group(std::span<Arm* const>(separating, 2));
       pulls_done += 2;
     }
-    phase_end(level_timing.pulls_ns, t_phase);
 
     // --- collect valid anchors at this level. ---
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -440,8 +407,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         anchors_found.push_back(std::move(e));
       }
     }
-    phase_end(level_timing.precision_ns, t_phase);
-    if (phase_clock) timings.levels.push_back(level_timing);
     if (!anchors_found.empty()) break;  // smallest size wins (simplicity)
 
     // --- next beam. ---
@@ -469,11 +434,6 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   }
   result.model_queries = queries;
   result.query_stats = broker.stats();
-  // Optional in the Traits contract: an Explanation type without a timings
-  // member (minimal stub traits) simply drops the phase observations.
-  if constexpr (requires { result.timings = std::move(timings); }) {
-    result.timings = std::move(timings);
-  }
   return result;
 }
 

@@ -1,13 +1,14 @@
 // The output type of COMET: an explanation of one cost-model prediction,
 // over either ISA's feature set (core::Explanation for x86 in core/comet.h,
-// riscv::RvExplanation in riscv/explain.h).
+// riscv::RvExplanation in riscv/explain.h). It holds only the search's
+// result and its query ledger, so the explanation of a block depends on the
+// options and the model alone.
 #pragma once
 
 #include <cstddef>
 #include <string>
 
 #include "cost/query_stats.h"
-#include "obs/phase_timers.h"
 #include "util/str.h"
 
 namespace comet::core {
@@ -25,10 +26,6 @@ struct ExplanationOf {
   /// Broker-side traffic accounting for the queries above (batches issued,
   /// memoization hits, predictions actually evaluated).
   cost::QueryStats query_stats;
-  /// Per-level engine phase timings; populated only when the caller set
-  /// AnchorSearchOptions::phase_clock (timings.enabled). Pure observation:
-  /// every other field is bit-identical with timing on or off.
-  obs::PhaseTimings timings;
 
   std::string to_string() const {
     return features.to_string() +

@@ -109,8 +109,6 @@ class GlobalExplainer {
   /// Model predictions for the corpus (index-aligned).
   const std::vector<double>& predictions() const { return predictions_; }
 
-  std::size_t corpus_size() const { return corpus_.size(); }
-
  private:
   /// Per-block descriptor: which global features hold.
   struct BlockProfile {

@@ -45,7 +45,6 @@ class GraniteModel final : public CostModel {
   // dependency graph, so there is no work to share across a batch;
   // cross-query reuse comes from the query broker's memoization.
   std::string name() const override;
-  MicroArch uarch() const { return uarch_; }
 
   /// One Adam step on a (block, target) pair; returns squared relative
   /// error before the step.

@@ -65,7 +65,6 @@ class IthemalModel final : public CostModel {
   void predict_batch(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out) const override;
   std::string name() const override;
-  MicroArch uarch() const { return uarch_; }
 
   /// One Adam step on a single (block, target) pair; returns squared
   /// relative error before the step.

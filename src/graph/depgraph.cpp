@@ -199,14 +199,6 @@ bool has_dep_edge(const x86::BasicBlock& block, std::size_t from,
   return regs != 0 || mem || flags;
 }
 
-std::vector<DepEdge> DepGraph::edges_of(std::size_t v) const {
-  std::vector<DepEdge> out;
-  for (const auto& e : edges_) {
-    if (e.from == v || e.to == v) out.push_back(e);
-  }
-  return out;
-}
-
 bool DepGraph::has_edge(std::size_t from, std::size_t to, DepKind kind) const {
   for (const auto& e : edges_) {
     if (e.from == from && e.to == to && e.kind == kind) return true;

@@ -62,9 +62,6 @@ class DepGraph {
   std::size_t num_vertices() const { return num_vertices_; }
   const std::vector<DepEdge>& edges() const { return edges_; }
 
-  /// Edges incident to vertex `v` (in either direction).
-  std::vector<DepEdge> edges_of(std::size_t v) const;
-
   /// Does an edge from `from` to `to` of `kind` exist (any resource)?
   bool has_edge(std::size_t from, std::size_t to, DepKind kind) const;
 

@@ -172,7 +172,25 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 std::string MetricsRegistry::labeled(const std::string& base,
                                      const std::string& key,
                                      const std::string& value) {
-  return base + "{" + key + "=\"" + value + "\"}";
+  // The text exposition format escapes backslash, double quote and newline
+  // in a label value; any other byte stands for itself.
+  std::string out = base + "{" + key + "=\"";
+  for (const char c : value) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out + "\"}";
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {

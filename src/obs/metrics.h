@@ -159,7 +159,8 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name) COMET_EXCLUDES(mutex_);
   Histogram& histogram(const std::string& name) COMET_EXCLUDES(mutex_);
 
-  /// `base{key="value"}` — the inline-label naming convention.
+  /// `base{key="value"}` — the inline-label naming convention. Backslash,
+  /// double quote and newline in `value` are escaped as `\\`, `\"`, `\n`.
   static std::string labeled(const std::string& base, const std::string& key,
                              const std::string& value);
 

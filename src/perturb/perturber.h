@@ -68,10 +68,6 @@ class Perturber {
 
   const x86::BasicBlock& block() const { return block_; }
   const graph::DepGraph& dep_graph() const { return graph_; }
-  const PerturbConfig& config() const { return config_; }
-  const graph::DepGraphOptions& graph_options() const {
-    return graph_options_;
-  }
 
   /// Sample β' ~ D_F: a random perturbation retaining all features in
   /// `preserve`. With an empty set this samples from D = D_∅.

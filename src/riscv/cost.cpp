@@ -20,9 +20,6 @@ double class_cost(RvClass cls) {
 
 }  // namespace
 
-RvCostModel::RvCostModel(DepGraphOptions graph_options)
-    : graph_options_(graph_options) {}
-
 double RvCostModel::cost_num_insts(std::size_t n) const {
   return double(n) / 2.0;
 }
@@ -44,7 +41,7 @@ double RvCostModel::predict(const BasicBlock& block) const {
   for (const auto& inst : block.instructions) {
     best = std::max(best, cost_inst(inst));
   }
-  const DepGraph g = DepGraph::build(block, graph_options_);
+  const DepGraph g = DepGraph::build(block);
   for (const auto& e : g.edges()) {
     best = std::max(best, cost_dep(block, e));
   }
@@ -70,7 +67,7 @@ RvFeatureSet RvCostModel::ground_truth(const BasicBlock& block) const {
       gt.insert(RvFeature(RvInstFeature{i, block.instructions[i].opcode}));
     }
   }
-  const DepGraph g = DepGraph::build(block, graph_options_);
+  const DepGraph g = DepGraph::build(block);
   for (const auto& e : g.edges()) {
     if (std::abs(cost_dep(block, e) - total) < kTieTol) {
       gt.insert(RvFeature(RvDepFeature{e.from, e.to, e.kind}));

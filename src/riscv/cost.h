@@ -9,7 +9,8 @@
 // Costs model a dual-issue in-order RV64 core (a Rocket/SiFive-U74-class
 // machine): cost_η = n/2 (issue bound), per-class instruction costs
 // (divides dominate, loads carry L1 latency), RAW dependencies serialize
-// their endpoints, WAR/WAW are free after renaming.
+// their endpoints, WAR/WAW are free after renaming. The model takes no
+// settings: it reads the one nearest-only dependency graph of riscv/graph.h.
 #pragma once
 
 #include <span>
@@ -21,8 +22,6 @@ namespace comet::riscv {
 
 class RvCostModel {
  public:
-  explicit RvCostModel(DepGraphOptions graph_options = {});
-
   double predict(const BasicBlock& block) const;
   /// Batched prediction (element-wise equal to predict); the batch entry
   /// point the query broker drives.
@@ -36,9 +35,6 @@ class RvCostModel {
 
   /// GT(β): every feature whose cost attains C_rv(β) (eq. 9 analogue).
   RvFeatureSet ground_truth(const BasicBlock& block) const;
-
- private:
-  DepGraphOptions graph_options_;
 };
 
 }  // namespace comet::riscv

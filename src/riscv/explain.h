@@ -20,11 +20,9 @@ namespace comet::riscv {
 
 /// The shared anchor-search options (core::AnchorSearchOptions) with
 /// RISC-V defaults — ε = 0.25, the quarter-cycle step of the analytical
-/// model, and a lighter coverage pool — plus the RISC-V graph/Γ config.
+/// model, and a lighter coverage pool. The RISC-V graph and Γ take no
+/// settings.
 struct RvExplainOptions : core::AnchorSearchOptions {
-  DepGraphOptions graph_options;
-  RvPerturbConfig perturb_config;
-
   RvExplainOptions() {
     epsilon = 0.25;
     coverage_samples = 800;
@@ -53,12 +51,11 @@ struct RvAnchorTraits {
   using Options = RvExplainOptions;
   using Explanation = RvExplanation;
 
-  static FeatureSet extract_features(const Block& block,
-                                     const Options& options) {
-    return riscv::extract_features(block, options.graph_options);
+  static FeatureSet extract_features(const Block& block, const Options&) {
+    return riscv::extract_features(block);
   }
-  static Perturber make_perturber(const Block& block, const Options& options) {
-    return Perturber(block, options.graph_options, options.perturb_config);
+  static Perturber make_perturber(const Block& block, const Options&) {
+    return Perturber(block);
   }
 };
 

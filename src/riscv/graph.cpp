@@ -1,12 +1,11 @@
 #include "riscv/graph.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 
 namespace comet::riscv {
 
-DepGraph DepGraph::build(const BasicBlock& block,
-                         const DepGraphOptions& options) {
+DepGraph DepGraph::build(const BasicBlock& block) {
   DepGraph g;
   g.num_vertices_ = block.size();
 
@@ -23,15 +22,16 @@ DepGraph DepGraph::build(const BasicBlock& block,
 
   for (std::size_t j = 0; j < block.size(); ++j) {
     const auto& sj = sems[j];
-    // Register hazards: scan backwards; nearest_only stops at the first
-    // conflicting access per (register, kind).
-    std::map<std::pair<std::uint8_t, int>, bool> linked;
+    // Register hazards: scan backwards, linking only the first conflicting
+    // access per (register, kind). linked[kind] holds one bit per register.
+    std::uint32_t linked[3] = {};
     for (std::size_t bi = j; bi-- > 0;) {
       const auto& si = sems[bi];
       const auto add = [&](DepKind kind, Reg r) {
-        const auto key = std::pair<std::uint8_t, int>(r.index, int(kind));
-        if (options.nearest_only && linked[key]) return;
-        linked[key] = true;
+        std::uint32_t& seen = linked[static_cast<std::size_t>(kind)];
+        const std::uint32_t bit = std::uint32_t{1} << r.index;
+        if (seen & bit) return;
+        seen |= bit;
         DepEdge e;
         e.from = bi;
         e.to = j;
@@ -79,7 +79,7 @@ DepGraph DepGraph::build(const BasicBlock& block,
           continue;  // read-read is no hazard
         }
         g.edges_.push_back(e);
-        if (options.nearest_only) break;
+        break;
       }
     }
   }
@@ -103,13 +103,12 @@ std::string DepGraph::to_string() const {
   return out;
 }
 
-RvFeatureSet extract_features(const BasicBlock& block,
-                              const DepGraphOptions& options) {
+RvFeatureSet extract_features(const BasicBlock& block) {
   RvFeatureSet fs;
   for (std::size_t i = 0; i < block.size(); ++i) {
     fs.insert(RvFeature(RvInstFeature{i, block.instructions[i].opcode}));
   }
-  const DepGraph g = DepGraph::build(block, options);
+  const DepGraph g = DepGraph::build(block);
   for (const auto& e : g.edges()) {
     fs.insert(RvFeature(RvDepFeature{e.from, e.to, e.kind}));
   }

@@ -3,7 +3,9 @@
 //
 // Vertices are instructions, directed edges are RAW/WAR/WAW hazards on
 // registers (x0 carries none) and on syntactically identical memory
-// locations (same base register and offset). The feature vocabulary
+// locations (same base register and offset). Each consumer links only to
+// the nearest conflicting access per register and kind, and to the nearest
+// conflicting access of its memory location. The feature vocabulary
 // (positional instructions, hazards, η) is the shared one of
 // graph/vocabulary.h bound to riscv::Opcode; the Rv* names are aliases.
 #pragma once
@@ -27,16 +29,10 @@ struct DepEdge {
   bool operator==(const DepEdge&) const = default;
 };
 
-struct DepGraphOptions {
-  /// Link each consumer only to the nearest conflicting access.
-  bool nearest_only = true;
-};
-
 class DepGraph {
  public:
   DepGraph() = default;
-  static DepGraph build(const BasicBlock& block,
-                        const DepGraphOptions& options = {});
+  static DepGraph build(const BasicBlock& block);
 
   std::size_t num_vertices() const { return num_vertices_; }
   const std::vector<DepEdge>& edges() const { return edges_; }
@@ -55,7 +51,6 @@ using RvFeature = graph::FeatureOf<Opcode>;
 using RvFeatureSet = graph::FeatureSetOf<Opcode>;
 
 /// Extract P̂ for a RISC-V block.
-RvFeatureSet extract_features(const BasicBlock& block,
-                              const DepGraphOptions& options = {});
+RvFeatureSet extract_features(const BasicBlock& block);
 
 }  // namespace comet::riscv

@@ -2,17 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <tuple>
 
 namespace comet::riscv {
 
-RvPerturber::RvPerturber(BasicBlock block, DepGraphOptions graph_options,
-                         RvPerturbConfig config)
-    : block_(std::move(block)),
-      graph_options_(graph_options),
-      config_(config),
-      graph_(DepGraph::build(block_, graph_options)) {}
+namespace {
+
+/// Probability that an unpinned instruction keeps its opcode.
+constexpr double kInstRetain = 0.5;
+/// Probability that an unpreserved hazard is left intact.
+constexpr double kDepRetain = 0.5;
+/// Probability that a free instruction is deleted rather than replaced.
+constexpr double kDelete = 0.33;
+
+}  // namespace
+
+RvPerturber::RvPerturber(BasicBlock block)
+    : block_(std::move(block)), graph_(DepGraph::build(block_)) {}
 
 RvPerturbedBlock RvPerturber::sample(const RvFeatureSet& preserve,
                                      util::Rng& rng) const {
@@ -75,9 +83,9 @@ RvPerturbedBlock RvPerturber::sample(const RvFeatureSet& preserve,
   // --- vertex perturbation: opcode replacement or deletion ---
   for (std::size_t i = 0; i < n; ++i) {
     if (opcode_pinned[i]) continue;
-    if (rng.uniform() < config_.p_inst_retain) continue;
+    if (rng.uniform() < kInstRetain) continue;
     const bool can_delete = !preserve_eta && !vertex_pinned[i];
-    if (can_delete && rng.uniform() < config_.p_delete) {
+    if (can_delete && rng.uniform() < kDelete) {
       deleted[i] = true;
       continue;
     }
@@ -121,7 +129,7 @@ RvPerturbedBlock RvPerturber::sample(const RvFeatureSet& preserve,
     if (preserved_deps.count(std::make_tuple(e.from, e.to, e.kind))) continue;
     if (deleted[e.from] || deleted[e.to]) continue;  // edge already gone
     if (broken.count(std::make_tuple(e.from, e.to, e.kind))) continue;
-    if (rng.uniform() < config_.p_dep_retain) continue;
+    if (rng.uniform() < kDepRetain) continue;
 
     if (e.memory) {
       // Shift the consumer's offset; keeps the 12-bit range by wrapping.
@@ -164,8 +172,8 @@ RvPerturbedBlock RvPerturber::sample(const RvFeatureSet& preserve,
 
 bool RvPerturber::contains(const RvPerturbedBlock& pb,
                            const RvFeatureSet& fs) const {
-  if (fs.empty()) return true;
-  const DepGraph g = DepGraph::build(pb.block, graph_options_);
+  // The sample's graph is built only once a Dep feature needs it.
+  std::optional<DepGraph> g;
   for (const auto& f : fs.items()) {
     if (f.is_num_insts()) {
       if (pb.block.size() != f.as_num_insts().count) return false;
@@ -179,10 +187,11 @@ bool RvPerturber::contains(const RvPerturbedBlock& pb,
       const auto& d = f.as_dep();
       const std::size_t from = pb.position_of(d.from);
       const std::size_t to = pb.position_of(d.to);
-      if (from == RvPerturbedBlock::npos || to == RvPerturbedBlock::npos ||
-          !g.has_edge(from, to, d.kind)) {
+      if (from == RvPerturbedBlock::npos || to == RvPerturbedBlock::npos) {
         return false;
       }
+      if (!g) g = DepGraph::build(pb.block);
+      if (!g->has_edge(from, to, d.kind)) return false;
     }
   }
   return true;

@@ -16,6 +16,9 @@
 //     memory hazards are broken by shifting the 12-bit offset rather than
 //     renaming the base (renaming sp would perturb every other stack access
 //     — a dependence between edge perturbations Γ must avoid).
+//
+// Γ's retain and delete probabilities are constants of perturb.cpp: no
+// caller varies them, so RvPerturber takes only the block.
 #pragma once
 
 #include <cstdint>
@@ -26,18 +29,11 @@
 
 namespace comet::riscv {
 
-struct RvPerturbConfig {
-  double p_inst_retain = 0.5;
-  double p_dep_retain = 0.5;
-  double p_delete = 0.33;
-};
-
 using RvPerturbedBlock = graph::PerturbedBlockOf<BasicBlock>;
 
 class RvPerturber {
  public:
-  explicit RvPerturber(BasicBlock block, DepGraphOptions graph_options = {},
-                       RvPerturbConfig config = {});
+  explicit RvPerturber(BasicBlock block);
 
   const BasicBlock& block() const { return block_; }
   const DepGraph& dep_graph() const { return graph_; }
@@ -53,8 +49,6 @@ class RvPerturber {
 
  private:
   BasicBlock block_;
-  DepGraphOptions graph_options_;
-  RvPerturbConfig config_;
   DepGraph graph_;
 };
 

@@ -24,7 +24,6 @@ class HardwareOracle final : public cost::CostModel {
   explicit HardwareOracle(cost::MicroArch uarch);
   double predict(const x86::BasicBlock& block) const override;
   std::string name() const override;
-  cost::MicroArch uarch() const { return uarch_; }
 
  private:
   cost::MicroArch uarch_;
@@ -36,7 +35,6 @@ class UiCASimModel final : public cost::CostModel {
   explicit UiCASimModel(cost::MicroArch uarch);
   double predict(const x86::BasicBlock& block) const override;
   std::string name() const override;
-  cost::MicroArch uarch() const { return uarch_; }
 
  private:
   cost::MicroArch uarch_;

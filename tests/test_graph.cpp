@@ -1,6 +1,7 @@
 // Unit tests for the dependency multigraph and block feature extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -199,14 +200,17 @@ TEST(DepGraph, NearestOnlyLinksClosestWriter) {
   EXPECT_FALSE(g.has_edge(0, 2, cg::DepKind::RAW));
 }
 
-TEST(DepGraph, EdgesOfVertex) {
+TEST(DepGraph, UnrelatedInstructionHasNoEdges) {
   const auto g = cg::DepGraph::build(bb(R"(
     add rcx, rax
     mov rdx, rcx
     pop rbx
   )"));
-  EXPECT_FALSE(g.edges_of(0).empty());
-  EXPECT_TRUE(g.edges_of(2).empty());
+  EXPECT_TRUE(g.has_edge(0, 1, cg::DepKind::RAW));
+  EXPECT_TRUE(std::none_of(g.edges().begin(), g.edges().end(),
+                           [](const cg::DepEdge& e) {
+                             return e.from == 2 || e.to == 2;
+                           }));
 }
 
 TEST(DepGraph, EmptyBlock) {

@@ -1,14 +1,16 @@
 // Tests for the observability layer (src/obs/) and its serve-layer wiring:
 // histogram bucket/percentile/merge math, registry handle stability and
 // exporters, the clock seam, counter/histogram thread-safety (meaningful
-// under TSan — scripts/check.sh --tsan builds this file), engine phase
-// timers, and the non-negotiable contract of the whole layer: explanations
-// served on the steady clock or a mocked one are bit-identical to the
-// sequential path.
+// under TSan — scripts/check.sh --tsan builds this file), label escaping
+// in the scrape, and the non-negotiable contract of the whole layer:
+// explanations served on the steady clock or a mocked one are bit-identical
+// to the sequential path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "cost/crude_model.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/phase_timers.h"
 #include "serve/isa_servers.h"
 #include "util/rng.h"
 #include "x86/parser.h"
@@ -41,6 +42,42 @@ cc::CometOptions light_options(std::uint64_t seed) {
   opt.final_precision_samples = 60;
   opt.seed = seed;
   return opt;
+}
+
+// Is `line` a `# TYPE` line or `name{key="value",...} value` (labels
+// optional), with `\`, `"` and newline escaped inside each label value?
+bool well_formed_exposition_line(const std::string& line) {
+  if (line.rfind("# TYPE ", 0) == 0) return true;
+  std::size_t i = 0;
+  const auto word = [&](bool colons) {  // a metric (colons) or label name
+    const std::size_t start = i;
+    for (; i < line.size(); ++i) {
+      const char c = line[i];
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+          !(colons && c == ':')) {
+        break;
+      }
+    }
+    return i > start;
+  };
+  if (!word(true)) return false;
+  if (i < line.size() && line[i] == '{') {
+    do {
+      ++i;  // past '{' or ','
+      if (!word(false) || line.compare(i, 2, "=\"") != 0) return false;
+      for (i += 2; i < line.size() && line[i] != '"'; ++i) {
+        if (line[i] != '\\') continue;
+        if (++i == line.size() || std::string("\\\"n").find(line[i]) ==
+                                      std::string::npos) {
+          return false;
+        }
+      }
+      if (i++ == line.size()) return false;  // unterminated value
+    } while (i < line.size() && line[i] == ',');
+    if (i == line.size() || line[i++] != '}') return false;
+  }
+  return i < line.size() && line[i] == ' ' &&
+         line.find(' ', i + 1) == std::string::npos && i + 1 < line.size();
 }
 
 void expect_identical(const cc::Explanation& a, const cc::Explanation& b) {
@@ -228,6 +265,9 @@ TEST(MetricsRegistry, LabeledNameConvention) {
   EXPECT_EQ("serve_run_ns{model_key=\"crude-hsw\"}",
             co::MetricsRegistry::labeled("serve_run_ns", "model_key",
                                          "crude-hsw"));
+  // The text exposition format escapes \, " and newline in label values.
+  EXPECT_EQ("m{k=\"a\\\"b\\\\c\\nd\"}",
+            co::MetricsRegistry::labeled("m", "k", "a\"b\\c\nd"));
 }
 
 TEST(MetricsRegistry, PrometheusExposition) {
@@ -305,46 +345,6 @@ TEST(ClockSeam, SteadyClockIsMonotonic) {
   const std::uint64_t a = clock.now_ns();
   const std::uint64_t b = clock.now_ns();
   EXPECT_LE(a, b);
-}
-
-// ---------------------------------------------------------------------------
-// Engine phase timers
-
-TEST(PhaseTimers, OptInTimingIsBitIdenticalToUntimed) {
-  const ck::CrudeModel model(ck::MicroArch::Haswell);
-  const cx::BasicBlock block = cb::listing1_motivating();
-
-  const cc::Explanation untimed =
-      cc::CometExplainer(model, light_options(11)).explain(block);
-  EXPECT_FALSE(untimed.timings.enabled);  // default: zero clock reads
-  EXPECT_TRUE(untimed.timings.levels.empty());
-
-  cc::CometOptions timed_options = light_options(11);
-  timed_options.phase_clock = &co::steady_clock();
-  const cc::Explanation timed =
-      cc::CometExplainer(model, timed_options).explain(block);
-  expect_identical(untimed, timed);  // observation never perturbs results
-
-  EXPECT_TRUE(timed.timings.enabled);
-  ASSERT_GE(timed.timings.levels.size(), 1u);
-  EXPECT_EQ(timed.timings.total_ns(),
-            timed.timings.coverage_ns + timed.timings.beam_ns() +
-                timed.timings.pulls_ns() + timed.timings.precision_ns());
-  EXPECT_GT(timed.timings.total_ns(), 0u);
-  EXPECT_NE(std::string::npos, timed.timings.to_string().find("levels="));
-}
-
-TEST(PhaseTimers, ManualClockYieldsDeterministicSplit) {
-  // A frozen clock: every phase measures exactly zero — the timer plumbing
-  // itself is deterministic, not just "small".
-  const ck::CrudeModel model(ck::MicroArch::Haswell);
-  co::ManualClock clock(42);
-  cc::CometOptions options = light_options(3);
-  options.phase_clock = &clock;
-  const cc::Explanation e =
-      cc::CometExplainer(model, options).explain(cb::listing2_case_study1());
-  EXPECT_TRUE(e.timings.enabled);
-  EXPECT_EQ(0u, e.timings.total_ns());
 }
 
 // ---------------------------------------------------------------------------
@@ -450,4 +450,25 @@ TEST(ServeMetrics, LifecycleCountersAndHistogramsFill) {
                                    "serve_run_ns_count{model_key=\"crude\"}"));
   EXPECT_NE(std::string::npos,
             server.metrics_json().find("serve_run_ns{model_key=\\\"crude\\\"}"));
+}
+
+TEST(ServeMetrics, ModelKeyWithQuoteBackslashNewlineScrapesWellFormed) {
+  auto model =
+      std::make_shared<const ck::CrudeModel>(ck::MicroArch::Haswell);
+  const std::string key = "a\"b\\c\nd";
+  cs::X86ExplanationServer server({.workers = 1, .queue_capacity = 4});
+  server.register_model(key, model);
+  server.submit(key, cb::listing1_motivating(), light_options(7));
+  ASSERT_EQ(1u, server.drain().size());
+
+  const std::string text = server.metrics_text();
+  std::istringstream lines(text);
+  std::size_t n = 0;
+  for (std::string line; std::getline(lines, line); ++n) {
+    EXPECT_TRUE(well_formed_exposition_line(line)) << line;
+  }
+  EXPECT_GT(n, 0u);
+  EXPECT_NE(std::string::npos,
+            text.find(R"(serve_run_ns_count{model_key="a\"b\\c\nd"} 1)"))
+      << text;
 }

@@ -246,6 +246,59 @@ TEST(RiscvPerturb, EtaPreservationForbidsDeletion) {
   }
 }
 
+// contains() must answer no as well as yes. Over Γ(∅) samples, each Inst,
+// Dep and η feature of the original is checked alone against a reference
+// read off the sample itself (its own dependency graph, position map and
+// opcodes), and the whole vocabulary against the conjunction of those.
+TEST(RiscvPerturb, ContainsMatchesTheSampleGraph) {
+  constexpr std::size_t npos = rv::RvPerturbedBlock::npos;
+  // outcomes[type][held]: type 0 = Inst, 1 = Dep, 2 = η.
+  std::size_t outcomes[3][2] = {};
+  for (int b = 0; b < 12; ++b) {
+    Rng gen_rng(4000 + b);
+    const auto block = rv::generate_block(gen_rng);
+    const rv::RvPerturber perturber(block);
+    const auto all = rv::extract_features(block);
+    Rng rng(b);
+    for (int k = 0; k < 20; ++k) {
+      const auto pb = perturber.sample({}, rng);
+      const auto graph = rv::DepGraph::build(pb.block);
+      bool all_held = true;
+      for (const auto& f : all.items()) {
+        bool held = false;
+        std::size_t type = 0;
+        if (f.is_num_insts()) {
+          type = 2;
+          held = pb.block.size() == f.as_num_insts().count;
+        } else if (f.is_inst()) {
+          const std::size_t pos = pb.position_of(f.as_inst().index);
+          held = pos != npos &&
+                 pb.block.instructions[pos].opcode == f.as_inst().opcode;
+        } else {
+          type = 1;
+          const auto& d = f.as_dep();
+          const std::size_t from = pb.position_of(d.from);
+          const std::size_t to = pb.position_of(d.to);
+          held = from != npos && to != npos &&
+                 graph.has_edge(from, to, d.kind);
+        }
+        rv::RvFeatureSet one;
+        one.insert(f);
+        EXPECT_EQ(held, perturber.contains(pb, one))
+            << f.to_string() << " in\n" << block.to_string() << "->\n"
+            << pb.block.to_string();
+        ++outcomes[type][held];
+        all_held = all_held && held;
+      }
+      EXPECT_EQ(all_held, perturber.contains(pb, all));
+    }
+  }
+  for (std::size_t type = 0; type < 3; ++type) {
+    EXPECT_GT(outcomes[type][0], 0u) << "type " << type << " never lost";
+    EXPECT_GT(outcomes[type][1], 0u) << "type " << type << " never held";
+  }
+}
+
 TEST(RiscvPerturb, UnconstrainedSamplingActuallyPerturbs) {
   Rng gen_rng(5);
   const auto block = rv::generate_block(gen_rng);
