@@ -1,8 +1,13 @@
 // Micro-benchmarks (google-benchmark): throughput of the individual
 // components that determine COMET's per-explanation wall-clock — parsing,
 // dependency-graph construction, the perturbation algorithm Γ, the
-// simulators, the crude model, LSTM inference, and an end-to-end explain().
+// simulators, the crude model, LSTM inference and training, and an
+// end-to-end explain().
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "bhive/generator.h"
 #include "bhive/paper_blocks.h"
@@ -12,6 +17,7 @@
 #include "cost/ithemal_model.h"
 #include "cost/query_broker.h"
 #include "graph/depgraph.h"
+#include "nn/mat.h"
 #include "perturb/perturber.h"
 #include "riscv/explain.h"
 #include "riscv/generator.h"
@@ -289,6 +295,60 @@ void BM_IthemalPredictGammaBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IthemalPredictGammaBatch)->Unit(benchmark::kMicrosecond);
+
+// --- training (Ithemal's set-up cost) ----------------------------------
+
+// One Adam step over Ithemal's default parameter set: the embedding table
+// with the few dozen live rows one block leaves, plus dense gradients for
+// the head and both LSTM cells. Each iteration first restores the
+// gradients (a copy; step() zeroes them).
+void BM_AdamStep(benchmark::State& state) {
+  const std::size_t D = 12;
+  const std::size_t H = 24;
+  const std::size_t V = cost::BlockTokenizer().vocab_size();
+  std::vector<nn::Mat> mats;
+  for (const auto& [rows, cols] : std::vector<std::pair<std::size_t,
+                                                        std::size_t>>{
+           {V, D}, {1, H}, {1, 1}, {4 * H, D}, {4 * H, H}, {4 * H, 1},
+           {4 * H, H}, {4 * H, H}, {4 * H, 1}}) {
+    mats.emplace_back(rows, cols);
+  }
+  util::Rng rng(3);
+  std::vector<std::vector<float>> grads;
+  std::vector<nn::Mat*> params;
+  for (std::size_t k = 0; k < mats.size(); ++k) {
+    mats[k].init_xavier(rng);
+    params.push_back(&mats[k]);
+    auto& g = grads.emplace_back(mats[k].size(), 0.f);
+    for (std::size_t r = 0; r < mats[k].rows(); ++r) {
+      if (k == 0 && rng.uniform(0.0, 1.0) > 25.0 / double(V)) continue;
+      for (std::size_t c = 0; c < mats[k].cols(); ++c) {
+        g[r * mats[k].cols() + c] = static_cast<float>(rng.uniform(-1, 1));
+      }
+    }
+  }
+  nn::Adam adam(params);
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < mats.size(); ++k) {
+      std::copy(grads[k].begin(), grads[k].end(), mats[k].grad());
+    }
+    adam.step();
+    benchmark::DoNotOptimize(mats[0].data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMicrosecond);
+
+// One Ithemal train_step (forward, BPTT, Adam) on a fixed 6-instruction
+// block: the unit explain-ithemal's set-up repeats 15,000 times.
+void BM_IthemalTrainStep(benchmark::State& state) {
+  cost::IthemalModel model(cost::MicroArch::Haswell);
+  const auto block = bhive::listing3_case_study2();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train_step(block, 2.0));
+  }
+}
+BENCHMARK(BM_IthemalTrainStep)->Unit(benchmark::kMicrosecond);
 
 // The broker's memoization on top of batching, on a stream with repeats
 // (the shape of anchor-search traffic).

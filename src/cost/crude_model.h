@@ -33,8 +33,6 @@ class CrudeModel final : public CostModel {
   // pure per block (table lookups + a local dep graph).
   std::string name() const override;
 
-  MicroArch uarch() const { return uarch_; }
-
   /// cost_η(n) = n / 4.
   double cost_num_insts(std::size_t n) const;
   /// cost_inst of one instruction (table lookup).

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "cost/checkpoint.h"
+#include "util/contract.h"
 #include "util/stats.h"
 
 namespace comet::cost {
@@ -168,6 +169,8 @@ std::string GraniteModel::name() const {
 void GraniteModel::set_learning_rate(double lr) { adam_->set_lr(lr); }
 
 double GraniteModel::train_step(const x86::BasicBlock& block, double target) {
+  COMET_CHECK_MSG(std::isfinite(target),
+                  "GraniteModel::train_step: non-finite target " << target);
   if (block.empty() || target <= 0.0) return 0.0;
   Forward f = forward(block);
   const double rel = (f.prediction - target) / target;

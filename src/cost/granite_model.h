@@ -47,7 +47,10 @@ class GraniteModel final : public CostModel {
   std::string name() const override;
 
   /// One Adam step on a (block, target) pair; returns squared relative
-  /// error before the step.
+  /// error before the step. An empty block or a non-positive target is
+  /// skipped (returns 0); a non-finite target throws
+  /// util::ContractViolation, since its NaN gradient would poison every
+  /// weight.
   double train_step(const x86::BasicBlock& block, double target);
 
   /// Override the optimizer learning rate (fine-tuning runs gentler than

@@ -124,36 +124,26 @@ IthemalModel::IthemalModel(MicroArch uarch, IthemalConfig config)
   adam_ = std::make_unique<nn::Adam>(std::move(params), ac);
 }
 
-struct IthemalModel::Forward {
-  std::vector<std::vector<int>> tokens;
-  std::vector<std::vector<nn::LstmStepCache>> token_caches;
-  std::vector<nn::LstmStepCache> block_caches;
-  double raw = 0.0;         // pre-exponential regressor output
-  double prediction = 0.0;  // exp(raw), cycles
-};
-
-IthemalModel::Forward IthemalModel::forward(
-    const x86::BasicBlock& block) const {
-  Forward f;
-  f.tokens = tokenizer_.tokenize(block);
-  std::vector<std::vector<float>> inst_embeds;
-  inst_embeds.reserve(f.tokens.size());
-  for (const auto& toks : f.tokens) {
-    std::vector<std::vector<float>> xs;
-    xs.reserve(toks.size());
-    for (int t : toks) {
-      const float* row = embedding_.data() + t * config_.embed_dim;
-      xs.emplace_back(row, row + config_.embed_dim);
-    }
-    f.token_caches.push_back(token_lstm_.run(xs));
-    inst_embeds.push_back(f.token_caches.back().empty()
-                              ? std::vector<float>(config_.hidden_dim, 0.f)
-                              : f.token_caches.back().back().h);
+double IthemalModel::forward(const x86::BasicBlock& block,
+                             Workspace& ws) const {
+  const std::size_t D = config_.embed_dim;
+  ws.tokens = tokenizer_.tokenize(block);
+  const std::size_t n = ws.tokens.size();
+  token_lstm_.transpose_weights(ws.token_wt);
+  block_lstm_.transpose_weights(ws.block_wt);
+  if (ws.token_seqs.size() < n) ws.token_seqs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // The token LSTM reads the embedding rows in place.
+    ws.xs.clear();
+    for (const int t : ws.tokens[i]) ws.xs.push_back(embedding_.data() + t * D);
+    token_lstm_.run(ws.xs, ws.token_wt, ws.token_seqs[i]);
   }
-  f.block_caches = block_lstm_.run(inst_embeds);
-  const std::vector<float> h_final =
-      f.block_caches.empty() ? std::vector<float>(config_.hidden_dim, 0.f)
-                             : f.block_caches.back().h;
+  ws.xs.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    ws.xs.push_back(token_lstm_.final_hidden(ws.token_seqs[i]));
+  }
+  block_lstm_.run(ws.xs, ws.block_wt, ws.block_seq);
+  const float* h_final = block_lstm_.final_hidden(ws.block_seq);
   double y = head_b_.data()[0];
   for (std::size_t i = 0; i < config_.hidden_dim; ++i) {
     y += head_w_.data()[i] * h_final[i];
@@ -161,14 +151,13 @@ IthemalModel::Forward IthemalModel::forward(
   // The regressor works in log-space: throughputs span two orders of
   // magnitude (0.25 .. ~25 cycles), and a log-linear head keeps the
   // relative-error loss well conditioned across that range.
-  f.raw = y;
-  f.prediction = std::exp(std::clamp(y, -3.0, 5.0));
-  return f;
+  return std::exp(std::clamp(y, -3.0, 5.0));
 }
 
 double IthemalModel::predict(const x86::BasicBlock& block) const {
   if (block.empty()) return 0.0;
-  return forward(block).prediction;
+  Workspace ws;  // per call: concurrent predict() calls share nothing
+  return forward(block, ws);
 }
 
 void IthemalModel::predict_batch(std::span<const x86::BasicBlock> blocks,
@@ -249,36 +238,39 @@ std::string IthemalModel::name() const {
 void IthemalModel::set_learning_rate(double lr) { adam_->set_lr(lr); }
 
 double IthemalModel::train_step(const x86::BasicBlock& block, double target) {
+  COMET_CHECK_MSG(std::isfinite(target),
+                  "IthemalModel::train_step: non-finite target " << target);
   if (block.empty() || target <= 0.0) return 0.0;
-  Forward f = forward(block);
+  Workspace& ws = train_ws_;
+  const double prediction = forward(block, ws);
   // Relative-error loss: L = ((y - t) / t)^2 — matches the MAPE evaluation
   // metric and normalizes the wide dynamic range of throughputs.
-  const double rel = (f.prediction - target) / target;
+  const double rel = (prediction - target) / target;
   // d/draw of ((exp(raw) - t)/t)^2 = 2*rel/t * exp(raw).
-  const double dy = 2.0 * rel / target * f.prediction;
+  const double dy = 2.0 * rel / target * prediction;
+  const std::size_t D = config_.embed_dim;
+  const std::size_t H = config_.hidden_dim;
 
   // Head backward.
-  const std::vector<float>& h_final = f.block_caches.back().h;
-  std::vector<float> dh_final(config_.hidden_dim, 0.f);
-  for (std::size_t i = 0; i < config_.hidden_dim; ++i) {
+  const float* h_final = block_lstm_.final_hidden(ws.block_seq);
+  ws.dh_final.resize(H);
+  for (std::size_t i = 0; i < H; ++i) {
     head_w_.grad()[i] += static_cast<float>(dy) * h_final[i];
-    dh_final[i] = static_cast<float>(dy) * head_w_.data()[i];
+    ws.dh_final[i] = static_cast<float>(dy) * head_w_.data()[i];
   }
   head_b_.grad()[0] += static_cast<float>(dy);
 
   // Block LSTM backward -> gradients of instruction embeddings.
-  const auto dinst = block_lstm_.backward_sequence(f.block_caches, dh_final);
+  block_lstm_.backward(ws.block_seq, ws.dh_final.data(), ws.bptt, ws.dinst);
 
   // Token LSTMs backward -> embedding-row gradients.
-  for (std::size_t i = 0; i < f.token_caches.size(); ++i) {
-    if (f.token_caches[i].empty()) continue;
-    const auto dxs =
-        token_lstm_.backward_sequence(f.token_caches[i], dinst[i]);
-    for (std::size_t t = 0; t < dxs.size(); ++t) {
-      float* gro = embedding_.grad() + f.tokens[i][t] * config_.embed_dim;
-      for (std::size_t d = 0; d < config_.embed_dim; ++d) {
-        gro[d] += dxs[t][d];
-      }
+  for (std::size_t i = 0; i < ws.tokens.size(); ++i) {
+    token_lstm_.backward(ws.token_seqs[i], ws.dinst.data() + i * H, ws.bptt,
+                         ws.dtok);
+    for (std::size_t t = 0; t < ws.tokens[i].size(); ++t) {
+      float* gro = embedding_.grad() + ws.tokens[i][t] * D;
+      const float* dx = ws.dtok.data() + t * D;
+      for (std::size_t d = 0; d < D; ++d) gro[d] += dx[d];
     }
   }
   adam_->step();
@@ -302,14 +294,22 @@ double IthemalModel::train(const std::vector<x86::BasicBlock>& blocks,
                              std::max<std::size_t>(1, config_.epochs)));
     for (const std::size_t i : order) train_step(blocks[i], targets[i]);
   }
+  // Hand the step buffers back to the heap for what runs after training:
+  // kept, they lifted explain-ithemal's peak RSS by ~0.06 MB.
+  train_ws_ = Workspace{};
 
-  std::vector<double> preds, acts;
-  preds.reserve(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    preds.push_back(predict(blocks[i]));
-    acts.push_back(targets[i]);
+  // The closing MAPE goes through predict_batch (bit-equal to predict) in
+  // broker-sized chunks: one batch over the whole training set holds every
+  // block's tokens and lanes at once, which raised explain-ithemal's peak
+  // RSS by 4.6 MB (chunks of 64: by 0.13 MB; of 16: not measurably).
+  constexpr std::size_t kChunk = 16;
+  const std::span<const x86::BasicBlock> all(blocks);
+  std::vector<double> preds(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, blocks.size() - i);
+    predict_batch(all.subspan(i, n), std::span<double>(preds).subspan(i, n));
   }
-  return util::mape(preds, acts);
+  return util::mape(preds, targets);
 }
 
 std::vector<nn::Mat*> IthemalModel::checkpoint_mats() {

@@ -67,7 +67,10 @@ class IthemalModel final : public CostModel {
   std::string name() const override;
 
   /// One Adam step on a single (block, target) pair; returns squared
-  /// relative error before the step.
+  /// relative error before the step. An empty block or a non-positive
+  /// target is skipped (returns 0); a non-finite target throws
+  /// util::ContractViolation, since its NaN gradient would poison every
+  /// weight.
   double train_step(const x86::BasicBlock& block, double target);
 
   /// Override the optimizer learning rate (fine-tuning runs gentler than
@@ -90,8 +93,24 @@ class IthemalModel final : public CostModel {
                        const std::vector<double>& targets);
 
  private:
-  struct Forward;
-  Forward forward(const x86::BasicBlock& block) const;
+  /// The buffers of one forward pass (the activations BPTT reads) and of
+  /// one backward pass. They only grow, so with a reused Workspace the
+  /// block's tokenization is a train step's only allocation.
+  struct Workspace {
+    std::vector<std::vector<int>> tokens;
+    nn::LstmWeightsT token_wt;
+    nn::LstmWeightsT block_wt;
+    std::vector<nn::LstmSequence> token_seqs;  // first tokens.size() live
+    nn::LstmSequence block_seq;
+    std::vector<const float*> xs;  // one sequence's input rows
+    nn::LstmBpttScratch bptt;
+    std::vector<float> dh_final;  // H
+    std::vector<float> dinst;     // instructions x H
+    std::vector<float> dtok;      // tokens of one instruction x D
+  };
+
+  /// Forward pass of a non-empty block into `ws`; returns the prediction.
+  double forward(const x86::BasicBlock& block, Workspace& ws) const;
 
   /// The matrices of the checkpoint format, in serialization order.
   std::vector<nn::Mat*> checkpoint_mats();
@@ -106,6 +125,7 @@ class IthemalModel final : public CostModel {
   nn::Mat head_w_;          // 1 x H
   nn::Mat head_b_;          // 1 x 1
   std::unique_ptr<nn::Adam> adam_;
+  Workspace train_ws_;  // train_step's, reused across steps
 };
 
 }  // namespace comet::cost

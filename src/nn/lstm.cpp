@@ -7,8 +7,8 @@ namespace comet::nn {
 
 namespace {
 
-// Gate nonlinearities. Both LSTM paths — the training-time forward() and
-// the batched inference run_final_batch() — must go through these exact
+// Gate nonlinearities. Both LSTM paths — the training-time run() and the
+// batched inference run_final_batch() — must go through these exact
 // functions: libm's scalar expf/tanhf calls were ~70% of inference
 // wall-clock and cannot vectorize, so the gates use a branch-free odd
 // rational approximation of tanh (the classic 13/6-degree pair used by
@@ -43,8 +43,8 @@ inline float sigmoidf(float x) {
 constexpr std::size_t kGateChunk = 32;
 
 // pre[r] = (0 + (b[r] + sum_k wxt[k][r] * x[k])) + (0 + sum_k wht[k][r] * h[k])
-// over the G = 4H gate rows, k ascending: the chains forward() builds with
-// affine() into a zeroed buffer plus its recurrent loop. wxt (D x G) and
+// over the G = 4H gate rows, k ascending: the one gate pre-activation
+// kernel of training (run) and inference (run_final_batch). wxt (D x G) and
 // wht (H x G) are the transposed gate weights, so each k step is a
 // contiguous row of G weights scaled by one input; the rows are walked in
 // fixed chunks whose accumulators the compiler keeps in vector registers,
@@ -93,6 +93,41 @@ void transpose_into(const Mat& W, std::vector<float>& dst) {
   }
 }
 
+// Backward of the gate product W in (W: G x n, G = 4H): accumulate the
+// weight gradient d (x) in and din += W^T d, rows in ascending order. Each
+// row is a contiguous run of n weights, so the loop vectorizes over it.
+// Four rows go per pass (G is a multiple of 4), so din is loaded and
+// stored once per four of its additions, which keep their order. The
+// buffers never overlap, and __restrict says so, which spares the short
+// inner loop a run-time alias check per pass.
+void gate_weights_backward(const float* __restrict w, float* __restrict gw,
+                           std::size_t G, std::size_t n,
+                           const float* __restrict d,
+                           const float* __restrict in,
+                           float* __restrict din) {
+  for (std::size_t r = 0; r < G; r += 4) {
+    const float d0 = d[r];
+    const float d1 = d[r + 1];
+    const float d2 = d[r + 2];
+    const float d3 = d[r + 3];
+    const float* w0 = w + r * n;
+    const float* w1 = w0 + n;
+    const float* w2 = w1 + n;
+    const float* w3 = w2 + n;
+    float* g0 = gw + r * n;
+    float* g1 = g0 + n;
+    float* g2 = g1 + n;
+    float* g3 = g2 + n;
+    for (std::size_t k = 0; k < n; ++k) {
+      g0[k] += d0 * in[k];
+      g1[k] += d1 * in[k];
+      g2[k] += d2 * in[k];
+      g3[k] += d3 * in[k];
+      din[k] = din[k] + d0 * w0[k] + d1 * w1[k] + d2 * w2[k] + d3 * w3[k];
+    }
+  }
+}
+
 }  // namespace
 
 LstmCell::LstmCell(std::size_t input_dim, std::size_t hidden_dim,
@@ -110,97 +145,47 @@ LstmCell::LstmCell(std::size_t input_dim, std::size_t hidden_dim,
   }
 }
 
-LstmStepCache LstmCell::forward(const std::vector<float>& x,
-                                const std::vector<float>& h_prev,
-                                const std::vector<float>& c_prev) const {
-  const std::size_t H = hidden_dim_;
-  LstmStepCache cache;
-  cache.x = x;
-  cache.h_prev = h_prev;
-  cache.c_prev = c_prev;
-
-  std::vector<float> pre(4 * H, 0.f);
-  affine(wx_, b_, x.data(), pre.data());
-  // wh * h_prev (bias already added once).
-  for (std::size_t r = 0; r < 4 * H; ++r) {
-    float acc = 0.f;
-    const float* row = wh_.data() + r * H;
-    for (std::size_t c = 0; c < H; ++c) acc += row[c] * h_prev[c];
-    pre[r] += acc;
-  }
-
-  cache.gates.resize(4 * H);
-  for (std::size_t i = 0; i < H; ++i) {
-    cache.gates[i] = sigmoidf(pre[i]);                    // input gate
-    cache.gates[H + i] = sigmoidf(pre[H + i]);            // forget gate
-    cache.gates[2 * H + i] = tanh_approx(pre[2 * H + i]);  // candidate
-    cache.gates[3 * H + i] = sigmoidf(pre[3 * H + i]);    // output gate
-  }
-  cache.c.resize(H);
-  cache.tanh_c.resize(H);
-  cache.h.resize(H);
-  for (std::size_t i = 0; i < H; ++i) {
-    cache.c[i] = cache.gates[H + i] * c_prev[i] +
-                 cache.gates[i] * cache.gates[2 * H + i];
-    cache.tanh_c[i] = tanh_approx(cache.c[i]);
-    cache.h[i] = cache.gates[3 * H + i] * cache.tanh_c[i];
-  }
-  return cache;
+void LstmCell::transpose_weights(LstmWeightsT& out) const {
+  transpose_into(wx_, out.wxt);
+  transpose_into(wh_, out.wht);
 }
 
-void LstmCell::backward(const LstmStepCache& cache,
-                        const std::vector<float>& dh,
-                        const std::vector<float>& dc_in,
-                        std::vector<float>& dx, std::vector<float>& dh_prev,
-                        std::vector<float>& dc_prev) {
+void LstmCell::run(std::span<const float* const> xs, const LstmWeightsT& wt,
+                   LstmSequence& seq) const {
   const std::size_t H = hidden_dim_;
-  dx.assign(input_dim_, 0.f);
-  dh_prev.assign(H, 0.f);
-  dc_prev.assign(H, 0.f);
-
-  std::vector<float> dpre(4 * H, 0.f);
-  for (std::size_t i = 0; i < H; ++i) {
-    const float ig = cache.gates[i];
-    const float fg = cache.gates[H + i];
-    const float gg = cache.gates[2 * H + i];
-    const float og = cache.gates[3 * H + i];
-    const float dtanh = 1.f - cache.tanh_c[i] * cache.tanh_c[i];
-    const float dc = dc_in[i] + dh[i] * og * dtanh;
-
-    dpre[i] = dc * gg * ig * (1.f - ig);                   // d input gate
-    dpre[H + i] = dc * cache.c_prev[i] * fg * (1.f - fg);  // d forget gate
-    dpre[2 * H + i] = dc * ig * (1.f - gg * gg);           // d candidate
-    dpre[3 * H + i] =
-        dh[i] * cache.tanh_c[i] * og * (1.f - og);         // d output gate
-    dc_prev[i] = dc * fg;
-  }
-
-  affine_backward(wx_, b_, cache.x.data(), dpre.data(), dx.data());
-  // wh backward (no second bias accumulation: subtract what affine_backward
-  // just double-counted would be wrong — instead do it manually).
-  for (std::size_t r = 0; r < 4 * H; ++r) {
-    const float d = dpre[r];
-    float* grow = wh_.grad() + r * H;
-    const float* row = wh_.data() + r * H;
-    for (std::size_t c = 0; c < H; ++c) {
-      grow[c] += d * cache.h_prev[c];
-      dh_prev[c] += d * row[c];
+  const std::size_t G = 4 * H;
+  const std::size_t T = xs.size();
+  seq.x.assign(xs.begin(), xs.end());
+  seq.gates.resize(T * G);
+  seq.c.resize((T + 1) * H);
+  seq.tanh_c.resize(T * H);
+  seq.h.resize((T + 1) * H);
+  std::fill_n(seq.c.begin(), H, 0.f);
+  std::fill_n(seq.h.begin(), H, 0.f);
+  for (std::size_t t = 0; t < T; ++t) {
+    float* g = seq.gates.data() + t * G;
+    const float* c_prev = seq.c.data() + t * H;
+    const float* h_prev = seq.h.data() + t * H;
+    float* c = seq.c.data() + (t + 1) * H;
+    float* tanh_c = seq.tanh_c.data() + t * H;
+    float* h = seq.h.data() + (t + 1) * H;
+    gate_preacts(b_.data(), wt.wxt.data(), xs[t], input_dim_, wt.wht.data(),
+                 h_prev, H, G, g);
+    // One element-wise loop per output, each with few enough pointers for
+    // the vectorizer's run-time alias checks.
+    for (std::size_t i = 0; i < 2 * H; ++i) g[i] = sigmoidf(g[i]);  // i, f
+    for (std::size_t i = 2 * H; i < 3 * H; ++i) g[i] = tanh_approx(g[i]);
+    for (std::size_t i = 3 * H; i < G; ++i) g[i] = sigmoidf(g[i]);  // o
+    const float* ig = g;
+    const float* fg = g + H;
+    const float* gg = g + 2 * H;
+    const float* og = g + 3 * H;
+    for (std::size_t i = 0; i < H; ++i) {
+      c[i] = fg[i] * c_prev[i] + ig[i] * gg[i];
     }
+    for (std::size_t i = 0; i < H; ++i) tanh_c[i] = tanh_approx(c[i]);
+    for (std::size_t i = 0; i < H; ++i) h[i] = og[i] * tanh_c[i];
   }
-  // Note: b_ gradient was accumulated once in affine_backward; correct.
-}
-
-std::vector<LstmStepCache> LstmCell::run(
-    const std::vector<std::vector<float>>& xs) const {
-  std::vector<LstmStepCache> caches;
-  caches.reserve(xs.size());
-  std::vector<float> h(hidden_dim_, 0.f), c(hidden_dim_, 0.f);
-  for (const auto& x : xs) {
-    caches.push_back(forward(x, h, c));
-    h = caches.back().h;
-    c = caches.back().c;
-  }
-  return caches;
 }
 
 void LstmCell::run_final_batch(
@@ -209,8 +194,7 @@ void LstmCell::run_final_batch(
   const std::size_t H = hidden_dim_;
   const std::size_t G = 4 * H;
   h_out.assign(seqs.size() * H, 0.f);
-  transpose_into(wx_, s.wxt);
-  transpose_into(wh_, s.wht);
+  transpose_weights(s.weights);
   s.pre.resize(G);
   s.c.resize(H);
   for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
@@ -219,9 +203,9 @@ void LstmCell::run_final_batch(
     float* h = h_out.data() + lane * H;
     std::fill(s.c.begin(), s.c.end(), 0.f);
     for (const float* x : seqs[lane]) {
-      gate_preacts(b_.data(), s.wxt.data(), x, input_dim_, s.wht.data(), h,
-                   H, G, s.pre.data());
-      // Same gate code and operation order as forward().
+      gate_preacts(b_.data(), s.weights.wxt.data(), x, input_dim_,
+                   s.weights.wht.data(), h, H, G, s.pre.data());
+      // Same gate code and operation order as run().
       const float* pre = s.pre.data();
       float* c = s.c.data();
       for (std::size_t i = 0; i < H; ++i) {
@@ -236,19 +220,54 @@ void LstmCell::run_final_batch(
   }
 }
 
-std::vector<std::vector<float>> LstmCell::backward_sequence(
-    const std::vector<LstmStepCache>& caches,
-    const std::vector<float>& dh_final) {
-  std::vector<std::vector<float>> dxs(caches.size());
-  std::vector<float> dh = dh_final;
-  std::vector<float> dc(hidden_dim_, 0.f);
-  for (std::size_t t = caches.size(); t-- > 0;) {
-    std::vector<float> dh_prev, dc_prev;
-    backward(caches[t], dh, dc, dxs[t], dh_prev, dc_prev);
-    dh = std::move(dh_prev);
-    dc = std::move(dc_prev);
+void LstmCell::backward(const LstmSequence& seq, const float* dh_final,
+                        LstmBpttScratch& scratch, std::vector<float>& dxs) {
+  const std::size_t D = input_dim_;
+  const std::size_t H = hidden_dim_;
+  const std::size_t G = 4 * H;
+  const std::size_t T = seq.steps();
+  dxs.assign(T * D, 0.f);
+  scratch.dh.assign(dh_final, dh_final + H);
+  scratch.dc.assign(H, 0.f);
+  scratch.dpre.resize(G);
+  float* dh = scratch.dh.data();
+  float* dc = scratch.dc.data();
+  float* dpre = scratch.dpre.data();
+  float* gb = b_.grad();
+  for (std::size_t t = T; t-- > 0;) {
+    const float* ig = seq.gates.data() + t * G;
+    const float* fg = ig + H;
+    const float* gg = ig + 2 * H;
+    const float* og = ig + 3 * H;
+    const float* tanh_c = seq.tanh_c.data() + t * H;
+    const float* c_prev = seq.c.data() + t * H;
+    // dc becomes this step's total cell gradient, the gate gradients
+    // follow from it, and then it is carried back through the forget gate.
+    for (std::size_t i = 0; i < H; ++i) {
+      dc[i] += dh[i] * og[i] * (1.f - tanh_c[i] * tanh_c[i]);
+    }
+    for (std::size_t i = 0; i < H; ++i) {  // input gate
+      dpre[i] = dc[i] * gg[i] * ig[i] * (1.f - ig[i]);
+    }
+    for (std::size_t i = 0; i < H; ++i) {  // forget gate
+      dpre[H + i] = dc[i] * c_prev[i] * fg[i] * (1.f - fg[i]);
+    }
+    for (std::size_t i = 0; i < H; ++i) {  // candidate
+      dpre[2 * H + i] = dc[i] * ig[i] * (1.f - gg[i] * gg[i]);
+    }
+    for (std::size_t i = 0; i < H; ++i) {  // output gate
+      dpre[3 * H + i] = dh[i] * tanh_c[i] * og[i] * (1.f - og[i]);
+    }
+    for (std::size_t i = 0; i < H; ++i) dc[i] *= fg[i];
+
+    for (std::size_t r = 0; r < G; ++r) gb[r] += dpre[r];
+    gate_weights_backward(wx_.data(), wx_.grad(), G, D, dpre, seq.x[t],
+                          dxs.data() + t * D);
+    // dh is spent: it now accumulates dL/dh_prev.
+    std::fill_n(dh, H, 0.f);
+    gate_weights_backward(wh_.data(), wh_.grad(), G, H, dpre,
+                          seq.h.data() + t * H, dh);
   }
-  return dxs;
 }
 
 std::vector<Mat*> LstmCell::params() { return {&wx_, &wh_, &b_}; }

@@ -1,36 +1,54 @@
 // LSTM cell and sequence runner with full backpropagation through time.
 //
 // Gate layout in the stacked 4H dimension: [input | forget | cell | output].
-// Forward caches all per-step activations so backward() can run BPTT without
+// run() keeps all per-step activations so backward() can run BPTT without
 // recomputation. This is the recurrent building block of the hierarchical
 // Ithemal surrogate (token LSTM feeding a block LSTM).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/mat.h"
 
 namespace comet::nn {
 
+/// Gate weights transposed into the layout the gate pre-activation kernel
+/// reads: wx^T (D x 4H) and wh^T (H x 4H). Built by
+/// LstmCell::transpose_weights; valid until the weights next change.
+struct LstmWeightsT {
+  std::vector<float> wxt;
+  std::vector<float> wht;
+};
+
 /// Reusable scratch buffers of LstmCell::run_final_batch. One instance per
 /// calling thread; buffers grow to the largest dimensions seen and are then
 /// reused allocation-free across batches.
 struct LstmBatchScratch {
-  std::vector<float> wxt;  // D x 4H: wx transposed, rebuilt on every call
-  std::vector<float> wht;  // H x 4H: wh transposed, rebuilt on every call
+  LstmWeightsT weights;    // transposed gate weights, rebuilt on every call
   std::vector<float> pre;  // 4H gate pre-activations of the current step
   std::vector<float> c;    // H cell state of the current lane
 };
 
-/// Cached activations of one LSTM step (needed for BPTT).
-struct LstmStepCache {
-  std::vector<float> x;       // input
-  std::vector<float> h_prev;  // previous hidden
-  std::vector<float> c_prev;  // previous cell
-  std::vector<float> gates;   // post-nonlinearity [i f g o]
-  std::vector<float> c;       // new cell
-  std::vector<float> tanh_c;  // tanh(c)
-  std::vector<float> h;       // new hidden
+/// Activations of one sequence run, kept for BPTT. Each step's rows are
+/// contiguous, and h and c carry a leading zero row (the initial state), so
+/// step t reads its previous state in place as row t. Buffers only grow:
+/// a reused LstmSequence makes repeated runs allocation-free.
+struct LstmSequence {
+  std::vector<const float*> x;  // step inputs, borrowed from the caller
+  std::vector<float> gates;     // T x 4H post-nonlinearity [i f g o]
+  std::vector<float> c;         // (T + 1) x H cell states
+  std::vector<float> tanh_c;    // T x H, tanh(c) of each step
+  std::vector<float> h;         // (T + 1) x H hidden states
+
+  std::size_t steps() const { return x.size(); }
+};
+
+/// Working buffers of LstmCell::backward, reused across steps and calls.
+struct LstmBpttScratch {
+  std::vector<float> dh;    // H: dL/dh of the current step
+  std::vector<float> dc;    // H: dL/dc of the current step
+  std::vector<float> dpre;  // 4H: dL/d(gate pre-activations)
 };
 
 class LstmCell {
@@ -41,21 +59,20 @@ class LstmCell {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  /// One forward step; returns the cache required for backward.
-  LstmStepCache forward(const std::vector<float>& x,
-                        const std::vector<float>& h_prev,
-                        const std::vector<float>& c_prev) const;
+  /// Transpose the current gate weights into `out` (for run()).
+  void transpose_weights(LstmWeightsT& out) const;
 
-  /// One BPTT step: given dL/dh and dL/dc at this step, accumulate parameter
-  /// gradients and produce dL/dx, dL/dh_prev, dL/dc_prev.
-  void backward(const LstmStepCache& cache, const std::vector<float>& dh,
-                const std::vector<float>& dc, std::vector<float>& dx,
-                std::vector<float>& dh_prev, std::vector<float>& dc_prev);
+  /// Run the sequence `xs` (pointers to input_dim()-sized inputs, which
+  /// must outlive `seq`) from zero state into `seq`. `wt` holds this cell's
+  /// transposed weights. The gate pre-activations go through the same
+  /// kernel as run_final_batch, so both paths are bit-identical.
+  void run(std::span<const float* const> xs, const LstmWeightsT& wt,
+           LstmSequence& seq) const;
 
-  /// Run a whole sequence from zero state; returns all step caches.
-  /// The final hidden state is caches.back().h (or zeros for empty input).
-  std::vector<LstmStepCache> run(
-      const std::vector<std::vector<float>>& xs) const;
+  /// The final hidden state of `seq` (zeros for an empty sequence).
+  const float* final_hidden(const LstmSequence& seq) const {
+    return seq.h.data() + seq.steps() * hidden_dim_;
+  }
 
   /// Batched inference: run B independent sequences from zero state.
   /// `seqs[b]` is lane b's input sequence as pointers to `input_dim()`-sized
@@ -67,18 +84,19 @@ class LstmCell {
   /// Each lane runs on its own over transposed copies of the gate weights
   /// (built into `scratch` per call), so one step is two matrix-vector
   /// products whose inner loops run over the 4H gate rows in register-held
-  /// chunks, at full SIMD width whatever the batch size. Every gate
-  /// pre-activation is the same k-ascending chain forward() computes, so
-  /// row b is bit-identical to run(seqs[b]).back().h.
+  /// chunks, at full SIMD width whatever the batch size. The
+  /// pre-activation kernel is run()'s and the fused gate/cell loop computes
+  /// run()'s expressions in run()'s order, so row b is bit-identical to the
+  /// final hidden state of run() over seqs[b].
   void run_final_batch(const std::vector<std::vector<const float*>>& seqs,
                        std::vector<float>& h_out,
                        LstmBatchScratch& scratch) const;
 
-  /// BPTT over a full sequence given the gradient of the final hidden state.
-  /// Returns dL/dx for every step.
-  std::vector<std::vector<float>> backward_sequence(
-      const std::vector<LstmStepCache>& caches,
-      const std::vector<float>& dh_final);
+  /// BPTT over `seq` given dL/dh of its final hidden state: accumulate the
+  /// parameter gradients and overwrite `dxs` with the T x input_dim()
+  /// row-major input gradients (row t is dL/dx of step t).
+  void backward(const LstmSequence& seq, const float* dh_final,
+                LstmBpttScratch& scratch, std::vector<float>& dxs);
 
   std::vector<Mat*> params();
   std::vector<const Mat*> params() const;

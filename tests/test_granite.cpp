@@ -8,12 +8,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bhive/dataset.h"
 #include "cost/granite_model.h"
 #include "util/contract.h"
+#include "util/rng.h"
 #include "x86/parser.h"
 
 namespace cc = comet::cost;
@@ -28,6 +32,13 @@ cx::BasicBlock paper_block() {
     mov rdx, rcx
     pop rbx
   )");
+}
+
+// FNV-1a 64 over the bytes of the file at `p`.
+std::uint64_t file_fnv1a(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  return comet::util::fnv1a64(bytes.data(), bytes.size());
 }
 
 cb::Dataset small_dataset() {
@@ -94,6 +105,51 @@ TEST(Granite, TrainingReducesError) {
   const double after = model.train(blocks, targets) / 100.0;
   EXPECT_LT(after, before);
   EXPECT_LT(after, 0.35);  // fits the small training set reasonably
+}
+
+// Every bit of the trained weights, and the returned training MAPE, of a
+// short fixed training run through the shared nn::Adam. The optimizer may
+// be restructured or optimized, but it must not move a bit; these values
+// are never re-recorded to make a change pass.
+TEST(Granite, TrainingGoldenWeights) {
+  cb::DatasetOptions opts;
+  opts.size = 60;
+  opts.seed = 31;
+  const cb::Dataset data = cb::generate_dataset(opts);
+  cc::GraniteConfig cfg;
+  cfg.epochs = 2;
+  cc::GraniteModel model(cc::MicroArch::Haswell, cfg);
+  const double mape = model.train(data.block_views(),
+                                  data.label_views(cc::MicroArch::Haswell));
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("comet_granite_golden_" + std::to_string(::getpid()));
+  model.save(path);
+  const std::uint64_t fnv = file_fnv1a(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(fnv, 0xba195b096d58e714ULL) << "weights FNV 0x" << std::hex << fnv;
+  EXPECT_EQ(mape, 0x1.16e1d2cae5655p+5) << "MAPE " << std::hexfloat << mape;
+}
+
+// A NaN or infinite target would make every gradient NaN, which the norm
+// clip does not catch (NaN > clip is false), and one Adam step would write
+// NaN into every weight. train_step rejects it before touching anything.
+TEST(Granite, NonFiniteTargetThrowsAndLeavesWeights) {
+  cc::GraniteModel model(cc::MicroArch::Haswell);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("comet_granite_nonfinite_" + std::to_string(::getpid()));
+  model.save(path);
+  const std::uint64_t before = file_fnv1a(path);
+  for (const double target : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(model.train_step(paper_block(), target),
+                 comet::util::ContractViolation);
+    model.save(path);
+    EXPECT_EQ(file_fnv1a(path), before) << "target " << target;
+  }
+  model.train_step(paper_block(), 2.0);  // a finite target still trains
+  model.save(path);
+  EXPECT_NE(file_fnv1a(path), before);
+  std::filesystem::remove(path);
 }
 
 TEST(Granite, SaveLoadRoundTrip) {

@@ -8,12 +8,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bhive/dataset.h"
 #include "cost/ithemal_model.h"
 #include "util/contract.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "x86/parser.h"
 
@@ -43,6 +47,13 @@ void patch_file(const std::filesystem::path& p, long offset, const void* bytes,
   ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(bytes, 1, n, fp), n);
   std::fclose(fp);
+}
+
+// FNV-1a 64 over the bytes of the file at `p`.
+std::uint64_t file_fnv1a(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  return comet::util::fnv1a64(bytes.data(), bytes.size());
 }
 
 }  // namespace
@@ -145,6 +156,71 @@ TEST(Ithemal, UarchsInitializeDifferently) {
   cc::IthemalModel skl(cc::MicroArch::Skylake, tiny_config());
   const auto block = cx::parse_block("add rcx, rax\nmov rdx, rcx");
   EXPECT_NE(hsw.predict(block), skl.predict(block));
+}
+
+// ---------- training golden ----------
+
+// Every bit of the trained weights, and the returned training MAPE, of two
+// short fixed training runs: the default shape (96 gate rows, whole
+// 32-row kernel chunks) and the tiny one (48 rows: a chunk plus a scalar
+// tail). The training path may be restructured or optimized, but it must
+// not move a bit; these values are never re-recorded to make a change pass.
+TEST(Ithemal, TrainingGoldenWeights) {
+  cb::DatasetOptions opts;
+  opts.size = 60;
+  opts.seed = 31;
+  const cb::Dataset data = cb::generate_dataset(opts);
+  const auto blocks = data.block_views();
+  const auto targets = data.label_views(HSW);
+
+  struct Case {
+    const char* name;
+    cc::IthemalConfig config;
+    std::uint64_t fnv;
+    double mape;
+  };
+  cc::IthemalConfig full;
+  full.epochs = 2;
+  cc::IthemalConfig tiny = tiny_config();
+  tiny.epochs = 2;
+  const Case cases[] = {
+      {"default", full, 0x172ae3dac8c6807cULL, 0x1.3e91219d74692p+5},
+      {"tiny", tiny, 0x56c658e8379e4fd7ULL, 0x1.26b790c9b3711p+5},
+  };
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("comet_ithemal_golden_" + std::to_string(::getpid()));
+  for (const Case& c : cases) {
+    cc::IthemalModel model(HSW, c.config);
+    const double mape = model.train(blocks, targets);
+    model.save(path);
+    const std::uint64_t fnv = file_fnv1a(path);
+    std::filesystem::remove(path);
+    EXPECT_EQ(fnv, c.fnv) << c.name << ": weights FNV 0x" << std::hex << fnv;
+    EXPECT_EQ(mape, c.mape) << c.name << ": MAPE " << std::hexfloat << mape;
+  }
+}
+
+// A NaN or infinite target would make every gradient NaN, which the norm
+// clip does not catch (NaN > clip is false), and one Adam step would write
+// NaN into every weight. train_step rejects it before touching anything.
+TEST(Ithemal, NonFiniteTargetThrowsAndLeavesWeights) {
+  cc::IthemalModel model(HSW, tiny_config());
+  const auto block = cx::parse_block("add rcx, rax\nmov rdx, rcx");
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("comet_ithemal_nonfinite_" + std::to_string(::getpid()));
+  model.save(path);
+  const std::uint64_t before = file_fnv1a(path);
+  for (const double target : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(model.train_step(block, target),
+                 comet::util::ContractViolation);
+    model.save(path);
+    EXPECT_EQ(file_fnv1a(path), before) << "target " << target;
+  }
+  model.train_step(block, 2.0);  // a finite target still trains
+  model.save(path);
+  EXPECT_NE(file_fnv1a(path), before);
+  std::filesystem::remove(path);
 }
 
 // ---------- serialization ----------

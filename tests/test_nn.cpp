@@ -2,9 +2,11 @@
 // shapes, and — critically — numerical gradient checks of the full BPTT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "nn/lstm.h"
@@ -138,7 +140,181 @@ TEST(Adam, GradientClippingBoundsUpdate) {
   EXPECT_LT(std::abs(w.data()[0] - before), 1.5f);
 }
 
+namespace {
+
+// The straightforward scalar Adam::step (global-norm clip, bias-corrected
+// moments, double-precision update), kept here verbatim as the reference
+// the optimized optimizer must match bit for bit.
+struct ReferenceAdam {
+  cn::Adam::Config config;
+  std::vector<std::vector<float>> w, g, m, v;
+  long t = 0;
+
+  void step() {
+    ++t;
+    if (config.clip > 0) {
+      double norm2 = 0.0;
+      for (const auto& gk : g) {
+        for (std::size_t i = 0; i < gk.size(); ++i) {
+          norm2 += double(gk[i]) * gk[i];
+        }
+      }
+      const double norm = std::sqrt(norm2);
+      if (norm > config.clip) {
+        const float scale = static_cast<float>(config.clip / norm);
+        for (auto& gk : g) {
+          for (float& x : gk) x *= scale;
+        }
+      }
+    }
+    const double bc1 = 1.0 - std::pow(config.beta1, t);
+    const double bc2 = 1.0 - std::pow(config.beta2, t);
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      for (std::size_t i = 0; i < w[k].size(); ++i) {
+        m[k][i] = static_cast<float>(config.beta1 * m[k][i] +
+                                     (1.0 - config.beta1) * g[k][i]);
+        v[k][i] = static_cast<float>(
+            config.beta2 * v[k][i] +
+            (1.0 - config.beta2) * double(g[k][i]) * g[k][i]);
+        const double mhat = m[k][i] / bc1;
+        const double vhat = v[k][i] / bc2;
+        w[k][i] -= static_cast<float>(config.lr * mhat /
+                                      (std::sqrt(vhat) + config.eps));
+      }
+      std::fill(g[k].begin(), g[k].end(), 0.f);
+    }
+  }
+};
+
+}  // namespace
+
+TEST(Adam, StepMatchesScalarReference) {
+  // Ithemal's parameter shapes (embedding, head, two LSTM cells), with
+  // whole embedding rows of zero gradient, as one block leaves them, and
+  // gradients large enough on every third step that the global-norm clip
+  // fires.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {494, 12}, {1, 24}, {1, 1},  {96, 12},
+      {96, 24},  {96, 1}, {96, 24}, {96, 24}, {96, 1}};
+  Rng rng(2024);
+  std::vector<cn::Mat> mats;
+  mats.reserve(shapes.size());
+  for (const auto& [r, c] : shapes) {
+    mats.emplace_back(r, c);
+    mats.back().init_xavier(rng);
+  }
+  std::vector<cn::Mat*> params;
+  for (auto& m : mats) params.push_back(&m);
+  cn::Adam::Config cfg;
+  cfg.lr = 2e-3;
+  cn::Adam opt(params, cfg);
+
+  ReferenceAdam ref;
+  ref.config = cfg;
+  for (const auto& m : mats) {
+    ref.w.emplace_back(m.data(), m.data() + m.size());
+    ref.g.emplace_back(m.size(), 0.f);
+    ref.m.emplace_back(m.size(), 0.f);
+    ref.v.emplace_back(m.size(), 0.f);
+  }
+
+  for (int step = 0; step < 40; ++step) {
+    for (std::size_t k = 0; k < mats.size(); ++k) {
+      cn::Mat& m = mats[k];
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        // Embedding: ~1 row in 20 carries gradient; the rest stay zero.
+        const bool live = k != 0 || rng.uniform(0.0, 1.0) < 0.05;
+        for (std::size_t c = 0; c < m.cols(); ++c) {
+          const float g =
+              live ? static_cast<float>(rng.uniform(-1.0, 1.0) *
+                                        (step % 3 == 0 ? 40.0 : 0.05))
+                   : 0.f;
+          m.grad_at(r, c) = g;
+          ref.g[k][r * m.cols() + c] = g;
+        }
+      }
+    }
+    if (step == 20) {
+      opt.set_lr(1e-3);
+      ref.config.lr = 1e-3;
+    }
+    opt.step();
+    ref.step();
+    for (std::size_t k = 0; k < mats.size(); ++k) {
+      for (std::size_t i = 0; i < mats[k].size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(mats[k].data()[i]),
+                  std::bit_cast<std::uint32_t>(ref.w[k][i]))
+            << "step " << step << " param " << k << " index " << i;
+        ASSERT_EQ(mats[k].grad()[i], 0.f);
+      }
+    }
+  }
+}
+
+// From step ~356 on, bc1 = 1 - 0.9^t rounds to exactly 1.0 and Adam drops
+// its m / bc1 division; 400 steps cover both sides of that switch.
+TEST(Adam, LongRunMatchesScalarReference) {
+  Rng rng(7);
+  std::vector<cn::Mat> mats;
+  mats.emplace_back(40, 12);
+  mats.emplace_back(96, 1);
+  ReferenceAdam ref;
+  std::vector<cn::Mat*> params;
+  for (auto& m : mats) {
+    m.init_xavier(rng);
+    params.push_back(&m);
+    ref.w.emplace_back(m.data(), m.data() + m.size());
+    ref.g.emplace_back(m.size(), 0.f);
+    ref.m.emplace_back(m.size(), 0.f);
+    ref.v.emplace_back(m.size(), 0.f);
+  }
+  cn::Adam opt(params);
+  ref.config = opt.config();
+  for (int step = 0; step < 400; ++step) {
+    for (std::size_t k = 0; k < mats.size(); ++k) {
+      for (std::size_t i = 0; i < mats[k].size(); ++i) {
+        const float g = static_cast<float>(rng.uniform(-2.0, 2.0));
+        mats[k].grad()[i] = g;
+        ref.g[k][i] = g;
+      }
+    }
+    opt.step();
+    ref.step();
+  }
+  for (std::size_t k = 0; k < mats.size(); ++k) {
+    for (std::size_t i = 0; i < mats[k].size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(mats[k].data()[i]),
+                std::bit_cast<std::uint32_t>(ref.w[k][i]))
+          << "param " << k << " index " << i;
+    }
+  }
+}
+
 // ---------- LSTM ----------
+
+namespace {
+
+// Run `cell` from zero state over `xs`, which must outlive the result.
+cn::LstmSequence run_seq(const cn::LstmCell& cell,
+                         const std::vector<std::vector<float>>& xs) {
+  std::vector<const float*> inputs;
+  for (const auto& x : xs) inputs.push_back(x.data());
+  cn::LstmWeightsT wt;
+  cell.transpose_weights(wt);
+  cn::LstmSequence seq;
+  cell.run(inputs, wt, seq);
+  return seq;
+}
+
+// The final hidden state of a run of `cell` over `xs`.
+std::vector<float> final_h(const cn::LstmCell& cell,
+                           const std::vector<std::vector<float>>& xs) {
+  const cn::LstmSequence seq = run_seq(cell, xs);
+  const float* h = cell.final_hidden(seq);
+  return {h, h + cell.hidden_dim()};
+}
+
+}  // namespace
 
 TEST(Lstm, ForwardShapes) {
   Rng rng(3);
@@ -146,16 +322,20 @@ TEST(Lstm, ForwardShapes) {
   EXPECT_EQ(cell.input_dim(), 5u);
   EXPECT_EQ(cell.hidden_dim(), 7u);
   std::vector<std::vector<float>> xs(4, std::vector<float>(5, 0.1f));
-  const auto caches = cell.run(xs);
-  ASSERT_EQ(caches.size(), 4u);
-  EXPECT_EQ(caches.back().h.size(), 7u);
-  EXPECT_EQ(caches.back().c.size(), 7u);
+  const auto seq = run_seq(cell, xs);
+  ASSERT_EQ(seq.steps(), 4u);
+  EXPECT_EQ(seq.gates.size(), 4u * 28u);
+  EXPECT_EQ(seq.tanh_c.size(), 4u * 7u);
+  EXPECT_EQ(seq.h.size(), 5u * 7u);  // leading zero initial state
+  EXPECT_EQ(seq.c.size(), 5u * 7u);
 }
 
 TEST(Lstm, EmptySequenceYieldsNoCaches) {
   Rng rng(4);
   cn::LstmCell cell(3, 4, rng);
-  EXPECT_TRUE(cell.run({}).empty());
+  const auto seq = run_seq(cell, {});
+  EXPECT_EQ(seq.steps(), 0u);
+  EXPECT_EQ(final_h(cell, {}), std::vector<float>(4, 0.f));
 }
 
 TEST(Lstm, HiddenStateIsBounded) {
@@ -163,8 +343,7 @@ TEST(Lstm, HiddenStateIsBounded) {
   Rng rng(5);
   cn::LstmCell cell(4, 6, rng);
   std::vector<std::vector<float>> xs(20, std::vector<float>(4, 3.f));
-  const auto caches = cell.run(xs);
-  for (float v : caches.back().h) {
+  for (float v : final_h(cell, xs)) {
     EXPECT_LE(std::abs(v), 1.0f);
   }
 }
@@ -173,17 +352,17 @@ TEST(Lstm, DeterministicForward) {
   Rng rng(6);
   cn::LstmCell cell(3, 5, rng);
   std::vector<std::vector<float>> xs(3, std::vector<float>(3, 0.5f));
-  const auto a = cell.run(xs);
-  const auto b = cell.run(xs);
-  for (std::size_t i = 0; i < a.back().h.size(); ++i) {
-    EXPECT_FLOAT_EQ(a.back().h[i], b.back().h[i]);
+  const auto a = final_h(cell, xs);
+  const auto b = final_h(cell, xs);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_FLOAT_EQ(a[i], b[i]);
   }
 }
 
-// run_final_batch must reproduce run(xs).back().h bit for bit on every
-// lane, whatever the lane lengths: empty lanes stay zero, T = 1 lanes take
-// one step. The shapes cover 4H = 96 (three full register chunks), 48 (one
-// chunk plus a tail) and 20 (tail only).
+// run_final_batch must reproduce run()'s final hidden state bit for bit on
+// every lane, whatever the lane lengths: empty lanes stay zero, T = 1 lanes
+// take one step. The shapes cover 4H = 96 (three full register chunks), 48
+// (one chunk plus a tail) and 20 (tail only).
 TEST(Lstm, BatchedFinalStateMatchesRunBitwise) {
   struct Shape {
     std::size_t d, h;
@@ -209,9 +388,9 @@ TEST(Lstm, BatchedFinalStateMatchesRunBitwise) {
     cell.run_final_batch(seqs, h_out, scratch);
     ASSERT_EQ(h_out.size(), inputs.size() * shape.h);
     for (std::size_t lane = 0; lane < inputs.size(); ++lane) {
-      const auto caches = cell.run(inputs[lane]);
+      const auto want_h = final_h(cell, inputs[lane]);
       for (std::size_t i = 0; i < shape.h; ++i) {
-        const float want = caches.empty() ? 0.f : caches.back().h[i];
+        const float want = want_h[i];
         EXPECT_EQ(std::bit_cast<std::uint32_t>(h_out[lane * shape.h + i]),
                   std::bit_cast<std::uint32_t>(want))
             << "H=" << shape.h << " lane " << lane << " unit " << i;
@@ -231,15 +410,17 @@ TEST(Lstm, BpttNumericalGradientCheck) {
     xs.push_back(x);
   }
   const auto loss = [&] {
-    const auto caches = cell.run(xs);
     float l = 0;
-    for (float v : caches.back().h) l += v;
+    for (float v : final_h(cell, xs)) l += v;
     return l;
   };
 
-  const auto caches = cell.run(xs);
+  const auto seq = run_seq(cell, xs);
   const std::vector<float> dh(4, 1.f);
-  const auto dxs = cell.backward_sequence(caches, dh);
+  cn::LstmBpttScratch scratch;
+  std::vector<float> dxs;
+  cell.backward(seq, dh.data(), scratch, dxs);
+  ASSERT_EQ(dxs.size(), 3u * 3u);
 
   // Check parameter gradients numerically (sampled entries).
   const float eps = 1e-3f;
@@ -267,7 +448,7 @@ TEST(Lstm, BpttNumericalGradientCheck) {
       xs[t][d] = save - eps;
       const float lm = loss();
       xs[t][d] = save;
-      EXPECT_NEAR((lp - lm) / (2 * eps), dxs[t][d], 5e-2);
+      EXPECT_NEAR((lp - lm) / (2 * eps), dxs[t * 3 + d], 5e-2);
     }
   }
 }
@@ -286,6 +467,8 @@ TEST(Lstm, CanLearnToSumInputs) {
   cfg.lr = 1e-2;
   cn::Adam opt(params, cfg);
 
+  cn::LstmBpttScratch scratch;
+  std::vector<float> dxs;
   double final_err = 0;
   for (int it = 0; it < 1500; ++it) {
     std::vector<std::vector<float>> xs;
@@ -296,16 +479,17 @@ TEST(Lstm, CanLearnToSumInputs) {
       xs.push_back({v});
       target += v;
     }
-    const auto caches = cell.run(xs);
+    const auto seq = run_seq(cell, xs);
+    const float* h = cell.final_hidden(seq);
     float y = b.data()[0];
-    for (int i = 0; i < 8; ++i) y += w.data()[i] * caches.back().h[i];
+    for (int i = 0; i < 8; ++i) y += w.data()[i] * h[i];
     const float err = y - target;
     // Head gradients.
-    for (int i = 0; i < 8; ++i) w.grad()[i] += 2 * err * caches.back().h[i];
+    for (int i = 0; i < 8; ++i) w.grad()[i] += 2 * err * h[i];
     b.grad()[0] += 2 * err;
     std::vector<float> dh(8);
     for (int i = 0; i < 8; ++i) dh[i] = 2 * err * w.data()[i];
-    cell.backward_sequence(caches, dh);
+    cell.backward(seq, dh.data(), scratch, dxs);
     opt.step();
     if (it >= 1400) final_err += std::abs(err);
   }
