@@ -296,6 +296,39 @@ void BM_IthemalPredictGammaBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IthemalPredictGammaBatch)->Unit(benchmark::kMicrosecond);
 
+// One explanation's model traffic: 64 batches of 16 Γ samples of one
+// block, through one session (Arg 1: each distinct instruction's token
+// LSTM runs once for the whole stream) or through plain predict_batch
+// (Arg 0: once per batch it appears in).
+void BM_IthemalPredictGammaSession(benchmark::State& state) {
+  const cost::IthemalModel model(cost::MicroArch::Haswell);
+  util::Rng gen_rng(11);
+  util::Rng sample_rng(12);
+  const perturb::Perturber perturber(bhive::BlockGenerator().generate(gen_rng));
+  std::vector<std::vector<x86::BasicBlock>> batches(64);
+  for (auto& batch : batches) {
+    for (int s = 0; s < 16; ++s) {
+      batch.push_back(perturber.sample(graph::FeatureSet{}, sample_rng).block);
+    }
+  }
+  std::vector<double> out(16);
+  for (auto _ : state) {
+    const auto session =
+        state.range(0) != 0 ? model.open_session() : nullptr;
+    for (const auto& batch : batches) {
+      const std::span<const x86::BasicBlock> blocks(batch);
+      if (session) {
+        session->predict_batch(blocks, std::span<double>(out));
+      } else {
+        model.predict_batch(blocks, std::span<double>(out));
+      }
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+}
+BENCHMARK(BM_IthemalPredictGammaSession)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 // --- training (Ithemal's set-up cost) ----------------------------------
 
 // One Adam step over Ithemal's default parameter set: the embedding table

@@ -15,9 +15,22 @@
 // must agree with element-wise predict() exactly. A const model is safe to
 // call from several threads at once; serving uses cores by running one
 // explanation per worker, never by splitting a batch.
+//
+// A caller that sends a stream of related batches (the query broker, one
+// per explanation) opens a ModelSession and sends them through it. A
+// session may keep work that outlives one batch: the Ithemal session keeps
+// each distinct instruction's token-LSTM state for the whole explanation.
+// Its results are still bit-identical to predict(). The session belongs to
+// its caller and to one thread; the model stays const and shared. The
+// default session forwards every batch to the model's own predict_batch,
+// so a model without an override (the simulators, crude, Granite, remote
+// shard clients, decorators) needs no session code. Ithemal has one
+// inference path: without a caller session, predict_batch runs the same
+// code over a call-local table.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -29,6 +42,17 @@ namespace comet::cost {
 enum class MicroArch : std::uint8_t { Haswell, Skylake };
 
 std::string uarch_name(MicroArch uarch);
+
+/// A caller-owned stream of predict_batch calls against one model (see the
+/// header comment). Not thread-safe: confine a session to one thread.
+class ModelSession {
+ public:
+  virtual ~ModelSession() = default;
+
+  /// Same contract as CostModel::predict_batch.
+  virtual void predict_batch(std::span<const x86::BasicBlock> blocks,
+                             std::span<double> out) = 0;
+};
 
 /// Query-access cost model interface.
 class CostModel {
@@ -45,6 +69,10 @@ class CostModel {
   /// across the blocks of a batch.
   virtual void predict_batch(std::span<const x86::BasicBlock> blocks,
                              std::span<double> out) const;
+
+  /// Open a session for a stream of batches; the model must outlive it.
+  /// The default forwards every batch to predict_batch().
+  virtual std::unique_ptr<ModelSession> open_session() const;
 
   /// Human-readable model name ("ithemal", "uica", "crude", ...).
   virtual std::string name() const = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "cost/checkpoint.h"
@@ -32,25 +33,13 @@ int width_code(std::uint16_t bits) {
 }
 constexpr int kWidthCodes = 7;
 
-/// A view of one instruction's token ids: the key of predict_batch's
-/// distinct-instruction map.
-struct TokenSeq {
-  const int* data;
-  std::size_t size;
-  bool operator==(const TokenSeq& o) const {
-    return std::equal(data, data + size, o.data, o.data + o.size);
-  }
-};
-
-struct TokenSeqHash {
-  std::size_t operator()(const TokenSeq& s) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the token ids
-    for (std::size_t i = 0; i < s.size; ++i) {
-      h = (h ^ static_cast<std::uint32_t>(s.data[i])) * 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
+// A session table keys an instruction by its token ids at 2 bytes each.
+static_assert(x86::kNumOpcodes +
+                      static_cast<std::size_t>(x86::RegFamily::kCount) *
+                          kWidthCodes +
+                      3 <=
+                  0x10000,
+              "token ids must fit the 2-byte keys of IthemalModel::InstTable");
 }  // namespace
 
 BlockTokenizer::BlockTokenizer() {
@@ -160,74 +149,143 @@ double IthemalModel::predict(const x86::BasicBlock& block) const {
   return forward(block, ws);
 }
 
+/// Token-LSTM final states of distinct instructions: row r of `rows`
+/// (hidden_dim floats) belongs to the instruction whose token ids, 2 bytes
+/// each, make the key mapped to r. Keys of up to 7 tokens fit a
+/// std::string's inline storage.
+struct IthemalModel::InstTable {
+  std::vector<float> rows;
+  std::unordered_map<std::string, std::size_t> row_of;
+};
+
+/// The buffers of one predict_batch call, reused across its chunks.
+struct IthemalModel::BatchScratch {
+  std::vector<std::size_t> live;  // out index of each non-empty block
+  std::vector<std::vector<std::vector<int>>> tokens;  // of each live block
+  std::string key;
+  std::vector<std::vector<const float*>> token_lanes;  // new instructions
+  std::vector<std::size_t> inst_row;  // every instruction, in block order
+  std::vector<std::vector<const float*>> block_lanes;
+  nn::LstmBatchScratch lstm;
+  std::vector<float> h;  // run_final_batch's output rows
+};
+
+class IthemalModel::Session final : public ModelSession {
+ public:
+  explicit Session(const IthemalModel& model) : model_(&model) {}
+  void predict_batch(std::span<const x86::BasicBlock> blocks,
+                     std::span<double> out) override {
+    model_->run_batch(blocks, out, &table_);
+  }
+
+ private:
+  const IthemalModel* model_;
+  InstTable table_;
+};
+
+std::unique_ptr<ModelSession> IthemalModel::open_session() const {
+  return std::make_unique<Session>(*this);
+}
+
 void IthemalModel::predict_batch(std::span<const x86::BasicBlock> blocks,
                                  std::span<double> out) const {
+  run_batch(blocks, out, nullptr);
+}
+
+void IthemalModel::run_batch(std::span<const x86::BasicBlock> blocks,
+                             std::span<double> out,
+                             InstTable* session) const {
   COMET_CHECK_MSG(blocks.size() == out.size(),
                   "predict_batch: " << blocks.size() << " blocks but "
                                     << out.size() << " output slots");
+  InstTable local;
+  BatchScratch scratch;
+  for (std::size_t i = 0; i < blocks.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, blocks.size() - i);
+    if (!session && i % kLocalTableBlocks == 0) {
+      local.rows.clear();
+      local.row_of.clear();
+    }
+    run_chunk(blocks.subspan(i, n), out.subspan(i, n),
+              session ? *session : local, scratch);
+  }
+}
+
+void IthemalModel::run_chunk(std::span<const x86::BasicBlock> blocks,
+                             std::span<double> out, InstTable& table,
+                             BatchScratch& s) const {
   const std::size_t D = config_.embed_dim;
   const std::size_t H = config_.hidden_dim;
 
-  // Stage 1 — tokenize the non-empty blocks of the batch.
-  std::vector<std::size_t> live;  // out index of each non-empty block
-  std::vector<std::vector<std::vector<int>>> tokens;
+  // Stage 1 — tokenize the non-empty blocks of the chunk.
+  s.live.clear();
+  s.tokens.clear();
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (blocks[b].empty()) {
       out[b] = 0.0;
       continue;
     }
-    live.push_back(b);
-    tokens.push_back(tokenizer_.tokenize(blocks[b]));
+    s.live.push_back(b);
+    s.tokens.push_back(tokenizer_.tokenize(blocks[b]));
   }
-  if (live.empty()) return;
+  if (s.live.empty()) return;
 
   // Stage 2 — an instruction's embedding is a pure function of its token
-  // ids, so every distinct token sequence gets one token-LSTM lane, found
-  // through a map keyed by views into `tokens` (no per-instruction key is
-  // allocated). Lane inputs are pointers straight into the embedding table.
-  std::unordered_map<TokenSeq, std::size_t, TokenSeqHash> lane_of;
-  std::vector<std::vector<const float*>> token_lanes;
-  std::vector<std::size_t> inst_lane;  // every instruction, in block order
-  for (const auto& block_tokens : tokens) {
+  // ids, so a token sequence gets a token-LSTM lane only the first time
+  // its table sees it; later occurrences, in this chunk or (in a session)
+  // in any later batch, reuse its row. Lane inputs are pointers straight
+  // into the embedding table.
+  const std::size_t known = table.rows.size() / H;
+  s.token_lanes.clear();
+  s.inst_row.clear();
+  for (const auto& block_tokens : s.tokens) {
     for (const auto& seq : block_tokens) {
-      const auto [it, added] = lane_of.try_emplace(
-          TokenSeq{seq.data(), seq.size()}, token_lanes.size());
+      s.key.resize(2 * seq.size());
+      for (std::size_t t = 0; t < seq.size(); ++t) {
+        s.key[2 * t] = static_cast<char>(seq[t] & 0xff);
+        s.key[2 * t + 1] = static_cast<char>(seq[t] >> 8);
+      }
+      const auto [it, added] =
+          table.row_of.try_emplace(s.key, known + s.token_lanes.size());
       if (added) {
-        std::vector<const float*>& lane = token_lanes.emplace_back();
+        std::vector<const float*>& lane = s.token_lanes.emplace_back();
         lane.reserve(seq.size());
         for (const int t : seq) lane.push_back(embedding_.data() + t * D);
       }
-      inst_lane.push_back(it->second);
+      s.inst_row.push_back(it->second);
     }
   }
 
-  // Stage 3 — token LSTM; row l of inst_h is distinct-instruction lane l's
-  // embedding.
-  nn::LstmBatchScratch scratch;
-  std::vector<float> inst_h;
-  token_lstm_.run_final_batch(token_lanes, inst_h, scratch);
+  // Stage 3 — token LSTM over the new lanes; their final states become the
+  // table's next rows. Appending may move the rows, so the block lanes
+  // point at them only after it.
+  if (!s.token_lanes.empty()) {
+    token_lstm_.run_final_batch(s.token_lanes, s.h, s.lstm);
+    table.rows.insert(table.rows.end(), s.h.begin(), s.h.end());
+  }
 
-  // Stage 4 — block LSTM: each block's lane walks the embedding rows of its
+  // Stage 4 — block LSTM: each block's lane walks the table rows of its
   // instructions, shared between repeats.
-  std::vector<std::vector<const float*>> block_lanes(live.size());
+  s.block_lanes.resize(s.live.size());
   std::size_t next_inst = 0;
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    block_lanes[k].reserve(tokens[k].size());
-    for (std::size_t j = 0; j < tokens[k].size(); ++j) {
-      block_lanes[k].push_back(inst_h.data() + inst_lane[next_inst++] * H);
+  for (std::size_t k = 0; k < s.live.size(); ++k) {
+    s.block_lanes[k].clear();
+    s.block_lanes[k].reserve(s.tokens[k].size());
+    for (std::size_t j = 0; j < s.tokens[k].size(); ++j) {
+      s.block_lanes[k].push_back(table.rows.data() +
+                                 s.inst_row[next_inst++] * H);
     }
   }
-  std::vector<float> blk_h;
-  block_lstm_.run_final_batch(block_lanes, blk_h, scratch);
+  block_lstm_.run_final_batch(s.block_lanes, s.h, s.lstm);
 
   // Stage 5 — regression head (same double-precision chain as forward()).
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const float* h = blk_h.data() + k * H;
+  for (std::size_t k = 0; k < s.live.size(); ++k) {
+    const float* h = s.h.data() + k * H;
     double y = head_b_.data()[0];
     for (std::size_t i = 0; i < H; ++i) {
       y += head_w_.data()[i] * h[i];
     }
-    out[live[k]] = std::exp(std::clamp(y, -3.0, 5.0));
+    out[s.live[k]] = std::exp(std::clamp(y, -3.0, 5.0));
   }
 }
 
@@ -298,17 +356,10 @@ double IthemalModel::train(const std::vector<x86::BasicBlock>& blocks,
   // kept, they lifted explain-ithemal's peak RSS by ~0.06 MB.
   train_ws_ = Workspace{};
 
-  // The closing MAPE goes through predict_batch (bit-equal to predict) in
-  // broker-sized chunks: one batch over the whole training set holds every
-  // block's tokens and lanes at once, which raised explain-ithemal's peak
-  // RSS by 4.6 MB (chunks of 64: by 0.13 MB; of 16: not measurably).
-  constexpr std::size_t kChunk = 16;
-  const std::span<const x86::BasicBlock> all(blocks);
+  // The closing MAPE goes through predict_batch (bit-equal to predict),
+  // which holds one chunk of the training set's work at a time.
   std::vector<double> preds(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, blocks.size() - i);
-    predict_batch(all.subspan(i, n), std::span<double>(preds).subspan(i, n));
-  }
+  predict_batch(blocks, preds);
   return util::mape(preds, targets);
 }
 

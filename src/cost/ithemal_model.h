@@ -57,13 +57,18 @@ class IthemalModel final : public CostModel {
   explicit IthemalModel(MicroArch uarch, IthemalConfig config = {});
 
   double predict(const x86::BasicBlock& block) const override;
-  /// Cross-block batched inference: tokenizes the whole batch, runs the
-  /// token LSTM once per distinct instruction (token sequence) in the batch
-  /// and the block LSTM once per block, whose lanes share the rows of
-  /// repeated instructions (nn::LstmCell::run_final_batch). Bit-for-bit
-  /// equal to element-wise predict().
+  /// Cross-block batched inference in chunks of kChunk blocks: tokenizes a
+  /// chunk, runs the token LSTM once per distinct instruction (token
+  /// sequence) not yet in its table, and the block LSTM once per block,
+  /// whose lanes read the table's rows of their instructions
+  /// (nn::LstmCell::run_final_batch). The table is call-local and cleared
+  /// every kLocalTableBlocks blocks, so a whole-corpus call holds a bounded
+  /// amount of work at a time. Bit-for-bit equal to element-wise predict().
   void predict_batch(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out) const override;
+  /// A session runs predict_batch's code over one table that spans all of
+  /// its batches: an instruction's token LSTM runs once per session.
+  std::unique_ptr<ModelSession> open_session() const override;
   std::string name() const override;
 
   /// One Adam step on a single (block, target) pair; returns squared
@@ -93,6 +98,31 @@ class IthemalModel final : public CostModel {
                        const std::vector<double>& targets);
 
  private:
+  class Session;
+  struct InstTable;
+  struct BatchScratch;
+
+  /// predict_batch's chunk size. Over train()'s 3,000-block closing MAPE,
+  /// one batch raised explain-ithemal's peak RSS by 4.6 MB, and chunks of
+  /// 64 by 0.2-0.3 MB more than chunks of 16.
+  static constexpr std::size_t kChunk = 16;
+  /// How many blocks a call-local table (no caller session) serves before
+  /// it is cleared. The engine fuses at most 64 blocks into a broker batch,
+  /// so such a batch keeps all of its reuse; a table cleared every chunk
+  /// made 64-block batches 1.24x slower, and one table for a 3,000-block
+  /// call raised peak RSS by 2.8 MB.
+  static constexpr std::size_t kLocalTableBlocks = 64;
+  static_assert(kLocalTableBlocks % kChunk == 0);
+
+  /// predict_batch over `session`'s table, or over a call-local table that
+  /// is cleared every kLocalTableBlocks blocks when `session` is null.
+  void run_batch(std::span<const x86::BasicBlock> blocks,
+                 std::span<double> out, InstTable* session) const;
+  /// One chunk of run_batch.
+  void run_chunk(std::span<const x86::BasicBlock> blocks,
+                 std::span<double> out, InstTable& table,
+                 BatchScratch& scratch) const;
+
   /// The buffers of one forward pass (the activations BPTT reads) and of
   /// one backward pass. They only grow, so with a reused Workspace the
   /// block's tokenization is a train step's only allocation.

@@ -16,17 +16,26 @@
 //                  folded too); for a deterministic model a memo hit
 //                  returns exactly the value predict() would,
 //   * accounting — all query traffic is counted here, giving benches and
-//                  tests one authoritative place to audit the query budget.
+//                  tests one authoritative place to audit the query budget,
+//   * one session — a model with open_session() (every x86 CostModel) is
+//                  asked for one session when the broker is built, and
+//                  every miss batch goes through it, so the model can keep
+//                  work across the batches of one explanation. A model
+//                  without one (the RISC-V analytical model) is called
+//                  directly.
 //
 // The broker is templated over (Block, Model) so the same code serves the
 // x86 CostModel hierarchy and the RISC-V analytical model: any pair where
 // Block has to_string() and Model has predict()/predict_batch() works.
+// The session path is chosen at compile time: this header sees no model
+// type, only whether Model has open_session().
 //
 // Thread-safety contract:
 //   * A QueryBroker instance is NOT thread-safe: the memo table, the stats
-//     ledger, and the scratch buffers are unsynchronized. Confine each
-//     broker to one thread at a time (each explanation owns a private
-//     broker, so a served request's broker lives on its worker).
+//     ledger, the model session and the scratch buffers are
+//     unsynchronized. Confine each broker to one thread at a time (each
+//     explanation owns a private broker, so a served request's broker
+//     lives on its worker).
 //   * The broker only ever calls const methods on the model, so a single
 //     model instance may back many brokers on many threads provided its
 //     predict()/predict_batch() are const-thread-safe (true for every
@@ -37,18 +46,36 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cost/query_stats.h"
 
 namespace comet::cost {
 
+namespace detail {
+/// What Model::open_session() returns, or std::nullptr_t for a model
+/// without sessions.
+template <typename Model>
+struct SessionOf {
+  using type = std::nullptr_t;
+};
+template <typename Model>
+  requires requires(const Model& m) { m.open_session(); }
+struct SessionOf<Model> {
+  using type = decltype(std::declval<const Model&>().open_session());
+};
+}  // namespace detail
+
 template <typename Block, typename Model>
 class QueryBroker {
  public:
   /// `model` must outlive the broker.
-  explicit QueryBroker(const Model& model) : model_(&model) {}
+  explicit QueryBroker(const Model& model) : model_(&model) {
+    if constexpr (kSessions) session_ = model.open_session();
+  }
 
   // Movable (so brokers can live in containers), not copyable (a copied
   // memo table would double-count traffic in merged stats).
@@ -57,7 +84,8 @@ class QueryBroker {
 
   /// Predict every block of `blocks` into the parallel `out` span.
   /// Cache misses are deduplicated and evaluated in one predict_batch()
-  /// call; hits never reach the model.
+  /// call (through the session, when the model has one); hits never reach
+  /// the model.
   void predict_batch(std::span<const Block> blocks, std::span<double> out) {
     stats_.requested += blocks.size();
     if (blocks.empty()) return;
@@ -88,8 +116,12 @@ class QueryBroker {
       miss_out_.resize(miss_blocks_.size());
       stats_.evaluated += miss_blocks_.size();
       ++stats_.batch_calls;
-      model_->predict_batch(std::span<const Block>(miss_blocks_),
-                            std::span<double>(miss_out_));
+      const std::span<const Block> miss(miss_blocks_);
+      if constexpr (kSessions) {
+        session_->predict_batch(miss, std::span<double>(miss_out_));
+      } else {
+        model_->predict_batch(miss, std::span<double>(miss_out_));
+      }
       for (std::size_t s = 0; s < miss_keys_.size(); ++s) {
         cache_.emplace(std::move(miss_keys_[s]), miss_out_[s]);
       }
@@ -104,8 +136,11 @@ class QueryBroker {
 
  private:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  using Session = typename detail::SessionOf<Model>::type;
+  static constexpr bool kSessions = !std::is_same_v<Session, std::nullptr_t>;
 
   const Model* model_;  // a pointer, so the broker stays move-assignable
+  Session session_{};   // opened once, in the constructor
   QueryStats stats_;
   std::unordered_map<std::string, double> cache_;
   // Reused per-call scratch (miss gathering); no allocations on the hot

@@ -3,9 +3,13 @@
 // per-block predict() bit-for-bit — from one thread AND from several
 // threads calling the same const model at once (as serving workers do).
 // This is the contract the query broker, the serving layer, and the
-// engine's golden parity all stand on.
+// engine's golden parity all stand on. The same holds for a stream of
+// batches through one model session (CostModel::open_session), whose
+// Ithemal table spans the batches.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -128,6 +132,52 @@ cc::GraniteConfig tiny_granite() {
 
 const cc::MicroArch HSW = cc::MicroArch::Haswell;
 
+void expect_bitwise(const std::vector<double>& got,
+                    const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " diverges at " << i;
+  }
+}
+
+// Send `batches` in order through one session of `model`; every output
+// must equal per-block predict() bitwise.
+void expect_session_parity(const cc::CostModel& model,
+                           const std::vector<std::vector<cx::BasicBlock>>&
+                               batches) {
+  const auto session = model.open_session();
+  for (const auto& batch : batches) {
+    std::vector<double> scalar(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      scalar[i] = model.predict(batch[i]);
+    }
+    std::vector<double> out(batch.size(), -1.0);
+    session->predict_batch(std::span<const cx::BasicBlock>(batch),
+                           std::span<double>(out));
+    expect_bitwise(out, scalar, "session batch");
+  }
+}
+
+// One explanation's traffic: Γ batches of one target, the target first.
+std::vector<std::vector<cx::BasicBlock>> gamma_stream(std::size_t batches,
+                                                      std::size_t fill,
+                                                      std::uint64_t seed) {
+  comet::util::Rng rng(seed);
+  const auto target = cb::BlockGenerator().generate(rng);
+  const cp::Perturber perturber(target);
+  std::vector<std::vector<cx::BasicBlock>> stream{{target}};
+  for (std::size_t b = 0; b < batches; ++b) {
+    auto& batch = stream.emplace_back();
+    for (std::size_t i = 0; i < fill; ++i) {
+      batch.push_back(
+          perturber.sample(comet::graph::FeatureSet{}, rng).block);
+    }
+  }
+  return stream;
+}
+
 }  // namespace
 
 TEST(BatchParity, Crude) {
@@ -228,4 +278,107 @@ TEST(BatchParity, BaseClassFallback) {
   };
   PlainModel model;
   expect_batch_parity(model, 64);
+}
+
+// Whole-corpus calls (evaluation, global explanations, model diffing,
+// fine-tuning) run through predict_batch's fixed chunks; the chunk
+// boundaries must not show in any prediction.
+TEST(BatchParity, IthemalWholeCorpusInChunks) {
+  cc::IthemalModel model(HSW, tiny_ithemal());
+  const auto blocks = mixed_batch(1100, /*seed=*/41);
+  std::vector<double> scalar(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    scalar[i] = model.predict(blocks[i]);
+  }
+  std::vector<double> batched(blocks.size(), -1.0);
+  model.predict_batch(std::span<const cx::BasicBlock>(blocks),
+                      std::span<double>(batched));
+  expect_bitwise(batched, scalar, "whole-corpus batch");
+  std::vector<double> through_session(blocks.size(), -1.0);
+  model.open_session()->predict_batch(std::span<const cx::BasicBlock>(blocks),
+                                      std::span<double>(through_session));
+  expect_bitwise(through_session, scalar, "whole-corpus session batch");
+}
+
+// An explanation's stream of Γ batches through one session: the token-LSTM
+// rows of earlier batches serve the later ones. Batches wider than one
+// chunk are included.
+TEST(BatchParity, IthemalSessionGammaStream) {
+  cc::IthemalModel model(HSW, tiny_ithemal());
+  expect_session_parity(model, gamma_stream(24, 16, 51));
+  expect_session_parity(model, gamma_stream(6, 40, 52));
+  cc::IthemalConfig cfg;  // the benchmark's dimensions
+  expect_session_parity(cc::IthemalModel(HSW, cfg), gamma_stream(12, 16, 53));
+}
+
+// A batch made only of instructions the session has already seen runs no
+// token-LSTM lane at all: its blocks recombine earlier instructions in new
+// orders and lengths.
+TEST(BatchParity, IthemalSessionBatchOfKnownInstructions) {
+  cc::IthemalModel model(HSW, tiny_ithemal());
+  const auto first = gamma_stream(1, 16, 61).back();
+  std::vector<cx::Instruction> seen;
+  for (const auto& block : first) {
+    for (const auto& inst : block.instructions) seen.push_back(inst);
+  }
+  ASSERT_GT(seen.size(), 3u);
+  std::vector<cx::BasicBlock> known;
+  for (std::size_t k = 0; k < 16; ++k) {
+    cx::BasicBlock block;
+    for (std::size_t j = 0; j <= k % 5; ++j) {
+      block.instructions.push_back(seen[(7 * k + 3 * j) % seen.size()]);
+    }
+    known.push_back(std::move(block));
+  }
+  expect_session_parity(model, {first, known, known, first});
+}
+
+// Empty blocks mixed into session batches, and a batch of only empties.
+TEST(BatchParity, IthemalSessionEmptyBlocks) {
+  cc::IthemalModel model(HSW, tiny_ithemal());
+  auto stream = gamma_stream(8, 16, 71);
+  for (auto& batch : stream) {
+    batch.insert(batch.begin(), cx::BasicBlock{});
+    batch.push_back(cx::BasicBlock{});
+  }
+  stream.insert(stream.begin() + 3, std::vector<cx::BasicBlock>(4));
+  stream.push_back(repeated_batch());
+  expect_session_parity(model, stream);
+}
+
+// Served explanations: 4 threads, each with its own session, over one
+// shared const model (run under ThreadSanitizer by check.sh --tsan).
+TEST(BatchParity, IthemalSessionsOnConcurrentThreads) {
+  const cc::IthemalModel model(HSW, tiny_ithemal());
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<cx::BasicBlock>>> streams;
+  std::vector<std::vector<std::vector<double>>> want(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    // Threads 0 and 1 share a target, so their sessions see the same
+    // instructions at the same time.
+    streams.push_back(gamma_stream(12, 16, 81 + t / 2 * 2));
+    for (const auto& batch : streams[t]) {
+      auto& scalar = want[t].emplace_back();
+      for (const auto& block : batch) scalar.push_back(model.predict(block));
+    }
+  }
+  std::vector<std::vector<std::vector<double>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&model, &streams, &got, t] {
+      const auto session = model.open_session();
+      for (const auto& batch : streams[t]) {
+        auto& out = got[t].emplace_back(batch.size(), -1.0);
+        session->predict_batch(std::span<const cx::BasicBlock>(batch),
+                               std::span<double>(out));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), want[t].size());
+    for (std::size_t b = 0; b < got[t].size(); ++b) {
+      expect_bitwise(got[t][b], want[t][b], "concurrent session batch");
+    }
+  }
 }

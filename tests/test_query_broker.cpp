@@ -1,11 +1,13 @@
 // Tests for the batched query layer: predict_batch element-wise parity for
-// every model in the zoo, QueryBroker memoization/dedup/accounting, and
-// that every broker output — miss, memo hit or in-batch duplicate — is
-// bit-identical to the model's own predict().
+// every model in the zoo, QueryBroker memoization/dedup/accounting, the
+// broker's one model session, and that every broker output — miss, memo
+// hit or in-batch duplicate — is bit-identical to the model's own
+// predict().
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,6 +75,74 @@ class CountingModel final : public ck::CostModel {
   mutable std::size_t batch_calls = 0;
   mutable std::size_t batch_queries = 0;
 };
+
+/// CountingModel's values behind its own open_session(): counts sessions
+/// opened and the batches and blocks that reach them.
+class SessionCountingModel final : public ck::CostModel {
+ public:
+  class Session final : public ck::ModelSession {
+   public:
+    explicit Session(const SessionCountingModel& model) : model_(&model) {}
+    void predict_batch(std::span<const cx::BasicBlock> blocks,
+                       std::span<double> out) override {
+      ++model_->session_batches;
+      model_->session_queries += blocks.size();
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        out[i] = 1.0 + static_cast<double>(blocks[i].size());
+      }
+    }
+
+   private:
+    const SessionCountingModel* model_;
+  };
+
+  double predict(const cx::BasicBlock& block) const override {
+    ++direct_calls;
+    return 1.0 + static_cast<double>(block.size());
+  }
+  void predict_batch(std::span<const cx::BasicBlock> blocks,
+                     std::span<double> out) const override {
+    ++direct_calls;
+    ck::CostModel::predict_batch(blocks, out);
+  }
+  std::unique_ptr<ck::ModelSession> open_session() const override {
+    ++sessions_opened;
+    return std::make_unique<Session>(*this);
+  }
+  std::string name() const override { return "session-counting"; }
+
+  mutable std::size_t sessions_opened = 0;
+  mutable std::size_t session_batches = 0;
+  mutable std::size_t session_queries = 0;
+  mutable std::size_t direct_calls = 0;  // predict() or predict_batch()
+};
+
+/// Broker traffic with in-batch duplicates, repeats across batches, an
+/// empty block and an all-hit batch.
+std::vector<std::vector<cx::BasicBlock>> session_traffic() {
+  const auto blocks = sample_blocks(12);
+  std::vector<std::vector<cx::BasicBlock>> batches;
+  batches.push_back({blocks[0], blocks[1], blocks[0]});
+  batches.push_back({blocks[1], blocks[2], blocks[3], blocks[12]});
+  batches.push_back({blocks[0], blocks[2]});  // all memo hits
+  batches.emplace_back(blocks.begin(), blocks.end());
+  const auto fresh = cx::parse_block("imul rax, rcx\nadd rcx, rax");
+  batches.push_back({fresh, blocks[5], fresh});
+  return batches;
+}
+
+template <typename Model>
+std::vector<std::vector<double>> run_traffic(
+    ck::QueryBroker<cx::BasicBlock, Model>& broker,
+    const std::vector<std::vector<cx::BasicBlock>>& batches) {
+  std::vector<std::vector<double>> outs;
+  for (const auto& batch : batches) {
+    auto& out = outs.emplace_back(batch.size(), -1.0);
+    broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+                         std::span<double>(out));
+  }
+  return outs;
+}
 
 }  // namespace
 
@@ -209,4 +279,97 @@ TEST(QueryBroker, MemoizationInvariantExplanation) {
   EXPECT_EQ(stats.requested, stats.evaluated + stats.cache_hits);
   EXPECT_GT(stats.evaluated, 1u);
   EXPECT_GT(stats.cache_hits, requested / 4);
+}
+
+// ---------- the broker's model session ----------
+
+TEST(QueryBrokerSession, OneSessionPerBroker) {
+  const SessionCountingModel model;
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  EXPECT_EQ(model.sessions_opened, 1u);
+  run_traffic(broker, session_traffic());
+  EXPECT_EQ(model.sessions_opened, 1u);
+  // Moving a broker moves its session; a second broker opens its own.
+  auto moved = std::move(broker);
+  run_traffic(moved, session_traffic());
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> other(model);
+  EXPECT_EQ(model.sessions_opened, 2u);
+}
+
+TEST(QueryBrokerSession, MissBatchesGoThroughTheSessionAndHitsNever) {
+  const SessionCountingModel model;
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  const auto batches = session_traffic();
+  std::size_t expected_batches = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::size_t before = model.session_queries;
+    const std::size_t hits = broker.stats().cache_hits;
+    run_traffic(broker, {batches[b]});
+    // Only the deduplicated misses of this batch reached the session.
+    EXPECT_EQ(model.session_queries - before,
+              batches[b].size() - (broker.stats().cache_hits - hits));
+    if (b == 2) {
+      EXPECT_EQ(model.session_queries, before) << "an all-hit batch";
+    } else {
+      ++expected_batches;
+    }
+  }
+  EXPECT_EQ(model.session_batches, expected_batches);
+  EXPECT_EQ(model.session_batches, broker.stats().batch_calls);
+  EXPECT_EQ(model.session_queries, broker.stats().evaluated);
+  EXPECT_EQ(model.direct_calls, 0u);
+}
+
+TEST(QueryBrokerSession, StatsAndValuesMatchASessionlessModel) {
+  const auto batches = session_traffic();
+  const SessionCountingModel with_session;
+  const CountingModel forwarding;  // the base forwarding session
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> a(with_session);
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> b(forwarding);
+  EXPECT_EQ(run_traffic(a, batches), run_traffic(b, batches));
+  EXPECT_EQ(a.stats().requested, b.stats().requested);
+  EXPECT_EQ(a.stats().evaluated, b.stats().evaluated);
+  EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
+  EXPECT_EQ(a.stats().batch_calls, b.stats().batch_calls);
+}
+
+// A model without its own open_session() — the shape of RemoteShardClient
+// and of decorators like perfbench's TimedModel — is reached through the
+// forwarding default: every miss batch is one predict_batch() call.
+TEST(QueryBrokerSession, ForwardingDefaultReachesPredictBatch) {
+  const CountingModel model;
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  run_traffic(broker, session_traffic());
+  EXPECT_EQ(model.batch_calls, broker.stats().batch_calls);
+  EXPECT_EQ(model.batch_queries, broker.stats().evaluated);
+  EXPECT_EQ(model.single_queries, 0u);
+
+  const auto blocks = sample_blocks(3);
+  std::vector<double> out(blocks.size(), -1.0);
+  model.open_session()->predict_batch(std::span<const cx::BasicBlock>(blocks),
+                                      std::span<double>(out));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(out[i], model.predict(blocks[i]));
+  }
+}
+
+// Ithemal through its broker session equals Ithemal called per block, and
+// the broker's ledger equals that of the forwarding session.
+TEST(QueryBrokerSession, IthemalSessionMatchesPredict) {
+  const ck::IthemalModel model(ck::MicroArch::Haswell);
+  const auto batches = session_traffic();
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  const auto outs = run_traffic(broker, batches);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (std::size_t i = 0; i < batches[b].size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(outs[b][i]),
+                std::bit_cast<std::uint64_t>(model.predict(batches[b][i])));
+    }
+  }
+  const CountingModel forwarding;
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> plain(forwarding);
+  run_traffic(plain, batches);
+  EXPECT_EQ(broker.stats().evaluated, plain.stats().evaluated);
+  EXPECT_EQ(broker.stats().cache_hits, plain.stats().cache_hits);
+  EXPECT_EQ(broker.stats().batch_calls, plain.stats().batch_calls);
 }
