@@ -74,7 +74,6 @@ int main() {
   cost::FinetuneOptions fopt;
   fopt.rounds = 2;
   fopt.perturbations_per_block = 6;
-  fopt.original_replays = 6;
   const auto result = cost::finetune_with_perturbations(
       model, train.block_views(),
       train.label_views(cost::MicroArch::Haswell), oracle, fopt);

@@ -27,6 +27,29 @@ std::string zoo_data_dir() {
   return "data";
 }
 
+namespace {
+
+/// `model`, loaded from `<zoo_data_dir()>/<stem>_<hsw|skl>.bin`, or trained
+/// on zoo_dataset() and saved there.
+std::shared_ptr<cost::CostModel> trained(
+    std::shared_ptr<cost::TrainableModel> model, const char* stem,
+    cost::MicroArch uarch) {
+  const auto& ds = zoo_dataset();
+  const std::string path =
+      zoo_data_dir() + "/" + stem + "_" +
+      (uarch == cost::MicroArch::Haswell ? "hsw" : "skl") + ".bin";
+  const double mape =
+      model->train_or_load(path, ds.block_views(), ds.label_views(uarch));
+  if (mape > 0.0) {
+    std::fprintf(stderr,
+                 "[model_zoo] trained %s (train MAPE %.1f%%), cached at %s\n",
+                 model->name().c_str(), mape, path.c_str());
+  }
+  return model;
+}
+
+}  // namespace
+
 std::shared_ptr<cost::CostModel> make_model(ModelKind kind,
                                             cost::MicroArch uarch) {
   switch (kind) {
@@ -38,38 +61,12 @@ std::shared_ptr<cost::CostModel> make_model(ModelKind kind,
       return std::make_shared<sim::McaLikeModel>(uarch);
     case ModelKind::Crude:
       return std::make_shared<cost::CrudeModel>(uarch);
-    case ModelKind::Granite: {
-      auto model = std::make_shared<cost::GraniteModel>(uarch);
-      const auto& ds = zoo_dataset();
-      const std::string path =
-          zoo_data_dir() + "/granite_" +
-          (uarch == cost::MicroArch::Haswell ? "hsw" : "skl") + ".bin";
-      const double mape = model->train_or_load(path, ds.block_views(),
-                                               ds.label_views(uarch));
-      if (mape > 0.0) {
-        std::fprintf(stderr,
-                     "[model_zoo] trained %s (train MAPE %.1f%%), cached at "
-                     "%s\n",
-                     model->name().c_str(), mape, path.c_str());
-      }
-      return model;
-    }
-    case ModelKind::Ithemal: {
-      auto model = std::make_shared<cost::IthemalModel>(uarch);
-      const auto& ds = zoo_dataset();
-      const std::string path =
-          zoo_data_dir() + "/ithemal_" +
-          (uarch == cost::MicroArch::Haswell ? "hsw" : "skl") + ".bin";
-      const double mape = model->train_or_load(path, ds.block_views(),
-                                               ds.label_views(uarch));
-      if (mape > 0.0) {
-        std::fprintf(stderr,
-                     "[model_zoo] trained %s (train MAPE %.1f%%), cached at "
-                     "%s\n",
-                     model->name().c_str(), mape, path.c_str());
-      }
-      return model;
-    }
+    case ModelKind::Granite:
+      return trained(std::make_shared<cost::GraniteModel>(uarch), "granite",
+                     uarch);
+    case ModelKind::Ithemal:
+      return trained(std::make_shared<cost::IthemalModel>(uarch), "ithemal",
+                     uarch);
   }
   return nullptr;
 }

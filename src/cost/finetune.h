@@ -4,11 +4,11 @@
 // The paper proposes that "COMET's feedback can be leveraged to update the
 // model parameters during training to have the predictions rely on
 // finer-grained features". This module implements that loop on our
-// substrate. The lever is COMET's own perturbation distribution D = Γ(∅):
+// substrate. The lever is COMET's own perturbation distribution Γ({η}):
 // sampling it yields blocks that differ from a training block in exactly
 // the fine-grained dimensions COMET's explanations are built from (opcode
-// identity, dependency structure) while staying close in the coarse one
-// (instruction count changes slowly under Γ). Labeling those perturbations
+// identity, dependency structure) while keeping the coarse one, the
+// instruction count. Labeling those perturbations
 // with the ground-truth oracle and fine-tuning on them penalizes a model
 // that predicts from η alone — two perturbations with equal length but a
 // broken RAW chain now carry different targets.
@@ -23,8 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cost/cost_model.h"
-#include "graph/depgraph.h"
+#include "cost/trainable_model.h"
 #include "perturb/perturber.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -34,25 +33,8 @@ namespace comet::cost {
 struct FinetuneOptions {
   /// Fine-tuning passes over the block set.
   std::size_t rounds = 1;
-  /// Γ(∅) samples drawn (and oracle-labeled) per block per round.
+  /// Γ({η}) samples drawn (and oracle-labeled) per block per round.
   std::size_t perturbations_per_block = 6;
-  /// Replay each original (block, target) pair this many times per round,
-  /// so fine-tuning does not drift off the measured distribution. Matching
-  /// perturbations_per_block keeps the two sources balanced.
-  std::size_t original_replays = 6;
-  /// Sample Γ({η}) instead of Γ(∅): perturbations keep the instruction
-  /// count, so every augmented pair differs from the original *only* in
-  /// fine-grained features — exactly the signal the paper's feedback loop
-  /// wants the model to pick up — and the length distribution of the
-  /// training stream is unchanged.
-  bool preserve_num_insts = true;
-  /// Optimizer learning rate during fine-tuning. Gentler than from-scratch
-  /// training: the model is warm and the perturbation distribution is
-  /// intentionally off the measured one.
-  double learning_rate = 5e-4;
-  std::uint64_t seed = 0xF17E;
-  graph::DepGraphOptions graph_options;
-  perturb::PerturbConfig perturb_config;
 };
 
 struct FinetuneResult {
@@ -63,14 +45,22 @@ struct FinetuneResult {
   std::size_t augmented_samples = 0;
 };
 
-/// Fine-tune `model` (anything exposing predict / train_step, i.e. the
-/// Ithemal and Granite surrogates) on Γ-perturbations of `blocks` labeled
-/// by `oracle`. `targets` are the measured costs of the originals.
-template <typename TrainableModel>
-FinetuneResult finetune_with_perturbations(
+/// Fine-tune `model` (the Ithemal or Granite surrogate) on Γ-perturbations
+/// of `blocks` labeled by `oracle`. `targets` are the measured costs of the
+/// originals.
+inline FinetuneResult finetune_with_perturbations(
     TrainableModel& model, const std::vector<x86::BasicBlock>& blocks,
     const std::vector<double>& targets, const CostModel& oracle,
     const FinetuneOptions& options = {}) {
+  // Each original (block, target) pair is replayed this many times per
+  // round, so fine-tuning does not drift off the measured distribution;
+  // matching the default perturbations_per_block keeps the two sources
+  // balanced.
+  constexpr std::size_t kOriginalReplays = 6;
+  // Gentler than from-scratch training: the model is warm and the
+  // perturbation distribution is intentionally off the measured one.
+  constexpr double kLearningRate = 5e-4;
+  constexpr std::uint64_t kSeed = 0xF17E;
   FinetuneResult result;
 
   const auto mape_now = [&] {
@@ -81,21 +71,22 @@ FinetuneResult finetune_with_perturbations(
   };
   result.mape_before = mape_now();
 
-  model.set_learning_rate(options.learning_rate);
-  util::Rng rng(options.seed);
+  model.set_learning_rate(kLearningRate);
+  util::Rng rng(kSeed);
   std::vector<std::size_t> order(blocks.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   for (std::size_t round = 0; round < options.rounds; ++round) {
     rng.shuffle(order);
     for (const std::size_t i : order) {
-      const perturb::Perturber perturber(blocks[i], options.graph_options,
-                                         options.perturb_config);
+      // Γ({η}): every perturbation keeps the instruction count, so each
+      // augmented pair differs from the original only in fine-grained
+      // features — the signal the paper's feedback loop wants the model to
+      // pick up — and the length distribution of the training stream is
+      // unchanged.
+      const perturb::Perturber perturber(blocks[i]);
       graph::FeatureSet preserve;
-      if (options.preserve_num_insts) {
-        preserve.insert(
-            graph::Feature(graph::NumInstsFeature{blocks[i].size()}));
-      }
+      preserve.insert(graph::Feature(graph::NumInstsFeature{blocks[i].size()}));
       for (std::size_t k = 0; k < options.perturbations_per_block; ++k) {
         const auto pb = perturber.sample(preserve, rng);
         if (pb.block.empty()) continue;
@@ -104,7 +95,7 @@ FinetuneResult finetune_with_perturbations(
         model.train_step(pb.block, label);
         ++result.augmented_samples;
       }
-      for (std::size_t k = 0; k < options.original_replays; ++k) {
+      for (std::size_t k = 0; k < kOriginalReplays; ++k) {
         model.train_step(blocks[i], targets[i]);
       }
     }

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <stdexcept>
-
-#include "cost/checkpoint.h"
-#include "util/contract.h"
-#include "util/stats.h"
 
 namespace comet::cost {
 
@@ -34,7 +29,11 @@ double sigmoid(double x) {
 }  // namespace
 
 GraniteModel::GraniteModel(MicroArch uarch, GraniteConfig config)
-    : uarch_(uarch), config_(config) {
+    : TrainableModel({.kind = "GraniteModel", .magic = kMagic,
+                      .epochs = config.epochs, .lr = config.lr,
+                      .seed = config.seed}),
+      uarch_(uarch),
+      config_(config) {
   util::Rng rng(config_.seed + (uarch == MicroArch::Skylake ? 1 : 0));
   embedding_ = nn::Mat(x86::kNumOpcodes, config_.embed_dim);
   embedding_.init_xavier(rng);
@@ -53,12 +52,16 @@ GraniteModel::GraniteModel(MicroArch uarch, GraniteConfig config)
   head_b_.data()[0] = 0.0f;
 
   std::vector<nn::Mat*> params{&embedding_, &feat_w_, &head_w_, &head_b_};
+  std::vector<nn::Mat*> checkpoint{&embedding_, &feat_w_};
   for (auto& layer : layers_) {
-    for (auto* p : layer.params()) params.push_back(p);
+    for (auto* p : layer.params()) {
+      params.push_back(p);
+      checkpoint.push_back(p);
+    }
   }
-  nn::Adam::Config ac;
-  ac.lr = config_.lr;
-  adam_ = std::make_unique<nn::Adam>(std::move(params), ac);
+  checkpoint.push_back(&head_w_);
+  checkpoint.push_back(&head_b_);
+  init_training(std::move(params), std::move(checkpoint));
 }
 
 std::vector<float> GraniteModel::node_features(const x86::Instruction& inst) {
@@ -166,12 +169,8 @@ std::string GraniteModel::name() const {
   return "granite-" + uarch_name(uarch_);
 }
 
-void GraniteModel::set_learning_rate(double lr) { adam_->set_lr(lr); }
-
-double GraniteModel::train_step(const x86::BasicBlock& block, double target) {
-  COMET_CHECK_MSG(std::isfinite(target),
-                  "GraniteModel::train_step: non-finite target " << target);
-  if (block.empty() || target <= 0.0) return 0.0;
+double GraniteModel::accumulate_gradients(const x86::BasicBlock& block,
+                                          double target) {
   Forward f = forward(block);
   const double rel = (f.prediction - target) / target;
   const double dy = 2.0 * rel / target * sigmoid(f.raw);
@@ -205,79 +204,7 @@ double GraniteModel::train_step(const x86::BasicBlock& block, double target) {
       }
     }
   }
-  adam_->step();
   return rel * rel;
-}
-
-double GraniteModel::train(const std::vector<x86::BasicBlock>& blocks,
-                           const std::vector<double>& targets) {
-  if (blocks.size() != targets.size()) {
-    throw std::invalid_argument("GraniteModel::train: size mismatch");
-  }
-  util::Rng rng(config_.seed ^ 0x5eedULL);
-  std::vector<std::size_t> order(blocks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.shuffle(order);
-    adam_->set_lr(config_.lr *
-                  (1.0 - 0.6 * static_cast<double>(epoch) /
-                             std::max<std::size_t>(1, config_.epochs)));
-    for (const std::size_t i : order) train_step(blocks[i], targets[i]);
-  }
-
-  std::vector<double> preds, acts;
-  preds.reserve(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    preds.push_back(predict(blocks[i]));
-    acts.push_back(targets[i]);
-  }
-  return util::mape(preds, acts);
-}
-
-std::vector<nn::Mat*> GraniteModel::checkpoint_mats() {
-  std::vector<nn::Mat*> mats{&embedding_, &feat_w_};
-  for (auto& layer : layers_) {
-    for (auto* p : layer.params()) mats.push_back(p);
-  }
-  mats.push_back(&head_w_);
-  mats.push_back(&head_b_);
-  return mats;
-}
-
-std::vector<const nn::Mat*> GraniteModel::checkpoint_mats() const {
-  std::vector<const nn::Mat*> mats{&embedding_, &feat_w_};
-  for (const auto& layer : layers_) {
-    for (const auto* p : layer.params()) mats.push_back(p);
-  }
-  mats.push_back(&head_w_);
-  mats.push_back(&head_b_);
-  return mats;
-}
-
-void GraniteModel::save(const std::filesystem::path& path) const {
-  save_checkpoint(path, kMagic, "GraniteModel::save", checkpoint_mats());
-}
-
-bool GraniteModel::load(const std::filesystem::path& path) {
-  // load_checkpoint (cost/checkpoint.h) stages, size-gates, and validates:
-  // missing file or stale magic is a cache miss (false); a truncated,
-  // oversized, dimension-forged, or bit-flipped checkpoint throws
-  // util::ContractViolation before any live weight changes. This also
-  // closes an older gap: GraniteModel used to stream weights straight into
-  // the live matrices, so a truncated file left the model half-overwritten.
-  return load_checkpoint(path, kMagic, "GraniteModel::load",
-                         checkpoint_mats());
-}
-
-double GraniteModel::train_or_load(
-    const std::filesystem::path& path,
-    const std::vector<x86::BasicBlock>& blocks,
-    const std::vector<double>& targets) {
-  if (load(path)) return 0.0;
-  const double final_mape = train(blocks, targets);
-  save(path);
-  return final_mape;
 }
 
 }  // namespace comet::cost

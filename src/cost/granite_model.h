@@ -9,6 +9,8 @@
 // sequence edges; node states are seeded from an opcode embedding and a
 // small vector of semantic features, refined by relational message-passing
 // layers, and sum-pooled into a block state read out by a softplus head.
+// It trains on Ithemal's schedule and caches its weights the same way
+// (cost/trainable_model.h).
 //
 // COMET never looks inside this model — it only calls predict(). Having a
 // second, architecturally different neural model exercises the framework's
@@ -16,11 +18,9 @@
 // explanation granularity of sequence- vs graph-structured predictors.
 #pragma once
 
-#include <filesystem>
-#include <memory>
 #include <vector>
 
-#include "cost/cost_model.h"
+#include "cost/trainable_model.h"
 #include "graph/depgraph.h"
 #include "nn/gnn.h"
 #include "nn/mat.h"
@@ -36,7 +36,7 @@ struct GraniteConfig {
   std::uint64_t seed = 0x6A17E;
 };
 
-class GraniteModel final : public CostModel {
+class GraniteModel final : public TrainableModel {
  public:
   explicit GraniteModel(MicroArch uarch, GraniteConfig config = {});
 
@@ -46,29 +46,6 @@ class GraniteModel final : public CostModel {
   // cross-query reuse comes from the query broker's memoization.
   std::string name() const override;
 
-  /// One Adam step on a (block, target) pair; returns squared relative
-  /// error before the step. An empty block or a non-positive target is
-  /// skipped (returns 0); a non-finite target throws
-  /// util::ContractViolation, since its NaN gradient would poison every
-  /// weight.
-  double train_step(const x86::BasicBlock& block, double target);
-
-  /// Override the optimizer learning rate (fine-tuning runs gentler than
-  /// from-scratch training).
-  void set_learning_rate(double lr);
-
-  /// Full training run; returns final-epoch MAPE on the training data.
-  double train(const std::vector<x86::BasicBlock>& blocks,
-               const std::vector<double>& targets);
-
-  void save(const std::filesystem::path& path) const;
-  bool load(const std::filesystem::path& path);
-
-  /// Load cached weights if present; otherwise train and save.
-  double train_or_load(const std::filesystem::path& path,
-                       const std::vector<x86::BasicBlock>& blocks,
-                       const std::vector<double>& targets);
-
   /// Relation vocabulary: RAW/WAR/WAW × {forward, backward} + sequence
   /// edges × {forward, backward}.
   static constexpr std::size_t kNumRelations = 8;
@@ -77,9 +54,9 @@ class GraniteModel final : public CostModel {
   struct Forward;
   Forward forward(const x86::BasicBlock& block) const;
 
-  /// The matrices of the checkpoint format, in serialization order.
-  std::vector<nn::Mat*> checkpoint_mats();
-  std::vector<const nn::Mat*> checkpoint_mats() const;
+  /// One relative-error backward pass through the softplus readout.
+  double accumulate_gradients(const x86::BasicBlock& block,
+                              double target) override;
 
   /// Per-instruction numeric semantic features (operand counts, memory
   /// access bits, flag effects, widths).
@@ -96,7 +73,6 @@ class GraniteModel final : public CostModel {
   std::vector<nn::RelGraphLayer> layers_;
   nn::Mat head_w_;  // 1 x hidden_dim
   nn::Mat head_b_;  // 1 x 1
-  std::unique_ptr<nn::Adam> adam_;
 };
 
 }  // namespace comet::cost

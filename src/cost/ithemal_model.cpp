@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
-#include "cost/checkpoint.h"
 #include "util/contract.h"
-#include "util/stats.h"
 
 namespace comet::cost {
 
@@ -94,7 +91,11 @@ std::vector<std::vector<int>> BlockTokenizer::tokenize(
 }
 
 IthemalModel::IthemalModel(MicroArch uarch, IthemalConfig config)
-    : uarch_(uarch), config_(config) {
+    : TrainableModel({.kind = "IthemalModel", .magic = kMagic,
+                      .epochs = config.epochs, .lr = config.lr,
+                      .seed = config.seed}),
+      uarch_(uarch),
+      config_(config) {
   util::Rng rng(config_.seed + (uarch == MicroArch::Skylake ? 1 : 0));
   embedding_ = nn::Mat(tokenizer_.vocab_size(), config_.embed_dim);
   embedding_.init_xavier(rng);
@@ -106,25 +107,49 @@ IthemalModel::IthemalModel(MicroArch uarch, IthemalConfig config)
   head_b_.data()[0] = 0.0f;  // log-space head: exp(0) = 1 cycle
 
   std::vector<nn::Mat*> params{&embedding_, &head_w_, &head_b_};
-  for (auto* p : token_lstm_.params()) params.push_back(p);
-  for (auto* p : block_lstm_.params()) params.push_back(p);
-  nn::Adam::Config ac;
-  ac.lr = config_.lr;
-  adam_ = std::make_unique<nn::Adam>(std::move(params), ac);
+  std::vector<nn::Mat*> checkpoint{&embedding_};
+  for (auto* p : token_lstm_.params()) {
+    params.push_back(p);
+    checkpoint.push_back(p);
+  }
+  for (auto* p : block_lstm_.params()) {
+    params.push_back(p);
+    checkpoint.push_back(p);
+  }
+  checkpoint.push_back(&head_w_);
+  checkpoint.push_back(&head_b_);
+  init_training(std::move(params), std::move(checkpoint));
+}
+
+void IthemalModel::embedding_rows(const std::vector<int>& tokens,
+                                  std::vector<const float*>& rows) const {
+  rows.clear();
+  rows.reserve(tokens.size());
+  for (const int t : tokens) {
+    rows.push_back(embedding_.data() + t * config_.embed_dim);
+  }
+}
+
+double IthemalModel::head(const float* h) const {
+  double y = head_b_.data()[0];
+  for (std::size_t i = 0; i < config_.hidden_dim; ++i) {
+    y += head_w_.data()[i] * h[i];
+  }
+  // The regressor works in log-space: throughputs span two orders of
+  // magnitude (0.25 .. ~25 cycles), and a log-linear head keeps the
+  // relative-error loss well conditioned across that range.
+  return std::exp(std::clamp(y, -3.0, 5.0));
 }
 
 double IthemalModel::forward(const x86::BasicBlock& block,
                              Workspace& ws) const {
-  const std::size_t D = config_.embed_dim;
   ws.tokens = tokenizer_.tokenize(block);
   const std::size_t n = ws.tokens.size();
   token_lstm_.transpose_weights(ws.token_wt);
   block_lstm_.transpose_weights(ws.block_wt);
   if (ws.token_seqs.size() < n) ws.token_seqs.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // The token LSTM reads the embedding rows in place.
-    ws.xs.clear();
-    for (const int t : ws.tokens[i]) ws.xs.push_back(embedding_.data() + t * D);
+    embedding_rows(ws.tokens[i], ws.xs);
     token_lstm_.run(ws.xs, ws.token_wt, ws.token_seqs[i]);
   }
   ws.xs.clear();
@@ -132,15 +157,7 @@ double IthemalModel::forward(const x86::BasicBlock& block,
     ws.xs.push_back(token_lstm_.final_hidden(ws.token_seqs[i]));
   }
   block_lstm_.run(ws.xs, ws.block_wt, ws.block_seq);
-  const float* h_final = block_lstm_.final_hidden(ws.block_seq);
-  double y = head_b_.data()[0];
-  for (std::size_t i = 0; i < config_.hidden_dim; ++i) {
-    y += head_w_.data()[i] * h_final[i];
-  }
-  // The regressor works in log-space: throughputs span two orders of
-  // magnitude (0.25 .. ~25 cycles), and a log-linear head keeps the
-  // relative-error loss well conditioned across that range.
-  return std::exp(std::clamp(y, -3.0, 5.0));
+  return head(block_lstm_.final_hidden(ws.block_seq));
 }
 
 double IthemalModel::predict(const x86::BasicBlock& block) const {
@@ -214,7 +231,6 @@ void IthemalModel::run_batch(std::span<const x86::BasicBlock> blocks,
 void IthemalModel::run_chunk(std::span<const x86::BasicBlock> blocks,
                              std::span<double> out, InstTable& table,
                              BatchScratch& s) const {
-  const std::size_t D = config_.embed_dim;
   const std::size_t H = config_.hidden_dim;
 
   // Stage 1 — tokenize the non-empty blocks of the chunk.
@@ -247,11 +263,7 @@ void IthemalModel::run_chunk(std::span<const x86::BasicBlock> blocks,
       }
       const auto [it, added] =
           table.row_of.try_emplace(s.key, known + s.token_lanes.size());
-      if (added) {
-        std::vector<const float*>& lane = s.token_lanes.emplace_back();
-        lane.reserve(seq.size());
-        for (const int t : seq) lane.push_back(embedding_.data() + t * D);
-      }
+      if (added) embedding_rows(seq, s.token_lanes.emplace_back());
       s.inst_row.push_back(it->second);
     }
   }
@@ -278,14 +290,9 @@ void IthemalModel::run_chunk(std::span<const x86::BasicBlock> blocks,
   }
   block_lstm_.run_final_batch(s.block_lanes, s.h, s.lstm);
 
-  // Stage 5 — regression head (same double-precision chain as forward()).
+  // Stage 5 — the regression head.
   for (std::size_t k = 0; k < s.live.size(); ++k) {
-    const float* h = s.h.data() + k * H;
-    double y = head_b_.data()[0];
-    for (std::size_t i = 0; i < H; ++i) {
-      y += head_w_.data()[i] * h[i];
-    }
-    out[s.live[k]] = std::exp(std::clamp(y, -3.0, 5.0));
+    out[s.live[k]] = head(s.h.data() + k * H);
   }
 }
 
@@ -293,12 +300,8 @@ std::string IthemalModel::name() const {
   return "ithemal-" + uarch_name(uarch_);
 }
 
-void IthemalModel::set_learning_rate(double lr) { adam_->set_lr(lr); }
-
-double IthemalModel::train_step(const x86::BasicBlock& block, double target) {
-  COMET_CHECK_MSG(std::isfinite(target),
-                  "IthemalModel::train_step: non-finite target " << target);
-  if (block.empty() || target <= 0.0) return 0.0;
+double IthemalModel::accumulate_gradients(const x86::BasicBlock& block,
+                                          double target) {
   Workspace& ws = train_ws_;
   const double prediction = forward(block, ws);
   // Relative-error loss: L = ((y - t) / t)^2 — matches the MAPE evaluation
@@ -331,78 +334,13 @@ double IthemalModel::train_step(const x86::BasicBlock& block, double target) {
       for (std::size_t d = 0; d < D; ++d) gro[d] += dx[d];
     }
   }
-  adam_->step();
   return rel * rel;
 }
 
-double IthemalModel::train(const std::vector<x86::BasicBlock>& blocks,
-                           const std::vector<double>& targets) {
-  if (blocks.size() != targets.size()) {
-    throw std::invalid_argument("IthemalModel::train: size mismatch");
-  }
-  util::Rng rng(config_.seed ^ 0x5eedULL);
-  std::vector<std::size_t> order(blocks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.shuffle(order);
-    // Simple linear learning-rate decay over epochs.
-    adam_->set_lr(config_.lr *
-                  (1.0 - 0.6 * static_cast<double>(epoch) /
-                             std::max<std::size_t>(1, config_.epochs)));
-    for (const std::size_t i : order) train_step(blocks[i], targets[i]);
-  }
+void IthemalModel::release_training_buffers() {
   // Hand the step buffers back to the heap for what runs after training:
   // kept, they lifted explain-ithemal's peak RSS by ~0.06 MB.
   train_ws_ = Workspace{};
-
-  // The closing MAPE goes through predict_batch (bit-equal to predict),
-  // which holds one chunk of the training set's work at a time.
-  std::vector<double> preds(blocks.size());
-  predict_batch(blocks, preds);
-  return util::mape(preds, targets);
-}
-
-std::vector<nn::Mat*> IthemalModel::checkpoint_mats() {
-  std::vector<nn::Mat*> mats{&embedding_};
-  for (auto* p : token_lstm_.params()) mats.push_back(p);
-  for (auto* p : block_lstm_.params()) mats.push_back(p);
-  mats.push_back(&head_w_);
-  mats.push_back(&head_b_);
-  return mats;
-}
-
-std::vector<const nn::Mat*> IthemalModel::checkpoint_mats() const {
-  std::vector<const nn::Mat*> mats{&embedding_};
-  for (const auto* p : token_lstm_.params()) mats.push_back(p);
-  for (const auto* p : block_lstm_.params()) mats.push_back(p);
-  mats.push_back(&head_w_);
-  mats.push_back(&head_b_);
-  return mats;
-}
-
-void IthemalModel::save(const std::filesystem::path& path) const {
-  save_checkpoint(path, kMagic, "IthemalModel::save", checkpoint_mats());
-}
-
-bool IthemalModel::load(const std::filesystem::path& path) {
-  // Size/shape gating, payload validation, and staged commit all live in
-  // load_checkpoint (cost/checkpoint.h): a missing file or stale magic is
-  // a cache miss (false), while a truncated, oversized, or bit-flipped
-  // checkpoint throws util::ContractViolation before the live weights are
-  // touched.
-  return load_checkpoint(path, kMagic, "IthemalModel::load",
-                         checkpoint_mats());
-}
-
-double IthemalModel::train_or_load(
-    const std::filesystem::path& path,
-    const std::vector<x86::BasicBlock>& blocks,
-    const std::vector<double>& targets) {
-  if (load(path)) return 0.0;
-  const double final_mape = train(blocks, targets);
-  save(path);
-  return final_mape;
 }
 
 }  // namespace comet::cost

@@ -14,15 +14,16 @@
 // than the simulation-based comparator, which is precisely the regime the
 // paper's analysis (Figures 2-4, case studies) examines.
 //
-// Trained weights are cached on disk (train_or_load) so the expensive step
-// runs once per microarchitecture across all benches and examples.
+// Training, checkpointing and the on-disk weight cache (train_or_load) are
+// TrainableModel's (cost/trainable_model.h), shared with Granite, so the
+// expensive step runs once per microarchitecture across all benches and
+// examples.
 #pragma once
 
-#include <filesystem>
 #include <memory>
 #include <vector>
 
-#include "cost/cost_model.h"
+#include "cost/trainable_model.h"
 #include "nn/lstm.h"
 #include "nn/mat.h"
 
@@ -52,7 +53,7 @@ struct IthemalConfig {
   std::uint64_t seed = 0xC0;
 };
 
-class IthemalModel final : public CostModel {
+class IthemalModel final : public TrainableModel {
  public:
   explicit IthemalModel(MicroArch uarch, IthemalConfig config = {});
 
@@ -70,32 +71,6 @@ class IthemalModel final : public CostModel {
   /// its batches: an instruction's token LSTM runs once per session.
   std::unique_ptr<ModelSession> open_session() const override;
   std::string name() const override;
-
-  /// One Adam step on a single (block, target) pair; returns squared
-  /// relative error before the step. An empty block or a non-positive
-  /// target is skipped (returns 0); a non-finite target throws
-  /// util::ContractViolation, since its NaN gradient would poison every
-  /// weight.
-  double train_step(const x86::BasicBlock& block, double target);
-
-  /// Override the optimizer learning rate (fine-tuning runs gentler than
-  /// from-scratch training).
-  void set_learning_rate(double lr);
-
-  /// Full training run over (blocks, targets); returns final-epoch MAPE on
-  /// the training data.
-  double train(const std::vector<x86::BasicBlock>& blocks,
-               const std::vector<double>& targets);
-
-  /// Binary weight (de)serialization.
-  void save(const std::filesystem::path& path) const;
-  bool load(const std::filesystem::path& path);
-
-  /// Load cached weights if present; otherwise train and save.
-  /// Returns training MAPE (0 when loaded from cache).
-  double train_or_load(const std::filesystem::path& path,
-                       const std::vector<x86::BasicBlock>& blocks,
-                       const std::vector<double>& targets);
 
  private:
   class Session;
@@ -141,10 +116,17 @@ class IthemalModel final : public CostModel {
 
   /// Forward pass of a non-empty block into `ws`; returns the prediction.
   double forward(const x86::BasicBlock& block, Workspace& ws) const;
+  /// `rows` = the embedding rows of `tokens`, in order (read in place).
+  void embedding_rows(const std::vector<int>& tokens,
+                      std::vector<const float*>& rows) const;
+  /// The regression head over a final block-LSTM state `h`: forward()'s
+  /// and predict_batch's one readout.
+  double head(const float* h) const;
 
-  /// The matrices of the checkpoint format, in serialization order.
-  std::vector<nn::Mat*> checkpoint_mats();
-  std::vector<const nn::Mat*> checkpoint_mats() const;
+  /// One relative-error backward pass through train_ws_.
+  double accumulate_gradients(const x86::BasicBlock& block,
+                              double target) override;
+  void release_training_buffers() override;  // frees train_ws_
 
   MicroArch uarch_;
   IthemalConfig config_;
@@ -154,7 +136,6 @@ class IthemalModel final : public CostModel {
   nn::LstmCell block_lstm_;  // H -> H
   nn::Mat head_w_;          // 1 x H
   nn::Mat head_b_;          // 1 x 1
-  std::unique_ptr<nn::Adam> adam_;
   Workspace train_ws_;  // train_step's, reused across steps
 };
 

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace comet::nn {
 
 namespace {
 
 // Gate nonlinearities. Both LSTM paths — the training-time run() and the
-// batched inference run_final_batch() — must go through these exact
-// functions: libm's scalar expf/tanhf calls were ~70% of inference
+// batched inference run_final_batch() — go through these exact functions,
+// in lstm_step: libm's scalar expf/tanhf calls were ~70% of inference
 // wall-clock and cannot vectorize, so the gates use a branch-free odd
 // rational approximation of tanh (the classic 13/6-degree pair used by
 // Eigen/XLA, ~1 ulp over the clamped range) that the vectorizer handles 4-8
@@ -81,6 +82,26 @@ void gate_preacts(const float* b, const float* wxt, const float* x,
     for (std::size_t k = 0; k < H; ++k) rec += wht[k * G + r0] * h[k];
     pre[r0] = (0.f + in) + rec;
   }
+}
+
+// The LSTM step of run() and run_final_batch(): g holds the 4H gate
+// pre-activations on entry and the gates [i f g o] on return; then
+// c = f * c_prev + i * g, tanh_c = tanh(c), h = o * tanh_c. One output per
+// loop, so each loop passes the vectorizer's run-time alias checks.
+void lstm_step(float* g, const float* c_prev, float* c, float* tanh_c,
+               float* h, std::size_t H) {
+  for (std::size_t i = 0; i < 2 * H; ++i) g[i] = sigmoidf(g[i]);  // i, f
+  for (std::size_t i = 2 * H; i < 3 * H; ++i) g[i] = tanh_approx(g[i]);
+  for (std::size_t i = 3 * H; i < 4 * H; ++i) g[i] = sigmoidf(g[i]);  // o
+  const float* ig = g;
+  const float* fg = g + H;
+  const float* gg = g + 2 * H;
+  const float* og = g + 3 * H;
+  for (std::size_t i = 0; i < H; ++i) {
+    c[i] = fg[i] * c_prev[i] + ig[i] * gg[i];
+  }
+  for (std::size_t i = 0; i < H; ++i) tanh_c[i] = tanh_approx(c[i]);
+  for (std::size_t i = 0; i < H; ++i) h[i] = og[i] * tanh_c[i];
 }
 
 // dst (cols x rows) = transpose of the row-major rows x cols matrix W.
@@ -171,20 +192,7 @@ void LstmCell::run(std::span<const float* const> xs, const LstmWeightsT& wt,
     float* h = seq.h.data() + (t + 1) * H;
     gate_preacts(b_.data(), wt.wxt.data(), xs[t], input_dim_, wt.wht.data(),
                  h_prev, H, G, g);
-    // One element-wise loop per output, each with few enough pointers for
-    // the vectorizer's run-time alias checks.
-    for (std::size_t i = 0; i < 2 * H; ++i) g[i] = sigmoidf(g[i]);  // i, f
-    for (std::size_t i = 2 * H; i < 3 * H; ++i) g[i] = tanh_approx(g[i]);
-    for (std::size_t i = 3 * H; i < G; ++i) g[i] = sigmoidf(g[i]);  // o
-    const float* ig = g;
-    const float* fg = g + H;
-    const float* gg = g + 2 * H;
-    const float* og = g + 3 * H;
-    for (std::size_t i = 0; i < H; ++i) {
-      c[i] = fg[i] * c_prev[i] + ig[i] * gg[i];
-    }
-    for (std::size_t i = 0; i < H; ++i) tanh_c[i] = tanh_approx(c[i]);
-    for (std::size_t i = 0; i < H; ++i) h[i] = og[i] * tanh_c[i];
+    lstm_step(g, c_prev, c, tanh_c, h, H);
   }
 }
 
@@ -196,26 +204,20 @@ void LstmCell::run_final_batch(
   h_out.assign(seqs.size() * H, 0.f);
   transpose_weights(s.weights);
   s.pre.resize(G);
-  s.c.resize(H);
+  s.c.resize(2 * H);
+  s.tanh_c.resize(H);
   for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
     // The lane's hidden state lives in its output row from the start, so an
     // empty lane leaves zeros and a finished one needs no copy-out.
     float* h = h_out.data() + lane * H;
-    std::fill(s.c.begin(), s.c.end(), 0.f);
+    float* c_prev = s.c.data();
+    float* c = c_prev + H;
+    std::fill_n(c_prev, H, 0.f);
     for (const float* x : seqs[lane]) {
       gate_preacts(b_.data(), s.weights.wxt.data(), x, input_dim_,
                    s.weights.wht.data(), h, H, G, s.pre.data());
-      // Same gate code and operation order as run().
-      const float* pre = s.pre.data();
-      float* c = s.c.data();
-      for (std::size_t i = 0; i < H; ++i) {
-        const float ig = sigmoidf(pre[i]);
-        const float fg = sigmoidf(pre[H + i]);
-        const float gg = tanh_approx(pre[2 * H + i]);
-        const float og = sigmoidf(pre[3 * H + i]);
-        c[i] = fg * c[i] + ig * gg;
-        h[i] = og * tanh_approx(c[i]);
-      }
+      lstm_step(s.pre.data(), c_prev, c, s.tanh_c.data(), h, H);
+      std::swap(c_prev, c);
     }
   }
 }

@@ -25,9 +25,10 @@ struct LstmWeightsT {
 /// calling thread; buffers grow to the largest dimensions seen and are then
 /// reused allocation-free across batches.
 struct LstmBatchScratch {
-  LstmWeightsT weights;    // transposed gate weights, rebuilt on every call
-  std::vector<float> pre;  // 4H gate pre-activations of the current step
-  std::vector<float> c;    // H cell state of the current lane
+  LstmWeightsT weights;       // transposed gate weights, rebuilt on every call
+  std::vector<float> pre;     // 4H pre-activations, then gates, of one step
+  std::vector<float> c;       // 2 x H: the lane's previous and next cell state
+  std::vector<float> tanh_c;  // H: tanh(c) of the current step
 };
 
 /// Activations of one sequence run, kept for BPTT. Each step's rows are
@@ -64,8 +65,8 @@ class LstmCell {
 
   /// Run the sequence `xs` (pointers to input_dim()-sized inputs, which
   /// must outlive `seq`) from zero state into `seq`. `wt` holds this cell's
-  /// transposed weights. The gate pre-activations go through the same
-  /// kernel as run_final_batch, so both paths are bit-identical.
+  /// transposed weights. Each step is the pre-activation kernel and step
+  /// function run_final_batch also runs, so both paths are bit-identical.
   void run(std::span<const float* const> xs, const LstmWeightsT& wt,
            LstmSequence& seq) const;
 
@@ -84,10 +85,9 @@ class LstmCell {
   /// Each lane runs on its own over transposed copies of the gate weights
   /// (built into `scratch` per call), so one step is two matrix-vector
   /// products whose inner loops run over the 4H gate rows in register-held
-  /// chunks, at full SIMD width whatever the batch size. The
-  /// pre-activation kernel is run()'s and the fused gate/cell loop computes
-  /// run()'s expressions in run()'s order, so row b is bit-identical to the
-  /// final hidden state of run() over seqs[b].
+  /// chunks, at full SIMD width whatever the batch size. The step, from
+  /// pre-activations to the new hidden state, is run()'s own code, so row
+  /// b is bit-identical to the final hidden state of run() over seqs[b].
   void run_final_batch(const std::vector<std::vector<const float*>>& seqs,
                        std::vector<float>& h_out,
                        LstmBatchScratch& scratch) const;

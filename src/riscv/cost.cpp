@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/contract.h"
+
 namespace comet::riscv {
 
 namespace {
@@ -50,6 +52,9 @@ double RvCostModel::predict(const BasicBlock& block) const {
 
 void RvCostModel::predict_batch(std::span<const BasicBlock> blocks,
                                 std::span<double> out) const {
+  COMET_CHECK_MSG(blocks.size() == out.size(),
+                  "predict_batch: " << blocks.size() << " blocks but "
+                                    << out.size() << " output slots");
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     out[i] = predict(blocks[i]);
   }

@@ -24,7 +24,7 @@ class RvCostModel {
  public:
   double predict(const BasicBlock& block) const;
   /// Batched prediction (element-wise equal to predict); the batch entry
-  /// point the query broker drives.
+  /// point the query broker drives. out.size() must equal blocks.size().
   void predict_batch(std::span<const BasicBlock> blocks,
                      std::span<double> out) const;
   std::string name() const { return "crude-rv64"; }

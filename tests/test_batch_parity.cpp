@@ -20,6 +20,8 @@
 #include "cost/granite_model.h"
 #include "cost/ithemal_model.h"
 #include "perturb/perturber.h"
+#include "riscv/cost.h"
+#include "riscv/generator.h"
 #include "sim/models.h"
 #include "util/rng.h"
 #include "x86/parser.h"
@@ -255,6 +257,20 @@ TEST(BatchParity, SkylakeModelsToo) {
   expect_batch_parity(crude, 48);
   cc::IthemalModel ithemal(cc::MicroArch::Skylake, tiny_ithemal());
   expect_batch_parity(ithemal, 48);
+}
+
+// The RISC-V analytical model: generated blocks plus an empty one.
+TEST(BatchParity, RiscvAnalytical) {
+  const comet::riscv::RvCostModel model;
+  auto blocks = comet::riscv::generate_corpus(64, /*seed=*/19);
+  blocks.insert(blocks.begin() + 5, comet::riscv::BasicBlock{});
+  std::vector<double> scalar(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    scalar[i] = model.predict(blocks[i]);
+  }
+  std::vector<double> batched(blocks.size(), -1.0);
+  model.predict_batch(blocks, batched);
+  expect_bitwise(batched, scalar, "RISC-V batch");
 }
 
 // An all-empty batch must not touch the model core at all.

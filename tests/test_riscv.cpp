@@ -13,6 +13,7 @@
 #include "riscv/generator.h"
 #include "riscv/parser.h"
 #include "riscv/perturb.h"
+#include "util/contract.h"
 #include "util/rng.h"
 
 namespace rv = comet::riscv;
@@ -352,6 +353,19 @@ TEST(RiscvCost, WarWawAreFree) {
   const auto block = rv::parse_block("add a0, a1, a2\nadd a0, a3, a4");
   // WAW between them contributes 0; block cost = eta/2 = 1.
   EXPECT_DOUBLE_EQ(model.predict(block), 1.0);
+}
+
+// A short `out` span must be refused, not written past its end.
+TEST(RiscvCost, PredictBatchChecksOutputSize) {
+  const rv::RvCostModel model;
+  const std::vector<rv::BasicBlock> blocks{
+      rv::parse_block("add a0, a1, a2")};
+  std::vector<double> out(2, -1.0);
+  EXPECT_THROW(model.predict_batch(blocks, out),
+               comet::util::ContractViolation);
+  out.clear();
+  EXPECT_THROW(model.predict_batch(blocks, out),
+               comet::util::ContractViolation);
 }
 
 // ---------- end-to-end explanation accuracy ----------
