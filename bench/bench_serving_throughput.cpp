@@ -4,7 +4,9 @@
 //
 // Every served explanation is verified bit-identical to its sequentially
 // computed twin. Acceptance gate printed explicitly: >= 2x throughput at 4
-// workers vs. sequential, with bit-identical results.
+// workers vs. sequential, with bit-identical results. The speed gate is
+// print-only, since it depends on the host; the bench exits 1 when a served
+// explanation differs from its twin or an offered request is unaccounted.
 //
 // One untimed served pass runs before anything is timed: on a small
 // multi-core VM, multi-threaded runs shorter than about a second read
@@ -357,5 +359,5 @@ int main(int argc, char** argv) {
   std::printf("every offered request accounted (ok + shed == offered): %s\n",
               accounted ? "yes" : "NO");
 
-  return 0;
+  return all_identical && accounted ? 0 : 1;
 }

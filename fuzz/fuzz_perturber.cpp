@@ -5,8 +5,9 @@
 //
 // Input layout (missing header bytes read as zero):
 //   byte  0      config bits: 1 = whole_instruction_replacement,
-//                2 = prefer_fresh_rename off, 4 = nearest_only off,
-//                8 = include_flag_deps
+//                8 = include_flag_deps; bits 2 and 4 are reserved and
+//                ignored, so the committed corpus decodes its other bits
+//                unchanged
 //   bytes 1..7   preserve-set bits: feature i of the block's P̂ is preserved
 //                when bit (i mod 56) is set
 //   bytes 8..15  RNG seed (little-endian)
@@ -87,9 +88,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   cp::PerturbConfig config;
   config.whole_instruction_replacement = (header[0] & 1) != 0;
-  config.prefer_fresh_rename = (header[0] & 2) == 0;
   cg::DepGraphOptions graph_options;
-  graph_options.nearest_only = (header[0] & 4) == 0;
   graph_options.include_flag_deps = (header[0] & 8) != 0;
   const std::uint64_t subset_bits = read_le(header + 1, 7);
   comet::util::Rng rng(read_le(header + 8, 8));

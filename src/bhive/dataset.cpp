@@ -66,12 +66,9 @@ Dataset generate_dataset(const DatasetOptions& options) {
   util::Rng rng(options.seed);
   std::vector<LabeledBlock> blocks;
   blocks.reserve(options.size);
-  const std::size_t n_clang = static_cast<std::size_t>(
-      static_cast<double>(options.size) * options.clang_fraction);
+  const std::size_t n_clang = options.size / 2;
   for (std::size_t i = 0; i < options.size; ++i) {
     GeneratorOptions gopt;
-    gopt.min_insts = options.min_insts;
-    gopt.max_insts = options.max_insts;
     gopt.source = i < n_clang ? BlockSource::Clang : BlockSource::OpenBLAS;
     const BlockGenerator gen(gopt);
     LabeledBlock lb;

@@ -58,12 +58,11 @@ class Dataset {
 struct DatasetOptions {
   std::size_t size = 3000;
   std::uint64_t seed = 2024;
-  double clang_fraction = 0.5;  ///< remaining blocks are OpenBLAS-profile
-  std::size_t min_insts = 4;
-  std::size_t max_insts = 10;
 };
 
-/// Generate a labeled dataset (deterministic for a given options struct).
+/// Generate a labeled dataset (deterministic for a given options struct):
+/// the first half of the blocks are Clang-profile, the rest
+/// OpenBLAS-profile, each with the generator's default shape.
 Dataset generate_dataset(const DatasetOptions& options = {});
 
 /// The 200-block explanation test set used throughout Section 6:

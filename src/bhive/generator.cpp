@@ -69,10 +69,14 @@ Opcode pick_weighted(const std::vector<WeightedOp>& pool, util::Rng& rng) {
   return pool.back().op;
 }
 
+/// Probability that a source register is drawn from recently written
+/// registers (creates RAW chains).
+constexpr double kReuse = 0.55;
+
 RegFamily pick_family(const std::vector<RegFamily>& live,
-                      const std::vector<RegFamily>& pool, double p_reuse,
+                      const std::vector<RegFamily>& pool, double p_live,
                       util::Rng& rng) {
-  if (!live.empty() && rng.bernoulli(p_reuse)) return rng.pick(live);
+  if (!live.empty() && rng.bernoulli(p_live)) return rng.pick(live);
   return rng.pick(pool);
 }
 
@@ -180,7 +184,7 @@ x86::Instruction BlockGenerator::generate_instruction(
           m = rng.pick(recent_mem);
         } else {
           m.base = Reg{pick_family(live_gpr, x86::substitutable_gpr_families(),
-                                   options_.p_reuse, rng),
+                                   kReuse, rng),
                        64, false};
           m.disp = 8 * rng.range(0, 24);
         }
@@ -207,7 +211,7 @@ x86::Instruction BlockGenerator::generate_instruction(
       // chains.
       const bool write_only =
           (slot.access & x86::kWrite) && !(slot.access & x86::kRead);
-      const double reuse_p = write_only ? 0.12 : options_.p_reuse;
+      const double reuse_p = write_only ? 0.12 : kReuse;
       if (slot.reg_cls == RegClass::Vec) {
         std::uint16_t vw = (slot.sizes & x86::size_bit(128)) ? 128 : 256;
         const RegFamily fam = slot.fixed_family

@@ -49,9 +49,6 @@ struct GeneratorOptions {
   BlockSource source = BlockSource::Clang;
   /// Probability that an instruction takes a memory form (when available).
   double p_mem = 0.30;
-  /// Probability that a source register is drawn from recently written
-  /// registers (creates RAW chains).
-  double p_reuse = 0.55;
 };
 
 /// Random-block generator. All instructions produced are catalog-valid.
@@ -61,8 +58,6 @@ class BlockGenerator {
 
   /// Generate one valid block using the given RNG stream.
   x86::BasicBlock generate(util::Rng& rng) const;
-
-  const GeneratorOptions& options() const { return options_; }
 
  private:
   x86::Instruction generate_instruction(

@@ -4,30 +4,22 @@
 #include <set>
 #include <stdexcept>
 
+#include "graph/depgraph.h"
 #include "util/table.h"
 
 namespace comet::core {
 
-bool GlobalFeature::present_in(const x86::BasicBlock& block,
-                               const graph::DepGraphOptions& options) const {
-  if (const auto* f = std::get_if<HasOpcode>(&v_)) {
-    return std::any_of(block.instructions.begin(), block.instructions.end(),
-                       [&](const auto& i) { return i.opcode == f->op; });
-  }
-  if (const auto* f = std::get_if<HasOpClass>(&v_)) {
-    return std::any_of(block.instructions.begin(), block.instructions.end(),
-                       [&](const auto& i) {
-                         return x86::info(i.opcode).cls == f->cls;
-                       });
-  }
-  if (const auto* f = std::get_if<HasDepKind>(&v_)) {
-    const auto g = graph::DepGraph::build(block, options);
-    return std::any_of(g.edges().begin(), g.edges().end(),
-                       [&](const auto& e) { return e.kind == f->kind; });
-  }
-  const auto& f = std::get<NumInstsEquals>(v_);
-  return block.size() == f.count;
-}
+namespace {
+
+/// Precision threshold is 1 − δ.
+constexpr double kDelta = 0.3;
+/// Beam width of the one-feature candidates that are extended to pairs.
+constexpr std::size_t kBeamWidth = 8;
+/// Features and pairs rarer than this in the corpus are ignored (unless
+/// they hold for every in-set block).
+constexpr std::size_t kMinSupport = 3;
+
+}  // namespace
 
 std::string GlobalFeature::to_string() const {
   if (const auto* f = std::get_if<HasOpcode>(&v_)) {
@@ -55,9 +47,8 @@ std::string GlobalExplanation::to_string() const {
 }
 
 GlobalExplainer::GlobalExplainer(const cost::CostModel& model,
-                                 std::vector<x86::BasicBlock> corpus,
-                                 GlobalExplainerOptions options)
-    : model_(model), corpus_(std::move(corpus)), options_(options) {
+                                 std::vector<x86::BasicBlock> corpus)
+    : model_(model), corpus_(std::move(corpus)) {
   if (corpus_.empty()) {
     throw std::invalid_argument("GlobalExplainer: empty corpus");
   }
@@ -69,8 +60,7 @@ GlobalExplainer::GlobalExplainer(const cost::CostModel& model,
       p.opcode_present[static_cast<std::size_t>(inst.opcode)] = true;
       p.classes |= 1u << static_cast<unsigned>(x86::info(inst.opcode).cls);
     }
-    const auto dep_graph =
-        graph::DepGraph::build(block, options_.graph_options);
+    const auto dep_graph = graph::DepGraph::build(block);
     for (const auto& e : dep_graph.edges()) {
       p.dep_kinds |= 1u << static_cast<unsigned>(e.kind);
     }
@@ -162,13 +152,13 @@ GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
     e.support = hold;
     e.precision = hold > 0 ? double(hold_in) / double(hold) : 0.0;
     e.recall = double(hold_in) / double(n_in);
-    e.met_threshold = e.precision >= 1.0 - options_.delta;
+    e.met_threshold = e.precision >= 1.0 - kDelta;
     return e;
   };
 
-  // Beam search over conjunctions: rank by precision (recall as the
-  // tie-break) while below the threshold; track the best thresholded
-  // candidate by recall (then simplicity).
+  // Beam search over conjunctions of at most two features: rank by
+  // precision (recall as the tie-break) while below the threshold; track the
+  // best thresholded candidate by recall (then simplicity).
   const auto better_candidate = [](const GlobalExplanation& a,
                                    const GlobalExplanation& b) {
     if (a.precision != b.precision) return a.precision > b.precision;
@@ -180,15 +170,13 @@ GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
     return a.features.size() < b.features.size();
   };
 
-  std::vector<GlobalExplanation> beam;
   GlobalExplanation best;  // highest precision overall (fallback)
   bool have_best = false;
   GlobalExplanation answer;  // best thresholded
   bool have_answer = false;
-
-  for (const auto& f : vocabulary) {
-    GlobalExplanation e = evaluate({f});
-    if (e.support < options_.min_support && e.support < n_in) continue;
+  // Tracks a candidate; false when it lacks the minimum support.
+  const auto consider = [&](const GlobalExplanation& e) {
+    if (e.support < kMinSupport && e.support < n_in) return false;
     if (!have_best || better_candidate(e, best)) {
       best = e;
       have_best = true;
@@ -197,46 +185,26 @@ GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
       answer = e;
       have_answer = true;
     }
-    beam.push_back(std::move(e));
+    return true;
+  };
+
+  std::vector<GlobalExplanation> beam;
+  for (const auto& f : vocabulary) {
+    GlobalExplanation e = evaluate({f});
+    if (consider(e)) beam.push_back(std::move(e));
   }
   std::sort(beam.begin(), beam.end(), better_candidate);
-  if (beam.size() > options_.beam_width) beam.resize(options_.beam_width);
+  if (beam.size() > kBeamWidth) beam.resize(kBeamWidth);
 
-  for (std::size_t size = 2;
-       size <= options_.max_size && !beam.empty(); ++size) {
-    std::vector<GlobalExplanation> next;
-    for (const auto& base : beam) {
-      for (const auto& f : vocabulary) {
-        if (std::find(base.features.begin(), base.features.end(), f) !=
-            base.features.end()) {
-          continue;
-        }
-        auto conj = base.features;
-        conj.push_back(f);
-        std::sort(conj.begin(), conj.end());
-        GlobalExplanation e = evaluate(conj);
-        // A conjunction must actually sharpen its parent.
-        if (e.precision <= base.precision) continue;
-        if (e.support < options_.min_support && e.support < n_in) continue;
-        if (!have_best || better_candidate(e, best)) {
-          best = e;
-          have_best = true;
-        }
-        if (e.met_threshold && (!have_answer || better_answer(e, answer))) {
-          answer = e;
-          have_answer = true;
-        }
-        next.push_back(std::move(e));
-      }
+  for (const auto& base : beam) {
+    for (const auto& f : vocabulary) {
+      if (f == base.features.front()) continue;
+      std::vector<GlobalFeature> conj = {base.features.front(), f};
+      std::sort(conj.begin(), conj.end());
+      const GlobalExplanation e = evaluate(conj);
+      // A conjunction must actually sharpen its parent.
+      if (e.precision > base.precision) consider(e);
     }
-    std::sort(next.begin(), next.end(), better_candidate);
-    next.erase(std::unique(next.begin(), next.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.features == b.features;
-                           }),
-               next.end());
-    if (next.size() > options_.beam_width) next.resize(options_.beam_width);
-    beam = std::move(next);
   }
 
   if (have_answer) return answer;

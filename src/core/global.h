@@ -16,7 +16,9 @@
 // kind, or an exact instruction count. Given a corpus, the explainer splits
 // it into blocks whose prediction lands in T and the rest, then beam-searches
 // conjunctions maximizing recall subject to precision ≥ 1 − δ — the global
-// analogue of the optimization problem (7).
+// analogue of the optimization problem (7). The search settings are
+// constants: δ = 0.3, at most two features per conjunction, a beam of 8, and
+// a minimum support of 3 blocks.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@
 #include <vector>
 
 #include "cost/cost_model.h"
-#include "graph/depgraph.h"
+#include "graph/vocabulary.h"
 
 namespace comet::core {
 
@@ -54,10 +56,6 @@ class GlobalFeature {
   explicit GlobalFeature(HasDepKind f) : v_(f) {}
   explicit GlobalFeature(NumInstsEquals f) : v_(f) {}
 
-  /// Does the feature hold for `block`?
-  bool present_in(const x86::BasicBlock& block,
-                  const graph::DepGraphOptions& options = {}) const;
-
   /// e.g. "has(div)", "has-class(IntDiv)", "has-dep(RAW)", "eta=8".
   std::string to_string() const;
 
@@ -85,21 +83,12 @@ struct GlobalExplanation {
   std::string to_string() const;
 };
 
-struct GlobalExplainerOptions {
-  double delta = 0.3;           ///< precision threshold is 1 − δ
-  std::size_t max_size = 2;     ///< conjunction size cap (simplicity)
-  std::size_t beam_width = 8;
-  std::size_t min_support = 3;  ///< ignore features rarer than this in-set
-  graph::DepGraphOptions graph_options;
-};
-
 /// Explains a model's behavior over prediction ranges, against a fixed
 /// corpus of blocks. Construction queries the model once per block.
 class GlobalExplainer {
  public:
   GlobalExplainer(const cost::CostModel& model,
-                  std::vector<x86::BasicBlock> corpus,
-                  GlobalExplainerOptions options = {});
+                  std::vector<x86::BasicBlock> corpus);
 
   /// Explain T = [lo, hi]: the feature conjunction with recall maximized
   /// subject to Prec ≥ 1 − δ. Falls back to the highest-precision candidate
@@ -122,7 +111,6 @@ class GlobalExplainer {
 
   const cost::CostModel& model_;
   std::vector<x86::BasicBlock> corpus_;
-  GlobalExplainerOptions options_;
   std::vector<BlockProfile> profiles_;
   std::vector<double> predictions_;
 };

@@ -124,9 +124,10 @@ DepGraph DepGraph::build(const x86::BasicBlock& block,
   fx.reserve(block.size());
   for (const auto& inst : block.instructions) fx.push_back(effects_of(inst));
 
-  // `nearest_only` bookkeeping: once instruction j consumed a hazard of a
-  // given kind on a given resource from some i, earlier instructions with
-  // the same conflict are skipped for j.
+  // Each consumer j links only to its nearest conflicting access (classic
+  // def-use chains): once j consumed a hazard of a given kind on a given
+  // resource from some i, earlier instructions with the same conflict are
+  // skipped for j.
   for (std::size_t j = 1; j < block.size(); ++j) {
     FamilyMask seen_regs[3] = {0, 0, 0};
     bool seen_mem[3] = {false, false, false};
@@ -135,27 +136,23 @@ DepGraph DepGraph::build(const x86::BasicBlock& block,
     for (std::size_t i = j; i-- > 0;) {
       for (const DepKind kind : kKinds) {
         const auto k = static_cast<std::size_t>(kind);
-        FamilyMask fams = reg_hazard(kind, fx[i], fx[j]);
-        if (options.nearest_only) {
-          fams &= ~seen_regs[k];
-          seen_regs[k] |= fams;
-        }
+        const FamilyMask fams = reg_hazard(kind, fx[i], fx[j]) & ~seen_regs[k];
+        seen_regs[k] |= fams;
         for (FamilyMask m = fams; m != 0; m &= m - 1) {
           g.edges_.push_back(
               {i, j, kind, DepResource::Register,
                static_cast<x86::RegFamily>(std::countr_zero(m))});
         }
 
-        if (mem_hazard(kind, fx[i], fx[j]) &&
-            !(options.nearest_only && seen_mem[k])) {
+        if (!seen_mem[k] && mem_hazard(kind, fx[i], fx[j])) {
           g.edges_.push_back({i, j, kind, DepResource::Memory,
                               x86::RegFamily::RAX});
           seen_mem[k] = true;
         }
 
         // Flag hazards (usually excluded; see header).
-        if (options.include_flag_deps && flag_hazard(kind, fx[i], fx[j]) &&
-            !(options.nearest_only && seen_flags[k])) {
+        if (options.include_flag_deps && !seen_flags[k] &&
+            flag_hazard(kind, fx[i], fx[j])) {
           g.edges_.push_back({i, j, kind, DepResource::Flags,
                               x86::RegFamily::FLAGS});
           seen_flags[k] = true;
@@ -185,16 +182,13 @@ bool has_dep_edge(const x86::BasicBlock& block, std::size_t from,
   FamilyMask regs = reg_hazard(kind, earlier, later);
   bool mem = mem_hazard(kind, earlier, later);
   bool flags = options.include_flag_deps && flag_hazard(kind, earlier, later);
-  if (options.nearest_only) {
-    // ...minus what an instruction in between carries into `to` with the
-    // same hazard: build() links `to` to that nearer instruction instead.
-    for (std::size_t k = from + 1; k < to && (regs != 0 || mem || flags);
-         ++k) {
-      const InstEffects mid = effects_of(block.instructions[k]);
-      regs &= ~reg_hazard(kind, mid, later);
-      mem = mem && !mem_hazard(kind, mid, later);
-      flags = flags && !flag_hazard(kind, mid, later);
-    }
+  // ...minus what an instruction in between carries into `to` with the same
+  // hazard: build() links `to` to that nearer instruction instead.
+  for (std::size_t k = from + 1; k < to && (regs != 0 || mem || flags); ++k) {
+    const InstEffects mid = effects_of(block.instructions[k]);
+    regs &= ~reg_hazard(kind, mid, later);
+    mem = mem && !mem_hazard(kind, mid, later);
+    flags = flags && !flag_hazard(kind, mid, later);
   }
   return regs != 0 || mem || flags;
 }

@@ -15,6 +15,10 @@
 //  * flag hazards are modeled but excluded by default — flag-carried edges
 //    between nearly every pair of ALU instructions would drown the feature
 //    space that explanations are built from.
+//
+// Each consumer links only to its *nearest* earlier conflicting access per
+// hazard kind and resource (classic def-use chains), not to every earlier
+// one.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +49,6 @@ struct DepEdge {
 struct DepGraphOptions {
   /// Include flag-carried hazards as edges.
   bool include_flag_deps = false;
-  /// Only link each consumer to the *nearest* earlier conflicting writer
-  /// (classic def-use chains) rather than every earlier conflicting access.
-  bool nearest_only = true;
 };
 
 /// The dependency multigraph of a basic block.

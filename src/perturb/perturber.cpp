@@ -25,6 +25,11 @@ using x86::Reg;
 using x86::RegClass;
 using x86::RegFamily;
 
+/// p_I,ret: probability that an unpinned instruction keeps its opcode.
+constexpr double kInstRetain = 0.5;
+/// p_D,ret: probability that an unpreserved hazard is left intact.
+constexpr double kDepRetain = 0.5;
+
 /// Families named by explicit operands: register operands plus the base
 /// and index registers of memory operands.
 FamilyMask operand_families(const Instruction& inst) {
@@ -230,7 +235,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   // 4. Vertex perturbation: opcode replacement or deletion.
   for (std::size_t v = 0; v < n; ++v) {
     if (pins.opcode_pinned[v]) continue;
-    if (rng.bernoulli(config_.p_inst_retain)) continue;
+    if (rng.bernoulli(kInstRetain)) continue;
     const bool can_delete = !pins.preserve_count && !pins.delete_forbidden[v];
     const bool try_delete = can_delete && rng.bernoulli(config_.p_delete);
     if (try_delete) {
@@ -279,7 +284,7 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   for (const DepEdge* ep : free_edges) {
     const DepEdge& e = *ep;
     if (deleted[e.from] || deleted[e.to]) continue;  // already gone
-    if (rng.bernoulli(config_.p_dep_retain)) continue;
+    if (rng.bernoulli(kDepRetain)) continue;
 
     if (e.resource == DepResource::Memory) {
       // Shift the displacement of one endpoint's memory operand: breaks
@@ -311,11 +316,9 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     FamilyMask pool = 0;
     for (RegFamily f : base_pool) pool |= family_bit(f);
     pool &= ~(family_bit(e.family) | pins.globally_reserved);
-    if (config_.prefer_fresh_rename) {
-      FamilyMask block_used = 0;
-      for (FamilyMask m : used_by) block_used |= m;
-      if ((pool & ~block_used) != 0) pool &= ~block_used;
-    }
+    FamilyMask block_used = 0;
+    for (FamilyMask m : used_by) block_used |= m;
+    if ((pool & ~block_used) != 0) pool &= ~block_used;
     if (pool == 0) continue;
 
     // Prefer renaming the consumer's occurrences; fall back to the producer.

@@ -10,13 +10,14 @@
 //    is replaced by another that accepts the original operands, or — when
 //    the instruction count η need not be preserved and the vertex is not
 //    pinned — the instruction is deleted outright. Retention probability is
-//    p_inst_retain; deletion is chosen over replacement with probability
+//    p_I,ret = 0.5; deletion is chosen over replacement with probability
 //    p_delete.
 //  * Edge (data-dependency) perturbation changes only operands: the hazard
 //    is broken by renaming the carrying register occurrences on one endpoint
 //    to a fresh register of the same class and width, or — for memory-carried
-//    hazards — by shifting the displacement. Retention probability is
-//    p_dep_retain, with an additional explicit-retention lottery
+//    hazards — by shifting the displacement. The rename target is a family
+//    the block does not touch whenever one exists. Retention probability is
+//    p_D,ret = 0.5, with an additional explicit-retention lottery
 //    (p_explicit_dep_retain, Appendix E.3) that pins a dependency outright.
 //  * Opcodes of both endpoints of every preserved dependency are pinned, as
 //    are the register occurrences that carry it.
@@ -24,7 +25,11 @@
 // Perturbation probabilities are block-specific in practice (Appendix D):
 // instructions with no valid replacement (e.g. lea) and hazards carried by
 // implicit operands (e.g. div's rax) fail to perturb and are retained, so
-// the effective retention probability exceeds the configured one.
+// the effective retention probability exceeds the nominal one.
+//
+// p_I,ret and p_D,ret are fixed in the paper's setup, so they are constants
+// of perturber.cpp; PerturbConfig holds only what the Appendix E ablations
+// vary.
 #pragma once
 
 #include <cstdint>
@@ -37,21 +42,13 @@
 
 namespace comet::perturb {
 
-/// Tunable probabilities of Γ (paper Section 6 experimental setup and
-/// Appendix E ablations).
+/// The settings of Γ that the Appendix E ablations vary.
 struct PerturbConfig {
-  double p_inst_retain = 0.5;          ///< p_I,ret
-  double p_dep_retain = 0.5;           ///< p_D,ret
   double p_delete = 0.33;              ///< p_del (Appendix E.2)
   double p_explicit_dep_retain = 0.1;  ///< explicit retention (App. E.3)
   /// Appendix E.4 ablation: when replacing an instruction, also re-randomize
   /// its unpinned register operands (default: opcode-only replacement).
   bool whole_instruction_replacement = false;
-  /// Prefer rename targets not used anywhere in the block when breaking a
-  /// dependency, so a break does not accidentally create a new dependency.
-  /// Disabled only by test_perturb_golden and fuzz_perturber, which cover
-  /// the non-fresh rename path.
-  bool prefer_fresh_rename = true;
 };
 
 /// A perturbed x86 block with its positional mapping back to β.

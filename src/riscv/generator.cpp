@@ -1,11 +1,27 @@
 #include "riscv/generator.h"
 
 #include <array>
+#include <utility>
 #include <vector>
 
 namespace comet::riscv {
 
 namespace {
+
+constexpr std::size_t kMinInsts = 4;
+constexpr std::size_t kMaxInsts = 10;
+
+/// Relative class weights, in draw order.
+constexpr std::array<std::pair<RvClass, double>, 5> kWeights = {{
+    {RvClass::IntAlu, 6.0},
+    {RvClass::IntMul, 1.0},
+    {RvClass::IntDiv, 0.5},
+    {RvClass::Load, 2.0},
+    {RvClass::Store, 1.5},
+}};
+
+/// A small register pool (a0-a5) induces realistic dependency chains.
+constexpr std::size_t kRegPool = 6;
 
 const std::vector<Opcode>& opcodes_of_class(RvClass cls) {
   static const std::array<std::vector<Opcode>, 5> kByClass = [] {
@@ -20,31 +36,23 @@ const std::vector<Opcode>& opcodes_of_class(RvClass cls) {
 
 }  // namespace
 
-BasicBlock generate_block(util::Rng& rng, const RvGenOptions& options) {
-  // Register pool: a0-a5-style working set (skip x0).
+BasicBlock generate_block(util::Rng& rng) {
+  // Register pool: a0-a5 working set (skip x0).
   std::vector<Reg> pool;
-  for (std::size_t i = 0; i < options.reg_pool; ++i) {
+  for (std::size_t i = 0; i < kRegPool; ++i) {
     pool.push_back(Reg{static_cast<std::uint8_t>(10 + i)});  // a0, a1, ...
   }
   const Reg sp{2};
 
-  const std::array<std::pair<RvClass, double>, 5> weights = {{
-      {RvClass::IntAlu, options.w_alu},
-      {RvClass::IntMul, options.w_mul},
-      {RvClass::IntDiv, options.w_div},
-      {RvClass::Load, options.w_load},
-      {RvClass::Store, options.w_store},
-  }};
   double total = 0;
-  for (const auto& [cls, w] : weights) total += w;
+  for (const auto& [cls, w] : kWeights) total += w;
 
-  const std::size_t n =
-      options.min_insts + rng.index(options.max_insts - options.min_insts + 1);
+  const std::size_t n = kMinInsts + rng.index(kMaxInsts - kMinInsts + 1);
   BasicBlock block;
   for (std::size_t i = 0; i < n; ++i) {
     double pick = rng.uniform(0, total);
     RvClass cls = RvClass::IntAlu;
-    for (const auto& [c, w] : weights) {
+    for (const auto& [c, w] : kWeights) {
       if (pick < w) {
         cls = c;
         break;
@@ -89,14 +97,11 @@ BasicBlock generate_block(util::Rng& rng, const RvGenOptions& options) {
   return block;
 }
 
-std::vector<BasicBlock> generate_corpus(std::size_t n, std::uint64_t seed,
-                                        const RvGenOptions& options) {
+std::vector<BasicBlock> generate_corpus(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<BasicBlock> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(generate_block(rng, options));
-  }
+  for (std::size_t i = 0; i < n; ++i) out.push_back(generate_block(rng));
   return out;
 }
 

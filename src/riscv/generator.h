@@ -1,34 +1,24 @@
 // Random valid RV64IM basic blocks for the ported framework's evaluation —
 // the RISC-V analogue of the synthetic BHive generator: a small register
 // pool induces realistic dependency chains, and class weights control the
-// mix of ALU, memory, and multiply/divide work.
+// mix of ALU, memory, and multiply/divide work. The shape is fixed: no
+// caller varies it.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "riscv/isa.h"
 #include "util/rng.h"
 
 namespace comet::riscv {
 
-struct RvGenOptions {
-  std::size_t min_insts = 4;
-  std::size_t max_insts = 10;
-  /// Relative class weights: IntAlu, IntMul, IntDiv, Load, Store.
-  double w_alu = 6.0;
-  double w_mul = 1.0;
-  double w_div = 0.5;
-  double w_load = 2.0;
-  double w_store = 1.5;
-  /// Number of distinct registers drawn from (small pool => more hazards).
-  std::size_t reg_pool = 6;
-};
-
-/// One random valid block.
-BasicBlock generate_block(util::Rng& rng, const RvGenOptions& options = {});
+/// One random valid block: 4-10 instructions over the working registers
+/// a0-a5, with sp as the other memory base. Class weights (IntAlu, IntMul,
+/// IntDiv, Load, Store) are 6 : 1 : 0.5 : 2 : 1.5.
+BasicBlock generate_block(util::Rng& rng);
 
 /// A corpus of `n` blocks, deterministic in `seed`.
-std::vector<BasicBlock> generate_corpus(std::size_t n, std::uint64_t seed,
-                                        const RvGenOptions& options = {});
+std::vector<BasicBlock> generate_corpus(std::size_t n, std::uint64_t seed);
 
 }  // namespace comet::riscv

@@ -36,7 +36,6 @@ class RvPerturber {
   explicit RvPerturber(BasicBlock block);
 
   const BasicBlock& block() const { return block_; }
-  const DepGraph& dep_graph() const { return graph_; }
 
   /// Sample β' ~ D_F retaining every feature in `preserve`.
   RvPerturbedBlock sample(const RvFeatureSet& preserve, util::Rng& rng) const;

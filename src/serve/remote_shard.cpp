@@ -15,6 +15,10 @@ namespace comet::serve {
 
 namespace {
 
+/// Send attempts per request: the first, plus one reconnect and resend
+/// after a dead connection.
+constexpr std::size_t kMaxAttempts = 2;
+
 // What to tell the caller when the server answered the request id but not
 // the request: a kError frame, or an off-protocol response type.
 std::string refusal_message(const net::Frame& frame) {
@@ -35,8 +39,6 @@ RemoteShardClient::RemoteShardClient(Connector connector,
                                      RemoteShardOptions options)
     : connector_(std::move(connector)), options_(std::move(options)) {
   COMET_CHECK_MSG(connector_ != nullptr, "remote-shard: null connector");
-  COMET_CHECK_MSG(options_.max_attempts >= 1,
-                  "remote-shard: max_attempts must be at least 1");
   COMET_CHECK_MSG(options_.request_timeout_ns > 0,
                   "remote-shard: request timeout must be positive");
 }
@@ -120,13 +122,13 @@ net::Frame RemoteShardClient::round_trip(
     } catch (const net::TransportError&) {
       ++counters_.wire_errors;
       drop_transport();
-      if (attempt + 1 >= options_.max_attempts) throw;
+      if (attempt + 1 >= kMaxAttempts) throw;
     } catch (const util::ContractViolation& violation) {
       // Garbage bytes from the peer (a malformed frame out of the
       // assembler): same treatment as a dead connection.
       ++counters_.wire_errors;
       drop_transport();
-      if (attempt + 1 >= options_.max_attempts) {
+      if (attempt + 1 >= kMaxAttempts) {
         throw net::DisconnectedError(
             std::string("remote-shard: malformed bytes from server: ") +
             violation.what());

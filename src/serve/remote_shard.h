@@ -20,7 +20,7 @@
 //     retried: a deadline is a promise to the caller, not a hint.
 //   * reconnect             — a dead connection (peer EOF, reset, garbage
 //     bytes) is dropped and re-dialed through the connector, and the
-//     request is resent, up to max_attempts total tries.
+//     request is resent once (two tries in all).
 //   * failover              — when attempts are exhausted (or the deadline
 //     fired) and a fallback model is configured, the request is served
 //     by the fallback; with no fallback the typed error propagates. This
@@ -68,10 +68,8 @@ struct RemoteShardOptions {
   /// Deadline per attempt, over its whole round-trip (send + wait).
   /// Expiry throws net::TimeoutError (or fails over, if a fallback is
   /// set).
+  /// Timeouts never retry; a dead connection gets one reconnect.
   std::uint64_t request_timeout_ns = 500'000'000;  // 500ms
-  /// Total send attempts per request: 1 + (max_attempts - 1) reconnects.
-  /// Timeouts never retry; only dead-connection errors do.
-  std::size_t max_attempts = 2;
   /// Model serving the request when the remote side is unreachable
   /// (timeout or attempts exhausted): a local model, or another client
   /// for a further tier. nullptr = propagate the typed error.

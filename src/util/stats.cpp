@@ -47,45 +47,6 @@ double percentile(std::vector<double> xs, double q) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean(xs), my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-namespace {
-std::vector<double> ranks(std::span<const double> xs) {
-  std::vector<std::size_t> order(xs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(xs.size());
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j + 1 < order.size() && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0;
-    for (std::size_t k = i; k <= j; ++k) r[order[k]] = avg;
-    i = j + 1;
-  }
-  return r;
-}
-}  // namespace
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
-}
-
 void RunningStats::add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

@@ -21,12 +21,6 @@ double mape(std::span<const double> predictions,
 /// Linear-interpolated percentile, q in [0, 100].
 double percentile(std::vector<double> xs, double q);
 
-/// Pearson correlation coefficient; 0 if degenerate.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman rank correlation; 0 if degenerate.
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
 /// Streaming mean/stddev accumulator (Welford).
 class RunningStats {
  public:

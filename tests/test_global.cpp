@@ -1,13 +1,14 @@
 // Tests for the global explanation module (paper Section 4): the M1
 // running example, opcode- and dependency-keyed synthetic models, feature
-// presence semantics, and search behaviour.
+// names, and search behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "bhive/dataset.h"
 #include "core/global.h"
-#include "x86/parser.h"
+#include "graph/depgraph.h"
 
 namespace cc = comet::core;
 namespace cx = comet::x86;
@@ -57,6 +58,16 @@ class RawKeyedModel final : public CostModel {
   std::string name() const override { return "raw-keyed"; }
 };
 
+/// 3 cycles iff the block has 8 instructions and contains a div.
+class ConjunctionKeyedModel final : public CostModel {
+ public:
+  double predict(const cx::BasicBlock& block) const override {
+    return block.size() == 8 && DivKeyedModel().predict(block) > 1.0 ? 3.0
+                                                                      : 1.0;
+  }
+  std::string name() const override { return "div-and-eta8"; }
+};
+
 std::vector<cx::BasicBlock> corpus_blocks(std::size_t n = 300) {
   comet::bhive::DatasetOptions opts;
   opts.size = n;
@@ -66,46 +77,7 @@ std::vector<cx::BasicBlock> corpus_blocks(std::size_t n = 300) {
 
 }  // namespace
 
-// ---------- GlobalFeature semantics ----------
-
-TEST(GlobalFeature, HasOpcodePresence) {
-  const auto block = cx::parse_block("add rax, rbx\ndiv rcx");
-  const cc::GlobalFeature has_div(
-      cc::GlobalFeature::HasOpcode{cx::Opcode::DIV});
-  const cc::GlobalFeature has_imul(
-      cc::GlobalFeature::HasOpcode{cx::Opcode::IMUL});
-  EXPECT_TRUE(has_div.present_in(block));
-  EXPECT_FALSE(has_imul.present_in(block));
-}
-
-TEST(GlobalFeature, HasOpClassPresence) {
-  const auto block = cx::parse_block("divss xmm0, xmm1");
-  const cc::GlobalFeature fp_div(
-      cc::GlobalFeature::HasOpClass{cx::OpClass::FpDiv});
-  const cc::GlobalFeature int_div(
-      cc::GlobalFeature::HasOpClass{cx::OpClass::IntDiv});
-  EXPECT_TRUE(fp_div.present_in(block));
-  EXPECT_FALSE(int_div.present_in(block));
-}
-
-TEST(GlobalFeature, HasDepKindPresence) {
-  const auto raw = cx::parse_block("add rcx, rax\nmov rdx, rcx");
-  const auto none = cx::parse_block("add rcx, rax\nmov rdx, rbx");
-  const cc::GlobalFeature f(
-      cc::GlobalFeature::HasDepKind{cg::DepKind::RAW});
-  EXPECT_TRUE(f.present_in(raw));
-  EXPECT_FALSE(f.present_in(none));
-}
-
-TEST(GlobalFeature, NumInstsEqualsPresence) {
-  const auto block = cx::parse_block("nop\nnop\nnop");
-  EXPECT_TRUE(
-      cc::GlobalFeature(cc::GlobalFeature::NumInstsEquals{3}).present_in(
-          block));
-  EXPECT_FALSE(
-      cc::GlobalFeature(cc::GlobalFeature::NumInstsEquals{4}).present_in(
-          block));
-}
+// ---------- GlobalFeature ----------
 
 TEST(GlobalFeature, ToStringIsDescriptive) {
   EXPECT_EQ(cc::GlobalFeature(cc::GlobalFeature::HasOpcode{cx::Opcode::DIV})
@@ -125,7 +97,7 @@ TEST(GlobalExplainer, RecoversM1InstructionCount) {
   // Paper Section 4: M1 predicts 2 iff eta = 8; the global explanation of
   // T = {2} must be "number of instructions equal to 8".
   const CountKeyedModel m1(8);
-  cc::GlobalExplainer ex(m1, corpus_blocks(), {});
+  cc::GlobalExplainer ex(m1, corpus_blocks());
   const auto e = ex.explain_range(1.5, 2.5);
   ASSERT_EQ(e.features.size(), 1u);
   EXPECT_EQ(e.features[0],
@@ -137,7 +109,7 @@ TEST(GlobalExplainer, RecoversM1InstructionCount) {
 
 TEST(GlobalExplainer, RecoversDivPresence) {
   const DivKeyedModel model;
-  cc::GlobalExplainer ex(model, corpus_blocks(), {});
+  cc::GlobalExplainer ex(model, corpus_blocks());
   const auto e = ex.explain_range(9.0, 11.0);
   EXPECT_TRUE(e.met_threshold);
   EXPECT_DOUBLE_EQ(e.precision, 1.0);
@@ -157,7 +129,7 @@ TEST(GlobalExplainer, RecoversDivPresence) {
 
 TEST(GlobalExplainer, RecoversRawDependency) {
   const RawKeyedModel model;
-  cc::GlobalExplainer ex(model, corpus_blocks(), {});
+  cc::GlobalExplainer ex(model, corpus_blocks());
   const auto e = ex.explain_range(4.5, 5.5);
   EXPECT_TRUE(e.met_threshold);
   ASSERT_EQ(e.features.size(), 1u);
@@ -171,26 +143,26 @@ TEST(GlobalExplainer, ComplementRangeAlsoExplainable) {
   // can pin "eta != 8" exactly, but precision should still be high because
   // most eta values other than 8 imply prediction 1.
   const CountKeyedModel m1(8);
-  cc::GlobalExplainer ex(m1, corpus_blocks(), {});
+  cc::GlobalExplainer ex(m1, corpus_blocks());
   const auto e = ex.explain_range(0.5, 1.5);
   EXPECT_GE(e.precision, 0.7);
 }
 
 TEST(GlobalExplainer, EmptyCorpusThrows) {
   const DivKeyedModel model;
-  EXPECT_THROW(cc::GlobalExplainer(model, {}, {}), std::invalid_argument);
+  EXPECT_THROW(cc::GlobalExplainer(model, {}), std::invalid_argument);
 }
 
 TEST(GlobalExplainer, EmptyRangeThrows) {
   const DivKeyedModel model;
-  cc::GlobalExplainer ex(model, corpus_blocks(100), {});
+  cc::GlobalExplainer ex(model, corpus_blocks(100));
   EXPECT_THROW(ex.explain_range(100.0, 200.0), std::invalid_argument);
 }
 
 TEST(GlobalExplainer, PredictionsAlignWithCorpus) {
   const DivKeyedModel model;
   const auto blocks = corpus_blocks(50);
-  cc::GlobalExplainer ex(model, blocks, {});
+  cc::GlobalExplainer ex(model, blocks);
   ASSERT_EQ(ex.predictions().size(), blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     EXPECT_DOUBLE_EQ(ex.predictions()[i], model.predict(blocks[i]));
@@ -198,17 +170,21 @@ TEST(GlobalExplainer, PredictionsAlignWithCorpus) {
 }
 
 TEST(GlobalExplainer, ConjunctionSizeRespectsMaxSize) {
-  const DivKeyedModel model;
-  cc::GlobalExplainerOptions opts;
-  opts.max_size = 1;
-  cc::GlobalExplainer ex(model, corpus_blocks(200), opts);
-  const auto e = ex.explain_range(9.0, 11.0);
-  EXPECT_LE(e.features.size(), 1u);
+  // A model keyed on a conjunction (a div in an 8-instruction block) needs
+  // a pair; no explanation ever has more than two features.
+  const ConjunctionKeyedModel model;
+  cc::GlobalExplainer ex(model, corpus_blocks());
+  const auto e = ex.explain_range(2.5, 3.5);
+  EXPECT_EQ(e.features.size(), 2u) << e.to_string();
+  EXPECT_DOUBLE_EQ(e.precision, 1.0);
+  for (const auto& [lo, hi] : {std::pair{0.5, 1.5}, std::pair{0.5, 3.5}}) {
+    EXPECT_LE(ex.explain_range(lo, hi).features.size(), 2u);
+  }
 }
 
 TEST(GlobalExplainer, DeterministicAcrossCalls) {
   const RawKeyedModel model;
-  cc::GlobalExplainer ex(model, corpus_blocks(150), {});
+  cc::GlobalExplainer ex(model, corpus_blocks(150));
   const auto a = ex.explain_range(4.5, 5.5);
   const auto b = ex.explain_range(4.5, 5.5);
   EXPECT_EQ(a.features, b.features);
@@ -219,7 +195,7 @@ TEST(GlobalExplainer, DeterministicAcrossCalls) {
 TEST(GlobalExplainer, ReportsSupport) {
   const CountKeyedModel m1(6);
   const auto blocks = corpus_blocks();
-  cc::GlobalExplainer ex(m1, blocks, {});
+  cc::GlobalExplainer ex(m1, blocks);
   const auto e = ex.explain_range(1.5, 2.5);
   const std::size_t n6 = std::count_if(
       blocks.begin(), blocks.end(),

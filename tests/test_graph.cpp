@@ -69,22 +69,6 @@ TEST(DepGraph, CaseStudy2RawViaRax) {
   EXPECT_TRUE(g.has_edge(3, 5, cg::DepKind::RAW));
 }
 
-TEST(DepGraph, CaseStudy2FullChainWithoutNearestOnly) {
-  cg::DepGraphOptions opt;
-  opt.nearest_only = false;
-  const auto g = cg::DepGraph::build(bb(R"(
-    mov ecx, edx
-    xor edx, edx
-    lea rax, [rcx + rax - 1]
-    div rcx
-    mov rdx, rcx
-    imul rax, rcx
-  )"), opt);
-  // With all conflicting pairs linked, lea -> imul RAW (paper's 3 -> 6)
-  // appears directly.
-  EXPECT_TRUE(g.has_edge(2, 5, cg::DepKind::RAW));
-}
-
 TEST(DepGraph, SubRegisterAliasingDetected) {
   const auto g = cg::DepGraph::build(bb(R"(
     mov eax, 5
@@ -272,32 +256,27 @@ TEST(DepGraph, HasDepEdgeAgreesWithBuild) {
   }
 
   std::size_t edges = 0;
-  for (const bool nearest_only : {true, false}) {
-    for (const bool include_flag_deps : {false, true}) {
-      cg::DepGraphOptions options;
-      options.nearest_only = nearest_only;
-      options.include_flag_deps = include_flag_deps;
-      for (const auto& block : blocks) {
-        const auto g = cg::DepGraph::build(block, options);
-        // Every pair, from >= to and out-of-range indices included.
-        std::vector<std::size_t> indices;
-        for (std::size_t i = 0; i <= block.size() + 1; ++i) {
-          indices.push_back(i);
-        }
-        indices.push_back(std::numeric_limits<std::size_t>::max());
-        for (const std::size_t from : indices) {
-          for (const std::size_t to : indices) {
-            for (const auto kind :
-                 {cg::DepKind::RAW, cg::DepKind::WAR, cg::DepKind::WAW}) {
-              const bool want = g.has_edge(from, to, kind);
-              ASSERT_EQ(cg::has_dep_edge(block, from, to, kind, options),
-                        want)
-                  << cg::dep_kind_name(kind) << " " << from << " -> " << to
-                  << " nearest_only=" << nearest_only
-                  << " include_flag_deps=" << include_flag_deps << "\n"
-                  << block.to_string();
-              edges += want ? 1 : 0;
-            }
+  for (const bool include_flag_deps : {false, true}) {
+    cg::DepGraphOptions options;
+    options.include_flag_deps = include_flag_deps;
+    for (const auto& block : blocks) {
+      const auto g = cg::DepGraph::build(block, options);
+      // Every pair, from >= to and out-of-range indices included.
+      std::vector<std::size_t> indices;
+      for (std::size_t i = 0; i <= block.size() + 1; ++i) {
+        indices.push_back(i);
+      }
+      indices.push_back(std::numeric_limits<std::size_t>::max());
+      for (const std::size_t from : indices) {
+        for (const std::size_t to : indices) {
+          for (const auto kind :
+               {cg::DepKind::RAW, cg::DepKind::WAR, cg::DepKind::WAW}) {
+            const bool want = g.has_edge(from, to, kind);
+            ASSERT_EQ(cg::has_dep_edge(block, from, to, kind, options), want)
+                << cg::dep_kind_name(kind) << " " << from << " -> " << to
+                << " include_flag_deps=" << include_flag_deps << "\n"
+                << block.to_string();
+            edges += want ? 1 : 0;
           }
         }
       }

@@ -251,19 +251,6 @@ TEST(Perturber, ExplicitRetentionProbabilityOneFreezesDeps) {
   }
 }
 
-TEST(Perturber, RetentionProbabilityOneIsIdentityForOpcodes) {
-  cp::PerturbConfig cfg;
-  cfg.p_inst_retain = 1.0;
-  cfg.p_dep_retain = 1.0;
-  cfg.p_explicit_dep_retain = 0.0;
-  cp::Perturber p(bb(kMotivating), {}, cfg);
-  Rng rng(16);
-  for (int i = 0; i < 100; ++i) {
-    const auto s = p.sample(cg::FeatureSet{}, rng);
-    EXPECT_EQ(s.block, p.block());
-  }
-}
-
 // ---------- perturbation space size (Appendix F) ----------
 
 TEST(SpaceSize, Listing4MagnitudeIsAstronomical) {

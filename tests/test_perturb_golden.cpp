@@ -4,8 +4,8 @@
 // the same order. These tests hash every sampled block (its Intel-syntax
 // text plus its original-position mapping) over ~100 seeded generated
 // blocks and four kinds of preserve set into one FNV-1a digest per Γ
-// configuration, including the two ablation configurations the explanation
-// fingerprints never reach.
+// configuration, including the whole-instruction-replacement ablation that
+// the explanation fingerprints never reach.
 //
 // The expected digests were recorded before Γ's register bookkeeping was
 // rewritten with bitmasks and must never be edited to make a change pass:
@@ -110,10 +110,4 @@ TEST(PerturberGolden, WholeInstructionReplacementStream) {
   cp::PerturbConfig config;
   config.whole_instruction_replacement = true;
   EXPECT_EQ(stream_digest(config), 0xe9ac8ee5f27ce463ULL);
-}
-
-TEST(PerturberGolden, NoFreshRenamePreferenceStream) {
-  cp::PerturbConfig config;
-  config.prefer_fresh_rename = false;
-  EXPECT_EQ(stream_digest(config), 0xd969c1396e483bcfULL);
 }

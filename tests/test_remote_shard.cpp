@@ -453,8 +453,8 @@ TEST(RemoteShard, GarbageBytesFromThePeerTriggerReconnectNotCrash) {
 }
 
 TEST(RemoteShard, ExhaustedAttemptsWithoutFallbackAreATypedError) {
-  // Every dial dies instantly and there is no fallback: after
-  // max_attempts tries the typed disconnect surfaces to the caller.
+  // Every dial dies instantly and there is no fallback: after the first
+  // try and its one reconnect the typed disconnect surfaces to the caller.
   ServerRig rig(crude(),
                 {{cn::FaultSchedule{},
                   cn::FaultSchedule({cn::Fault::disconnect_after(0)})},
@@ -462,7 +462,6 @@ TEST(RemoteShard, ExhaustedAttemptsWithoutFallbackAreATypedError) {
                   cn::FaultSchedule({cn::Fault::disconnect_after(0)})}});
   cs::RemoteShardOptions options;
   options.request_timeout_ns = kMustSucceedNs;
-  options.max_attempts = 2;
   const cs::RemoteShardClient client(rig.connector(), options);
 
   const auto block = test_blocks(1)[0];
@@ -741,7 +740,6 @@ TEST(RemoteShardServer, ThrowingModelFailsTheRequestNotTheSession) {
         std::move(client_end));
     cs::RemoteShardOptions options;
     options.request_timeout_ns = kFaultTimeoutNs;
-    options.max_attempts = 1;
     if (with_fallback) options.fallback = std::make_shared<FortyTwoModel>();
     {
       cs::RemoteShardClient client(

@@ -98,8 +98,42 @@ TEST(Riscv, ParseBlockSkipsCommentsAndBlanks) {
 }
 
 TEST(Riscv, PrintParseRoundTripOverCorpus) {
+  // The generator's fixed shape: 4-10 instructions whose registers are the
+  // working set a0-a5, with sp as the only other memory base.
+  const auto working = [](rv::Reg r) {
+    return r.index >= 10 && r.index <= 15;  // a0..a5
+  };
+  const rv::Reg sp{2};
   for (const auto& block : rv::generate_corpus(40, 11)) {
     EXPECT_EQ(rv::parse_block(block.to_string()), block) << block.to_string();
+    EXPECT_GE(block.size(), 4u);
+    EXPECT_LE(block.size(), 10u);
+    for (const auto& inst : block.instructions) {
+      switch (rv::info(inst.opcode).format) {
+        case rv::Format::R:
+          EXPECT_TRUE(working(inst.rd) && working(inst.rs1) &&
+                      working(inst.rs2))
+              << inst.to_string();
+          break;
+        case rv::Format::I:
+          EXPECT_TRUE(working(inst.rd) && working(inst.rs1))
+              << inst.to_string();
+          break;
+        case rv::Format::U:
+          EXPECT_TRUE(working(inst.rd)) << inst.to_string();
+          break;
+        case rv::Format::Load:
+          EXPECT_TRUE(working(inst.rd) &&
+                      (inst.rs1 == sp || working(inst.rs1)))
+              << inst.to_string();
+          break;
+        case rv::Format::Store:
+          EXPECT_TRUE(working(inst.rs2) &&
+                      (inst.rs1 == sp || working(inst.rs1)))
+              << inst.to_string();
+          break;
+      }
+    }
   }
 }
 
@@ -153,7 +187,7 @@ TEST(Riscv, RawWarWawDetection) {
   )");
   const auto g = rv::DepGraph::build(block);
   EXPECT_TRUE(g.has_edge(0, 1, rv::DepKind::RAW));  // a0 produced by 0
-  // nearest_only links the write of a1 (inst 2) to the *nearest* earlier
+  // The graph links the write of a1 (inst 2) to the *nearest* earlier
   // reader, which is inst 1.
   EXPECT_TRUE(g.has_edge(1, 2, rv::DepKind::WAR));
   EXPECT_FALSE(g.has_edge(0, 2, rv::DepKind::WAR));

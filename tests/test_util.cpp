@@ -151,20 +151,6 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(cu::percentile(xs, 25), 2.0);
 }
 
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(cu::pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> zs{8, 6, 4, 2};
-  EXPECT_NEAR(cu::pearson(xs, zs), -1.0, 1e-12);
-}
-
-TEST(Stats, SpearmanMonotone) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const std::vector<double> ys{1, 8, 27, 64, 125};  // monotone, nonlinear
-  EXPECT_NEAR(cu::spearman(xs, ys), 1.0, 1e-12);
-}
-
 TEST(Stats, RunningStatsMatchesBatch) {
   cu::Rng rng(31);
   std::vector<double> xs;
