@@ -47,13 +47,12 @@ std::string GlobalExplanation::to_string() const {
 }
 
 GlobalExplainer::GlobalExplainer(const cost::CostModel& model,
-                                 std::vector<x86::BasicBlock> corpus)
-    : model_(model), corpus_(std::move(corpus)) {
-  if (corpus_.empty()) {
+                                 std::span<const x86::BasicBlock> corpus) {
+  if (corpus.empty()) {
     throw std::invalid_argument("GlobalExplainer: empty corpus");
   }
-  profiles_.reserve(corpus_.size());
-  for (const auto& block : corpus_) {
+  profiles_.reserve(corpus.size());
+  for (const auto& block : corpus) {
     BlockProfile p;
     p.opcode_present.assign(x86::kNumOpcodes, false);
     for (const auto& inst : block.instructions) {
@@ -68,9 +67,8 @@ GlobalExplainer::GlobalExplainer(const cost::CostModel& model,
     profiles_.push_back(std::move(p));
   }
   // The one model sweep of a global explanation, issued as a single batch.
-  predictions_.resize(corpus_.size());
-  model_.predict_batch(std::span<const x86::BasicBlock>(corpus_),
-                       std::span<double>(predictions_));
+  predictions_.resize(corpus.size());
+  model.predict_batch(corpus, std::span<double>(predictions_));
 }
 
 bool GlobalExplainer::holds(const BlockProfile& p,
@@ -97,9 +95,9 @@ bool GlobalExplainer::holds(const BlockProfile& p,
 
 GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
   // In-set membership per corpus block.
-  std::vector<bool> in_set(corpus_.size());
+  std::vector<bool> in_set(predictions_.size());
   std::size_t n_in = 0;
-  for (std::size_t i = 0; i < corpus_.size(); ++i) {
+  for (std::size_t i = 0; i < predictions_.size(); ++i) {
     in_set[i] = predictions_[i] >= lo && predictions_[i] <= hi;
     n_in += in_set[i];
   }
@@ -111,7 +109,7 @@ GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
   // Candidate vocabulary: every feature that holds for at least one in-set
   // block (anything else has zero recall by construction).
   std::set<GlobalFeature> vocabulary;
-  for (std::size_t i = 0; i < corpus_.size(); ++i) {
+  for (std::size_t i = 0; i < predictions_.size(); ++i) {
     if (!in_set[i]) continue;
     const BlockProfile& p = profiles_[i];
     for (std::size_t op = 0; op < x86::kNumOpcodes; ++op) {
@@ -141,7 +139,7 @@ GlobalExplanation GlobalExplainer::explain_range(double lo, double hi) const {
     GlobalExplanation e;
     e.features = conj;
     std::size_t hold = 0, hold_in = 0;
-    for (std::size_t i = 0; i < corpus_.size(); ++i) {
+    for (std::size_t i = 0; i < predictions_.size(); ++i) {
       const bool all = std::all_of(
           conj.begin(), conj.end(),
           [&](const GlobalFeature& f) { return holds(profiles_[i], f); });

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -84,11 +85,13 @@ struct GlobalExplanation {
 };
 
 /// Explains a model's behavior over prediction ranges, against a fixed
-/// corpus of blocks. Construction queries the model once per block.
+/// corpus of blocks. Construction queries the model once per block and
+/// keeps only each block's profile and prediction, neither the blocks nor
+/// the model.
 class GlobalExplainer {
  public:
   GlobalExplainer(const cost::CostModel& model,
-                  std::vector<x86::BasicBlock> corpus);
+                  std::span<const x86::BasicBlock> corpus);
 
   /// Explain T = [lo, hi]: the feature conjunction with recall maximized
   /// subject to Prec ≥ 1 − δ. Falls back to the highest-precision candidate
@@ -109,8 +112,6 @@ class GlobalExplainer {
 
   bool holds(const BlockProfile& p, const GlobalFeature& f) const;
 
-  const cost::CostModel& model_;
-  std::vector<x86::BasicBlock> corpus_;
   std::vector<BlockProfile> profiles_;
   std::vector<double> predictions_;
 };

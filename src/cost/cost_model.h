@@ -19,8 +19,9 @@
 // A caller that sends a stream of related batches (the query broker, one
 // per explanation) opens a ModelSession and sends them through it. A
 // session may keep work that outlives one batch: the Ithemal session keeps
-// each distinct instruction's token-LSTM state for the whole explanation.
-// Its results are still bit-identical to predict(). The session belongs to
+// each distinct instruction's token-LSTM state and each short block
+// prefix's block-LSTM state for the whole explanation. Its results are
+// still bit-identical to predict(). The session belongs to
 // its caller and to one thread; the model stays const and shared. The
 // default session forwards every batch to the model's own predict_batch,
 // so a model without an override (the simulators, crude, Granite, remote
@@ -70,8 +71,9 @@ class CostModel {
   virtual void predict_batch(std::span<const x86::BasicBlock> blocks,
                              std::span<double> out) const;
 
-  /// Open a session for a stream of batches; the model must outlive it.
-  /// The default forwards every batch to predict_batch().
+  /// Open a session for a stream of batches; the model must outlive it,
+  /// and its weights must not change while it is open. The default
+  /// forwards every batch to predict_batch().
   virtual std::unique_ptr<ModelSession> open_session() const;
 
   /// Human-readable model name ("ithemal", "uica", "crude", ...).

@@ -36,7 +36,12 @@ class BlockTokenizer {
  public:
   BlockTokenizer();
   std::size_t vocab_size() const { return vocab_size_; }
-  std::vector<std::vector<int>> tokenize(const x86::BasicBlock& block) const;
+  /// Append `block`'s token ids to `toks`, and for each instruction the
+  /// offset in `toks` just past its last token to `ends`: an instruction's
+  /// tokens start where the previous end (or the caller's first offset)
+  /// left off. Reused buffers make this allocation-free.
+  void tokenize(const x86::BasicBlock& block, std::vector<int>& toks,
+                std::vector<std::size_t>& ends) const;
 
  private:
   std::size_t vocab_size_ = 0;
@@ -59,16 +64,22 @@ class IthemalModel final : public TrainableModel {
 
   double predict(const x86::BasicBlock& block) const override;
   /// Cross-block batched inference in chunks of kChunk blocks: tokenizes a
-  /// chunk, runs the token LSTM once per distinct instruction (token
-  /// sequence) not yet in its table, and the block LSTM once per block,
-  /// whose lanes read the table's rows of their instructions
-  /// (nn::LstmCell::run_final_batch). The table is call-local and cleared
-  /// every kLocalTableBlocks blocks, so a whole-corpus call holds a bounded
-  /// amount of work at a time. Bit-for-bit equal to element-wise predict().
+  /// chunk into one flat buffer, runs the token LSTM once per distinct
+  /// instruction (token sequence) not yet in its table, and the block LSTM
+  /// once per block, whose lanes read the table's rows of their
+  /// instructions (nn::LstmCell::run_final_batch). The table also holds a
+  /// prefix trie of block-LSTM states over the first kTrieDepth
+  /// instructions, so a block's lane starts after the longest prefix the
+  /// table has already run. The table is call-local and cleared every
+  /// kLocalTableBlocks blocks, so a whole-corpus call holds a bounded amount
+  /// of work at a time. Bit-for-bit equal to element-wise predict().
   void predict_batch(std::span<const x86::BasicBlock> blocks,
                      std::span<double> out) const override;
   /// A session runs predict_batch's code over one table that spans all of
-  /// its batches: an instruction's token LSTM runs once per session.
+  /// its batches: an instruction's token LSTM runs once per session, and a
+  /// block prefix of up to kTrieDepth instructions runs through the block
+  /// LSTM once per session. The session also owns the batch buffers, so a
+  /// batch that adds nothing new to the table allocates nothing.
   std::unique_ptr<ModelSession> open_session() const override;
   std::string name() const override;
 
@@ -89,23 +100,31 @@ class IthemalModel final : public TrainableModel {
   static constexpr std::size_t kLocalTableBlocks = 64;
   static_assert(kLocalTableBlocks % kChunk == 0);
 
+  /// How many leading instructions of a block the prefix trie covers.
+  /// Over the perfbench sweep, caching prefixes up to depth 3 skips 30.4%
+  /// of the block-LSTM steps (34.5% at depth 4) and takes at most 2,716
+  /// nodes of 2H floats (0.52 MB) per explanation.
+  static constexpr std::size_t kTrieDepth = 3;
+
   /// predict_batch over `session`'s table, or over a call-local table that
   /// is cleared every kLocalTableBlocks blocks when `session` is null.
   void run_batch(std::span<const x86::BasicBlock> blocks,
-                 std::span<double> out, InstTable* session) const;
+                 std::span<double> out, InstTable* session,
+                 BatchScratch& scratch) const;
   /// One chunk of run_batch.
   void run_chunk(std::span<const x86::BasicBlock> blocks,
                  std::span<double> out, InstTable& table,
                  BatchScratch& scratch) const;
 
   /// The buffers of one forward pass (the activations BPTT reads) and of
-  /// one backward pass. They only grow, so with a reused Workspace the
-  /// block's tokenization is a train step's only allocation.
+  /// one backward pass. They only grow, so with a reused Workspace a train
+  /// step allocates only for a block larger than any before it.
   struct Workspace {
-    std::vector<std::vector<int>> tokens;
+    std::vector<int> tokens;        // the block's, flat (BlockTokenizer)
+    std::vector<std::size_t> ends;  // each instruction's end in `tokens`
     nn::LstmWeightsT token_wt;
     nn::LstmWeightsT block_wt;
-    std::vector<nn::LstmSequence> token_seqs;  // first tokens.size() live
+    std::vector<nn::LstmSequence> token_seqs;  // first ends.size() live
     nn::LstmSequence block_seq;
     std::vector<const float*> xs;  // one sequence's input rows
     nn::LstmBpttScratch bptt;
@@ -116,8 +135,9 @@ class IthemalModel final : public TrainableModel {
 
   /// Forward pass of a non-empty block into `ws`; returns the prediction.
   double forward(const x86::BasicBlock& block, Workspace& ws) const;
-  /// `rows` = the embedding rows of `tokens`, in order (read in place).
-  void embedding_rows(const std::vector<int>& tokens,
+  /// Append the embedding rows of `tokens`, in order, to `rows` (they are
+  /// read in place).
+  void embedding_rows(std::span<const int> tokens,
                       std::vector<const float*>& rows) const;
   /// The regression head over a final block-LSTM state `h`: forward()'s
   /// and predict_batch's one readout.

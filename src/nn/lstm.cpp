@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "util/contract.h"
+
 namespace comet::nn {
 
 namespace {
@@ -196,29 +198,47 @@ void LstmCell::run(std::span<const float* const> xs, const LstmWeightsT& wt,
   }
 }
 
-void LstmCell::run_final_batch(
-    const std::vector<std::vector<const float*>>& seqs,
-    std::vector<float>& h_out, LstmBatchScratch& s) const {
+void LstmCell::run_final_batch(std::span<const float* const> xs,
+                               std::span<const std::size_t> ends,
+                               const LstmWeightsT& wt,
+                               std::vector<float>& h_out, LstmBatchScratch& s,
+                               std::span<const float* const> starts,
+                               std::span<float* const> saves,
+                               std::size_t save_steps) const {
   const std::size_t H = hidden_dim_;
   const std::size_t G = 4 * H;
-  h_out.assign(seqs.size() * H, 0.f);
-  transpose_weights(s.weights);
+  COMET_CHECK(starts.empty() || starts.size() == ends.size());
+  COMET_CHECK(saves.size() == ends.size() * save_steps);
+  h_out.assign(ends.size() * H, 0.f);
   s.pre.resize(G);
   s.c.resize(2 * H);
   s.tanh_c.resize(H);
-  for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
-    // The lane's hidden state lives in its output row from the start, so an
-    // empty lane leaves zeros and a finished one needs no copy-out.
+  std::size_t begin = 0;
+  for (std::size_t lane = 0; lane < ends.size(); ++lane) {
+    // The lane's hidden state lives in its output row from the start, so a
+    // finished lane needs no copy-out.
     float* h = h_out.data() + lane * H;
     float* c_prev = s.c.data();
     float* c = c_prev + H;
-    std::fill_n(c_prev, H, 0.f);
-    for (const float* x : seqs[lane]) {
-      gate_preacts(b_.data(), s.weights.wxt.data(), x, input_dim_,
-                   s.weights.wht.data(), h, H, G, s.pre.data());
+    const float* start = starts.empty() ? nullptr : starts[lane];
+    if (start) {
+      std::copy_n(start, H, h);
+      std::copy_n(start + H, H, c_prev);
+    } else {
+      std::fill_n(c_prev, H, 0.f);
+    }
+    float* const* slot = saves.data() + lane * save_steps;
+    for (std::size_t t = begin; t < ends[lane]; ++t) {
+      gate_preacts(b_.data(), wt.wxt.data(), xs[t], input_dim_,
+                   wt.wht.data(), h, H, G, s.pre.data());
       lstm_step(s.pre.data(), c_prev, c, s.tanh_c.data(), h, H);
       std::swap(c_prev, c);
+      if (t - begin < save_steps && slot[t - begin]) {
+        std::copy_n(h, H, slot[t - begin]);
+        std::copy_n(c_prev, H, slot[t - begin] + H);
+      }
     }
+    begin = ends[lane];
   }
 }
 

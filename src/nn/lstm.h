@@ -25,7 +25,6 @@ struct LstmWeightsT {
 /// calling thread; buffers grow to the largest dimensions seen and are then
 /// reused allocation-free across batches.
 struct LstmBatchScratch {
-  LstmWeightsT weights;       // transposed gate weights, rebuilt on every call
   std::vector<float> pre;     // 4H pre-activations, then gates, of one step
   std::vector<float> c;       // 2 x H: the lane's previous and next cell state
   std::vector<float> tanh_c;  // H: tanh(c) of the current step
@@ -60,7 +59,8 @@ class LstmCell {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Transpose the current gate weights into `out` (for run()).
+  /// Transpose the current gate weights into `out` (for run() and
+  /// run_final_batch()).
   void transpose_weights(LstmWeightsT& out) const;
 
   /// Run the sequence `xs` (pointers to input_dim()-sized inputs, which
@@ -75,22 +75,37 @@ class LstmCell {
     return seq.h.data() + seq.steps() * hidden_dim_;
   }
 
-  /// Batched inference: run B independent sequences from zero state.
-  /// `seqs[b]` is lane b's input sequence as pointers to `input_dim()`-sized
-  /// vectors (rows of an embedding table, or rows of a previous layer's
-  /// output; the inputs are never copied). On return, `h_out` is a
-  /// B x hidden_dim() row-major matrix whose row b holds lane b's final
-  /// hidden state (zeros for an empty lane).
+  /// Batched inference over B independent lanes. Lane b's inputs are
+  /// xs[ends[b - 1]] .. xs[ends[b] - 1] (from xs[0] for b = 0): pointers to
+  /// input_dim()-sized vectors (rows of an embedding table, or rows of a
+  /// previous layer's output; the inputs are never copied). On return,
+  /// `h_out` is a B x hidden_dim() row-major matrix whose row b holds lane
+  /// b's final hidden state.
   ///
-  /// Each lane runs on its own over transposed copies of the gate weights
-  /// (built into `scratch` per call), so one step is two matrix-vector
-  /// products whose inner loops run over the 4H gate rows in register-held
-  /// chunks, at full SIMD width whatever the batch size. The step, from
-  /// pre-activations to the new hidden state, is run()'s own code, so row
-  /// b is bit-identical to the final hidden state of run() over seqs[b].
-  void run_final_batch(const std::vector<std::vector<const float*>>& seqs,
-                       std::vector<float>& h_out,
-                       LstmBatchScratch& scratch) const;
+  /// A state is 2 x hidden_dim() floats, h then c. Lane b starts from zero
+  /// state, or from starts[b] when `starts` is non-empty and starts[b] is
+  /// non-null; an empty lane returns its start's h, or zeros without one.
+  /// After its step j < save_steps, lane b writes its state to
+  /// saves[b * save_steps + j] when that slot is non-null; `saves` holds
+  /// B x save_steps slots, or none when save_steps is 0. Lanes run in
+  /// order, so a state one lane saves may start a later lane of the same
+  /// call.
+  ///
+  /// Each lane runs on its own over `wt`, this cell's transposed gate
+  /// weights (a caller builds them once for many calls), so one step is two
+  /// matrix-vector products whose inner loops run over the 4H gate rows in
+  /// register-held chunks, at full SIMD width whatever the batch size. The
+  /// step, from pre-activations to the new hidden state, is run()'s own
+  /// code, so row b is bit-identical to the final hidden state of run()
+  /// over the inputs that led to the lane's start followed by the lane's
+  /// own.
+  void run_final_batch(std::span<const float* const> xs,
+                       std::span<const std::size_t> ends,
+                       const LstmWeightsT& wt, std::vector<float>& h_out,
+                       LstmBatchScratch& scratch,
+                       std::span<const float* const> starts = {},
+                       std::span<float* const> saves = {},
+                       std::size_t save_steps = 0) const;
 
   /// BPTT over `seq` given dL/dh of its final hidden state: accumulate the
   /// parameter gradients and overwrite `dxs` with the T x input_dim()

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <thread>
@@ -178,6 +179,46 @@ std::vector<std::vector<cx::BasicBlock>> gamma_stream(std::size_t batches,
     }
   }
   return stream;
+}
+
+// A block of the instructions pool[p] for p in `picks`, in order. The
+// pool's blocks share prefixes of every length, so the Ithemal prefix trie
+// finds, creates and resumes nodes at every depth.
+cx::BasicBlock from_pool(std::initializer_list<std::size_t> picks) {
+  static const char* const pool[] = {
+      "add rcx, rax",      "mov rdx, qword ptr [rdi + 8]",
+      "imul rax, rcx",     "sub rbx, 3",
+      "xor r8d, r9d",      "mov qword ptr [rsi + 16], rdx"};
+  cx::BasicBlock block;
+  for (const std::size_t p : picks) {
+    block.instructions.push_back(cx::parse_block(pool[p]).instructions[0]);
+  }
+  return block;
+}
+
+// One 16-block chunk: blocks that are prefixes of later and of earlier
+// blocks, equal prefixes of different lengths, blocks of exactly the trie's
+// depth (3) and longer, repeats of a 3-instruction block (a lane with a
+// start state and no steps) and empty blocks. {0, 1, 2} creates its node
+// and {0, 1, 2, 3, 4} resumes from it in the same chunk.
+std::vector<cx::BasicBlock> prefix_family() {
+  return {from_pool({}),           from_pool({0}),
+          from_pool({0, 1, 2}),    from_pool({0, 1, 2, 3, 4}),
+          from_pool({0, 1}),       from_pool({0, 1, 2, 3}),
+          from_pool({}),           from_pool({0, 1, 2}),
+          from_pool({0, 1, 3}),    from_pool({0, 1, 2, 5, 4, 3}),
+          from_pool({2, 0, 1}),    from_pool({0, 1, 2, 3, 4}),
+          from_pool({5}),          from_pool({0, 1, 3, 2}),
+          from_pool({2, 0, 1, 4}), from_pool({0})};
+}
+
+// Each batch through one session and session-less, against per-block
+// predict().
+void expect_trie_parity(
+    const cc::CostModel& model,
+    const std::vector<std::vector<cx::BasicBlock>>& batches) {
+  expect_session_parity(model, batches);
+  for (const auto& batch : batches) expect_batch_parity(model, batch);
 }
 
 }  // namespace
@@ -397,4 +438,31 @@ TEST(BatchParity, IthemalSessionsOnConcurrentThreads) {
       expect_bitwise(got[t][b], want[t][b], "concurrent session batch");
     }
   }
+}
+
+// The block-LSTM prefix trie: nodes created and resumed within one chunk,
+// and (in a session) resumed by later batches, in both orders of a block
+// and its prefixes.
+TEST(BatchParity, IthemalTriePrefixes) {
+  const auto family = prefix_family();
+  const std::vector<cx::BasicBlock> reversed(family.rbegin(), family.rend());
+  std::vector<cx::BasicBlock> wide = family;  // two chunks in one batch
+  wide.insert(wide.end(), reversed.begin(), reversed.end());
+  const std::vector<std::vector<cx::BasicBlock>> batches{
+      family, reversed, family, wide, {from_pool({0, 1, 2})}};
+  expect_trie_parity(cc::IthemalModel(HSW, tiny_ithemal()), batches);
+  cc::IthemalConfig cfg;  // the benchmark's dimensions
+  expect_trie_parity(cc::IthemalModel(HSW, cfg), batches);
+}
+
+// A session-less call clears its table, and the trie with it, every 64
+// blocks. Over 200 blocks whose prefixes repeat in every 64-block span (at
+// shifting chunk offsets), nodes of a cleared trie must not be resumed.
+TEST(BatchParity, IthemalTrieAcrossLocalTableClears) {
+  const auto family = prefix_family();
+  std::vector<cx::BasicBlock> blocks;
+  for (std::size_t i = 0; blocks.size() < 200; ++i) {
+    blocks.push_back(family[(5 * i + i / 16) % family.size()]);
+  }
+  expect_trie_parity(cc::IthemalModel(HSW, tiny_ithemal()), {blocks});
 }

@@ -72,27 +72,32 @@ TEST(Tokenizer, OneSequencePerInstruction) {
     mov rdx, qword ptr [rdi + 24]
     pop rbx
   )");
-  const auto seqs = tok.tokenize(block);
-  ASSERT_EQ(seqs.size(), 3u);
+  std::vector<int> toks{-1};  // tokenize appends after what is there
+  std::vector<std::size_t> ends{1};
+  tok.tokenize(block, toks, ends);
+  ASSERT_EQ(ends.size(), 4u);
   // "add rcx, rax": opcode + 2 registers.
-  EXPECT_EQ(seqs[0].size(), 3u);
+  EXPECT_EQ(ends[1] - ends[0], 3u);
   // Memory operand adds open/close markers and the base register.
-  EXPECT_GE(seqs[1].size(), 4u);
-  for (const auto& seq : seqs) {
-    for (int t : seq) {
-      EXPECT_GE(t, 0);
-      EXPECT_LT(t, static_cast<int>(tok.vocab_size()));
-    }
+  EXPECT_GE(ends[2] - ends[1], 4u);
+  EXPECT_EQ(ends[3], toks.size());
+  for (std::size_t t = 1; t < toks.size(); ++t) {
+    EXPECT_GE(toks[t], 0);
+    EXPECT_LT(toks[t], static_cast<int>(tok.vocab_size()));
   }
 }
 
 TEST(Tokenizer, DistinguishesRegistersAndWidths) {
   const cc::BlockTokenizer tok;
-  const auto a = tok.tokenize(cx::parse_block("mov rax, rcx"));
-  const auto b = tok.tokenize(cx::parse_block("mov rax, rdx"));
-  const auto c = tok.tokenize(cx::parse_block("mov eax, ecx"));
-  EXPECT_NE(a[0], b[0]);  // different source register
-  EXPECT_NE(a[0], c[0]);  // different width
+  const auto tokens = [&](const char* text) {
+    std::vector<int> toks;
+    std::vector<std::size_t> ends;
+    tok.tokenize(cx::parse_block(text), toks, ends);
+    return toks;
+  };
+  const auto a = tokens("mov rax, rcx");
+  EXPECT_NE(a, tokens("mov rax, rdx"));  // different source register
+  EXPECT_NE(a, tokens("mov eax, ecx"));  // different width
 }
 
 // ---------- model learning ----------

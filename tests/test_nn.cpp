@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -378,14 +379,17 @@ TEST(Lstm, BatchedFinalStateMatchesRunBitwise) {
       }
       inputs.push_back(std::move(xs));
     }
-    std::vector<std::vector<const float*>> seqs;
-    for (const auto& xs : inputs) {
-      auto& lane = seqs.emplace_back();
-      for (const auto& x : xs) lane.push_back(x.data());
+    std::vector<const float*> xs;
+    std::vector<std::size_t> ends;
+    for (const auto& lane : inputs) {
+      for (const auto& x : lane) xs.push_back(x.data());
+      ends.push_back(xs.size());
     }
+    cn::LstmWeightsT wt;
+    cell.transpose_weights(wt);
     cn::LstmBatchScratch scratch;
     std::vector<float> h_out;
-    cell.run_final_batch(seqs, h_out, scratch);
+    cell.run_final_batch(xs, ends, wt, h_out, scratch);
     ASSERT_EQ(h_out.size(), inputs.size() * shape.h);
     for (std::size_t lane = 0; lane < inputs.size(); ++lane) {
       const auto want_h = final_h(cell, inputs[lane]);
@@ -395,6 +399,97 @@ TEST(Lstm, BatchedFinalStateMatchesRunBitwise) {
                   std::bit_cast<std::uint32_t>(want))
             << "H=" << shape.h << " lane " << lane << " unit " << i;
       }
+    }
+  }
+}
+
+// A lane resumed from a state that run_final_batch saved must end where
+// run() over the whole sequence ends, bit for bit: resumed after every
+// prefix length k, with an empty suffix, with more save slots than steps,
+// and with the saving and the resumed lane in one call.
+TEST(Lstm, ResumedLanesMatchRunBitwise) {
+  struct Shape {
+    std::size_t d, h;
+  };
+  for (const Shape shape : {Shape{12, 24}, Shape{8, 12}, Shape{3, 5}}) {
+    const std::size_t H = shape.h;
+    Rng rng(60 + H);
+    const cn::LstmCell cell(shape.d, H, rng);
+    std::vector<std::vector<float>> inputs(9, std::vector<float>(shape.d));
+    for (auto& x : inputs) {
+      for (auto& v : x) v = static_cast<float>(rng.uniform(-3.0, 3.0));
+    }
+    std::vector<const float*> xs;
+    for (const auto& x : inputs) xs.push_back(x.data());
+    const std::size_t T = xs.size();
+    const auto seq = run_seq(cell, inputs);
+    const auto want = final_h(cell, inputs);
+    const auto expect_bits = [&](const float* got, const float* ref,
+                                 const char* what, std::size_t k) {
+      for (std::size_t i = 0; i < H; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(ref[i]))
+            << what << " H=" << H << " k=" << k << " unit " << i;
+      }
+    };
+    cn::LstmWeightsT wt;
+    cell.transpose_weights(wt);
+    cn::LstmBatchScratch scratch;
+    std::vector<float> h_out;
+
+    // Save after every step of the whole lane: slot j holds run()'s state
+    // after step j, h then c.
+    std::vector<float> states(T * 2 * H);
+    std::vector<float*> saves;
+    for (std::size_t j = 0; j < T; ++j) saves.push_back(&states[j * 2 * H]);
+    const std::vector<std::size_t> whole{T};
+    cell.run_final_batch(xs, whole, wt, h_out, scratch, {}, saves, T);
+    expect_bits(h_out.data(), want.data(), "saving lane", T);
+    for (std::size_t j = 0; j < T; ++j) {
+      expect_bits(saves[j], seq.h.data() + (j + 1) * H, "saved h", j);
+      expect_bits(saves[j] + H, seq.c.data() + (j + 1) * H, "saved c", j);
+    }
+
+    // Resume the suffix after every prefix length k, in a call of its own;
+    // at k = T the suffix is empty and returns the start's h.
+    for (std::size_t k = 1; k <= T; ++k) {
+      const std::vector<std::size_t> suffix{T - k};
+      const std::vector<const float*> start{saves[k - 1]};
+      cell.run_final_batch(std::span(xs).subspan(k), suffix, wt, h_out,
+                           scratch, start);
+      expect_bits(h_out.data(), want.data(), "resumed lane", k);
+    }
+
+    // More save slots than the lane has steps: the extra slots stay as
+    // they were.
+    std::vector<float> short_states(5 * 2 * H, -7.f);
+    std::vector<float*> short_saves;
+    for (std::size_t j = 0; j < 5; ++j) {
+      short_saves.push_back(&short_states[j * 2 * H]);
+    }
+    const std::vector<std::size_t> two{2};
+    cell.run_final_batch(xs, two, wt, h_out, scratch, {}, short_saves, 5);
+    expect_bits(short_saves[1], seq.h.data() + 2 * H, "short lane h", 2);
+    for (std::size_t i = 2 * 2 * H; i < short_states.size(); ++i) {
+      EXPECT_EQ(short_states[i], -7.f) << "H=" << H << " slot float " << i;
+    }
+
+    // One call: lane 0 runs the prefix of k steps and saves its state
+    // (null slots are skipped), lane 1 resumes from that slot, lane 2 runs
+    // the whole sequence from zero state.
+    for (std::size_t k = 1; k < T; ++k) {
+      std::vector<float> slot(2 * H);
+      std::vector<const float*> lane_xs(xs.begin(), xs.begin() + k);
+      lane_xs.insert(lane_xs.end(), xs.begin() + k, xs.end());
+      lane_xs.insert(lane_xs.end(), xs.begin(), xs.end());
+      const std::vector<std::size_t> ends{k, T, 2 * T};
+      std::vector<float*> lane_saves(3 * k, nullptr);
+      lane_saves[k - 1] = slot.data();
+      const std::vector<const float*> starts{nullptr, slot.data(), nullptr};
+      cell.run_final_batch(lane_xs, ends, wt, h_out, scratch, starts,
+                           lane_saves, k);
+      expect_bits(h_out.data() + H, want.data(), "same-call resume", k);
+      expect_bits(h_out.data() + 2 * H, want.data(), "zero-start lane", k);
     }
   }
 }
