@@ -19,7 +19,10 @@
 //   * every preserved Inst and NumInsts feature is contained;
 //   * has_dep_edge agrees with DepGraph::build(...).has_edge for every
 //     (from, to, kind) of the sample, under the input's graph options;
-//   * no exception escapes except the parser's rejection of the text.
+//   * no exception escapes except the parser's rejection of the text;
+//   * Γ's per-thread scratch is invisible: sampling interleaved with a
+//     second perturber of a different size (the block twice over) yields
+//     the same stream as sampling each perturber alone.
 // Dependency features are counted, not asserted: Γ can still lose a
 // preserved memory-carried dependency whose address base register a rename
 // touches (a known soundness gap; fixing it changes explanations). The
@@ -95,14 +98,40 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const std::size_t n = block.size();
   const cp::Perturber perturber(block, graph_options, config);
+  comet::x86::BasicBlock twice = block;
+  twice.instructions.insert(twice.instructions.end(),
+                            block.instructions.begin(),
+                            block.instructions.end());
+  const cp::Perturber other(twice, graph_options, config);
   const auto all = cg::extract_features(block, graph_options).items();
   cg::FeatureSet preserve;
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (((subset_bits >> (i % 56)) & 1) != 0) preserve.insert(all[i]);
   }
 
+  // Each perturber's stream drawn alone, then both drawn interleaved.
+  const comet::util::Rng start = rng;
+  comet::util::Rng other_rng(~read_le(header + 8, 8));
+  const comet::util::Rng other_start = other_rng;
+  std::vector<cp::PerturbedBlock> solo;
+  std::vector<cp::PerturbedBlock> other_solo;
+  for (int s = 0; s < kSamples; ++s) {
+    solo.push_back(perturber.sample(preserve, rng));
+  }
+  for (int s = 0; s < kSamples; ++s) {
+    other_solo.push_back(other.sample(cg::FeatureSet{}, other_rng));
+  }
+  rng = start;
+  other_rng = other_start;
+
   for (int s = 0; s < kSamples; ++s) {
     const cp::PerturbedBlock pb = perturber.sample(preserve, rng);
+    const cp::PerturbedBlock opb = other.sample(cg::FeatureSet{}, other_rng);
+    if (pb.block != solo[s].block || pb.orig_index != solo[s].orig_index ||
+        opb.block != other_solo[s].block ||
+        opb.orig_index != other_solo[s].orig_index) {
+      __builtin_trap();  // scratch state leaked between perturbers
+    }
     if (pb.orig_index.size() != pb.block.size()) __builtin_trap();
     for (std::size_t k = 0; k < pb.block.size(); ++k) {
       if (!comet::x86::is_valid(pb.block.instructions[k])) __builtin_trap();

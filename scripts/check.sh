@@ -6,7 +6,7 @@
 #   scripts/check.sh                  # incremental build into ./build
 #   scripts/check.sh --clean          # wipe the mode's build tree first
 #   scripts/check.sh --tsan           # ThreadSanitizer pass over the
-#                                     # serving tests (./build-tsan)
+#                                     # serving tests and Γ (./build-tsan)
 #   scripts/check.sh --asan           # AddressSanitizer pass over the full
 #                                     # test suite (./build-asan)
 #   scripts/check.sh --ubsan          # UndefinedBehaviorSanitizer pass over
@@ -93,8 +93,11 @@ case "$MODE" in
 
   tsan)
     # Race-detection pass over the concurrent serving subsystem (the query
-    # broker underneath it and the metrics instruments inside it). Uses its
-    # own build tree so the regular incremental build stays sanitizer-free.
+    # broker underneath it and the metrics instruments inside it), and over
+    # Γ sampled from two threads at once (test_perturb; the ctest regex
+    # anchors it so test_perturb_golden, not built here, is not selected).
+    # Uses its own build tree so the regular incremental build stays
+    # sanitizer-free.
     [[ "$CLEAN" == "1" ]] && rm -rf "$TSAN_DIR"
     cmake -B "$TSAN_DIR" -S . -DCOMET_TSAN=ON "${CMAKE_ARGS[@]}"
     TSAN_TARGETS=$(cmake --build "$TSAN_DIR" --target help 2>/dev/null || true)
@@ -104,9 +107,9 @@ case "$MODE" in
     fi
     cmake --build "$TSAN_DIR" -j "$JOBS" --target test_serve \
       test_query_broker test_batch_parity test_obs test_net \
-      test_remote_shard test_traffic
+      test_remote_shard test_traffic test_perturb
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
-      -R 'test_serve|test_query_broker|test_batch_parity|test_obs|test_net|test_remote_shard|test_traffic'
+      -R 'test_serve|test_query_broker|test_batch_parity|test_obs|test_net|test_remote_shard|test_traffic|test_perturb$'
     echo "check.sh: tsan serving pass green"
     ;;
 

@@ -89,7 +89,7 @@ class QueryBroker {
   void predict_batch(std::span<const Block> blocks, std::span<double> out) {
     stats_.requested += blocks.size();
     if (blocks.empty()) return;
-    miss_blocks_.clear();
+    std::size_t n_miss = 0;
     miss_keys_.clear();
     pending_.clear();
     // miss_of_[i] is the index into the miss batch, or npos for a hit.
@@ -106,17 +106,23 @@ class QueryBroker {
         ++stats_.cache_hits;
         continue;
       }
-      const std::size_t slot = miss_blocks_.size();
+      const std::size_t slot = n_miss++;
       pending_.emplace(key, slot);
       miss_of_[i] = slot;
-      miss_blocks_.push_back(blocks[i]);
+      // Copy-assigned into a retained slot, so the copy reuses the slot's
+      // instruction and operand storage from earlier batches.
+      if (slot < miss_blocks_.size()) {
+        miss_blocks_[slot] = blocks[i];
+      } else {
+        miss_blocks_.push_back(blocks[i]);
+      }
       miss_keys_.push_back(std::move(key));
     }
-    if (!miss_blocks_.empty()) {
-      miss_out_.resize(miss_blocks_.size());
-      stats_.evaluated += miss_blocks_.size();
+    if (n_miss > 0) {
+      miss_out_.resize(n_miss);
+      stats_.evaluated += n_miss;
       ++stats_.batch_calls;
-      const std::span<const Block> miss(miss_blocks_);
+      const std::span<const Block> miss(miss_blocks_.data(), n_miss);
       if constexpr (kSessions) {
         session_->predict_batch(miss, std::span<double>(miss_out_));
       } else {
@@ -143,8 +149,12 @@ class QueryBroker {
   Session session_{};   // opened once, in the constructor
   QueryStats stats_;
   std::unordered_map<std::string, double> cache_;
-  // Reused per-call scratch (miss gathering); no allocations on the hot
-  // path once the buffers have grown to batch size.
+  // Reused per-call scratch (miss gathering). Every buffer keeps its
+  // capacity across calls, and miss_blocks_ keeps its slots: a slot's block
+  // is overwritten by copy-assignment, reusing its instruction and operand
+  // storage, and only the first n_miss slots of a call are live. What still
+  // allocates per miss is the memo itself: the key string, its copy in
+  // pending_ and the nodes of pending_ and cache_.
   std::vector<Block> miss_blocks_;
   std::vector<std::string> miss_keys_;
   std::vector<double> miss_out_;

@@ -104,11 +104,15 @@ struct Pins {
   FamilyMask globally_reserved = 0;
   bool preserve_count = false;
 
-  explicit Pins(std::size_t n)
-      : opcode_pinned(n, false),
-        delete_forbidden(n, false),
-        pinned_families(n, 0),
-        mem_pinned(n, false) {}
+  /// Unpin everything for an n-instruction block, keeping capacity.
+  void reset(std::size_t n) {
+    opcode_pinned.assign(n, false);
+    delete_forbidden.assign(n, false);
+    pinned_families.assign(n, 0);
+    mem_pinned.assign(n, false);
+    globally_reserved = 0;
+    preserve_count = false;
+  }
 
   /// Pin both endpoints of preserved edge `e` and whatever carries it.
   void pin_edge(const DepEdge& e) {
@@ -128,13 +132,12 @@ struct Pins {
 };
 
 /// Decode `preserve` into `pins`: Inst and NumInsts features directly, and
-/// each Dep feature into the graph edges it names, which are returned for
-/// the caller to pin with Pins::pin_edge.
-std::vector<DepEdge> decode_features(const FeatureSet& preserve,
-                                     const graph::DepGraph& graph,
-                                     Pins& pins) {
+/// each Dep feature into the graph edges it names, which replace the
+/// contents of `edges` for the caller to pin with Pins::pin_edge.
+void decode_features(const FeatureSet& preserve, const graph::DepGraph& graph,
+                     Pins& pins, std::vector<DepEdge>& edges) {
   const std::size_t n = pins.opcode_pinned.size();
-  std::vector<DepEdge> edges;
+  edges.clear();
   for (const Feature& f : preserve.items()) {
     switch (f.type()) {
       case graph::FeatureType::Inst: {
@@ -159,8 +162,21 @@ std::vector<DepEdge> decode_features(const FeatureSet& preserve,
       }
     }
   }
-  return edges;
 }
+
+/// Perturber::sample's per-call working state, kept per thread and
+/// cleared, not freed, between calls (see perturber.h).
+struct SampleScratch {
+  Pins pins;
+  std::vector<DepEdge> preserved_edges;
+  /// Points into the sampling Perturber's graph; valid for one call only.
+  std::vector<const DepEdge*> free_edges;
+  std::vector<FamilyMask> sensitive;
+  std::vector<bool> deleted;
+  std::vector<FamilyMask> used_by;
+  /// An instruction's state before a rename that may be undone.
+  Instruction backup;
+};
 
 }  // namespace
 
@@ -183,16 +199,19 @@ Perturber::Perturber(x86::BasicBlock block,
 PerturbedBlock Perturber::sample(const FeatureSet& preserve,
                                  util::Rng& rng) const {
   const std::size_t n = block_.size();
-  Pins pins(n);
+  thread_local SampleScratch scratch;
+  Pins& pins = scratch.pins;
+  pins.reset(n);
 
   // 1. Decode the preserved feature set into pins.
-  std::vector<DepEdge> preserved_edges =
-      decode_features(preserve, graph_, pins);
+  std::vector<DepEdge>& preserved_edges = scratch.preserved_edges;
+  decode_features(preserve, graph_, pins, preserved_edges);
 
   // 2. Explicit voluntary retention of other dependencies (Appendix E.3):
   //    each non-preserved edge is pinned outright with a small probability,
   //    producing perturbations close to the original block.
-  std::vector<const DepEdge*> free_edges;
+  std::vector<const DepEdge*>& free_edges = scratch.free_edges;
+  free_edges.clear();
   for (const DepEdge& e : graph_.edges()) {
     const bool already =
         std::find_if(preserved_edges.begin(), preserved_edges.end(),
@@ -218,7 +237,8 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
   // replacement opcode changed how the carrying family is accessed there —
   // implicitly (a 1-operand div clobbering rax) or explicitly (cmp -> cmov
   // turning a read of the destination into a write).
-  std::vector<FamilyMask> sensitive(n, 0);
+  std::vector<FamilyMask>& sensitive = scratch.sensitive;
+  sensitive.assign(n, 0);
   for (const DepEdge& e : preserved_edges) {
     if (e.resource != DepResource::Register) continue;
     for (std::size_t v = e.from + 1; v < e.to; ++v) {
@@ -226,11 +246,16 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     }
   }
 
-  // Working copy. used_by[v] is the family mask of insts[v] as it stands
-  // (0 once deleted); every edit to an instruction must refresh its entry.
-  std::vector<Instruction> insts = block_.instructions;
-  std::vector<bool> deleted(n, false);
-  std::vector<FamilyMask> used_by = families_;
+  // The sample is edited in place: a copy of β whose deleted positions
+  // are compacted away in step 6. used_by[v] is the family mask of
+  // insts[v] as it stands (0 once deleted); every edit to an instruction
+  // must refresh its entry.
+  PerturbedBlock out{block_, {}};
+  std::vector<Instruction>& insts = out.block.instructions;
+  std::vector<bool>& deleted = scratch.deleted;
+  deleted.assign(n, false);
+  std::vector<FamilyMask>& used_by = scratch.used_by;
+  used_by = families_;
 
   // 4. Vertex perturbation: opcode replacement or deletion.
   for (std::size_t v = 0; v < n; ++v) {
@@ -271,10 +296,10 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
         const auto& pool = reg_class(r) == RegClass::Vec
                                ? x86::vec_families()
                                : x86::substitutable_gpr_families();
-        Instruction backup = insts[v];
+        scratch.backup = insts[v];
         r.family = rng.pick(pool);
         if (r.high8 && !x86::reg_exists(r.family, 8, true)) r.high8 = false;
-        if (!x86::is_valid(insts[v])) insts[v] = backup;
+        if (!x86::is_valid(insts[v])) insts[v] = scratch.backup;
       }
     }
     used_by[v] = touched_families(insts[v]);
@@ -328,10 +353,10 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
       if ((operand_families(insts[idx]) & family_bit(e.family)) == 0) {
         return false;
       }
-      const Instruction backup = insts[idx];
+      scratch.backup = insts[idx];
       rename_family(insts[idx], e.family, pick_family(rng, pool, base_pool));
       if (!x86::is_valid(insts[idx])) {
-        insts[idx] = backup;  // e.g. shift count must stay cl
+        insts[idx] = scratch.backup;  // e.g. shift count must stay cl
         return false;
       }
       used_by[idx] = touched_families(insts[idx]);
@@ -340,13 +365,16 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     if (!try_rename(e.to)) try_rename(e.from);
   }
 
-  // 6. Materialize the perturbed block with the original-position mapping.
-  PerturbedBlock out;
+  // 6. Compact away the deleted positions, recording the
+  //    original-position mapping.
+  out.orig_index.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
     if (deleted[v]) continue;
-    out.block.instructions.push_back(std::move(insts[v]));
+    const std::size_t k = out.orig_index.size();
+    if (k != v) insts[k] = std::move(insts[v]);
     out.orig_index.push_back(v);
   }
+  insts.resize(out.orig_index.size());
   return out;
 }
 
@@ -383,10 +411,11 @@ bool Perturber::contains(const PerturbedBlock& pb,
 
 double Perturber::log10_space_size(const FeatureSet& preserve) const {
   const std::size_t n = block_.size();
-  Pins pins(n);
-  for (const DepEdge& e : decode_features(preserve, graph_, pins)) {
-    pins.pin_edge(e);
-  }
+  Pins pins;
+  pins.reset(n);
+  std::vector<DepEdge> edges;
+  decode_features(preserve, graph_, pins, edges);
+  for (const DepEdge& e : edges) pins.pin_edge(e);
 
   double log10_total = 0.0;
   for (std::size_t v = 0; v < n; ++v) {

@@ -68,6 +68,15 @@ class Perturber {
 
   /// Sample β' ~ D_F: a random perturbation retaining all features in
   /// `preserve`. With an empty set this samples from D = D_∅.
+  ///
+  /// The per-call working state (pins, edge lists, deletion and family
+  /// bookkeeping, a rename's backup instruction) lives in one scratch per
+  /// thread, cleared but not freed between calls, so a steady stream of
+  /// samples allocates only the returned block. Nothing in the scratch
+  /// outlives one call: its edge pointers point into this Perturber's
+  /// graph, and the next call, from any Perturber, overwrites them. No
+  /// state is kept in the Perturber, so a `const Perturber` stays safe to
+  /// sample from many threads at once.
   PerturbedBlock sample(const graph::FeatureSet& preserve,
                         util::Rng& rng) const;
 

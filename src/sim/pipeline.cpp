@@ -237,9 +237,18 @@ double simulate_throughput(const x86::BasicBlock& block,
       "div_occupancy_extra=" << opt.div_occupancy_extra);
   if (block.empty()) return 0.0;
 
-  std::vector<DecodedInst> dec;
-  dec.reserve(block.size());
-  std::vector<x86::MemOperand> slots;
+  // Per-call working buffers, kept per thread and cleared, not freed,
+  // between calls: a model evaluates thousands of blocks per explanation.
+  struct Scratch {
+    std::vector<DecodedInst> dec;
+    std::vector<x86::MemOperand> slots;
+    std::vector<double> mem_ready;
+  };
+  thread_local Scratch scratch;
+  std::vector<DecodedInst>& dec = scratch.dec;
+  std::vector<x86::MemOperand>& slots = scratch.slots;
+  dec.clear();
+  slots.clear();
   int uops_per_iter = 0;
   for (const auto& inst : block.instructions) {
     dec.push_back(decode(inst, uarch, opt, slots));
@@ -251,7 +260,8 @@ double simulate_throughput(const x86::BasicBlock& block,
   PortFile ports;
   std::array<double, static_cast<std::size_t>(RegFamily::kCount)> reg_ready;
   reg_ready.fill(kNever);
-  std::vector<double> mem_ready(slots.size(), kNever);
+  std::vector<double>& mem_ready = scratch.mem_ready;
+  mem_ready.assign(slots.size(), kNever);
   long uops_issued = 0;
   double iter_mark_mid = 0.0;
   double iter_mark_end = 0.0;

@@ -1,10 +1,12 @@
-// Heap-allocation budget of Ithemal inference through a model session.
+// Heap-allocation budgets of the explanation hot path: Ithemal inference
+// through a model session, and a whole explanation against the uiCA
+// simulator.
 //
 // This executable replaces the global operator new with a counting one, so
 // it lives apart from the other suites: the count covers every allocation
 // the process makes between two reads of the counter.
 //
-// The stream is bench_micro_perf's BM_IthemalPredictGammaSession shape (64
+// The Ithemal stream is bench_micro_perf's BM_IthemalPredictGammaSession shape (64
 // batches of 16 unconstrained Γ samples of one generated block), for 16
 // targets, each through its own session. A session owns its instruction
 // table, its prefix trie and its batch buffers, so a batch allocates only
@@ -21,8 +23,10 @@
 #include <vector>
 
 #include "bhive/generator.h"
+#include "core/comet.h"
 #include "cost/ithemal_model.h"
 #include "perturb/perturber.h"
+#include "sim/models.h"
 #include "util/rng.h"
 
 namespace {
@@ -44,6 +48,7 @@ std::atomic<std::size_t> g_allocations{0};
 
 namespace cb = comet::bhive;
 namespace cc = comet::cost;
+namespace ccore = comet::core;
 namespace cp = comet::perturb;
 namespace cx = comet::x86;
 
@@ -123,4 +128,55 @@ TEST(AllocBudget, IthemalSessionRepeatedBatchAllocatesNothing) {
                            std::span<double>(out));
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+// A whole explanation against the uiCA simulator, with the benchmark's
+// engine options, on generated Clang- and OpenBLAS-profile blocks. Γ's
+// per-sample working state, the broker's miss slots and the simulator's
+// buffers are reused, so what is left per requested block is the sample's
+// own instructions, the memo's keys and nodes, and the engine's own
+// bookkeeping.
+TEST(AllocBudget, UicaExplanation) {
+  constexpr std::size_t kTargets = 8;
+  // 58.2 allocations per requested block with a fresh Γ working state per
+  // sample, a fresh miss copy per miss and fresh simulator buffers per
+  // block; 18.3 with all three reused.
+  constexpr double kBudgetPerBlock = 30.0;
+
+  cb::GeneratorOptions clang;
+  clang.source = cb::BlockSource::Clang;
+  cb::GeneratorOptions blas;
+  blas.source = cb::BlockSource::OpenBLAS;
+  const cb::BlockGenerator generators[2] = {cb::BlockGenerator(clang),
+                                            cb::BlockGenerator(blas)};
+  comet::util::Rng gen_rng(15);
+  std::vector<cx::BasicBlock> blocks;
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    blocks.push_back(generators[t % 2].generate(gen_rng));
+  }
+  const comet::sim::UiCASimModel model(cc::MicroArch::Haswell);
+
+  std::size_t requested = 0;
+  const std::size_t before = g_allocations.load();
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    ccore::CometOptions opt;
+    opt.epsilon = 0.5;
+    opt.coverage_samples = 600;
+    opt.batch_size = 8;
+    opt.max_pulls_per_level = 80;
+    opt.final_precision_samples = 120;
+    opt.seed = 1000 + t;
+    requested +=
+        ccore::CometExplainer(model, opt).explain(blocks[t]).query_stats
+            .requested;
+  }
+  const std::size_t allocations = g_allocations.load() - before;
+
+  ASSERT_GT(requested, 0u);
+  const double per_block =
+      static_cast<double>(allocations) / static_cast<double>(requested);
+  RecordProperty("allocations_per_requested_block", std::to_string(per_block));
+  EXPECT_LE(per_block, kBudgetPerBlock)
+      << allocations << " allocations over " << requested
+      << " requested blocks";
 }

@@ -1,10 +1,14 @@
 // Tests for the perturbation algorithm Γ: validity of outputs, feature
 // preservation guarantees, diversity, deletion semantics, ablation modes,
-// and perturbation-space size estimation.
+// the per-thread sample scratch, and perturbation-space size estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "graph/features.h"
 #include "perturb/perturber.h"
@@ -249,6 +253,121 @@ TEST(Perturber, ExplicitRetentionProbabilityOneFreezesDeps) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(p.contains(p.sample(cg::FeatureSet{}, rng), fs));
   }
+}
+
+// ---------- per-thread sample scratch ----------
+
+namespace {
+
+/// `count` samples of `p` preserving `fs`, drawn with a fresh Rng(seed).
+std::vector<cp::PerturbedBlock> solo_stream(const cp::Perturber& p,
+                                            const cg::FeatureSet& fs,
+                                            std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<cp::PerturbedBlock> out;
+  for (int i = 0; i < count; ++i) out.push_back(p.sample(fs, rng));
+  return out;
+}
+
+void expect_same_stream(const std::vector<cp::PerturbedBlock>& a,
+                        const std::vector<cp::PerturbedBlock>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].block, b[i].block) << "sample " << i;
+    EXPECT_EQ(a[i].orig_index, b[i].orig_index) << "sample " << i;
+  }
+}
+
+}  // namespace
+
+// Samples from perturbers of different sizes and configurations, drawn
+// interleaved on one thread (so each reuses scratch another one grew or
+// shrank), equal each perturber's stream drawn alone.
+TEST(Perturb, ScratchReuseIsInvisible) {
+  cp::PerturbConfig whole;
+  whole.whole_instruction_replacement = true;
+  const cp::Perturber perturbers[] = {
+      cp::Perturber(bb(kMotivating)),
+      cp::Perturber(bb(R"(
+        vdivss xmm0, xmm0, xmm6
+        vmulss xmm7, xmm0, xmm0
+        vxorps xmm0, xmm0, xmm5
+        vaddss xmm7, xmm7, xmm3
+        mov qword ptr [rdi + 8], rax
+        mov rcx, qword ptr [rdi + 8]
+        vmulss xmm6, xmm6, xmm7
+        vdivss xmm6, xmm3, xmm6
+        shl rdx, cl
+        vmulss xmm0, xmm6, xmm0
+      )")),
+      cp::Perturber(bb(R"(
+        mov rax, 5
+        div rcx
+      )")),
+      // The whole-instruction ablation restores a re-randomised operand
+      // from the scratch's backup instruction.
+      cp::Perturber(bb(R"(
+        add rcx, rax
+        mov rdx, rcx
+        imul rbx, rdx
+        sub rsi, rbx
+        pop rbx
+      )"), {}, whole),
+  };
+  constexpr std::size_t kPerturbers = std::size(perturbers);
+  cg::FeatureSet preserve[kPerturbers];
+  preserve[0].insert(raw01());
+  preserve[3].insert(raw01());
+  preserve[3].insert(cg::Feature(cg::NumInstsFeature{5}));
+
+  constexpr int kSamples = 200;
+  std::vector<cp::PerturbedBlock> solo[kPerturbers];
+  for (std::size_t k = 0; k < kPerturbers; ++k) {
+    solo[k] = solo_stream(perturbers[k], preserve[k], 40 + k, kSamples);
+  }
+
+  std::vector<Rng> rngs;
+  for (std::size_t k = 0; k < kPerturbers; ++k) rngs.emplace_back(40 + k);
+  // Each perturber twice per round, in an order that changes the block
+  // size the scratch was last sized for at every draw (10, 3, 5, 2, ...
+  // instructions).
+  constexpr std::size_t kOrder[] = {1, 0, 3, 2, 1, 3, 0, 2};
+  std::vector<cp::PerturbedBlock> mixed[kPerturbers];
+  for (int round = 0; round < kSamples / 2; ++round) {
+    for (const std::size_t k : kOrder) {
+      mixed[k].push_back(perturbers[k].sample(preserve[k], rngs[k]));
+    }
+  }
+  for (std::size_t k = 0; k < kPerturbers; ++k) {
+    SCOPED_TRACE(k);
+    expect_same_stream(mixed[k], solo[k]);
+  }
+}
+
+// Two threads sampling one const Perturber at once each get the stream a
+// single thread draws with the same seed: the scratch is per thread.
+TEST(Perturb, ConcurrentSamplingMatchesSequential) {
+  const cp::Perturber p(bb(R"(
+    add rcx, rax
+    mov qword ptr [rdi + 8], rcx
+    mov rdx, qword ptr [rdi + 8]
+    imul rdx, rcx
+    pop rbx
+  )"));
+  cg::FeatureSet fs;
+  fs.insert(raw01());
+  constexpr int kSamples = 500;
+  const auto first = solo_stream(p, fs, 61, kSamples);
+  const auto second = solo_stream(p, cg::FeatureSet{}, 62, kSamples);
+
+  std::vector<cp::PerturbedBlock> a;
+  std::vector<cp::PerturbedBlock> b;
+  std::thread ta([&] { a = solo_stream(p, fs, 61, kSamples); });
+  std::thread tb([&] { b = solo_stream(p, cg::FeatureSet{}, 62, kSamples); });
+  ta.join();
+  tb.join();
+  expect_same_stream(a, first);
+  expect_same_stream(b, second);
 }
 
 // ---------- perturbation space size (Appendix F) ----------

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bhive/generator.h"
@@ -117,6 +118,29 @@ class SessionCountingModel final : public ck::CostModel {
   mutable std::size_t direct_calls = 0;  // predict() or predict_batch()
 };
 
+/// Records every batch that reaches it, and throws on request.
+class RecordingModel final : public ck::CostModel {
+ public:
+  double predict(const cx::BasicBlock& block) const override {
+    return static_cast<double>(block.to_string().size());
+  }
+  void predict_batch(std::span<const cx::BasicBlock> blocks,
+                     std::span<double> out) const override {
+    batches.emplace_back(blocks.begin(), blocks.end());
+    if (throw_next) {
+      throw_next = false;
+      throw std::runtime_error("recording model: requested failure");
+    }
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      out[i] = predict(blocks[i]);
+    }
+  }
+  std::string name() const override { return "recording"; }
+
+  mutable std::vector<std::vector<cx::BasicBlock>> batches;
+  mutable bool throw_next = false;
+};
+
 /// Broker traffic with in-batch duplicates, repeats across batches, an
 /// empty block and an all-hit batch.
 std::vector<std::vector<cx::BasicBlock>> session_traffic() {
@@ -223,6 +247,56 @@ TEST(QueryBroker, OneBlockBatchIsMemoized) {
   EXPECT_EQ(broker.stats().cache_hits, 1u);
   EXPECT_EQ(model.batch_calls, 1u);
   EXPECT_EQ(model.single_queries, 0u);
+}
+
+// The broker keeps its miss slots across calls and overwrites them: every
+// call hands the model exactly that call's misses, in order, whether the
+// batch is smaller than the last one, larger, made of longer blocks, or
+// follows a call whose model threw.
+TEST(QueryBroker, MissSlotsFollowBatchSize) {
+  const auto pool = sample_blocks(40);  // 40 generated blocks + an empty one
+  const auto longer = [&](std::size_t i) {
+    cx::BasicBlock b = pool[i];
+    const auto& tail = pool[i + 1].instructions;
+    b.instructions.insert(b.instructions.end(), tail.begin(), tail.end());
+    return b;
+  };
+  std::vector<std::vector<cx::BasicBlock>> batches;
+  batches.emplace_back(pool.begin(), pool.begin() + 12);       // large
+  batches.push_back({pool[12], pool[3], pool[13], pool[12]});  // small
+  batches.emplace_back();  // larger again, of longer blocks
+  for (std::size_t i = 14; i < 30; ++i) batches.back().push_back(longer(i));
+  batches.push_back({pool[30], pool[31], pool[32]});           // throws
+  batches.push_back({pool[31], pool[0], pool[33], pool[40]});  // normal
+  // The misses each batch must hand the model, in first-seen order.
+  const std::vector<std::vector<cx::BasicBlock>> expected_misses = {
+      batches[0],
+      {pool[12], pool[13]},
+      batches[2],
+      batches[3],
+      {pool[31], pool[33], pool[40]},  // the failed batch was never cached
+  };
+
+  const RecordingModel model;
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE(b);
+    std::vector<double> out(batches[b].size(), -1.0);
+    const std::span<const cx::BasicBlock> in(batches[b]);
+    if (b == 3) {
+      model.throw_next = true;
+      EXPECT_THROW(broker.predict_batch(in, std::span<double>(out)),
+                   std::runtime_error);
+    } else {
+      broker.predict_batch(in, std::span<double>(out));
+      for (std::size_t i = 0; i < batches[b].size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(model.predict(batches[b][i])));
+      }
+    }
+    ASSERT_EQ(model.batches.size(), b + 1);
+    EXPECT_EQ(model.batches[b], expected_misses[b]);
+  }
 }
 
 // ---------- memoization never changes a prediction ----------
