@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -155,9 +156,9 @@ void BM_UiCASimulateGenerated(benchmark::State& state) {
 }
 BENCHMARK(BM_UiCASimulateGenerated);
 
-// Block text for the blocks the broker keys its memo on: 64 generated
-// Clang/OpenBLAS blocks and four unconstrained Γ samples of each, cycled.
-void BM_BlockToString(benchmark::State& state) {
+// The blocks the broker keys its memo on and the shard server parses: 64
+// generated Clang/OpenBLAS blocks and four unconstrained Γ samples of each.
+std::vector<x86::BasicBlock> gamma_sample_blocks() {
   std::vector<x86::BasicBlock> blocks;
   util::Rng gen_rng(11);
   util::Rng sample_rng(12);
@@ -170,6 +171,12 @@ void BM_BlockToString(benchmark::State& state) {
       blocks.push_back(p.sample(graph::FeatureSet{}, sample_rng).block);
     }
   }
+  return blocks;
+}
+
+// Block text of the Γ sample blocks, cycled.
+void BM_BlockToString(benchmark::State& state) {
+  const auto blocks = gamma_sample_blocks();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(blocks[i].to_string());
@@ -177,6 +184,37 @@ void BM_BlockToString(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockToString);
+
+// parse_block on the Γ sample blocks' text, cycled: what the remote shard
+// server does once per block of a predict request.
+void BM_ParseBlockGamma(benchmark::State& state) {
+  std::vector<std::string> texts;
+  for (const auto& block : gamma_sample_blocks()) {
+    texts.push_back(block.to_string());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x86::parse_block(texts[i]));
+    i = (i + 1) % texts.size();
+  }
+}
+BENCHMARK(BM_ParseBlockGamma);
+
+// The catalog signature scan parse_instruction ends with, over the Γ sample
+// blocks' instructions, cycled.
+void BM_X86IsValid(benchmark::State& state) {
+  std::vector<x86::Instruction> insts;
+  for (const auto& block : gamma_sample_blocks()) {
+    insts.insert(insts.end(), block.instructions.begin(),
+                 block.instructions.end());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x86::is_valid(insts[i]));
+    i = (i + 1) % insts.size();
+  }
+}
+BENCHMARK(BM_X86IsValid);
 
 // One KL-LUCB bound pair (upper and lower) at a round's level, cycling
 // through every (hits, pulls) with 1 <= pulls <= 48: the arm statistics a

@@ -1,15 +1,12 @@
 #include "util/str.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 namespace comet::util {
 
 std::string_view trim(std::string_view s) {
-  const auto issp = [](unsigned char c) { return std::isspace(c) != 0; };
-  while (!s.empty() && issp(s.front())) s.remove_prefix(1);
-  while (!s.empty() && issp(s.back())) s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -28,24 +25,9 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) out.emplace_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 

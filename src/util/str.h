@@ -7,14 +7,22 @@
 
 namespace comet::util {
 
+/// Whether `c` is whitespace: exactly std::isspace in the "C" locale (no
+/// code here changes the locale), without the call.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// ASCII lowercase: exactly std::tolower in the "C" locale, without the call.
+constexpr char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Trim ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 
 /// Split on a delimiter character; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
-
-/// Split on any run of whitespace; drops empty fields.
-std::vector<std::string> split_ws(std::string_view s);
 
 /// Lowercase copy (ASCII).
 std::string to_lower(std::string_view s);

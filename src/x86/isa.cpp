@@ -2,9 +2,8 @@
 
 #include <array>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "util/str.h"
+#include "util/name_table.h"
 
 namespace comet::x86 {
 
@@ -693,14 +692,12 @@ const OpcodeInfo& info(Opcode op) {
 std::string_view mnemonic(Opcode op) { return info(op).mnemonic; }
 
 std::optional<Opcode> parse_opcode(std::string_view mn) {
-  static const std::unordered_map<std::string, Opcode> kByName = [] {
-    std::unordered_map<std::string, Opcode> m;
-    for (const auto& e : catalog()) m[std::string(e.mnemonic)] = e.op;
-    return m;
+  static const util::NameTable<Opcode> kByName = [] {
+    std::vector<std::pair<std::string_view, Opcode>> names;
+    for (const auto& e : catalog()) names.emplace_back(e.mnemonic, e.op);
+    return util::NameTable<Opcode>(names);
   }();
-  const auto it = kByName.find(util::to_lower(mn));
-  if (it == kByName.end()) return std::nullopt;
-  return it->second;
+  return kByName.find(mn);
 }
 
 std::span<const Opcode> all_opcodes() {

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "util/str.h"
+#include "util/name_table.h"
 
 namespace comet::x86 {
 
@@ -94,15 +94,17 @@ std::string_view size_keyword(std::uint16_t size_bits) {
 }
 
 std::uint16_t parse_size_keyword(std::string_view kw) {
-  const auto s = util::to_lower(kw);
-  if (s == "byte") return 8;
-  if (s == "word") return 16;
-  if (s == "dword") return 32;
-  if (s == "qword") return 64;
-  if (s == "xmmword" || s == "oword") return 128;
-  if (s == "ymmword") return 256;
-  if (s == "zmmword") return 512;
-  return 0;
+  static const util::NameTable<std::uint16_t> kByName({
+      {"byte", 8},
+      {"word", 16},
+      {"dword", 32},
+      {"qword", 64},
+      {"xmmword", 128},
+      {"oword", 128},
+      {"ymmword", 256},
+      {"zmmword", 512},
+  });
+  return kByName.find(kw).value_or(0);
 }
 
 }  // namespace comet::x86

@@ -1,6 +1,6 @@
 #include "x86/parser.h"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <limits>
@@ -26,6 +26,8 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
     base = 16;
     s.remove_prefix(2);
   }
+  // One sign only: from_chars would take a second '-' ("--5", "0x-5").
+  if (s.empty() || s.front() == '-') return std::nullopt;
   std::int64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), value, base);
@@ -49,81 +51,84 @@ bool is_int64_min_magnitude(std::string_view s) {
          value == std::uint64_t{1} << 63;
 }
 
-// Parse "[base + index*scale + disp]" contents (without the brackets).
+ParseError term_error(const char* what, std::string_view term) {
+  return ParseError(what + std::string(term));
+}
+
+// Apply one trimmed, non-empty term of a memory expression, with the sign
+// that preceded it (-1 or +1).
+void apply_mem_term(MemOperand& mem, int sign, std::string_view term) {
+  // index*scale or scale*index
+  const auto star = term.find('*');
+  if (star != std::string_view::npos) {
+    if (sign < 0) throw term_error("negative scaled index: ", term);
+    const auto lhs = util::trim(term.substr(0, star));
+    const auto rhs = util::trim(term.substr(star + 1));
+    auto reg = parse_reg(lhs);
+    auto scale = parse_int(rhs);
+    if (!reg) {
+      reg = parse_reg(rhs);
+      scale = parse_int(lhs);
+    }
+    if (!reg || !scale) throw term_error("bad scaled index: ", term);
+    if (*scale != 1 && *scale != 2 && *scale != 4 && *scale != 8) {
+      throw term_error("bad scale: ", term);
+    }
+    if (mem.index) throw term_error("duplicate index: ", term);
+    mem.index = *reg;
+    mem.scale = static_cast<std::uint8_t>(*scale);
+    return;
+  }
+  if (const auto reg = parse_reg(term)) {
+    if (sign < 0) throw term_error("negative register term: ", term);
+    if (!mem.base) {
+      mem.base = *reg;
+    } else if (!mem.index) {
+      mem.index = *reg;
+      mem.scale = 1;
+    } else {
+      throw term_error("too many registers in memory operand: ", term);
+    }
+    return;
+  }
+  const auto value = parse_int(term);
+  if (value || (sign < 0 && is_int64_min_magnitude(term))) {
+    // "- 9223372036854775808" is INT64_MIN, which the printer emits.
+    // Checked accumulation: "[rax + 9e18 + 9e18]" must be a ParseError,
+    // not signed-overflow UB (found by fuzz_x86_parser under UBSan).
+    const std::int64_t signed_term =
+        !value     ? std::numeric_limits<std::int64_t>::min()
+        : sign < 0 ? -*value
+                   : *value;
+    std::int64_t next_disp = 0;
+    if (__builtin_add_overflow(mem.disp, signed_term, &next_disp)) {
+      throw term_error("displacement overflow: ", term);
+    }
+    mem.disp = next_disp;
+    return;
+  }
+  throw term_error("bad memory term: ", term);
+}
+
+// Parse "[base + index*scale + disp]" contents (without the brackets). Each
+// +/- separated term is applied with its sign as it is found; finding terms
+// cannot fail, so the first bad term is the one reported.
 MemOperand parse_mem_expr(std::string_view expr) {
   MemOperand mem;
-  // Tokenize on +/- while keeping the sign of each term.
-  std::vector<std::pair<int, std::string>> terms;  // (sign, term)
+  bool any_term = false;
   int sign = 1;
-  std::string cur;
-  for (char c : expr) {
-    if (c == '+' || c == '-') {
-      if (!util::trim(cur).empty()) {
-        terms.emplace_back(sign, std::string(util::trim(cur)));
-      }
-      sign = c == '-' ? -1 : 1;
-      cur.clear();
-    } else {
-      cur += c;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= expr.size(); ++i) {
+    if (i < expr.size() && expr[i] != '+' && expr[i] != '-') continue;
+    const auto term = util::trim(expr.substr(start, i - start));
+    if (!term.empty()) {
+      apply_mem_term(mem, sign, term);
+      any_term = true;
     }
+    if (i < expr.size()) sign = expr[i] == '-' ? -1 : 1;
+    start = i + 1;
   }
-  if (!util::trim(cur).empty()) {
-    terms.emplace_back(sign, std::string(util::trim(cur)));
-  }
-  if (terms.empty()) throw ParseError("empty memory expression");
-
-  for (const auto& [tsign, term] : terms) {
-    // index*scale or scale*index
-    const auto star = term.find('*');
-    if (star != std::string::npos) {
-      if (tsign < 0) throw ParseError("negative scaled index: " + term);
-      const auto lhs = std::string(util::trim(std::string_view(term).substr(0, star)));
-      const auto rhs = std::string(util::trim(std::string_view(term).substr(star + 1)));
-      auto reg = parse_reg(lhs);
-      auto scale = parse_int(rhs);
-      if (!reg) {
-        reg = parse_reg(rhs);
-        scale = parse_int(lhs);
-      }
-      if (!reg || !scale) throw ParseError("bad scaled index: " + term);
-      if (*scale != 1 && *scale != 2 && *scale != 4 && *scale != 8) {
-        throw ParseError("bad scale: " + term);
-      }
-      if (mem.index) throw ParseError("duplicate index: " + term);
-      mem.index = *reg;
-      mem.scale = static_cast<std::uint8_t>(*scale);
-      continue;
-    }
-    if (const auto reg = parse_reg(term)) {
-      if (tsign < 0) throw ParseError("negative register term: " + term);
-      if (!mem.base) {
-        mem.base = *reg;
-      } else if (!mem.index) {
-        mem.index = *reg;
-        mem.scale = 1;
-      } else {
-        throw ParseError("too many registers in memory operand: " + term);
-      }
-      continue;
-    }
-    const auto value = parse_int(term);
-    if (value || (tsign < 0 && is_int64_min_magnitude(term))) {
-      // "- 9223372036854775808" is INT64_MIN, which the printer emits.
-      // Checked accumulation: "[rax + 9e18 + 9e18]" must be a ParseError,
-      // not signed-overflow UB (found by fuzz_x86_parser under UBSan).
-      const std::int64_t signed_term =
-          !value      ? std::numeric_limits<std::int64_t>::min()
-          : tsign < 0 ? -*value
-                      : *value;
-      std::int64_t next_disp = 0;
-      if (__builtin_add_overflow(mem.disp, signed_term, &next_disp)) {
-        throw ParseError("displacement overflow: " + term);
-      }
-      mem.disp = next_disp;
-      continue;
-    }
-    throw ParseError("bad memory term: " + term);
-  }
+  if (!any_term) throw ParseError("empty memory expression");
   if (mem.base && mem.base->width_bits != 64) {
     throw ParseError("memory base must be a 64-bit register");
   }
@@ -133,21 +138,38 @@ MemOperand parse_mem_expr(std::string_view expr) {
   return mem;
 }
 
+// The first whitespace-delimited word of `s` at or after `from`, as a view
+// into `s` (empty when there is none).
+std::string_view word_at(std::string_view s, std::size_t from) {
+  while (from < s.size() && util::is_space(s[from])) ++from;
+  std::size_t end = from;
+  while (end < s.size() && !util::is_space(s[end])) ++end;
+  return s.substr(from, end - from);
+}
+
+bool is_ptr_keyword(std::string_view word) {
+  return word.size() == 3 && util::ascii_lower(word[0]) == 'p' &&
+         util::ascii_lower(word[1]) == 't' &&
+         util::ascii_lower(word[2]) == 'r';
+}
+
 // Parse one operand; memory size 0 means "infer later".
 Operand parse_operand(std::string_view text) {
   text = util::trim(text);
   if (text.empty()) throw ParseError("empty operand");
 
-  // Optional "<size> ptr [ ... ]".
+  // Optional "<size> ptr [ ... ]", any case.
   std::uint16_t mem_size = 0;
-  {
-    const auto words = util::split_ws(text);
-    if (words.size() >= 2 && util::to_lower(words[1]) == "ptr") {
-      mem_size = parse_size_keyword(words[0]);
-      if (mem_size == 0) throw ParseError("bad size keyword: " + words[0]);
-      const auto pos = text.find("ptr");
-      text = util::trim(text.substr(pos + 3));
+  const auto size_word = word_at(text, 0);
+  const auto ptr_word = word_at(text, size_word.size());
+  if (is_ptr_keyword(ptr_word)) {
+    mem_size = parse_size_keyword(size_word);
+    if (mem_size == 0) {
+      throw ParseError("bad size keyword: " + std::string(size_word));
     }
+    const auto ptr_end = static_cast<std::size_t>(ptr_word.data() -
+                                                  text.data()) + 3;
+    text = util::trim(text.substr(ptr_end));
   }
   if (!text.empty() && text.front() == '[') {
     if (text.back() != ']') throw ParseError("unterminated memory operand");
@@ -214,10 +236,7 @@ Instruction parse_instruction(std::string_view line) {
 
   // Split mnemonic from operand list at the first whitespace.
   std::size_t sp = 0;
-  while (sp < line.size() &&
-         !std::isspace(static_cast<unsigned char>(line[sp]))) {
-    ++sp;
-  }
+  while (sp < line.size() && !util::is_space(line[sp])) ++sp;
   const auto mn = line.substr(0, sp);
   const auto rest = util::trim(line.substr(sp));
 
@@ -227,22 +246,25 @@ Instruction parse_instruction(std::string_view line) {
   Instruction inst;
   inst.opcode = *opcode;
   if (!rest.empty()) {
-    // Split on commas outside brackets.
-    std::vector<std::string> parts;
-    int depth = 0;
-    std::string cur;
-    for (char c : rest) {
-      if (c == '[') ++depth;
-      if (c == ']') --depth;
-      if (c == ',' && depth == 0) {
-        parts.push_back(cur);
-        cur.clear();
-      } else {
-        cur += c;
+    // Operands are separated by commas outside brackets.
+    const auto next_comma = [&rest](std::size_t from) {
+      int depth = 0;
+      for (std::size_t i = from; i < rest.size(); ++i) {
+        if (rest[i] == '[') ++depth;
+        if (rest[i] == ']') --depth;
+        if (rest[i] == ',' && depth == 0) return i;
       }
+      return rest.size();
+    };
+    inst.operands.reserve(
+        static_cast<std::size_t>(std::count(rest.begin(), rest.end(), ',')) +
+        1);
+    for (std::size_t start = 0;;) {
+      const std::size_t end = next_comma(start);
+      inst.operands.push_back(parse_operand(rest.substr(start, end - start)));
+      if (end == rest.size()) break;
+      start = end + 1;
     }
-    parts.push_back(cur);
-    for (const auto& p : parts) inst.operands.push_back(parse_operand(p));
   }
   fixup_mem_size(inst);
   if (!is_valid(inst)) {
@@ -254,8 +276,14 @@ Instruction parse_instruction(std::string_view line) {
 
 BasicBlock parse_block(std::string_view text) {
   BasicBlock block;
-  for (const auto& raw_line : util::split(text, '\n')) {
-    std::string_view line = raw_line;
+  // One instruction per line at most; a final '\n' ends a line.
+  block.instructions.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+      (text.ends_with('\n') ? 0 : 1));
+  for (std::size_t start = 0; start <= text.size();) {
+    const std::size_t nl = std::min(text.find('\n', start), text.size());
+    std::string_view line = text.substr(start, nl - start);
+    start = nl + 1;
     // Strip comments.
     for (char marker : {';', '#'}) {
       const auto pos = line.find(marker);
@@ -266,10 +294,7 @@ BasicBlock parse_block(std::string_view text) {
     // Strip a leading "N:"-style listing number.
     {
       std::size_t i = 0;
-      while (i < line.size() &&
-             std::isdigit(static_cast<unsigned char>(line[i]))) {
-        ++i;
-      }
+      while (i < line.size() && line[i] >= '0' && line[i] <= '9') ++i;
       if (i > 0 && i < line.size() && line[i] == ':') {
         line = util::trim(line.substr(i + 1));
       }

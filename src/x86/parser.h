@@ -10,7 +10,13 @@
 // Memory operands are `[base + index*scale + disp]` with any subset of the
 // three terms. A size keyword ("qword ptr") is optional when the width can
 // be inferred from a register operand; for `lea` the memory width is taken
-// from the destination.
+// from the destination. Mnemonics, registers, size keywords and `ptr` are
+// case-insensitive ("MOV QWORD PTR [RAX], RBX" is accepted). Immediates are
+// decimal or 0x-hex with at most one sign ("--5" and "0x-5" are rejected).
+//
+// The remote shard server parses every block of every predict request, so
+// the parser works on views of its input: it allocates only the result's
+// own vectors, plus the message of a ParseError.
 #pragma once
 
 #include <stdexcept>

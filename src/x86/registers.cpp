@@ -1,9 +1,8 @@
 #include "x86/registers.h"
 
 #include <stdexcept>
-#include <unordered_map>
 
-#include "util/str.h"
+#include "util/name_table.h"
 
 namespace comet::x86 {
 
@@ -24,6 +23,12 @@ const std::array<std::string_view, kNumGpr> kGpr16 = {
 const std::array<std::string_view, kNumGpr> kGpr8 = {
     "al",  "bl",  "cl",   "dl",   "sil",  "dil",  "bpl",  "spl",
     "r8b", "r9b", "r10b", "r11b", "r12b", "r13b", "r14b", "r15b"};
+const std::array<std::string_view, kNumVec> kXmm = {
+    "xmm0", "xmm1", "xmm2",  "xmm3",  "xmm4",  "xmm5",  "xmm6",  "xmm7",
+    "xmm8", "xmm9", "xmm10", "xmm11", "xmm12", "xmm13", "xmm14", "xmm15"};
+const std::array<std::string_view, kNumVec> kYmm = {
+    "ymm0", "ymm1", "ymm2",  "ymm3",  "ymm4",  "ymm5",  "ymm6",  "ymm7",
+    "ymm8", "ymm9", "ymm10", "ymm11", "ymm12", "ymm13", "ymm14", "ymm15"};
 // High-8 registers exist only for the first four families.
 const std::array<std::string_view, 4> kGprHigh8 = {"ah", "bh", "ch", "dh"};
 
@@ -83,9 +88,7 @@ void append_reg_name(std::string& out, const Reg& r) {
   }
   if (is_vec_family(r.family)) {
     const auto idx = vec_index(r.family);
-    out += r.width_bits == 256 ? "ymm" : "xmm";
-    if (idx >= 10) out += static_cast<char>('0' + idx / 10);
-    out += static_cast<char>('0' + idx % 10);
+    out += r.width_bits == 256 ? kYmm[idx] : kXmm[idx];
     return;
   }
   const auto idx = gpr_index(r.family);
@@ -107,31 +110,28 @@ void append_reg_name(std::string& out, const Reg& r) {
 }
 
 std::optional<Reg> parse_reg(std::string_view name) {
-  static const std::unordered_map<std::string, Reg> kByName = [] {
-    std::unordered_map<std::string, Reg> m;
+  static const util::NameTable<Reg> kByName = [] {
+    std::vector<std::pair<std::string_view, Reg>> names;
     for (std::size_t i = 0; i < kNumGpr; ++i) {
       const auto fam = static_cast<RegFamily>(i);
-      m[std::string(kGpr64[i])] = Reg{fam, 64, false};
-      m[std::string(kGpr32[i])] = Reg{fam, 32, false};
-      m[std::string(kGpr16[i])] = Reg{fam, 16, false};
-      m[std::string(kGpr8[i])] = Reg{fam, 8, false};
+      names.emplace_back(kGpr64[i], Reg{fam, 64, false});
+      names.emplace_back(kGpr32[i], Reg{fam, 32, false});
+      names.emplace_back(kGpr16[i], Reg{fam, 16, false});
+      names.emplace_back(kGpr8[i], Reg{fam, 8, false});
     }
     for (std::size_t i = 0; i < kGprHigh8.size(); ++i) {
-      m[std::string(kGprHigh8[i])] =
-          Reg{static_cast<RegFamily>(i), 8, true};
+      names.emplace_back(kGprHigh8[i], Reg{static_cast<RegFamily>(i), 8, true});
     }
     for (std::size_t i = 0; i < kNumVec; ++i) {
       const auto fam = static_cast<RegFamily>(
           static_cast<std::size_t>(RegFamily::XMM0) + i);
-      m["xmm" + std::to_string(i)] = Reg{fam, 128, false};
-      m["ymm" + std::to_string(i)] = Reg{fam, 256, false};
+      names.emplace_back(kXmm[i], Reg{fam, 128, false});
+      names.emplace_back(kYmm[i], Reg{fam, 256, false});
     }
-    m["flags"] = flags_reg();
-    return m;
+    names.emplace_back("flags", flags_reg());
+    return util::NameTable<Reg>(names);
   }();
-  const auto it = kByName.find(util::to_lower(name));
-  if (it == kByName.end()) return std::nullopt;
-  return it->second;
+  return kByName.find(name);
 }
 
 bool reg_exists(RegFamily family, std::uint16_t width_bits, bool high8) {

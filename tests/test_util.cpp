@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/contract.h"
 #include "util/kl_bounds.h"
+#include "util/name_table.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/str.h"
@@ -408,17 +413,42 @@ TEST(Str, Split) {
   EXPECT_EQ(parts[2], "");
 }
 
-TEST(Str, SplitWs) {
-  const auto parts = cu::split_ws("  mov   rax, rbx ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "mov");
-  EXPECT_EQ(parts[1], "rax,");
-}
-
 TEST(Str, ToLowerAndStartsWith) {
   EXPECT_EQ(cu::to_lower("MoV"), "mov");
   EXPECT_TRUE(cu::starts_with("0x123", "0x"));
   EXPECT_FALSE(cu::starts_with("1", "0x"));
+}
+
+// The inline forms the parsers use must agree with <cctype> in the "C"
+// locale on every byte, high bytes included.
+TEST(Str, InlineCharClassesMatchCLocale) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(cu::is_space(c), std::isspace(b) != 0) << b;
+    EXPECT_EQ(cu::ascii_lower(c), static_cast<char>(std::tolower(b))) << b;
+  }
+}
+
+TEST(NameTable, CaseInsensitiveByPackedNameAndLength) {
+  const cu::NameTable<int> table({{"al", 1}, {"rax", 2}, {"vextractf128", 3}});
+  EXPECT_EQ(table.find("AL"), 1);
+  EXPECT_EQ(table.find("rAx"), 2);
+  EXPECT_EQ(table.find("VEXTRACTF128"), 3);
+  EXPECT_FALSE(table.find("").has_value());
+  EXPECT_FALSE(table.find("ra").has_value());
+  EXPECT_FALSE(table.find("raxx").has_value());
+  // The packed key holds the length, so NULs do not alias shorter names.
+  EXPECT_FALSE(table.find(std::string_view("\0al", 3)).has_value());
+  EXPECT_FALSE(table.find(std::string_view("al\0", 3)).has_value());
+  EXPECT_FALSE(table.find(std::string_view("r\0ax", 4)).has_value());
+  // Longer than any key can be: no match, no overrun.
+  EXPECT_FALSE(table.find("vextractf128vextractf128").has_value());
+  EXPECT_FALSE(table.find(std::string(16, 'a')).has_value());
+  // Duplicate or overlong names are a contract violation at construction.
+  EXPECT_THROW(cu::NameTable<int>({{"rax", 1}, {"RAX", 2}}),
+               cu::ContractViolation);
+  EXPECT_THROW(cu::NameTable<int>({{"abcdefghijklmnop", 1}}),
+               cu::ContractViolation);
 }
 
 TEST(Str, Join) {

@@ -461,6 +461,63 @@ TEST(Parser, HexImmediates) {
   EXPECT_EQ(neg.operands[1].as_imm().value, -5);
 }
 
+// An immediate takes one sign and one radix prefix. from_chars accepts a
+// '-' of its own, so "--5" used to parse as 5 and "0x-5" as -5; and
+// "--9223372036854775808" negated INT64_MIN.
+TEST(Parser, RejectsDoubledImmediateSign) {
+  for (const char* line :
+       {"mov rax, --5", "mov rax, +-5", "mov rax, 0x-5", "mov rax, -0x-5",
+        "mov rax, +0X-5", "mov rax, --9223372036854775808"}) {
+    EXPECT_THROW(cx::parse_instruction(line), cx::ParseError) << line;
+  }
+  try {
+    cx::parse_instruction("mov rax, --5");
+  } catch (const cx::ParseError& e) {
+    EXPECT_STREQ(e.what(), "unrecognized operand: --5");
+  }
+  EXPECT_EQ(cx::parse_instruction("mov rax, +5").operands[1].as_imm().value,
+            5);
+  EXPECT_EQ(cx::parse_instruction("mov rax, -0x10").operands[1].as_imm().value,
+            -16);
+}
+
+// Mnemonics, registers, size keywords and `ptr` are all case-insensitive.
+// An uppercase `PTR` used to be cut at a case-sensitive find("ptr"), which
+// missed and threw "size keyword without memory operand".
+TEST(Parser, SizePtrIsCaseInsensitive) {
+  for (const char* line :
+       {"MOV QWORD PTR [RAX], RBX", "mov qword PTR [rax], rbx",
+        "mov QWORD ptr [rax], rbx", "Mov Qword Ptr [Rax], Rbx"}) {
+    EXPECT_EQ(cx::parse_instruction(line).to_string(),
+              "mov qword ptr [rax], rbx")
+        << line;
+  }
+  // The cut is at the keyword itself, not at a later "ptr".
+  try {
+    cx::parse_instruction("mov qword PTR [rax + ptr], rbx");
+    ADD_FAILURE() << "accepted a register named ptr";
+  } catch (const cx::ParseError& e) {
+    EXPECT_STREQ(e.what(), "bad memory term: ptr");
+  }
+}
+
+// Name lookup reads views: an embedded NUL must not match a shorter name,
+// and a name longer than every table key matches nothing.
+TEST(Parser, NameLookupRejectsNulAndOverlongNames) {
+  EXPECT_FALSE(cx::parse_reg(std::string_view("r\0ax", 4)).has_value());
+  EXPECT_FALSE(cx::parse_reg(std::string_view("rax\0", 4)).has_value());
+  EXPECT_FALSE(cx::parse_opcode(std::string_view("mov\0", 4)).has_value());
+  EXPECT_EQ(cx::parse_size_keyword(std::string_view("byte\0", 5)), 0);
+  EXPECT_THROW(cx::parse_instruction(std::string_view("mov r\0ax, rbx", 14)),
+               cx::ParseError);
+  EXPECT_FALSE(cx::parse_reg("xmm150").has_value());
+  EXPECT_FALSE(cx::parse_opcode("vbroadcastssx").has_value());
+  EXPECT_EQ(cx::parse_size_keyword("xmmwordx"), 0);
+  EXPECT_EQ(cx::parse_opcode("VBROADCASTSS"), cx::Opcode::VBROADCASTSS);
+  EXPECT_EQ(cx::parse_size_keyword("XMMWORD"), 128);
+  EXPECT_EQ(cx::parse_reg("FLAGS"), cx::flags_reg());
+}
+
 TEST(Parser, RejectsBadInput) {
   EXPECT_THROW(cx::parse_instruction("bogus rax"), cx::ParseError);
   EXPECT_THROW(cx::parse_instruction("add rax"), cx::ParseError);
