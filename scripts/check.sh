@@ -17,8 +17,13 @@
 #   scripts/check.sh --tidy           # clang-tidy (.clang-tidy config) over
 #                                     # src/ (./build-tidy; needs clang-tidy)
 #   scripts/check.sh --lint           # just the comet-lint rules (no build)
+#   scripts/check.sh --dead           # linker-view dead-code gate: every
+#                                     # library function kept by a program,
+#                                     # test-only ones allow-listed in
+#                                     # scripts/dead_allow.txt (./build-dead)
 #   scripts/check.sh --fuzz           # bounded fuzz smoke over every
-#                                     # untrusted-input surface and over Γ
+#                                     # fuzz/fuzz_*.cpp harness: the
+#                                     # untrusted-input surfaces and Γ
 #                                     # (./build-fuzz; COMET_FUZZ_SECS=N
 #                                     # per-harness budget)
 #   scripts/check.sh --coverage       # line-coverage build + report with a
@@ -41,6 +46,7 @@ UBSAN_DIR=${COMET_UBSAN_BUILD_DIR:-build-ubsan}
 TS_DIR=${COMET_TS_BUILD_DIR:-build-ts}
 TIDY_DIR=${COMET_TIDY_BUILD_DIR:-build-tidy}
 FUZZ_DIR=${COMET_FUZZ_BUILD_DIR:-build-fuzz}
+DEAD_DIR=${COMET_DEAD_BUILD_DIR:-build-dead}
 COV_DIR=${COMET_COV_BUILD_DIR:-build-cov}
 MODE=plain
 CLEAN=0
@@ -53,6 +59,7 @@ for arg in "$@"; do
     --thread-safety) MODE=thread-safety ;;
     --tidy)  MODE=tidy ;;
     --lint)  MODE=lint ;;
+    --dead)  MODE=dead ;;
     --fuzz)  MODE=fuzz ;;
     --coverage) MODE=coverage ;;
     --chaos) MODE=chaos ;;
@@ -89,6 +96,18 @@ case "$MODE" in
     python3 scripts/comet_lint.py
     python3 tests/test_lint.py
     echo "check.sh: lint pass green"
+    ;;
+
+  dead)
+    # Linker-view dead-code gate (scripts/dead_code.py): builds every
+    # example, bench, test, perfbench and fuzz harness at -O0 with one
+    # section per function, links with --gc-sections, and fails when a
+    # library function is kept by no binary, or only by tests without a
+    # reasoned line in scripts/dead_allow.txt, or when that list has a
+    # stale line.
+    [[ "$CLEAN" == "1" ]] && rm -rf "$DEAD_DIR"
+    python3 scripts/dead_code.py --build-dir "$DEAD_DIR" --jobs "$JOBS"
+    echo "check.sh: dead-code pass green"
     ;;
 
   tsan)
@@ -167,8 +186,9 @@ case "$MODE" in
     ;;
 
   fuzz)
-    # Bounded fuzz smoke over every untrusted-input surface, plus Γ's
-    # sampling contract (fuzz_perturber): each harness runs its committed
+    # Bounded fuzz smoke over every harness in fuzz/fuzz_*.cpp (the glob
+    # CMakeLists.txt builds them from): the untrusted-input surfaces plus
+    # Γ's sampling contract (fuzz_perturber). Each harness runs its committed
     # corpus plus COMET_FUZZ_SECS (default 30) seconds of mutation under
     # ASan+UBSan with contracts armed. Any crash, leak, OOM, or contract
     # escape fails the gate. Under clang this is real libFuzzer;
@@ -177,9 +197,8 @@ case "$MODE" in
     cmake -B "$FUZZ_DIR" -S . -DCOMET_FUZZ=ON "${CMAKE_ARGS[@]}"
     cmake --build "$FUZZ_DIR" -j "$JOBS"
     FUZZ_SECS=${COMET_FUZZ_SECS:-30}
-    for target in fuzz_x86_parser fuzz_riscv_parser fuzz_ithemal_checkpoint \
-                  fuzz_granite_checkpoint fuzz_bhive_dataset \
-                  fuzz_wire_protocol fuzz_perturber; do
+    for src in fuzz/fuzz_*.cpp; do
+      target=$(basename "$src" .cpp)
       bin="$FUZZ_DIR/$target"
       corpus="fuzz/corpus/$target"
       if [[ ! -x "$bin" ]]; then

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "bhive/generator.h"
@@ -69,34 +67,5 @@ Dataset generate_dataset(const DatasetOptions& options = {});
 /// a random sample of blocks with 4-10 instructions.
 Dataset explanation_test_set(const Dataset& dataset, std::size_t n,
                              std::uint64_t seed);
-
-// ---------------------------------------------------------------------------
-// Text interchange format, so labeled datasets can move between processes
-// and shared caches (and, with the networked front-end, between hosts).
-//
-//   comet-bhive v1
-//   # optional comments and blank lines
-//   <hsw> <TAB> <skl> <TAB> <source> <TAB> <category> <TAB> i1; i2; ...
-//
-// Instructions are Intel-syntax x86, ';'-separated. parse_dataset_text is
-// an untrusted-input surface (fuzz_bhive_dataset): structural violations —
-// bad header, non-finite or absurd labels, unknown source/category names,
-// empty or oversized blocks — throw util::ContractViolation; malformed
-// instructions throw x86::ParseError. Round-trip: parse(to_text(d)) == d.
-
-/// Serialize to the text interchange format.
-std::string to_text(const Dataset& dataset);
-
-/// Parse the text interchange format. Throws util::ContractViolation /
-/// x86::ParseError on malformed input; never aborts or over-allocates.
-Dataset parse_dataset_text(std::string_view text);
-
-/// Label sanity bound for parse_dataset_text: measured throughputs are
-/// cycles per iteration of one basic block; nothing real approaches this.
-inline constexpr double kMaxMeasuredCycles = 1e6;
-
-/// Block size bound for parse_dataset_text (basic blocks are small by
-/// definition; the generator tops out at tens of instructions).
-inline constexpr std::size_t kMaxBlockInsts = 1024;
 
 }  // namespace comet::bhive

@@ -2,10 +2,11 @@
 // reaches a cost model.
 //
 // Every Anchors-style explanation consumes thousands of model queries
-// (KL-LUCB arm pulls, coverage pools, final verification), and the
-// perturbation space of a block is small enough that the same perturbed
-// block recurs many times within one search. The broker exploits both
-// facts in one place:
+// (KL-LUCB arm pulls, coverage pools, final verification), and some
+// perturbed blocks recur within one search: over perfbench's sweep
+// catalog 10.4% of requested blocks are memo hits (cache_hits / requested
+// in perfbench/fingerprints.tsv: 10.43% uiCA, 10.37% Ithemal). The broker
+// exploits both facts in one place:
 //
 //   * batching   — callers hand over whole sample batches; the model sees
 //                  one predict_batch() call per batch instead of a virtual

@@ -118,8 +118,4 @@ double inst_throughput(const x86::Instruction& inst, MicroArch uarch) {
   return timing_from_semantics(inst, uarch).rthroughput;
 }
 
-double inst_latency(const x86::Instruction& inst, MicroArch uarch) {
-  return timing_from_semantics(inst, uarch).latency;
-}
-
 }  // namespace comet::cost

@@ -25,17 +25,13 @@ struct InstTiming {
 
 /// Timing of `inst` on `uarch` when whether it loads and/or stores (through
 /// its memory operand or the stack) is already known, e.g. from a single
-/// x86::semantics() call. inst_throughput/inst_latency equal its fields.
+/// x86::semantics() call (the simulator's decode stage passes its own).
+/// inst_throughput equals its rthroughput field.
 InstTiming inst_timing(const x86::Instruction& inst, MicroArch uarch,
                        bool load, bool store);
 
 /// Reciprocal throughput (cycles) of one instruction on `uarch`.
 /// Accounts for the opcode, operand width, and memory operands.
 double inst_throughput(const x86::Instruction& inst, MicroArch uarch);
-
-/// Instruction latency (cycles, result-ready time) on `uarch`; used by the
-/// crude model's RAW dependency cost and exposed for the simulators' tables
-/// to stay consistent with C.
-double inst_latency(const x86::Instruction& inst, MicroArch uarch);
 
 }  // namespace comet::cost

@@ -4,10 +4,10 @@
 // stream — the contract TCP, AF_UNIX sockets, and pipes all provide. The
 // wire protocol (net/wire.h) frames messages on top; the serving layer
 // (serve::RemoteShardClient / RemoteShardServer) speaks frames only, so
-// the same code runs over a real socket (net::SocketTransport) and over
-// the deterministic in-process test fabric (net::SimTransport), whose
-// fault schedule turns every network failure mode into a reproducible
-// unit test.
+// it runs unchanged over any implementation. The one in the tree is the
+// deterministic in-process fabric (net::SimTransport), whose fault
+// schedule turns every network failure mode into a reproducible unit
+// test; a multi-host front end would add a real-socket one.
 //
 // Error taxonomy — every failure is a typed exception, so callers can
 // give each failure mode its documented behavior (timeout → failover,

@@ -103,10 +103,4 @@ std::vector<Mat*> RelGraphLayer::params() {
   return out;
 }
 
-std::vector<const Mat*> RelGraphLayer::params() const {
-  std::vector<const Mat*> out{&w_self_, &b_};
-  for (const Mat& m : w_rel_) out.push_back(&m);
-  return out;
-}
-
 }  // namespace comet::nn

@@ -62,7 +62,6 @@ class RelGraphLayer {
                                            std::vector<std::vector<float>> dh);
 
   std::vector<Mat*> params();
-  std::vector<const Mat*> params() const;  ///< read-only view (save paths)
 
  private:
   std::size_t in_dim_ = 0;

@@ -294,8 +294,4 @@ void LstmCell::backward(const LstmSequence& seq, const float* dh_final,
 
 std::vector<Mat*> LstmCell::params() { return {&wx_, &wh_, &b_}; }
 
-std::vector<const Mat*> LstmCell::params() const {
-  return {&wx_, &wh_, &b_};
-}
-
 }  // namespace comet::nn

@@ -114,7 +114,6 @@ class LstmCell {
                 LstmBpttScratch& scratch, std::vector<float>& dxs);
 
   std::vector<Mat*> params();
-  std::vector<const Mat*> params() const;
 
  private:
   std::size_t input_dim_ = 0;

@@ -10,8 +10,6 @@ Mat::Mat(std::size_t rows, std::size_t cols)
 
 void Mat::zero_grad() { std::fill(g_.begin(), g_.end(), 0.f); }
 
-void Mat::fill(float v) { std::fill(w_.begin(), w_.end(), v); }
-
 void Mat::init_xavier(util::Rng& rng) {
   const double bound = std::sqrt(6.0 / static_cast<double>(rows_ + cols_));
   for (auto& x : w_) x = static_cast<float>(rng.uniform(-bound, bound));

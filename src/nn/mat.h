@@ -34,7 +34,6 @@ class Mat {
   const float* grad() const { return g_.data(); }
 
   void zero_grad();
-  void fill(float v);
 
   /// Xavier/Glorot uniform initialization.
   void init_xavier(util::Rng& rng);

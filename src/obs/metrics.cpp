@@ -139,12 +139,6 @@ HistogramSnapshot& HistogramSnapshot::operator+=(
   return *this;
 }
 
-std::string HistogramSnapshot::to_string() const {
-  return "count=" + std::to_string(count) + " p50=" + fmt_double(p50()) +
-         " p95=" + fmt_double(p95()) + " p99=" + fmt_double(p99()) +
-         " max=" + std::to_string(max);
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 

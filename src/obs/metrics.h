@@ -124,9 +124,6 @@ struct HistogramSnapshot {
   HistogramSnapshot& operator+=(const HistogramSnapshot& other);
   friend bool operator==(const HistogramSnapshot&,
                          const HistogramSnapshot&) = default;
-
-  /// One-line summary: "count=12 p50=3.0us p95=8.1us p99=9.9us".
-  std::string to_string() const;
 };
 
 /// Thread-safe histogram instrument over HistogramSnapshot.

@@ -1,7 +1,6 @@
 #include "riscv/perturb.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -195,34 +194,6 @@ bool RvPerturber::contains(const RvPerturbedBlock& pb,
     }
   }
   return true;
-}
-
-double RvPerturber::log10_space_size(const RvFeatureSet& preserve) const {
-  bool preserve_eta = false;
-  std::vector<bool> pinned(block_.size(), false);
-  for (const auto& f : preserve.items()) {
-    if (f.is_num_insts()) preserve_eta = true;
-    if (f.is_inst()) pinned[f.as_inst().index] = true;
-    if (f.is_dep()) {
-      pinned[f.as_dep().from] = true;
-      pinned[f.as_dep().to] = true;
-    }
-  }
-  double log10 = 0.0;
-  for (std::size_t i = 0; i < block_.size(); ++i) {
-    if (pinned[i]) continue;
-    const double choices =
-        1.0 + double(replacement_opcodes(block_.instructions[i].opcode).size()) +
-        (preserve_eta ? 0.0 : 1.0);
-    log10 += std::log10(choices);
-  }
-  // Each breakable hazard contributes the rename-target pool.
-  std::set<std::pair<std::size_t, std::size_t>> pairs;
-  for (const auto& e : graph_.edges()) {
-    if (pinned[e.from] && pinned[e.to]) continue;
-    if (pairs.insert({e.from, e.to}).second) log10 += std::log10(20.0);
-  }
-  return log10;
 }
 
 }  // namespace comet::riscv

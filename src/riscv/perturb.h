@@ -43,9 +43,6 @@ class RvPerturber {
   /// Does the perturbed block still contain every feature in `fs`?
   bool contains(const RvPerturbedBlock& pb, const RvFeatureSet& fs) const;
 
-  /// log10 estimate of |Π̂(F)| (Appendix F analogue).
-  double log10_space_size(const RvFeatureSet& preserve) const;
-
  private:
   BasicBlock block_;
   DepGraph graph_;

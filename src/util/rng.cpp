@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace comet::util {
@@ -62,21 +60,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-double Rng::normal() {
-  // Box-Muller; discard the second variate for simplicity.
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double Rng::normal(double mean, double stddev) {
-  return mean + stddev * normal();
-}
-
-Rng Rng::fork() { return Rng(next_u64()); }
 
 std::uint64_t fnv1a64(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);

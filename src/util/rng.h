@@ -10,8 +10,7 @@
 // across threads. The rule the serving layer relies on (and tests assert):
 // every concurrently served explanation request owns its own Rng, seeded
 // deterministically from the request's options + block, so concurrent
-// execution is bit-identical to sequential execution. Use fork() to derive
-// independent child generators for per-item parallelism.
+// execution is bit-identical to sequential execution.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +44,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
 
-  /// Standard normal via Box-Muller.
-  double normal();
-
-  /// Normal with given mean and stddev.
-  double normal(double mean, double stddev);
-
   /// Pick a uniformly random element of a non-empty vector.
   template <typename T>
   const T& pick(const std::vector<T>& v) {
@@ -65,9 +58,6 @@ class Rng {
       std::swap(v[i], v[index(i + 1)]);
     }
   }
-
-  /// Derive an independent child generator (for per-item determinism).
-  Rng fork();
 
  private:
   std::uint64_t s_[4];

@@ -47,24 +47,4 @@ double percentile(std::vector<double> xs, double q) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 }  // namespace comet::util

@@ -35,15 +35,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string format_fixed(double value, int decimals) {
   char buf[64];
   const int n = std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

@@ -30,9 +30,6 @@ std::string to_lower(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Join strings with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Fixed-point decimal rendering ("0.633" for (0.6333, 3)) — unlike
 /// std::to_string, which always prints six decimals.
 std::string format_fixed(double value, int decimals);

@@ -146,18 +146,6 @@ bool reg_exists(RegFamily family, std::uint16_t width_bits, bool high8) {
          width_bits == 64;
 }
 
-const std::vector<RegFamily>& gpr_families() {
-  static const std::vector<RegFamily> fams = [] {
-    std::vector<RegFamily> v;
-    for (std::size_t i = 0; i < kNumGpr; ++i) {
-      const auto fam = static_cast<RegFamily>(i);
-      if (fam != RegFamily::RSP) v.push_back(fam);
-    }
-    return v;
-  }();
-  return fams;
-}
-
 const std::vector<RegFamily>& substitutable_gpr_families() {
   static const std::vector<RegFamily> fams = [] {
     std::vector<RegFamily> v;

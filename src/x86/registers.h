@@ -91,9 +91,6 @@ std::optional<Reg> parse_reg(std::string_view name);
 /// Whether (family, width, high8) designates a register that exists.
 bool reg_exists(RegFamily family, std::uint16_t width_bits, bool high8);
 
-/// All GPR families usable as general operands (excludes RSP; includes RBP).
-const std::vector<RegFamily>& gpr_families();
-
 /// GPR families safe for random substitution (excludes RSP and RBP).
 const std::vector<RegFamily>& substitutable_gpr_families();
 

@@ -9,7 +9,6 @@
 #include "bhive/generator.h"
 #include "bhive/paper_blocks.h"
 #include "graph/depgraph.h"
-#include "util/contract.h"
 #include "x86/parser.h"
 
 namespace cb = comet::bhive;
@@ -204,76 +203,4 @@ TEST(PaperBlocks, CaseStudy2HasDivAndDeps) {
   EXPECT_TRUE(has_div);
   const auto g = comet::graph::DepGraph::build(block);
   EXPECT_FALSE(g.edges().empty());
-}
-
-// ---------- text interchange format ----------
-
-TEST(DatasetText, RoundTripPreservesEverything) {
-  cb::DatasetOptions opts;
-  opts.size = 40;
-  opts.seed = 11;
-  const auto ds = cb::generate_dataset(opts);
-  const auto again = cb::parse_dataset_text(cb::to_text(ds));
-  ASSERT_EQ(again.size(), ds.size());
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(again[i].measured_hsw, ds[i].measured_hsw);
-    EXPECT_DOUBLE_EQ(again[i].measured_skl, ds[i].measured_skl);
-    EXPECT_EQ(again[i].source, ds[i].source);
-    EXPECT_EQ(again[i].category, ds[i].category);
-    ASSERT_EQ(again[i].block.size(), ds[i].block.size());
-    for (std::size_t j = 0; j < ds[i].block.size(); ++j) {
-      EXPECT_EQ(again[i].block.instructions[j].to_string(),
-                ds[i].block.instructions[j].to_string());
-    }
-  }
-}
-
-TEST(DatasetText, ParserSkipsCommentsAndBlankLines) {
-  const auto ds = cb::parse_dataset_text(
-      "# leading comment\n"
-      "\n"
-      "comet-bhive v1\n"
-      "# interior comment\n"
-      "1.5\t2.5\tClang\tScalar\tadd rcx, rax; mov rdx, rcx\n");
-  ASSERT_EQ(ds.size(), 1u);
-  EXPECT_DOUBLE_EQ(ds[0].measured_hsw, 1.5);
-  EXPECT_DOUBLE_EQ(ds[0].measured_skl, 2.5);
-  EXPECT_EQ(ds[0].block.size(), 2u);
-}
-
-// Every structural defect in untrusted dataset text must surface as a
-// typed exception (ContractViolation for structure, ParseError for
-// instruction text) — the contract fuzz_bhive_dataset enforces.
-TEST(DatasetText, RejectsStructuralCorruption) {
-  namespace cu = comet::util;
-  // Missing or wrong header.
-  EXPECT_THROW(cb::parse_dataset_text("1\t2\tClang\tScalar\tadd rcx, rax\n"),
-               cu::ContractViolation);
-  EXPECT_THROW(cb::parse_dataset_text("comet-bhive v99\n"),
-               cu::ContractViolation);
-  // Wrong field count.
-  EXPECT_THROW(
-      cb::parse_dataset_text("comet-bhive v1\n1\t2\tClang\tadd rcx, rax\n"),
-      cu::ContractViolation);
-  // Labels: non-numeric, non-finite, negative, absurd.
-  const char* bad_labels[] = {"nan", "inf", "-1", "1e300", "1.5x"};
-  for (const char* label : bad_labels) {
-    const std::string text = std::string("comet-bhive v1\n") + label +
-                             "\t2\tClang\tScalar\tadd rcx, rax\n";
-    EXPECT_THROW(cb::parse_dataset_text(text), cu::ContractViolation) << label;
-  }
-  // Unknown source / category enums.
-  EXPECT_THROW(cb::parse_dataset_text(
-                   "comet-bhive v1\n1\t2\tgcc\tScalar\tadd rcx, rax\n"),
-               cu::ContractViolation);
-  EXPECT_THROW(cb::parse_dataset_text(
-                   "comet-bhive v1\n1\t2\tClang\tSpooky\tadd rcx, rax\n"),
-               cu::ContractViolation);
-  // Empty block and malformed instruction text.
-  EXPECT_THROW(
-      cb::parse_dataset_text("comet-bhive v1\n1\t2\tClang\tScalar\t; ;\n"),
-      cu::ContractViolation);
-  EXPECT_THROW(cb::parse_dataset_text(
-                   "comet-bhive v1\n1\t2\tClang\tScalar\tbogus rax\n"),
-               cx::ParseError);
 }

@@ -15,6 +15,16 @@ cx::Instruction inst(const char* text) { return cx::parse_instruction(text); }
 cx::BasicBlock bb(const char* text) { return cx::parse_block(text); }
 const cc::MicroArch HSW = cc::MicroArch::Haswell;
 const cc::MicroArch SKL = cc::MicroArch::Skylake;
+
+// Haswell latency as the simulator reads it: inst_timing with the load and
+// store flags of the instruction's own semantics.
+double latency(const char* text) {
+  const cx::Instruction i = inst(text);
+  const cx::InstSemantics sem = cx::semantics(i);
+  const bool load = (sem.mem && sem.mem->read) || sem.stack_mem_read;
+  const bool store = (sem.mem && sem.mem->write) || sem.stack_mem_write;
+  return cc::inst_timing(i, HSW, load, store).latency;
+}
 }  // namespace
 
 // ---------- throughput tables ----------
@@ -46,8 +56,7 @@ TEST(ThroughputTable, SkylakeImprovesFpAdd) {
 }
 
 TEST(ThroughputTable, LoadAddsLatencyToChain) {
-  EXPECT_GT(cc::inst_latency(inst("mov rax, qword ptr [rdi]"), HSW),
-            cc::inst_latency(inst("mov rax, rdi"), HSW));
+  EXPECT_GT(latency("mov rax, qword ptr [rdi]"), latency("mov rax, rdi"));
 }
 
 TEST(ThroughputTable, AllOpcodesHavePositiveTimings) {
@@ -57,7 +66,7 @@ TEST(ThroughputTable, AllOpcodesHavePositiveTimings) {
         "vfmadd231ss xmm1, xmm2, xmm3", "pshufd xmm0, xmm1, 2",
         "cvtsi2ss xmm0, eax", "xchg rax, rcx", "push rbx", "nop"}) {
     EXPECT_GT(cc::inst_throughput(inst(text), HSW), 0.0) << text;
-    EXPECT_GE(cc::inst_latency(inst(text), HSW), 0.0) << text;
+    EXPECT_GE(latency(text), 0.0) << text;
   }
 }
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Fixture tests for scripts/comet_lint.py (run via ctest target `test_lint`).
+"""Fixture tests for scripts/comet_lint.py and the classifier of
+scripts/dead_code.py (run via ctest target `test_lint`).
 
 Every rule is proven in both directions: a known-bad snippet must be
 flagged at the right line, and the documented suppression comment
 (`// comet-lint: allow(<rule>)`, same line or the line above) must silence
 exactly that finding. The scrubber (comments / string literals) and the
 statement-position logic of unchecked-io get their own negative fixtures —
-these are the cases a naive grep gets wrong.
+these are the cases a naive grep gets wrong. The dead-code classifier is
+fed canned `nm` lines, so it is tested without a build.
 """
 
 import os
@@ -20,6 +22,7 @@ SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
 sys.path.insert(0, SCRIPTS_DIR)
 
 import comet_lint  # noqa: E402
+import dead_code  # noqa: E402
 
 
 def rules_hit(relpath, text):
@@ -388,6 +391,117 @@ class CommandLine(unittest.TestCase):
                      "raw-clock", "raw-assert", "unbounded-wait",
                      "upward-include", "isa-include"):
             self.assertIn(rule, result.stdout)
+
+
+# Real mangled names, as `nm --defined-only` prints them.
+X86_IS_DEP = "_ZNK5comet5graph9FeatureOfINS_3x866OpcodeEE6is_depEv"
+RV_IS_DEP = "_ZNK5comet5graph9FeatureOfINS_5riscv6OpcodeEE6is_depEv"
+HAS_EDGE = "_ZNK5comet5graph8DepGraph8has_edgeEmmNS0_7DepKindE"
+GPR_FAMILIES = "_ZN5comet3x8612gpr_familiesEv"
+SUBST_FAMILIES = "_ZN5comet3x8626substitutable_gpr_familiesEv"
+STD_OVER_COMET = ("_ZNSt6vectorIN5comet2nn12LstmSequenceESaIS2_EE"
+                  "17_M_default_appendEm")
+
+
+def nm_line(sym, kind="T"):
+    return f"0000000000001040 {kind} {sym}"
+
+
+class DeadCodeClassifier(unittest.TestCase):
+    """scripts/dead_code.py sorts library functions by the binaries that
+    keep them, and polices its allow-list."""
+
+    def classify(self, library, binaries):
+        lib = dead_code.text_symbols([nm_line(s, "W") for s in library])
+        kept = {name: dead_code.text_symbols([nm_line(s) for s in syms])
+                for name, syms in binaries.items()}
+        return dead_code.classify(lib, kept)
+
+    def test_std_instantiation_over_comet_type_is_ignored(self):
+        lines = [nm_line(STD_OVER_COMET, "W"), nm_line(GPR_FAMILIES),
+                 nm_line(HAS_EDGE, "U"), f"{' ' * 17}U {SUBST_FAMILIES}"]
+        self.assertEqual({GPR_FAMILIES}, dead_code.text_symbols(lines))
+        classes = self.classify([STD_OVER_COMET, GPR_FAMILIES],
+                                {"quickstart": [STD_OVER_COMET]})
+        self.assertEqual({"x86::gpr_families()": "dead"}, classes)
+
+    def test_template_member_kept_by_one_instantiation_is_kept(self):
+        classes = self.classify([X86_IS_DEP, RV_IS_DEP],
+                                {"riscv_quickstart": [RV_IS_DEP]})
+        self.assertEqual({"graph::FeatureOf<>::is_dep() const": "program"},
+                         classes)
+
+    def test_kept_only_by_test_and_fuzz_binaries_is_test_only(self):
+        classes = self.classify(
+            [HAS_EDGE, GPR_FAMILIES, SUBST_FAMILIES],
+            {"test_graph": [HAS_EDGE, SUBST_FAMILIES],
+             "fuzz_perturber": [HAS_EDGE],
+             "comet_perfbench": [SUBST_FAMILIES]})
+        self.assertEqual(
+            {"graph::DepGraph::has_edge(unsigned long, unsigned long, "
+             "graph::DepKind) const": "test-only",
+             "x86::gpr_families()": "dead",
+             "x86::substitutable_gpr_families()": "program"},
+            classes)
+
+    def test_display_name_strips_return_type_abi_tag_and_operators(self):
+        self.assertEqual(
+            "util::f<>(std::vector<> const&)",
+            dead_code.display_name(
+                "std::vector<int> "
+                "comet::util::f<int>(std::vector<int> const&)"))
+        self.assertEqual(
+            "obs::R::to_prometheus() const",
+            dead_code.display_name(
+                "comet::obs::R::to_prometheus[abi:cxx11]() const"))
+        self.assertEqual(
+            "x86::operator<<(std::ostream&, x86::Reg const&)",
+            dead_code.display_name("comet::x86::operator<<(std::ostream&, "
+                                   "comet::x86::Reg const&)"))
+        self.assertEqual("net::{anon}::poll(unsigned long)",
+                         dead_code.display_name(
+                             "comet::net::(anonymous namespace)::poll("
+                             "unsigned long)"))
+
+    def test_allow_line_without_reason_is_rejected(self):
+        entries, errors = dead_code.parse_allow(
+            "# comment\n\nx86::a  # kept for the fuzzer\nx86::b\nx86::c  #\n")
+        self.assertEqual(["x86::a"], [e.pattern for e in entries])
+        self.assertEqual(2, len(errors))
+        self.assertIn("line 4", errors[0])
+        self.assertIn("line 5", errors[1])
+
+    def test_allow_patterns_match_names_or_signatures(self):
+        entries, _ = dead_code.parse_allow(
+            "net::Fault::*  # fabric\n"
+            "x86::is_valid(x86::BasicBlock const&)  # oracle\n")
+        fault, is_valid = entries
+        self.assertTrue(fault.matches("net::Fault::drop()"))
+        self.assertFalse(fault.matches("net::FaultSchedule::seeded(double)"))
+        self.assertTrue(
+            is_valid.matches("x86::is_valid(x86::BasicBlock const&)"))
+        self.assertFalse(
+            is_valid.matches("x86::is_valid(x86::Instruction const&)"))
+
+    def test_gate_findings_and_stale_allow_lines(self):
+        classes = {"a()": "test-only", "b()": "test-only", "c()": "program",
+                   "d()": "dead"}
+        entries, errors = dead_code.parse_allow(
+            "a  # covered\n"
+            "c  # a program keeps it now\n"
+            "gone  # the function no longer exists\n")
+        self.assertEqual([], errors)
+        dead, unlisted, stale = dead_code.check(classes, entries)
+        self.assertEqual(["d()"], dead)
+        self.assertEqual(["b()"], unlisted)
+        self.assertEqual([2, 3], [e.lineno for e, _ in stale])
+        self.assertIn("program", stale[0][1])
+        self.assertIn("no library function", stale[1][1])
+
+    def test_clean_inputs_pass(self):
+        classes = {"a()": "test-only", "c()": "program"}
+        entries, _ = dead_code.parse_allow("a  # covered\n")
+        self.assertEqual(([], [], []), dead_code.check(classes, entries))
 
 
 if __name__ == "__main__":

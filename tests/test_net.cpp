@@ -2,15 +2,11 @@
 // round-trips, malformed-input rejection (every bound a typed
 // util::ContractViolation), streaming reassembly over fragmented chunks,
 // the deterministic SimTransport fault fabric (each Fault kind's observable
-// behavior, schedule seeding reproducibility), and the real AF_UNIX
-// SocketTransport (pair + listener/connect, deadlines, cross-thread close).
+// behavior, schedule seeding reproducibility).
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <optional>
 #include <span>
@@ -18,7 +14,6 @@
 #include <vector>
 
 #include "net/sim_transport.h"
-#include "net/socket_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "util/contract.h"
@@ -456,67 +451,4 @@ TEST(SimTransport, SeededSchedulesAreDeterministicAndRateControlled) {
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(clean.at(i).kind, cn::Fault::Kind::kNone);
   }
-}
-
-// ---------------- SocketTransport ----------------
-
-TEST(SocketTransport, SocketpairRoundTripsFramesAndEof) {
-  auto [client, server] = cn::SocketTransport::make_pair();
-  const auto frame = sample_frame();
-  client->send(cn::encode_frame(frame));
-
-  cn::FrameAssembler rx;
-  const auto got = recv_frame(*server, rx, kMustSucceedNs);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, frame);
-
-  std::uint8_t buf[16];
-  EXPECT_THROW(server->recv(std::span<std::uint8_t>(buf), kMustTimeoutNs),
-               cn::TimeoutError);
-
-  client->close();
-  EXPECT_EQ(server->recv(std::span<std::uint8_t>(buf), kMustSucceedNs), 0u);
-}
-
-TEST(SocketTransport, CloseFromAnotherThreadUnblocksARecv) {
-  auto [client, server] = cn::SocketTransport::make_pair();
-  // The cancellation hook: a recv parked with no deadline is released by a
-  // concurrent close() on the same endpoint.
-  auto parked = std::async(std::launch::async, [&server = server] {
-    std::uint8_t buf[16];
-    return server->recv(std::span<std::uint8_t>(buf), cn::kNoTimeout);
-  });
-  server->close();
-  EXPECT_EQ(parked.get(), 0u);
-}
-
-TEST(SocketTransport, UnixListenerAcceptConnectRoundTrip) {
-  const std::string path =
-      testing::TempDir() + "comet_test_net_" +
-      std::to_string(::getpid()) + ".sock";
-  cn::UnixListener listener(path);
-  EXPECT_EQ(listener.path(), path);
-
-  auto dialing = std::async(std::launch::async,
-                            [&path] { return cn::connect_unix(path); });
-  auto accepted = listener.accept(kMustSucceedNs);
-  auto dialed = dialing.get();
-  ASSERT_NE(accepted, nullptr);
-  ASSERT_NE(dialed, nullptr);
-
-  const auto frame = sample_frame();
-  dialed->send(cn::encode_frame(frame));
-  cn::FrameAssembler rx;
-  const auto got = recv_frame(*accepted, rx, kMustSucceedNs);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, frame);
-}
-
-TEST(SocketTransport, AcceptDeadlineAndDeadPathAreTypedErrors) {
-  const std::string path =
-      testing::TempDir() + "comet_test_net_idle_" +
-      std::to_string(::getpid()) + ".sock";
-  cn::UnixListener listener(path);
-  EXPECT_THROW(listener.accept(kMustTimeoutNs), cn::TimeoutError);
-  EXPECT_THROW(cn::connect_unix(path + ".nonexistent"), cn::TransportError);
 }

@@ -103,9 +103,8 @@ TEST(Affine, BackwardNumericalCheck) {
 // ---------- Adam ----------
 
 TEST(Adam, ConvergesOnQuadratic) {
-  // Minimize (w - 3)^2 elementwise.
+  // Minimize (w - 3)^2 elementwise, from the zero-initialized matrix.
   cn::Mat w(4, 1);
-  w.fill(0.f);
   cn::Adam::Config cfg;
   cfg.lr = 0.1;
   cn::Adam opt({&w}, cfg);

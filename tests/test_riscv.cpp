@@ -249,24 +249,6 @@ TEST_P(RvPerturbProperty, SamplesAreValidAndPreserveFeatures) {
   }
 }
 
-TEST_P(RvPerturbProperty, MonotonicSpaceSize) {
-  Rng gen_rng(2000 + GetParam());
-  const auto block = rv::generate_block(gen_rng);
-  const rv::RvPerturber perturber(block);
-  Rng rng(GetParam() * 7 + 1);
-  const auto all = rv::extract_features(block);
-  rv::RvFeatureSet f2;
-  for (const auto& f : all.items()) {
-    if (rng.uniform() < 0.5) f2.insert(f);
-  }
-  rv::RvFeatureSet f1;
-  for (const auto& f : f2.items()) {
-    if (rng.uniform() < 0.5) f1.insert(f);
-  }
-  EXPECT_GE(perturber.log10_space_size(f1) + 1e-9,
-            perturber.log10_space_size(f2));
-}
-
 INSTANTIATE_TEST_SUITE_P(Corpus, RvPerturbProperty, ::testing::Range(0, 12));
 
 TEST(RiscvPerturb, EtaPreservationForbidsDeletion) {
