@@ -185,6 +185,22 @@ void BM_BlockToString(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockToString);
 
+// The broker's memo key of the same blocks, rendered into one reused
+// buffer as the broker does.
+void BM_MemoKey(benchmark::State& state) {
+  const auto blocks = gamma_sample_blocks();
+  std::string key;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    key.clear();
+    x86::append_memo_key(blocks[i], key);
+    benchmark::DoNotOptimize(key.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % blocks.size();
+  }
+}
+BENCHMARK(BM_MemoKey);
+
 // parse_block on the Γ sample blocks' text, cycled: what the remote shard
 // server does once per block of a predict request.
 void BM_ParseBlockGamma(benchmark::State& state) {
@@ -431,7 +447,7 @@ void BM_BrokerMemoizedBatch(benchmark::State& state) {
   std::vector<double> out(blocks.size());
   for (auto _ : state) {
     cost::QueryBroker<x86::BasicBlock, cost::CostModel> broker(model);
-    broker.predict_batch(std::span<const x86::BasicBlock>(blocks),
+    broker.predict_batch(std::span<x86::BasicBlock>(blocks),
                          std::span<double>(out));
     benchmark::DoNotOptimize(out.data());
   }

@@ -22,6 +22,8 @@
 // queries one explanation consumes. Pulls that need no score in between
 // (a level's initial fan-out, a KL-LUCB round's two separating arms) are
 // fused into shared broker batches of at most kMaxFusedBlocks blocks.
+// A batch's blocks live in retained slots that Γ samples into and the
+// broker reorders in place, so a sample is neither copied nor freed.
 //
 // The engine reads no clock. Per-layer time shares (Γ sample, containment,
 // model predict, residual) come from perfbench's layer tracing
@@ -30,7 +32,9 @@
 //
 // A traits type must provide:
 //   Block, Feature, FeatureSet      — ISA feature vocabulary (positional)
-//   Perturber, PerturbedBlock      — Γ for a fixed target block
+//   Perturber, PerturbedBlock      — Γ for a fixed target block, with
+//                                     sample(preserve, rng, PerturbedBlock&)
+//                                     drawing into a slot
 //   Model                           — cost model (predict / predict_batch)
 //   Options                         — derived from AnchorSearchOptions
 //   Explanation                     — result struct (features, precision,
@@ -38,6 +42,8 @@
 //                                     model_queries, query_stats)
 //   static FeatureSet extract_features(const Block&, const Options&)
 //   static Perturber make_perturber(const Block&, const Options&)
+// and Block's namespace an append_memo_key(const Block&, std::string&), the
+// broker's memo key (see cost/query_broker.h).
 #pragma once
 
 #include <algorithm>
@@ -100,6 +106,24 @@ struct AnchorSearchOptions {
   std::uint64_t seed = 1;
 };
 
+namespace detail {
+
+/// Draw Γ(preserve) into `out`. Both ISAs' perturbers sample into the
+/// caller's slot; the by-value fallback serves perturbers that only return
+/// a block, which is perfbench's TimedPerturber decorator alone (ROADMAP
+/// item 2 deletes it).
+template <typename Perturber, typename FeatureSet, typename PerturbedBlock>
+void sample_into(const Perturber& perturber, const FeatureSet& preserve,
+                 util::Rng& rng, PerturbedBlock& out) {
+  if constexpr (requires { perturber.sample(preserve, rng, out); }) {
+    perturber.sample(preserve, rng, out);
+  } else {
+    out = perturber.sample(preserve, rng);
+  }
+}
+
+}  // namespace detail
+
 template <typename Traits>
 class AnchorEngine {
  public:
@@ -140,6 +164,48 @@ class AnchorEngine {
     double mean() const { return util::hit_rate(hits, pulls); }
   };
 
+  /// The blocks of one pending broker batch, kept in retained slots: a
+  /// sample is drawn into one reused PerturbedBlock and swapped into the
+  /// next free slot, so a flush destroys no block and each later draw
+  /// reuses the storage of the block it swaps out.
+  class SampleBatch {
+   public:
+    /// Draw Γ(preserve) and keep it unless it is empty.
+    void draw(const Perturber& perturber, const FeatureSet& preserve,
+              util::Rng& rng) {
+      detail::sample_into(perturber, preserve, rng, drawn_);
+      if (drawn_.block.empty()) return;
+      using std::swap;
+      swap(next_slot(), drawn_.block);
+    }
+    /// Keep a copy of `block` (the target, whose M(β) is queried once).
+    void add(const Block& block) { next_slot() = block; }
+
+    std::span<Block> blocks() { return {slots_.data(), live_}; }
+    std::size_t size() const { return live_; }
+    void clear() { live_ = 0; }
+
+   private:
+    Block& next_slot() {
+      if (live_ == slots_.size()) slots_.emplace_back();
+      return slots_[live_++];
+    }
+
+    PerturbedBlock drawn_;
+    std::vector<Block> slots_;  // the first live_ hold the batch
+    std::size_t live_ = 0;
+  };
+
+  /// M(β) through `broker`, with `batch` as the one-block request.
+  static double predict_target(Broker& broker, SampleBatch& batch,
+                               const Block& block) {
+    double base = 0.0;
+    batch.add(block);
+    broker.predict_batch(batch.blocks(), std::span<double>(&base, 1));
+    batch.clear();
+    return base;
+  }
+
   const Model& model_;
   Options options_;
 };
@@ -151,19 +217,13 @@ double AnchorEngine<Traits>::estimate_precision(const Block& block,
                                                 util::Rng& rng) const {
   const Perturber perturber = Traits::make_perturber(block, options_);
   Broker broker(model_);
-  double base = 0.0;
-  broker.predict_batch(std::span<const Block>(&block, 1),
-                       std::span<double>(&base, 1));
-  std::vector<Block> batch;
-  batch.reserve(samples);
+  SampleBatch batch;
+  const double base = predict_target(broker, batch, block);
   for (std::size_t i = 0; i < samples; ++i) {
-    auto alpha = perturber.sample(features, rng);
-    if (alpha.block.empty()) continue;
-    batch.push_back(std::move(alpha.block));
+    batch.draw(perturber, features, rng);
   }
   std::vector<double> preds(batch.size());
-  broker.predict_batch(std::span<const Block>(batch),
-                       std::span<double>(preds));
+  broker.predict_batch(batch.blocks(), std::span<double>(preds));
   std::size_t hits = 0;
   for (const double p : preds) {
     hits += std::abs(p - base) < options_.epsilon;
@@ -172,9 +232,9 @@ double AnchorEngine<Traits>::estimate_precision(const Block& block,
   // denominator the search's arm scoring uses (it counts a pull per
   // evaluated sample). Dividing by the requested sample count instead would
   // bias Prec(F) down on blocks whose perturber emits empties.
-  return batch.empty()
+  return preds.empty()
              ? 0.0
-             : static_cast<double>(hits) / static_cast<double>(batch.size());
+             : static_cast<double>(hits) / static_cast<double>(preds.size());
 }
 
 template <typename Traits>
@@ -183,9 +243,11 @@ double AnchorEngine<Traits>::estimate_coverage(const Block& block,
                                                std::size_t samples,
                                                util::Rng& rng) const {
   const Perturber perturber = Traits::make_perturber(block, options_);
+  const FeatureSet none;
+  PerturbedBlock alpha;  // one reused slot
   std::size_t hits = 0;
   for (std::size_t i = 0; i < samples; ++i) {
-    const auto alpha = perturber.sample(FeatureSet{}, rng);
+    detail::sample_into(perturber, none, rng, alpha);
     hits += perturber.contains(alpha, features);
   }
   return samples ? static_cast<double>(hits) / static_cast<double>(samples)
@@ -202,10 +264,9 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   util::Rng rng(options_.seed ^ util::fnv1a64(block.to_string().c_str()));
   const Perturber perturber = Traits::make_perturber(block, options_);
   Broker broker(model_);
+  SampleBatch batch;  // the pending broker batch of fused arm pulls
 
-  double base = 0.0;
-  broker.predict_batch(std::span<const Block>(&block, 1),
-                       std::span<double>(&base, 1));
+  const double base = predict_target(broker, batch, block);
   // Requested queries, counted with the historical semantics: every sample
   // drawn from Γ costs one query whether or not it reached the model (empty
   // perturbations are skipped, memo hits are served from cache). The true
@@ -237,13 +298,11 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
   // samples depend on another arm's score, so the RNG stream, the broker's
   // block sequence and its memo hits are those of one call per arm; only
   // batch_calls differs.
-  std::vector<Block> batch;
   std::vector<double> preds;
   std::vector<std::size_t> cuts{0};  // cuts[g]..cuts[g+1]: pending arm g
   const auto flush = [&](std::span<Arm* const> pending) {
     preds.resize(batch.size());
-    broker.predict_batch(std::span<const Block>(batch),
-                         std::span<double>(preds));
+    broker.predict_batch(batch.blocks(), std::span<double>(preds));
     for (std::size_t g = 0; g < pending.size(); ++g) {
       for (std::size_t i = cuts[g]; i < cuts[g + 1]; ++i) {
         pending[g]->hits += std::abs(preds[i] - base) < options_.epsilon;
@@ -261,10 +320,8 @@ typename AnchorEngine<Traits>::Explanation AnchorEngine<Traits>::explain(
         first = g;
       }
       for (std::size_t i = 0; i < options_.batch_size; ++i) {
-        auto alpha = perturber.sample(group[g]->features, rng);
+        batch.draw(perturber, group[g]->features, rng);
         ++queries;
-        if (alpha.block.empty()) continue;
-        batch.push_back(std::move(alpha.block));
       }
       cuts.push_back(batch.size());
     }

@@ -11,7 +11,7 @@
 //   * batching   — callers hand over whole sample batches; the model sees
 //                  one predict_batch() call per batch instead of a virtual
 //                  predict() per sample,
-//   * memoization — results are always cached by block text, so a
+//   * memoization — results are always cached by a binary memo key, so a
 //                  recurring perturbation costs a hash lookup instead of a
 //                  forward pass (duplicates inside a single batch are
 //                  folded too); for a deterministic model a memo hit
@@ -27,9 +27,20 @@
 //
 // The broker is templated over (Block, Model) so the same code serves the
 // x86 CostModel hierarchy and the RISC-V analytical model: any pair where
-// Block has to_string() and Model has predict()/predict_batch() works.
-// The session path is chosen at compile time: this header sees no model
-// type, only whether Model has open_session().
+// Model has predict()/predict_batch() and an append_memo_key(const Block&,
+// std::string&) is found by argument-dependent lookup in Block's namespace
+// works. Each ISA defines its key next to its block type, as a binary form
+// of exactly the fields the block's text prints: two keys are equal exactly
+// when the two texts are, so the hit ledger is the one a text key gives,
+// while this header includes no ISA header. The session path is chosen at
+// compile time: this header sees no model type, only whether Model has
+// open_session().
+//
+// The caller's batch is the miss batch. predict_batch swaps each batch's
+// misses to the front of the caller's span, in first-seen order, and hands
+// that prefix to the model: no block is copied, and the span afterwards
+// holds the same blocks in another order. A memo hit allocates nothing;
+// a miss allocates its memo node and, past the small-string size, its key.
 //
 // Thread-safety contract:
 //   * A QueryBroker instance is NOT thread-safe: the memo table, the stats
@@ -47,7 +58,6 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -84,58 +94,63 @@ class QueryBroker {
   QueryBroker(QueryBroker&&) noexcept = default;
   QueryBroker& operator=(QueryBroker&&) noexcept = default;
 
-  /// Predict every block of `blocks` into the parallel `out` span.
-  /// Cache misses are deduplicated and evaluated in one predict_batch()
-  /// call (through the session, when the model has one); hits never reach
-  /// the model.
-  void predict_batch(std::span<const Block> blocks, std::span<double> out) {
+  /// Predict every block of `blocks` into the parallel `out` span: out[i]
+  /// answers the caller's blocks[i] as passed in. Cache misses are
+  /// deduplicated, gathered in place at the front of `blocks` (which is
+  /// left permuted) and evaluated in one predict_batch() call (through the
+  /// session, when the model has one); hits never reach the model. If the
+  /// model throws, the batch's misses are not memoized and the exception
+  /// propagates.
+  void predict_batch(std::span<Block> blocks, std::span<double> out) {
     stats_.requested += blocks.size();
     if (blocks.empty()) return;
     std::size_t n_miss = 0;
-    pending_.clear();
-    miss_keys_.clear();
-    // pending_ views the keys in miss_keys_, so miss_keys_ must not
-    // reallocate during the loop: a short key lives inside its string
-    // object (the small-string buffer) and would move with it.
-    miss_keys_.reserve(blocks.size());
-    // miss_of_[i] is the index into the miss batch, or npos for a hit.
+    fresh_.clear();
+    // miss_of_[i] is the miss slot answering the caller's blocks[i], or
+    // npos for a memo hit, whose value is already in out[i].
     miss_of_.assign(blocks.size(), npos);
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-      std::string key = blocks[i].to_string();
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        out[i] = it->second;
+      key_.clear();
+      append_memo_key(blocks[i], key_);
+      const auto [it, inserted] = memo_.try_emplace(key_, Entry{0.0, n_miss});
+      Entry& entry = it->second;
+      if (!inserted) {
         ++stats_.cache_hits;
+        if (entry.slot == npos) {
+          out[i] = entry.value;
+        } else {
+          miss_of_[i] = entry.slot;  // duplicate within this batch
+        }
         continue;
       }
-      if (const auto it = pending_.find(key); it != pending_.end()) {
-        miss_of_[i] = it->second;  // duplicate within this batch
-        ++stats_.cache_hits;
-        continue;
+      // Blocks before i are all processed, so the swap moves a hit or a
+      // duplicate out of the miss prefix and keeps the misses in order.
+      if (i != n_miss) {
+        using std::swap;
+        swap(blocks[n_miss], blocks[i]);
       }
-      const std::size_t slot = n_miss++;
-      miss_keys_.push_back(std::move(key));
-      pending_.emplace(miss_keys_.back(), slot);
-      miss_of_[i] = slot;
-      // Copy-assigned into a retained slot, so the copy reuses the slot's
-      // instruction and operand storage from earlier batches.
-      if (slot < miss_blocks_.size()) {
-        miss_blocks_[slot] = blocks[i];
-      } else {
-        miss_blocks_.push_back(blocks[i]);
-      }
+      miss_of_[i] = n_miss++;
+      fresh_.push_back(&entry);
     }
     if (n_miss > 0) {
       miss_out_.resize(n_miss);
       stats_.evaluated += n_miss;
       ++stats_.batch_calls;
-      const std::span<const Block> miss(miss_blocks_.data(), n_miss);
-      if constexpr (kSessions) {
-        session_->predict_batch(miss, std::span<double>(miss_out_));
-      } else {
-        model_->predict_batch(miss, std::span<double>(miss_out_));
+      const std::span<const Block> miss(blocks.data(), n_miss);
+      try {
+        if constexpr (kSessions) {
+          session_->predict_batch(miss, std::span<double>(miss_out_));
+        } else {
+          model_->predict_batch(miss, std::span<double>(miss_out_));
+        }
+      } catch (...) {
+        // Only this batch's entries are still pending.
+        std::erase_if(memo_,
+                      [](const auto& kv) { return kv.second.slot != npos; });
+        throw;
       }
-      for (std::size_t s = 0; s < miss_keys_.size(); ++s) {
-        cache_.emplace(std::move(miss_keys_[s]), miss_out_[s]);
+      for (std::size_t s = 0; s < n_miss; ++s) {
+        *fresh_[s] = Entry{miss_out_[s], npos};
       }
     }
     for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -151,28 +166,28 @@ class QueryBroker {
   using Session = typename detail::SessionOf<Model>::type;
   static constexpr bool kSessions = !std::is_same_v<Session, std::nullptr_t>;
 
+  /// A memo entry: the model's value, or, while its batch is being
+  /// evaluated, the miss slot that will hold it.
+  struct Entry {
+    double value;
+    std::size_t slot;  // npos once `value` is set
+  };
+
   const Model* model_;  // a pointer, so the broker stays move-assignable
   Session session_{};   // opened once, in the constructor
   QueryStats stats_;
   // Keyed with std::hash<std::string> on purpose: libstdc++ stores the
   // hash code in each node only for the standard string hashes, and a
-  // custom transparent hasher would rehash the ~130-byte keys on every
-  // bucket walk and rehash (25% slower finds, 41% slower inserts).
-  std::unordered_map<std::string, double> cache_;
-  // Reused per-call scratch (miss gathering). Every buffer keeps its
-  // capacity across calls, and miss_blocks_ keeps its slots: a slot's block
-  // is overwritten by copy-assignment, reusing its instruction and operand
-  // storage, and only the first n_miss slots of a call are live. A miss's
-  // key string is rendered once and moved into miss_keys_, then into
-  // cache_; pending_ only views it. What still allocates is the rendered
-  // key of every request and, per miss, the nodes of pending_ and cache_.
-  std::vector<Block> miss_blocks_;
-  std::vector<std::string> miss_keys_;
+  // custom transparent hasher would rehash the keys on every bucket walk
+  // and rehash (25% slower finds, 41% slower inserts).
+  std::unordered_map<std::string, Entry> memo_;
+  // Reused per-call scratch; every buffer keeps its capacity across calls.
+  std::string key_;  // the request's memo key, rendered in place
+  // The entries this call inserted, by miss slot. Pointers into memo_
+  // stay valid across its rehashes.
+  std::vector<Entry*> fresh_;
   std::vector<double> miss_out_;
   std::vector<std::size_t> miss_of_;
-  // Views into miss_keys_; they dangle once the keys move into cache_ and
-  // are cleared before the next call reads them.
-  std::unordered_map<std::string_view, std::size_t> pending_;
 };
 
 }  // namespace comet::cost

@@ -198,6 +198,13 @@ Perturber::Perturber(x86::BasicBlock block,
 
 PerturbedBlock Perturber::sample(const FeatureSet& preserve,
                                  util::Rng& rng) const {
+  PerturbedBlock out;
+  sample(preserve, rng, out);
+  return out;
+}
+
+void Perturber::sample(const FeatureSet& preserve, util::Rng& rng,
+                       PerturbedBlock& out) const {
   const std::size_t n = block_.size();
   thread_local SampleScratch scratch;
   Pins& pins = scratch.pins;
@@ -246,11 +253,13 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     }
   }
 
-  // The sample is edited in place: a copy of β whose deleted positions
-  // are compacted away in step 6. used_by[v] is the family mask of
-  // insts[v] as it stands (0 once deleted); every edit to an instruction
-  // must refresh its entry.
-  PerturbedBlock out{block_, {}};
+  // The sample is edited in place: β is copy-assigned into the caller's
+  // slot, reusing its instruction and operand storage, and the deleted
+  // positions are compacted away in step 6. used_by[v] is the family mask
+  // of insts[v] as it stands (0 once deleted); every edit to an
+  // instruction must refresh its entry.
+  out.block = block_;
+  out.orig_index.clear();
   std::vector<Instruction>& insts = out.block.instructions;
   std::vector<bool>& deleted = scratch.deleted;
   deleted.assign(n, false);
@@ -375,7 +384,6 @@ PerturbedBlock Perturber::sample(const FeatureSet& preserve,
     out.orig_index.push_back(v);
   }
   insts.resize(out.orig_index.size());
-  return out;
 }
 
 bool Perturber::contains(const PerturbedBlock& pb,

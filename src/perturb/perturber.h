@@ -80,6 +80,14 @@ class Perturber {
   PerturbedBlock sample(const graph::FeatureSet& preserve,
                         util::Rng& rng) const;
 
+  /// The same sample, drawn into `out`: β is copy-assigned into it, reusing
+  /// its instruction and operand storage, and edited in place. Draws from
+  /// `rng` exactly as the by-value form does, which wraps this one, so a
+  /// caller that keeps one slot per stream allocates only where a sample
+  /// outgrows the slot.
+  void sample(const graph::FeatureSet& preserve, util::Rng& rng,
+              PerturbedBlock& out) const;
+
   /// Does the perturbed block still contain every feature in `fs`?
   /// (The containment predicate that defines coverage, eq. 6.)
   bool contains(const PerturbedBlock& pb, const graph::FeatureSet& fs) const;

@@ -150,6 +150,45 @@ std::string BasicBlock::to_string() const {
   return out;
 }
 
+namespace {
+
+/// A register as reg_name prints it: an index past x31 prints as x0.
+char reg_key(Reg r) { return static_cast<char>(r.index < 32 ? r.index : 0); }
+
+void append_imm_key(std::string& out, std::int64_t imm) {
+  out.append(reinterpret_cast<const char*>(&imm), sizeof imm);
+}
+
+}  // namespace
+
+void append_memo_key(const BasicBlock& block, std::string& out) {
+  for (const auto& inst : block.instructions) {
+    out += static_cast<char>(inst.opcode);
+    switch (info(inst.opcode).format) {
+      case Format::R:
+        out += reg_key(inst.rd);
+        out += reg_key(inst.rs1);
+        out += reg_key(inst.rs2);
+        break;
+      case Format::I:
+      case Format::Load:
+        out += reg_key(inst.rd);
+        out += reg_key(inst.rs1);
+        append_imm_key(out, inst.imm);
+        break;
+      case Format::U:
+        out += reg_key(inst.rd);
+        append_imm_key(out, inst.imm);
+        break;
+      case Format::Store:
+        out += reg_key(inst.rs2);
+        out += reg_key(inst.rs1);
+        append_imm_key(out, inst.imm);
+        break;
+    }
+  }
+}
+
 RvSemantics semantics(const Instruction& inst) {
   RvSemantics s;
   const auto add_read = [&](Reg r) {

@@ -134,6 +134,13 @@ struct BasicBlock {
   bool operator==(const BasicBlock&) const = default;
 };
 
+/// Append `block`'s memo key to `out`: a compact binary form of exactly
+/// the fields to_string() prints (the opcode, then the registers and
+/// immediate its format prints), so two blocks' keys are equal exactly
+/// when their texts are. The query broker finds it by argument-dependent
+/// lookup and keys its memo with it.
+void append_memo_key(const BasicBlock& block, std::string& out);
+
 /// Registers read / written by `inst`. Writes to x0 are discarded by the
 /// hardware and therefore reported as no write at all; reads of x0 carry
 /// no dependency and are likewise omitted.

@@ -37,8 +37,17 @@ class RvPerturber {
 
   const BasicBlock& block() const { return block_; }
 
-  /// Sample β' ~ D_F retaining every feature in `preserve`.
+  /// Sample β' ~ D_F retaining every feature in `preserve`. The per-call
+  /// working state (pins, preserved and broken hazards, candidate lists)
+  /// lives in one scratch per thread, cleared but not freed between calls,
+  /// so a `const RvPerturber` stays safe to sample from many threads.
   RvPerturbedBlock sample(const RvFeatureSet& preserve, util::Rng& rng) const;
+
+  /// The same sample, drawn into `out`: β is copy-assigned into it, reusing
+  /// its instruction storage, and edited in place. Draws from `rng` exactly
+  /// as the by-value form does, which wraps this one.
+  void sample(const RvFeatureSet& preserve, util::Rng& rng,
+              RvPerturbedBlock& out) const;
 
   /// Does the perturbed block still contain every feature in `fs`?
   bool contains(const RvPerturbedBlock& pb, const RvFeatureSet& fs) const;

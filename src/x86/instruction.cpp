@@ -19,9 +19,10 @@ void Instruction::append_to(std::string& out) const {
 }
 
 std::string BasicBlock::to_string() const {
-  // Rendered into a per-thread buffer and copied out once, so the result's
-  // capacity is exactly its length: block text is kept as the broker's memo
-  // key, and a string grown by appending would hold up to twice its length.
+  // Rendered into a per-thread buffer and copied out once: one allocation
+  // of exactly the text's length, where a string grown by appending would
+  // reallocate as it doubles. The remote shard client keeps one per block
+  // of a request.
   thread_local std::string buffer;
   buffer.clear();
   for (const auto& inst : instructions) {
@@ -29,6 +30,66 @@ std::string BasicBlock::to_string() const {
     buffer += '\n';
   }
   return buffer;
+}
+
+namespace {
+
+/// Append the bytes of a trivially copyable value.
+template <typename T>
+void append_bytes(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// A register as the two things append_reg_name reads: its family and
+/// which of the family's names it picks (flags has one name, a vector
+/// family two, a GPR one per width plus the high-8 name).
+void append_reg_key(std::string& out, const Reg& r) {
+  char form = 0;
+  if (reg_class(r) == RegClass::Vec) {
+    form = r.width_bits == 256;
+  } else if (reg_class(r) == RegClass::Gpr) {
+    form = r.high8 ? char(-1) : static_cast<char>(r.width_bits / 8);
+  }
+  out += static_cast<char>(r.family);
+  out += form;
+}
+
+void append_operand_key(std::string& out, const Operand& op) {
+  out += static_cast<char>(op.kind());
+  switch (op.kind()) {
+    case OperandKind::Reg:
+      append_reg_key(out, op.as_reg());
+      return;
+    case OperandKind::Imm:
+      append_bytes(out, op.as_imm().value);  // its width is not printed
+      return;
+    case OperandKind::Mem: {
+      const MemOperand& m = op.as_mem();
+      append_bytes(out, m.size_bits);
+      // "[rax]" is printed both for a base and for an index at scale 1.
+      const bool index_as_base = !m.base && m.index && m.scale == 1;
+      const std::optional<Reg>& base = index_as_base ? m.index : m.base;
+      const bool has_index = m.index && !index_as_base;
+      out += static_cast<char>(base.has_value() | has_index << 1);
+      if (base) append_reg_key(out, *base);
+      if (has_index) {
+        append_reg_key(out, *m.index);
+        out += static_cast<char>(m.scale);  // printed only beside an index
+      }
+      append_bytes(out, m.disp);
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+void append_memo_key(const BasicBlock& block, std::string& out) {
+  for (const auto& inst : block.instructions) {
+    append_bytes(out, inst.opcode);
+    out += static_cast<char>(inst.operands.size());
+    for (const auto& op : inst.operands) append_operand_key(out, op);
+  }
 }
 
 namespace {

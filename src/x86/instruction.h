@@ -35,14 +35,23 @@ struct BasicBlock {
   bool empty() const { return instructions.empty(); }
 
   /// Multi-line Intel-syntax rendering, one instruction per line, each
-  /// ending in '\n'. These bytes are a contract: they are the query
-  /// broker's memo key, the remote shard client's wire payload and the
-  /// anchor engine's RNG seed, so they must not change
-  /// (tests/test_block_text_golden.cpp pins them).
+  /// ending in '\n'. These bytes are a contract: they are the remote shard
+  /// client's wire payload and the anchor engine's RNG seed, and the query
+  /// broker's memo key is equal for two blocks exactly when their texts
+  /// are, so they must not change (tests/test_block_text_golden.cpp pins
+  /// them).
   std::string to_string() const;
 
   bool operator==(const BasicBlock&) const = default;
 };
+
+/// Append `block`'s memo key to `out`: a compact binary form of exactly
+/// the fields to_string() prints (opcode; per operand its kind, then the
+/// register's printed name, the immediate's value, or the memory operand's
+/// size, registers, scale when it has an index, and displacement), so two
+/// blocks' keys are equal exactly when their texts are. The query broker
+/// finds it by argument-dependent lookup and keys its memo with it.
+void append_memo_key(const BasicBlock& block, std::string& out);
 
 /// One register access performed by an instruction.
 struct RegAccess {

@@ -73,7 +73,8 @@ class Operand {
   std::string to_string() const;
 
   /// Append to_string() to `out` without building temporaries. Block text
-  /// is the query broker's memo key, so it is built this way.
+  /// is the wire payload of every remotely predicted block, so it is built
+  /// this way.
   void append_to(std::string& out) const;
 
   bool operator==(const Operand&) const = default;

@@ -1,6 +1,6 @@
 // Heap-allocation budgets of the explanation hot path: Ithemal inference
-// through a model session, and a whole explanation against the uiCA
-// simulator.
+// through a model session, a whole explanation against the uiCA simulator,
+// and a whole RISC-V explanation against the analytical model.
 //
 // This executable replaces the global operator new with a counting one, so
 // it lives apart from the other suites: the count covers every allocation
@@ -26,6 +26,8 @@
 #include "core/comet.h"
 #include "cost/ithemal_model.h"
 #include "perturb/perturber.h"
+#include "riscv/explain.h"
+#include "riscv/generator.h"
 #include "sim/models.h"
 #include "util/rng.h"
 
@@ -132,17 +134,21 @@ TEST(AllocBudget, IthemalSessionRepeatedBatchAllocatesNothing) {
 
 // A whole explanation against the uiCA simulator, with the benchmark's
 // engine options, on generated Clang- and OpenBLAS-profile blocks. Γ's
-// per-sample working state, the broker's miss slots and the simulator's
-// buffers are reused, so what is left per requested block is the sample's
-// own instructions, the memo's keys and nodes, and the engine's own
-// bookkeeping.
+// per-sample working state, the engine's batch slots and the simulator's
+// buffers are reused, and the broker gathers misses in place under binary
+// keys, so what is left per requested block is mostly the coverage pool
+// (about 4.5: 600 whole Γ(∅) samples kept for the search), a memo node and
+// key per miss, the instructions a sample's deletions drop from its slot,
+// and the engine's own bookkeeping.
 TEST(AllocBudget, UicaExplanation) {
   constexpr std::size_t kTargets = 8;
   // 58.2 allocations per requested block with a fresh Γ working state per
   // sample, a fresh miss copy per miss and fresh simulator buffers per
   // block; 18.3 with all three reused; 17.4 once the memo renders each
-  // miss's key once and its in-batch table only views it.
-  constexpr double kBudgetPerBlock = 24.0;
+  // miss's key once and its in-batch table only views it; 7.2 once Γ
+  // samples into retained engine slots, the broker gathers misses in place
+  // and its key is binary, rendered into a reused buffer.
+  constexpr double kBudgetPerBlock = 9.0;
 
   cb::GeneratorOptions clang;
   clang.source = cb::BlockSource::Clang;
@@ -170,6 +176,40 @@ TEST(AllocBudget, UicaExplanation) {
     requested +=
         ccore::CometExplainer(model, opt).explain(blocks[t]).query_stats
             .requested;
+  }
+  const std::size_t allocations = g_allocations.load() - before;
+
+  ASSERT_GT(requested, 0u);
+  const double per_block =
+      static_cast<double>(allocations) / static_cast<double>(requested);
+  RecordProperty("allocations_per_requested_block", std::to_string(per_block));
+  EXPECT_LE(per_block, kBudgetPerBlock)
+      << allocations << " allocations over " << requested
+      << " requested blocks";
+}
+
+// A whole RISC-V explanation, default options, on generated blocks: the
+// same engine slots and broker as on x86, and a Γ that keeps its working
+// state in per-thread scratch. What is left per requested block is the
+// coverage pool, the dependency graph `contains` builds for a Dep feature,
+// the analytical model's per-instruction read lists and the memo.
+TEST(AllocBudget, RiscvExplanation) {
+  constexpr std::size_t kTargets = 8;
+  // 98.6 allocations per requested block with Γ's pin sets, hazard sets
+  // and candidate lists built per sample; 25.7 with them in scratch.
+  constexpr double kBudgetPerBlock = 26.0;
+
+  const auto blocks = comet::riscv::generate_corpus(kTargets, 16);
+  const comet::riscv::RvCostModel model;
+
+  std::size_t requested = 0;
+  const std::size_t before = g_allocations.load();
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    comet::riscv::RvExplainOptions opt;
+    opt.seed = 2000 + t;
+    requested += comet::riscv::RvExplainer(model, opt)
+                     .explain(blocks[t])
+                     .query_stats.requested;
   }
   const std::size_t allocations = g_allocations.load() - before;
 

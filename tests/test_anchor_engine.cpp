@@ -73,6 +73,11 @@ struct StubBlock {
   std::string to_string() const { return text; }
 };
 
+// The broker's memo key of a stub block is its text.
+void append_memo_key(const StubBlock& block, std::string& out) {
+  out += block.text;
+}
+
 struct StubFeature {
   int id = 0;
   bool operator==(const StubFeature&) const = default;

@@ -1,8 +1,9 @@
 // Golden digests of x86 block text. `BasicBlock::to_string()` is not just a
-// printer: its bytes are the query broker's memo key, the remote shard
-// client's wire payload and (through fnv1a64) the anchor engine's
-// per-request RNG seed. Any rewrite of the renderer must therefore be
-// byte-identical. These tests hash the rendered text of every block,
+// printer: its bytes are the remote shard client's wire payload and
+// (through fnv1a64) the anchor engine's per-request RNG seed, and the query
+// broker's binary memo key (x86::append_memo_key) must split blocks exactly
+// as this text does (MemoKey.* in test_x86). Any rewrite of the renderer
+// must therefore be byte-identical. These tests hash the rendered text of every block,
 // instruction and operand over ~100 seeded generated Clang/OpenBLAS blocks
 // and their Γ samples (default and whole-instruction configurations) into
 // one FNV-1a digest per configuration, and pin a table of hand-written
@@ -10,8 +11,8 @@
 //
 // The expected digests were recorded before the renderer was rewritten to
 // append into one buffer and must never be edited to make a change pass: a
-// mismatch means the change altered the text the broker, the wire and the
-// RNG seed all consume.
+// mismatch means the change altered the text the wire and the RNG seed
+// consume and the memo key mirrors.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -344,6 +344,59 @@ TEST(Perturb, ScratchReuseIsInvisible) {
   }
 }
 
+// Drawing into a caller's slot gives the by-value sample and leaves the RNG
+// where the by-value draw leaves it. One slot serves perturbers of
+// decreasing block length, so every draw overwrites a slot that held a
+// longer block (and, after a deletion, a shorter one).
+TEST(Perturb, SampleIntoSlotMatchesByValue) {
+  const cp::Perturber perturbers[] = {
+      cp::Perturber(bb(R"(
+        vdivss xmm0, xmm0, xmm6
+        vmulss xmm7, xmm0, xmm0
+        vxorps xmm0, xmm0, xmm5
+        vaddss xmm7, xmm7, xmm3
+        mov qword ptr [rdi + 8], rax
+        mov rcx, qword ptr [rdi + 8]
+        vmulss xmm6, xmm6, xmm7
+        vdivss xmm6, xmm3, xmm6
+        shl rdx, cl
+        vmulss xmm0, xmm6, xmm0
+      )")),
+      cp::Perturber(bb(R"(
+        add rcx, rax
+        mov rdx, rcx
+        imul rbx, rdx
+        sub rsi, rbx
+        pop rbx
+      )")),
+      cp::Perturber(bb(kMotivating)),
+      cp::Perturber(bb(R"(
+        mov rax, 5
+        div rcx
+      )")),
+  };
+  cg::FeatureSet preserved;
+  preserved.insert(raw01());
+  cp::PerturbedBlock slot;
+  std::uint64_t seed = 70;
+  for (const auto& p : perturbers) {
+    for (const cg::FeatureSet& fs : {cg::FeatureSet{}, preserved}) {
+      SCOPED_TRACE(p.block().to_string() + fs.to_string());
+      Rng by_value(seed);
+      Rng into_slot(seed++);
+      for (int i = 0; i < 100; ++i) {
+        const cp::PerturbedBlock expected = p.sample(fs, by_value);
+        p.sample(fs, into_slot, slot);
+        EXPECT_EQ(slot.block, expected.block) << "sample " << i;
+        EXPECT_EQ(slot.orig_index, expected.orig_index) << "sample " << i;
+        Rng a = by_value;
+        Rng b = into_slot;
+        ASSERT_EQ(a.next_u64(), b.next_u64()) << "sample " << i;
+      }
+    }
+  }
+}
+
 // Two threads sampling one const Perturber at once each get the stream a
 // single thread draws with the same seed: the scratch is per thread.
 TEST(Perturb, ConcurrentSamplingMatchesSequential) {

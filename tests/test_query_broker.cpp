@@ -5,11 +5,14 @@
 // predict().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bhive/generator.h"
@@ -162,7 +165,8 @@ std::vector<std::vector<double>> run_traffic(
   std::vector<std::vector<double>> outs;
   for (const auto& batch : batches) {
     auto& out = outs.emplace_back(batch.size(), -1.0);
-    broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+    std::vector<cx::BasicBlock> in = batch;  // the broker permutes it
+    broker.predict_batch(std::span<cx::BasicBlock>(in),
                          std::span<double>(out));
   }
   return outs;
@@ -215,11 +219,11 @@ TEST(QueryBroker, MemoizesRepeatQueries) {
   const CountingModel model;
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
   const auto block = cx::parse_block("add rcx, rax\nmov rdx, rcx");
-  const std::vector<cx::BasicBlock> batch{block, block, block};
+  std::vector<cx::BasicBlock> batch{block, block, block};
   std::vector<double> out(batch.size());
-  broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+  broker.predict_batch(std::span<cx::BasicBlock>(batch),
                        std::span<double>(out));
-  broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+  broker.predict_batch(std::span<cx::BasicBlock>(batch),
                        std::span<double>(out));
   EXPECT_DOUBLE_EQ(out[0], 3.0);
   EXPECT_DOUBLE_EQ(out[1], 3.0);
@@ -234,13 +238,13 @@ TEST(QueryBroker, MemoizesRepeatQueries) {
 TEST(QueryBroker, OneBlockBatchIsMemoized) {
   const CountingModel model;
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
-  const auto block = cx::parse_block("add rcx, rax");
+  auto block = cx::parse_block("add rcx, rax");
   double out = 0.0;
-  broker.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+  broker.predict_batch(std::span<cx::BasicBlock>(&block, 1),
                        std::span<double>(&out, 1));
   EXPECT_DOUBLE_EQ(out, 2.0);
   out = 0.0;
-  broker.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+  broker.predict_batch(std::span<cx::BasicBlock>(&block, 1),
                        std::span<double>(&out, 1));
   EXPECT_DOUBLE_EQ(out, 2.0);  // memo hit
   EXPECT_EQ(broker.stats().batch_calls, 1u);
@@ -282,7 +286,8 @@ TEST(QueryBroker, MissSlotsFollowBatchSize) {
   for (std::size_t b = 0; b < batches.size(); ++b) {
     SCOPED_TRACE(b);
     std::vector<double> out(batches[b].size(), -1.0);
-    const std::span<const cx::BasicBlock> in(batches[b]);
+    std::vector<cx::BasicBlock> copy = batches[b];
+    const std::span<cx::BasicBlock> in(copy);
     if (b == 3) {
       model.throw_next = true;
       EXPECT_THROW(broker.predict_batch(in, std::span<double>(out)),
@@ -297,6 +302,52 @@ TEST(QueryBroker, MissSlotsFollowBatchSize) {
     ASSERT_EQ(model.batches.size(), b + 1);
     EXPECT_EQ(model.batches[b], expected_misses[b]);
   }
+}
+
+// The broker gathers a batch's misses at the front of the caller's span:
+// each output still answers the block the caller put at its index, the
+// model sees the misses in first-seen order, an in-batch duplicate is a
+// cache hit, and the span keeps the caller's blocks, reordered.
+TEST(QueryBroker, InPlaceGatherKeepsRequestOrder) {
+  const auto pool = sample_blocks(8);
+  const RecordingModel model;
+  // Distinct values, so an output at the wrong index shows.
+  std::set<double> values;
+  for (std::size_t i = 0; i < 5; ++i) values.insert(model.predict(pool[i]));
+  ASSERT_EQ(values.size(), 5u);
+  ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
+  std::vector<cx::BasicBlock> primer{pool[0], pool[1]};
+  std::vector<double> primer_out(primer.size());
+  broker.predict_batch(std::span<cx::BasicBlock>(primer),
+                       std::span<double>(primer_out));
+
+  const std::vector<cx::BasicBlock> request{pool[0], pool[2], pool[2], pool[1],
+                                            pool[3], pool[4], pool[3]};
+  std::vector<cx::BasicBlock> blocks = request;
+  std::vector<double> out(blocks.size(), -1.0);
+  broker.predict_batch(std::span<cx::BasicBlock>(blocks),
+                       std::span<double>(out));
+
+  for (std::size_t i = 0; i < request.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(model.predict(request[i])))
+        << "index " << i;
+  }
+  ASSERT_EQ(model.batches.size(), 2u);
+  EXPECT_EQ(model.batches[1],
+            (std::vector<cx::BasicBlock>{pool[2], pool[3], pool[4]}));
+  // Two memo hits (pool[0], pool[1]) and two in-batch duplicates.
+  EXPECT_EQ(broker.stats().cache_hits, 4u);
+  EXPECT_EQ(broker.stats().evaluated, 5u);
+  EXPECT_EQ(broker.stats().requested, 9u);
+
+  const auto sorted_texts = [](const std::vector<cx::BasicBlock>& bs) {
+    std::vector<std::string> texts;
+    for (const auto& b : bs) texts.push_back(b.to_string());
+    std::sort(texts.begin(), texts.end());
+    return texts;
+  };
+  EXPECT_EQ(sorted_texts(blocks), sorted_texts(request));
 }
 
 // ---------- memoization never changes a prediction ----------
@@ -333,7 +384,8 @@ TEST(QueryBroker, MemoizationInvariantExplanation) {
   std::size_t requested = 0;
   for (const auto& batch : batches) {
     std::vector<double> out(batch.size());
-    broker.predict_batch(std::span<const cx::BasicBlock>(batch),
+    std::vector<cx::BasicBlock> in = batch;  // the broker permutes it
+    broker.predict_batch(std::span<cx::BasicBlock>(in),
                          std::span<double>(out));
     requested += batch.size();
     for (std::size_t i = 0; i < batch.size(); ++i) {

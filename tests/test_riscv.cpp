@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "riscv/cost.h"
 #include "riscv/explain.h"
@@ -316,6 +320,58 @@ TEST(RiscvPerturb, ContainsMatchesTheSampleGraph) {
   }
 }
 
+// The RISC-V twin of Perturb.SampleIntoSlotMatchesByValue: one slot,
+// perturbers of decreasing block length, with and without preserved
+// features; every slot sample equals the by-value one, and so does the RNG
+// state after it.
+TEST(RiscvPerturb, SampleIntoSlotMatchesByValue) {
+  const rv::RvPerturber perturbers[] = {
+      rv::RvPerturber(rv::parse_block(R"(
+        add a0, a1, a2
+        div a3, a0, a4
+        addi a5, a3, 1
+        ld a1, 8(sp)
+        sd a5, 16(sp)
+        mul a2, a1, a5
+        lw a4, 16(sp)
+      )")),
+      rv::RvPerturber(rv::parse_block(R"(
+        add a0, a1, a2
+        sub a3, a0, a0
+        lui a4, 5
+      )")),
+      rv::RvPerturber(rv::parse_block("addi a0, a0, 1")),
+  };
+  rv::RvPerturbedBlock slot;
+  std::uint64_t seed = 90;
+  for (const auto& p : perturbers) {
+    // An instruction and, where the block has one, a dependency.
+    const auto all = rv::extract_features(p.block());
+    rv::RvFeatureSet preserved;
+    preserved.insert(all.items().front());
+    for (const auto& f : all.items()) {
+      if (f.is_dep()) {
+        preserved.insert(f);
+        break;
+      }
+    }
+    for (const rv::RvFeatureSet& fs : {rv::RvFeatureSet{}, preserved}) {
+      SCOPED_TRACE(p.block().to_string() + fs.to_string());
+      Rng by_value(seed);
+      Rng into_slot(seed++);
+      for (int i = 0; i < 100; ++i) {
+        const rv::RvPerturbedBlock expected = p.sample(fs, by_value);
+        p.sample(fs, into_slot, slot);
+        EXPECT_EQ(slot.block, expected.block) << "sample " << i;
+        EXPECT_EQ(slot.orig_index, expected.orig_index) << "sample " << i;
+        Rng a = by_value;
+        Rng b = into_slot;
+        ASSERT_EQ(a.next_u64(), b.next_u64()) << "sample " << i;
+      }
+    }
+  }
+}
+
 TEST(RiscvPerturb, UnconstrainedSamplingActuallyPerturbs) {
   Rng gen_rng(5);
   const auto block = rv::generate_block(gen_rng);
@@ -459,4 +515,106 @@ TEST(RiscvExplain, ReportsQueriesAndProbabilities) {
   EXPECT_LE(e.precision, 1.0);
   EXPECT_GE(e.coverage, 0.0);
   EXPECT_LE(e.coverage, 1.0);
+}
+
+// ---------- memo key ----------
+
+namespace {
+
+std::string memo_key(const rv::BasicBlock& block) {
+  std::string key;
+  rv::append_memo_key(block, key);
+  return key;
+}
+
+}  // namespace
+
+// The RISC-V twin of MemoKey.EqualIffTextEqual: key equality must match
+// text equality pairwise over generated targets and their Γ samples,
+// unconstrained and keeping every feature.
+TEST(RvMemoKey, EqualIffTextEqual) {
+  const auto targets = rv::generate_corpus(32, 2026);
+  Rng rng(2027);
+  std::vector<rv::BasicBlock> blocks;
+  for (const auto& target : targets) {
+    // Half the samples keep the whole vocabulary, so blocks recur.
+    const rv::RvPerturber p(target);
+    const auto vocabulary = rv::extract_features(target);
+    blocks.push_back(target);
+    for (std::size_t s = 0; s < 32; ++s) {
+      const rv::RvFeatureSet none;
+      blocks.push_back(p.sample(s % 2 ? vocabulary : none, rng).block);
+    }
+  }
+  std::vector<std::string> texts;
+  std::vector<std::string> keys;
+  for (const auto& b : blocks) {
+    texts.push_back(b.to_string());
+    keys.push_back(memo_key(b));
+  }
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+      const bool same_text = texts[i] == texts[j];
+      equal_pairs += same_text;
+      ASSERT_EQ(keys[i] == keys[j], same_text) << texts[i] << "--\n"
+                                               << texts[j];
+    }
+  }
+  EXPECT_GT(equal_pairs, 100u);
+}
+
+// Each format's unused fields are not printed and leave the key alone; the
+// printed ones change both.
+TEST(RvMemoKey, IgnoresEachFormatsUnusedFields) {
+  const auto inst = [](rv::Opcode op, std::uint8_t rd, std::uint8_t rs1,
+                       std::uint8_t rs2, std::int64_t imm) {
+    return rv::BasicBlock{{rv::Instruction{op, rv::Reg{rd}, rv::Reg{rs1},
+                                           rv::Reg{rs2}, imm}}};
+  };
+  struct Case {
+    const char* what;
+    rv::BasicBlock a;
+    rv::BasicBlock b;
+    bool same;
+  };
+  const Case cases[] = {
+      {"R: imm", inst(rv::Opcode::ADD, 10, 11, 12, 0),
+       inst(rv::Opcode::ADD, 10, 11, 12, 7), true},
+      {"R: rs2", inst(rv::Opcode::ADD, 10, 11, 12, 0),
+       inst(rv::Opcode::ADD, 10, 11, 13, 0), false},
+      {"I: rs2", inst(rv::Opcode::ADDI, 10, 11, 12, 4),
+       inst(rv::Opcode::ADDI, 10, 11, 13, 4), true},
+      {"I: imm", inst(rv::Opcode::ADDI, 10, 11, 12, 4),
+       inst(rv::Opcode::ADDI, 10, 11, 12, -4), false},
+      {"U: rs1 and rs2", inst(rv::Opcode::LUI, 10, 11, 12, 4),
+       inst(rv::Opcode::LUI, 10, 1, 2, 4), true},
+      {"U: rd", inst(rv::Opcode::LUI, 10, 11, 12, 4),
+       inst(rv::Opcode::LUI, 9, 11, 12, 4), false},
+      {"Load: rs2", inst(rv::Opcode::LD, 10, 2, 12, 8),
+       inst(rv::Opcode::LD, 10, 2, 13, 8), true},
+      {"Load: rs1", inst(rv::Opcode::LD, 10, 2, 12, 8),
+       inst(rv::Opcode::LD, 10, 3, 12, 8), false},
+      {"Store: rd", inst(rv::Opcode::SD, 10, 2, 12, 8),
+       inst(rv::Opcode::SD, 11, 2, 12, 8), true},
+      {"Store: rs2", inst(rv::Opcode::SD, 10, 2, 12, 8),
+       inst(rv::Opcode::SD, 10, 2, 13, 8), false},
+      {"opcode", inst(rv::Opcode::ADD, 10, 11, 12, 0),
+       inst(rv::Opcode::SUB, 10, 11, 12, 0), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(c.a.to_string() == c.b.to_string(), c.same)
+        << c.a.to_string() << c.b.to_string();
+    EXPECT_EQ(memo_key(c.a) == memo_key(c.b), c.same);
+  }
+}
+
+TEST(RvMemoKey, MnemonicsAndRegisterNamesAreInjective) {
+  std::set<std::string_view> mnemonics;
+  for (const auto op : rv::all_opcodes()) mnemonics.insert(rv::mnemonic(op));
+  EXPECT_EQ(mnemonics.size(), rv::all_opcodes().size());
+  std::set<std::string_view> names;
+  for (std::uint8_t r = 0; r < 32; ++r) names.insert(rv::reg_name(rv::Reg{r}));
+  EXPECT_EQ(names.size(), 32u);
 }

@@ -200,11 +200,11 @@ TEST(QueryStats, MergeAndFormat) {
 TEST(QueryBrokerPool, MoveKeepsCacheAndStats) {
   const ck::CrudeModel model(ck::MicroArch::Haswell);
   ck::QueryBroker<cx::BasicBlock, ck::CostModel> broker(model);
-  const auto block = golden_block();
+  auto block = golden_block();
   const double direct = model.predict(block);
   const auto predict_one = [&block](auto& b) {
     double out = 0.0;
-    b.predict_batch(std::span<const cx::BasicBlock>(&block, 1),
+    b.predict_batch(std::span<cx::BasicBlock>(&block, 1),
                     std::span<double>(&out, 1));
     return out;
   };

@@ -4,11 +4,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bhive/generator.h"
+#include "graph/features.h"
 #include "perturb/perturber.h"
 #include "util/contract.h"
 #include "util/rng.h"
@@ -844,4 +847,158 @@ TEST(CatalogProperty, AllSignaturesHaveSaneSlotCounts) {
       EXPECT_LE(s.slots.size(), 4u);
     }
   }
+}
+
+// ---------- memo key ----------
+
+namespace {
+
+std::string memo_key(const cx::BasicBlock& block) {
+  std::string key;
+  cx::append_memo_key(block, key);
+  return key;
+}
+
+cx::BasicBlock one_inst(cx::Opcode opcode, std::vector<cx::Operand> ops) {
+  return cx::BasicBlock{{cx::Instruction{opcode, std::move(ops)}}};
+}
+
+cx::Operand mem(std::optional<cx::Reg> base, std::optional<cx::Reg> index,
+                std::uint8_t scale, std::int64_t disp) {
+  return cx::Operand::mem(cx::MemOperand{base, index, scale, disp, 64});
+}
+
+}  // namespace
+
+// The broker's memo key must split blocks exactly as their text does, or
+// its hit ledger (and every recorded query count) would change. Checked
+// pairwise over generated targets and their Γ samples, default and
+// whole-instruction replacement, unconstrained and keeping every feature.
+TEST(MemoKey, EqualIffTextEqual) {
+  comet::util::Rng gen_rng(2026);
+  comet::util::Rng sample_rng(2027);
+  comet::perturb::PerturbConfig whole;
+  whole.whole_instruction_replacement = true;
+  std::vector<cx::BasicBlock> blocks;
+  for (std::size_t t = 0; t < 32; ++t) {
+    comet::bhive::GeneratorOptions opts;
+    opts.source = t % 2 == 0 ? comet::bhive::BlockSource::Clang
+                             : comet::bhive::BlockSource::OpenBLAS;
+    const comet::perturb::Perturber p(
+        comet::bhive::BlockGenerator(opts).generate(gen_rng), {},
+        t % 4 == 3 ? whole : comet::perturb::PerturbConfig{});
+    // Half the samples keep the whole vocabulary, so blocks recur.
+    const auto vocabulary = comet::graph::extract_features(p.block());
+    blocks.push_back(p.block());
+    for (std::size_t s = 0; s < 32; ++s) {
+      const comet::graph::FeatureSet none;
+      blocks.push_back(p.sample(s % 2 ? vocabulary : none, sample_rng).block);
+    }
+  }
+  std::vector<std::string> texts;
+  std::vector<std::string> keys;
+  for (const auto& b : blocks) {
+    texts.push_back(b.to_string());
+    keys.push_back(memo_key(b));
+  }
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+      const bool same_text = texts[i] == texts[j];
+      equal_pairs += same_text;
+      ASSERT_EQ(keys[i] == keys[j], same_text) << texts[i] << "--\n"
+                                               << texts[j];
+    }
+  }
+  // Γ repeats blocks, so both outcomes are exercised.
+  EXPECT_GT(equal_pairs, 100u);
+}
+
+// Fields the text drops or prints the same way give equal keys; fields it
+// tells apart give different ones.
+TEST(MemoKey, FollowsWhatTheTextPrints) {
+  const cx::Reg rax{cx::RegFamily::RAX, 64, false};
+  const cx::Reg rbx{cx::RegFamily::RBX, 64, false};
+  const cx::Reg al{cx::RegFamily::RAX, 8, false};
+  const cx::Reg ah{cx::RegFamily::RAX, 8, true};
+  const cx::Reg xmm1{cx::RegFamily::XMM1, 128, false};
+  const cx::Reg ymm1{cx::RegFamily::XMM1, 256, false};
+  using cx::Opcode;
+  using cx::Operand;
+  struct Case {
+    const char* what;
+    cx::BasicBlock a;
+    cx::BasicBlock b;
+    bool same;
+  };
+  const Case cases[] = {
+      {"immediate widths", one_inst(Opcode::ADD, {Operand::reg(rax),
+                                                  Operand::imm(5, 8)}),
+       one_inst(Opcode::ADD, {Operand::reg(rax), Operand::imm(5, 32)}), true},
+      {"immediate values", one_inst(Opcode::ADD, {Operand::reg(rax),
+                                                  Operand::imm(5)}),
+       one_inst(Opcode::ADD, {Operand::reg(rax), Operand::imm(-5)}), false},
+      {"scale without an index",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 4, 8)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 1, 8)}), true},
+      {"scale beside an index",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, rax, 4, 8)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, rax, 1, 8)}),
+       false},
+      {"an index at scale 1 prints as a base",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem({}, rbx, 1, 8)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 1, 8)}), true},
+      {"an index at scale 2 does not",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem({}, rbx, 2, 8)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 2, 8)}), false},
+      {"disp 0 beside a register",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 1, 0)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 1, 8)}), false},
+      {"disp 0 alone",
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem({}, {}, 1, 0)}),
+       one_inst(Opcode::MOV, {Operand::reg(rax), mem(rbx, {}, 1, 0)}), false},
+      {"high8 vs low8", one_inst(Opcode::MOV, {Operand::reg(al),
+                                               Operand::imm(1)}),
+       one_inst(Opcode::MOV, {Operand::reg(ah), Operand::imm(1)}), false},
+      {"xmm vs ymm", one_inst(Opcode::VADDPS, {Operand::reg(xmm1),
+                                               Operand::reg(xmm1),
+                                               Operand::reg(xmm1)}),
+       one_inst(Opcode::VADDPS, {Operand::reg(ymm1), Operand::reg(ymm1),
+                                 Operand::reg(ymm1)}),
+       false},
+      {"instruction count",
+       cx::BasicBlock{{cx::Instruction{Opcode::NOP, {}},
+                       cx::Instruction{Opcode::NOP, {}}}},
+       one_inst(Opcode::NOP, {}), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(c.a.to_string() == c.b.to_string(), c.same)
+        << c.a.to_string() << c.b.to_string();
+    EXPECT_EQ(memo_key(c.a) == memo_key(c.b), c.same);
+  }
+}
+
+// The key writes an opcode and a register form where the text writes a
+// name, so the names must be injective for the two to agree.
+TEST(MemoKey, MnemonicsAndRegisterNamesAreInjective) {
+  std::set<std::string_view> mnemonics;
+  for (const auto op : cx::all_opcodes()) mnemonics.insert(cx::mnemonic(op));
+  EXPECT_EQ(mnemonics.size(), cx::all_opcodes().size());
+
+  std::set<std::string> names;
+  std::size_t valid = 0;
+  for (std::size_t f = 0; f < static_cast<std::size_t>(cx::RegFamily::kCount);
+       ++f) {
+    const auto family = static_cast<cx::RegFamily>(f);
+    for (const std::uint16_t width : {8, 16, 32, 64, 128, 256, 512}) {
+      for (const bool high8 : {false, true}) {
+        if (!cx::reg_exists(family, width, high8)) continue;
+        ++valid;
+        names.insert(cx::reg_name(cx::Reg{family, width, high8}));
+      }
+    }
+  }
+  EXPECT_EQ(names.size(), valid);
+  EXPECT_GT(valid, 90u);
 }
