@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
                      ns_to_ms(queue.p95()), ns_to_ms(queue.p99()),
                      ns_to_ms(run.p50()), ns_to_ms(run.p95()),
                      ns_to_ms(run.p99())});
-    last_report = server->report();
+    last_report = ck::format_stats_report(server->stats_by_model());
   }
   std::printf("%s\n", table.to_string().c_str());
   print_header("Request-lifecycle latency percentiles (ms)",

@@ -87,13 +87,13 @@ int main() {
   }
 
   std::printf("\nper-model drain report (merged QueryStats):\n%s",
-              server.report().c_str());
+              ck::format_stats_report(server.stats_by_model()).c_str());
 
   // The server's whole metrics surface — lifecycle counters, queue gauges,
   // per-model latency histograms — as one JSON snapshot (what a monitoring
-  // hook would export; server.metrics_text() is the Prometheus twin).
+  // hook would export; metrics().to_prometheus() is the text twin).
   std::printf("\nmetrics snapshot (JSON):\n%s\n",
-              server.metrics_json().c_str());
+              server.metrics().to_json().c_str());
 
   std::printf("\n== the same scheduler, serving RISC-V ==\n");
   auto rv_model = std::make_shared<const rv::RvCostModel>();
@@ -115,6 +115,7 @@ int main() {
                 served.explanation.features.to_string().c_str(),
                 served.explanation.precision, served.explanation.coverage);
   }
-  std::printf("\nrv drain report:\n%s", rv_server.report().c_str());
+  std::printf("\nrv drain report:\n%s",
+              ck::format_stats_report(rv_server.stats_by_model()).c_str());
   return 0;
 }

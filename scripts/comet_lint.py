@@ -66,6 +66,12 @@ check:
                     ISA; the explanation vocabulary, engine and broker are
                     shared, never borrowed from the x86 instantiation
                     (paper Section 7's portability claim).
+  extern-template   A header under src/ that aliases AnchorEngine<T> or
+                    ExplanationServer<T> also declares the matching
+                    `extern template class`, with the one explicit
+                    instantiation in the library's .cpp. Without it, every
+                    file that names the alias compiles its own copy of the
+                    engine or server, with its own flags.
 
 Suppression: a finding is silenced by a comment on the same line or the
 line directly above it:
@@ -406,6 +412,56 @@ def _check_include_guard(relpath, raw_lines, scrubbed):
     return []
 
 
+# An alias of an engine or server instantiation; group(1) is the template,
+# group(2) its argument. Matched over the whole scrubbed header, so an alias
+# may span lines.
+_INSTANTIATION_ALIAS_RE = re.compile(
+    r"\busing\s+\w+\s*=\s*(?:\w+::)*(AnchorEngine|ExplanationServer)\s*<"
+    r"\s*([\w:]+)\s*>\s*;"
+)
+_EXTERN_TEMPLATE_RE = re.compile(
+    r"\bextern\s+template\s+class\s+(?:\w+::)*"
+    r"(AnchorEngine|ExplanationServer)\s*<\s*([\w:]+)\s*>\s*;"
+)
+# A template head's type parameters: an alias over one of them (the
+# server's `using Engine = core::AnchorEngine<Traits>`) names no
+# instantiation.
+_TEMPLATE_PARAM_RE = re.compile(r"\btemplate\s*<[^>]*>")
+_TYPE_PARAM_RE = re.compile(r"\b(?:typename|class)\s+(\w+)")
+
+
+def _unqualified(name: str) -> str:
+    return name.rsplit("::", 1)[-1]
+
+
+def _check_extern_template(relpath, raw_lines, scrubbed):
+    del relpath, raw_lines
+    text = "\n".join(scrubbed)
+    params = {
+        p
+        for head in _TEMPLATE_PARAM_RE.findall(text)
+        for p in _TYPE_PARAM_RE.findall(head)
+    }
+    declared = {
+        (m.group(1), _unqualified(m.group(2)))
+        for m in _EXTERN_TEMPLATE_RE.finditer(text)
+    }
+    hits = []
+    for m in _INSTANTIATION_ALIAS_RE.finditer(text):
+        template, arg = m.group(1), _unqualified(m.group(2))
+        if arg in params or (template, arg) in declared:
+            continue
+        hits.append(
+            (
+                text.count("\n", 0, m.start()),
+                f"alias of {template}<{arg}> without `extern template class "
+                f"{template}<{arg}>;` - declare it here and instantiate it "
+                "once in the library's .cpp, or every user compiles a copy",
+            )
+        )
+    return hits
+
+
 @dataclass(frozen=True)
 class Rule:
     name: str
@@ -535,6 +591,14 @@ RULES = [
         "RISC-V supplies only its ISA",
         lambda p: p.startswith("src/riscv/") or p == VOCABULARY_HEADER,
         _check_isa_include,
+    ),
+    Rule(
+        "extern-template",
+        "a header in src/ that aliases AnchorEngine<T> or "
+        "ExplanationServer<T> declares the matching `extern template "
+        "class` - the engine and servers are compiled once, in the library",
+        lambda p: p.startswith("src/") and p.endswith((".h", ".hpp", ".hh")),
+        _check_extern_template,
     ),
 ]
 

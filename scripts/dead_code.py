@@ -20,6 +20,10 @@ Only mangled `_ZN5comet` / `_ZNK5comet` text symbols are counted, which
 keeps `std::` instantiations over comet types out. Names are compared after
 demangling with every template argument list collapsed to `<>`, so a
 template member counts as kept when any one of its instantiations is kept.
+A member of a class template (a name with `<>::`) is compared by its name
+part alone, since its parameters may spell out the template argument's
+types (`AnchorEngine<>::estimate_coverage(x86::BasicBlock const&, ...)`
+and its `riscv::` twin are one member).
 
   scripts/dead_code.py [--build-dir DIR] [--jobs N]   # default ./build-dead
 
@@ -123,6 +127,13 @@ def name_part(display):
     return display.split("(", 1)[0]
 
 
+def group_key(display):
+    """What a function's instantiations are grouped under: the name part
+    for a member of a class template, the whole display name otherwise."""
+    name = name_part(display)
+    return name if "<>::" in name else display
+
+
 def is_test_binary(binary):
     base = os.path.basename(binary)
     return base.startswith("test_") or base.startswith("fuzz_")
@@ -143,13 +154,14 @@ def classify(library_syms, binary_syms, demangle=demangle_all):
     kept_by_test = set()
     for binary, syms in binary_syms.items():
         target = kept_by_test if is_test_binary(binary) else kept_by_program
-        target.update(names[m] for m in syms)
+        target.update(group_key(names[m]) for m in syms)
     result = {}
     for m in library_syms:
         name = names[m]
-        if name in kept_by_program:
+        key = group_key(name)
+        if key in kept_by_program:
             result[name] = "program"
-        elif name in kept_by_test:
+        elif key in kept_by_test:
             result[name] = "test-only"
         else:
             result[name] = "dead"

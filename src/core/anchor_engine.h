@@ -13,7 +13,8 @@
 // providing its Block, Feature(Set) (for both ISAs, the shared templates of
 // graph/vocabulary.h), Perturber, cost-model type, and options. The x86
 // CometExplainer and the RISC-V RvExplainer are aliases of this engine;
-// see core/comet.h and riscv/explain.h.
+// see core/comet.h and riscv/explain.h, which declare each instantiation
+// `extern template`: it is compiled once, in the library.
 //
 // The engine is batch-first: every model query it issues flows through a
 // cost::QueryBroker as part of a batch (arm pulls are whole perturbation

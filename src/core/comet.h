@@ -62,5 +62,7 @@ struct X86AnchorTraits {
 /// The x86 explainer: `CometExplainer(model, options).explain(block)`, plus
 /// the Table 3 estimators estimate_precision / estimate_coverage.
 using CometExplainer = AnchorEngine<X86AnchorTraits>;
+// Compiled once, in core/comet.cpp; every other file links that copy.
+extern template class AnchorEngine<X86AnchorTraits>;
 
 }  // namespace comet::core

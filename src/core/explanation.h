@@ -22,8 +22,11 @@ struct ExplanationOf {
   double precision = 0.0;   ///< estimated Prec(F) (eq. 4)
   double coverage = 0.0;    ///< estimated Cov(F) (eq. 6)
   bool met_threshold = false;  ///< precision lower bound cleared 1-δ
-  std::size_t model_queries = 0;  ///< cost-model evaluations consumed
-  /// Broker-side traffic accounting for the queries above (batches issued,
+  /// Γ draws for arm pulls plus one for M(β): empty samples and memo hits
+  /// count, the coverage pool does not. The model evaluations are
+  /// query_stats.evaluated.
+  std::size_t model_queries = 0;
+  /// Broker-side traffic accounting (blocks requested, batches issued,
   /// memoization hits, predictions actually evaluated).
   cost::QueryStats query_stats;
 

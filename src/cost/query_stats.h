@@ -69,9 +69,9 @@ struct QueryStats {
   }
 };
 
-/// The drain-report body: one "  key: <ledger>" line per model key. The
-/// single formatting point shared by serve::ExplanationServer::report()
-/// and the bench/demo drain output (they used to duplicate this loop).
+/// The drain-report body: one "  key: <ledger>" line per model key, over
+/// serve::ExplanationServer::stats_by_model(). The one formatting point of
+/// every bench and demo drain report.
 inline std::string format_stats_report(
     const std::map<std::string, QueryStats>& by_key) {
   std::string out;

@@ -64,3 +64,8 @@ struct RvAnchorTraits {
 using RvExplainer = core::AnchorEngine<RvAnchorTraits>;
 
 }  // namespace comet::riscv
+
+namespace comet::core {
+// Compiled once, in riscv/explain.cpp; every other file links that copy.
+extern template class AnchorEngine<riscv::RvAnchorTraits>;
+}  // namespace comet::core

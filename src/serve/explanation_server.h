@@ -55,11 +55,12 @@
 // model key: queue-wait and service-latency histograms (p50/p95/p99);
 // globally: live queue-depth and outstanding gauges, submitted/completed
 // counters, and the backpressure counter (submit had to block). Scrape via
-// metrics_text() (Prometheus exposition) or metrics_json(). All clock
-// reads go through obs::Clock (ServeOptions::clock, steady by default) and
-// only ever land in metrics and trace fields — never in scheduling or the
-// search — so served explanations remain bit-identical to sequential runs
-// on the steady clock or a mocked one (tests/test_obs.cpp).
+// metrics().to_prometheus() (text exposition) or metrics().to_json(). All
+// clock reads go through obs::Clock (ServeOptions::clock, steady by
+// default) and only ever land in metrics and trace fields — never in
+// scheduling or the search — so served explanations remain bit-identical
+// to sequential runs on the steady clock or a mocked one
+// (tests/test_obs.cpp).
 //
 // The server is templated over the same ISA traits as the engine, so the
 // one scheduler serves both instantiations: x86 (core::X86AnchorTraits)
@@ -299,18 +300,12 @@ class ExplanationServer {
     return outstanding_;
   }
 
-  /// Per-key merged query ledgers of everything served so far.
+  /// Per-key merged query ledgers of everything served so far; the drain
+  /// report is cost::format_stats_report(stats_by_model()).
   std::map<std::string, cost::QueryStats> stats_by_model() const
       COMET_EXCLUDES(mutex_) {
     util::MutexLock lock(mutex_);
     return stats_;
-  }
-
-  /// Drain report: one line per model key with its merged ledger (shared
-  /// formatting with the benches — cost::format_stats_report).
-  std::string report() const COMET_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return cost::format_stats_report(stats_);
   }
 
   /// The server's metrics registry: serve_submitted / serve_completed /
@@ -322,14 +317,9 @@ class ExplanationServer {
   /// control counters: serve_deadline_expired{stage="admit"|"queue"},
   /// serve_deadline_late, and serve_shed{lane="interactive"|"batch"};
   /// and serve_failed{model_key=...} for jobs whose model threw.
+  /// Scrape it with metrics().to_prometheus() (text exposition) or
+  /// metrics().to_json() (histogram summaries with p50/p95/p99).
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Prometheus-style text exposition of every instrument (scrape body).
-  std::string metrics_text() const { return metrics_.to_prometheus(); }
-
-  /// JSON snapshot: counters, gauges, histogram summaries with
-  /// p50/p95/p99.
-  std::string metrics_json() const { return metrics_.to_json(); }
 
  private:
   struct Request {

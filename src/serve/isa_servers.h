@@ -27,4 +27,9 @@ using X86ExplanationServer = ExplanationServer<core::X86AnchorTraits>;
 /// Serves RISC-V jobs against RvCostModel instances.
 using RvExplanationServer = ExplanationServer<riscv::RvAnchorTraits>;
 
+// Both servers are compiled once, in serve/isa_servers.cpp; every other
+// file links those copies.
+extern template class ExplanationServer<core::X86AnchorTraits>;
+extern template class ExplanationServer<riscv::RvAnchorTraits>;
+
 }  // namespace comet::serve

@@ -140,6 +140,23 @@ class RuleFiresAndSuppresses(unittest.TestCase):
                    '#pragma once\n#include "riscv/isa.h"',
                    "isa-include", line=2)
 
+    def test_extern_template(self):
+        self.check("src/core/comet.h",
+                   "#pragma once\n"
+                   "using CometExplainer = AnchorEngine<X86AnchorTraits>;",
+                   "extern-template", line=2)
+        # The alias may span lines; the finding anchors at `using`.
+        self.check("src/serve/isa_servers.h",
+                   "#pragma once\nusing RvExplanationServer =\n"
+                   "    ExplanationServer<riscv::RvAnchorTraits>;",
+                   "extern-template", line=2)
+        # A declaration for the other ISA does not cover this alias.
+        self.check("src/riscv/explain.h",
+                   "#pragma once\n"
+                   "using RvExplainer = core::AnchorEngine<RvAnchorTraits>;\n"
+                   "extern template class AnchorEngine<X86AnchorTraits>;",
+                   "extern-template", line=2)
+
 
 class RuleScoping(unittest.TestCase):
     """Rules only apply where the invariant lives."""
@@ -218,6 +235,37 @@ class RuleScoping(unittest.TestCase):
                           'const char* p = "#include \\"net/x.h\\"";\n'
                           '#include "cost/serve_stats.h"\n'
                           '#include "util/net/addr.h"'))
+
+    def test_extern_template_matches_declarations_in_any_namespace(self):
+        self.assertEqual(
+            [], rules_hit("src/riscv/explain.h",
+                          "#pragma once\n"
+                          "namespace comet::riscv {\n"
+                          "using RvExplainer = core::AnchorEngine<"
+                          "RvAnchorTraits>;\n"
+                          "}\n"
+                          "namespace comet::core {\n"
+                          "extern template class AnchorEngine<"
+                          "riscv::RvAnchorTraits>;\n"
+                          "}"))
+
+    def test_extern_template_spares_parameters_sources_and_mentions(self):
+        # An alias over a template parameter names no instantiation.
+        self.assertEqual(
+            [], rules_hit("src/serve/explanation_server.h",
+                          "#pragma once\ntemplate <typename Traits>\n"
+                          "class ExplanationServer {\n"
+                          "  using Engine = core::AnchorEngine<Traits>;\n"
+                          "};"))
+        # Only headers: a .cpp alias is that file's own business, as are
+        # tests, benches and perfbench outside src/.
+        alias = "using E = core::AnchorEngine<X86AnchorTraits>;"
+        self.assertEqual([], rules_hit("src/core/eval.cpp", alias))
+        self.assertEqual([], rules_hit("tests/test_core.cpp", alias))
+        self.assertEqual([], rules_hit("perfbench/src/layers.h", alias))
+        self.assertEqual(
+            [], rules_hit("src/core/comet.h",
+                          "#pragma once\n// using E = AnchorEngine<T>;"))
 
     def test_obs_clock_seam_is_exempt_from_raw_clock(self):
         # The seam itself wraps the real clock; steady_clock is fine
@@ -389,7 +437,7 @@ class CommandLine(unittest.TestCase):
         for rule in ("libm-in-nn", "raw-sync", "unchecked-io", "raw-random",
                      "stdout-in-library", "include-guard", "using-namespace",
                      "raw-clock", "raw-assert", "unbounded-wait",
-                     "upward-include", "isa-include"):
+                     "upward-include", "isa-include", "extern-template"):
             self.assertIn(rule, result.stdout)
 
 
@@ -399,6 +447,18 @@ RV_IS_DEP = "_ZNK5comet5graph9FeatureOfINS_5riscv6OpcodeEE6is_depEv"
 HAS_EDGE = "_ZNK5comet5graph8DepGraph8has_edgeEmmNS0_7DepKindE"
 GPR_FAMILIES = "_ZN5comet3x8612gpr_familiesEv"
 SUBST_FAMILIES = "_ZN5comet3x8626substitutable_gpr_familiesEv"
+X86_ESTIMATE_PRECISION = (
+    "_ZNK5comet4core12AnchorEngineINS0_15X86AnchorTraitsEE18estimate_"
+    "precisionERKNS_3x8610BasicBlockERKNS_5graph12FeatureSetOfINS4_6Opcode"
+    "EEEmRNS_4util3RngE")
+RV_ESTIMATE_PRECISION = (
+    "_ZNK5comet4core12AnchorEngineINS_5riscv14RvAnchorTraitsEE18estimate_"
+    "precisionERKNS2_10BasicBlockERKNS_5graph12FeatureSetOfINS2_6OpcodeEE"
+    "EmRNS_4util3RngE")
+RV_ESTIMATE_COVERAGE = (
+    "_ZNK5comet4core12AnchorEngineINS_5riscv14RvAnchorTraitsEE17estimate_"
+    "coverageERKNS2_10BasicBlockERKNS_5graph12FeatureSetOfINS2_6OpcodeEEEm"
+    "RNS_4util3RngE")
 STD_OVER_COMET = ("_ZNSt6vectorIN5comet2nn12LstmSequenceESaIS2_EE"
                   "17_M_default_appendEm")
 
@@ -430,6 +490,28 @@ class DeadCodeClassifier(unittest.TestCase):
                                 {"riscv_quickstart": [RV_IS_DEP]})
         self.assertEqual({"graph::FeatureOf<>::is_dep() const": "program"},
                          classes)
+
+    def test_class_template_member_grouped_across_isa_signatures(self):
+        # The two instantiations' signatures differ (x86:: vs riscv::
+        # parameter types), yet they are one member of AnchorEngine<>: an
+        # x86 program keeping it keeps the RISC-V twin too. A member no
+        # instantiation of which a program keeps stays test-only.
+        classes = self.classify(
+            [X86_ESTIMATE_PRECISION, RV_ESTIMATE_PRECISION,
+             RV_ESTIMATE_COVERAGE],
+            {"bench_table3_ithemal": [X86_ESTIMATE_PRECISION],
+             "test_riscv": [RV_ESTIMATE_PRECISION, RV_ESTIMATE_COVERAGE]})
+        rv_signature = ("(riscv::BasicBlock const&, graph::FeatureSetOf<> "
+                        "const&, unsigned long, util::Rng&) const")
+        self.assertEqual(
+            {"core::AnchorEngine<>::estimate_precision(x86::BasicBlock "
+             "const&, graph::FeatureSetOf<> const&, unsigned long, "
+             "util::Rng&) const": "program",
+             "core::AnchorEngine<>::estimate_precision" + rv_signature:
+             "program",
+             "core::AnchorEngine<>::estimate_coverage" + rv_signature:
+             "test-only"},
+            classes)
 
     def test_kept_only_by_test_and_fuzz_binaries_is_test_only(self):
         classes = self.classify(

@@ -446,10 +446,10 @@ TEST(ServeMetrics, LifecycleCountersAndHistogramsFill) {
   }
 
   // Both exporters include the per-model-key histograms.
-  EXPECT_NE(std::string::npos, server.metrics_text().find(
+  EXPECT_NE(std::string::npos, server.metrics().to_prometheus().find(
                                    "serve_run_ns_count{model_key=\"crude\"}"));
-  EXPECT_NE(std::string::npos,
-            server.metrics_json().find("serve_run_ns{model_key=\\\"crude\\\"}"));
+  EXPECT_NE(std::string::npos, server.metrics().to_json().find(
+                                   "serve_run_ns{model_key=\\\"crude\\\"}"));
 }
 
 TEST(ServeMetrics, ModelKeyWithQuoteBackslashNewlineScrapesWellFormed) {
@@ -461,7 +461,7 @@ TEST(ServeMetrics, ModelKeyWithQuoteBackslashNewlineScrapesWellFormed) {
   server.submit(key, cb::listing1_motivating(), light_options(7));
   ASSERT_EQ(1u, server.drain().size());
 
-  const std::string text = server.metrics_text();
+  const std::string text = server.metrics().to_prometheus();
   std::istringstream lines(text);
   std::size_t n = 0;
   for (std::string line; std::getline(lines, line); ++n) {

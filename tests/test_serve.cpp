@@ -363,7 +363,8 @@ TEST(ExplanationServer, CompletionOrderCorrectUnderEightWorkers) {
   const auto by_model = server.stats_by_model();
   ASSERT_TRUE(by_model.contains("crude-hsw"));
   EXPECT_EQ(by_model.at("crude-hsw"), crude_sum);
-  EXPECT_NE(server.report().find("crude-hsw"), std::string::npos);
+  EXPECT_NE(ck::format_stats_report(by_model).find("crude-hsw"),
+            std::string::npos);
 }
 
 TEST(ExplanationServer, ConcurrentRequestsBitIdenticalToSequential) {
